@@ -2,9 +2,10 @@
 
 The sequential sampler is recast as a joint system over all intermediate
 states; its strictly triangular structure lets Picard iteration terminate
-in at most S steps and Anderson acceleration typically far earlier, with
-every timestep's model call running in parallel.  Inversion recovers the
-terminal state by cheap gradients taken at the fixed point.
+in at most S steps and Anderson acceleration typically far earlier.  Each
+sweep evaluates the noise model at every timestep in one batched call.
+Inversion recovers the terminal state by cheap gradients taken at the
+fixed point.
 """
 
 from .chain import (
@@ -60,7 +61,7 @@ from .predictors import (
     save_mlp,
 )
 from .rng import stream
-from .sampling import draw_noise_stack, draw_x_T, sample_sequential, solve_stack
+from .sampling import draw_noise_stack, draw_x_T, solve_stack
 from .schedule import (
     DiffusionSchedule,
     TimestepSubsequence,

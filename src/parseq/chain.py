@@ -14,9 +14,10 @@ and unrolling it from the top gives every position as an explicit sum
                                              + sigma_{t+1} e_{t+1}).
 
 ``h_tilde`` evaluates that sum for all positions at once from the current
-stack estimate.  Its Jacobian with respect to the stack is strictly
-triangular (each output depends only on strictly higher positions plus
-x_T), so repeated application converges in at most S steps and the
+stack estimate, with the S noise predictions of one sweep taken in a
+single batched predictor call.  Its Jacobian with respect to the stack is
+strictly triangular (each output depends only on strictly higher positions
+plus x_T), so repeated application converges in at most S steps and the
 transpose system solved by the gradient code is nilpotent.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
@@ -26,7 +27,6 @@ Noise layout: ``noise[i - 1]`` is the draw injected by transition i.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,23 +112,10 @@ def _check_stack(states: np.ndarray, x_T: np.ndarray, S: int) -> tuple[np.ndarra
     return states, x_T
 
 
-def _predict_all(
-    predictor: NoisePredictor,
-    xs: list[np.ndarray],
-    ts: list[int],
-    pool: Executor | None,
-) -> list[np.ndarray]:
-    # Results are consumed in a fixed order, so a thread pool changes wall
-    # time but never the bits of the output.
-    if pool is None:
-        return [predictor.predict(x, t) for x, t in zip(xs, ts)]
-    return list(pool.map(lambda args: predictor.predict(*args), zip(xs, ts)))
-
-
-def _stack_inputs(states: np.ndarray, x_T: np.ndarray, S: int) -> list[np.ndarray]:
-    """States feeding transitions 1..S: position p comes from the stack for
-    p < S and is x_T itself at p = S."""
-    return [states[S - 1 - p] for p in range(1, S)] + [x_T]
+def _stack_inputs(states: np.ndarray, x_T: np.ndarray, S: int) -> np.ndarray:
+    """States feeding transitions 1..S as an (S, D) batch: position p comes
+    from the stack for p < S and is x_T itself at p = S."""
+    return np.concatenate([states[: S - 1][::-1], x_T[None]])
 
 
 def ddim_step(
@@ -204,26 +191,22 @@ def h_tilde(
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
-    pool: Executor | None = None,
+    pool: object | None = None,
 ) -> np.ndarray:
     """Simultaneous update of every stack row from the current estimate.
 
     All S predictor evaluations read the input stack, so they are mutually
-    independent and may run on ``pool``.  The per-position sums share one
-    carried accumulation down the chain, keeping the whole update O(S)
-    predictor calls and O(S D) arithmetic instead of the O(S^2) literal
-    double sum.
+    independent and run as one batched predictor call.  The per-position
+    sums share one carried accumulation down the chain, keeping the whole
+    update one predictor call and O(S D) arithmetic instead of the O(S^2)
+    literal double sum.  ``pool`` is accepted for compatibility with older
+    callers and ignored.
     """
     coeffs = chain_coefficients(schedule, subsequence)
     S = coeffs.S
     states, x_T = _check_stack(states, x_T, S)
     noise = _normalize_noise(noise, S, x_T.size)
-    eps_pred = _predict_all(
-        predictor,
-        _stack_inputs(states, x_T, S),
-        [int(coeffs.taus[p]) for p in range(1, S + 1)],
-        pool,
-    )
+    eps_pred = predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
     out_pos = np.empty_like(states)
     # Horner-style carry down the chain, with the same expression shape as
     # sequential_rollout's update, so the rollout stack is a fixed point of
@@ -249,10 +232,9 @@ def residual(
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
-    pool: Executor | None = None,
 ) -> tuple[np.ndarray, float]:
     """h_tilde(states) - states and its flattened l2 norm."""
-    g = h_tilde(states, x_T, schedule, subsequence, predictor, noise, pool) - states
+    g = h_tilde(states, x_T, schedule, subsequence, predictor, noise) - states
     return g, float(np.linalg.norm(g))
 
 
@@ -263,15 +245,17 @@ def h_tilde_vjp(
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
     cotangent: np.ndarray,
-    pool: Executor | None = None,
+    pool: object | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull a stack cotangent back through h_tilde at (states, x_T).
 
     Returns (cotangent_states, cotangent_x_T).  Output position j carries
     weight sqrt(A_j) on every transition at or above it, so the pullback
     onto transition p only needs the prefix P_p = sum_{j < p} sqrt(A_j) u_j;
-    one predictor vjp per timestep then finishes the job.  The noise enters
-    h_tilde additively and so never appears in the Jacobian.
+    one batched predictor vjp over all S timesteps then finishes the job.
+    The noise enters h_tilde additively and so never appears in the
+    Jacobian.  ``pool`` is accepted for compatibility with older callers
+    and ignored.
     """
     coeffs = chain_coefficients(schedule, subsequence)
     S = coeffs.S
@@ -287,22 +271,7 @@ def h_tilde_vjp(
     for p in range(1, S + 1):
         acc = acc + coeffs.sqrt_alpha[p - 1] * upos[p - 1]
         prefixes[p - 1] = acc
-    if pool is None:
-        pulled = [
-            predictor.vjp(x, int(coeffs.taus[p]), prefixes[p - 1])
-            for p, x in zip(range(1, S + 1), _stack_inputs(states, x_T, S))
-        ]
-    else:
-        pulled = list(
-            pool.map(
-                lambda args: predictor.vjp(*args),
-                zip(
-                    _stack_inputs(states, x_T, S),
-                    [int(coeffs.taus[p]) for p in range(1, S + 1)],
-                    prefixes,
-                ),
-            )
-        )
+    pulled = predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
     cot_states = np.zeros_like(states)
     for p in range(1, S):
         cot_states[S - 1 - p] = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * pulled[p - 1]

@@ -19,7 +19,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,7 +42,18 @@ from .solvers import SolverConfig, default_solver_config
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("PARSEQ_THREADS", "1"))
+    raw = os.environ.get("PARSEQ_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"PARSEQ_THREADS must be an integer, got {raw!r}") from None
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in str(text).split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
@@ -59,7 +69,9 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
                    help="state dimension for predictors without a file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: PARSEQ_THREADS or 1)")
+                   help="thread count, recorded in the manifest; every run is "
+                        "single-threaded and its outputs do not depend on it "
+                        "(default: PARSEQ_THREADS or 1)")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -120,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S-list", default="5,25,100",
                    help="comma-separated subsequence lengths")
     p.add_argument("--threads-list", default="1,2,8",
-                   help="comma-separated worker counts for the deq rows")
+                   help="comma-separated thread counts, one deq row each "
+                        "(recorded only, as --threads)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -141,18 +154,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolved_args(ns: argparse.Namespace) -> dict:
     args = {k: v for k, v in vars(ns).items() if k != "func"}
-    if args.get("threads") is None and "threads" in args:
-        args["threads"] = _default_threads()
+    if "threads" in args:
+        if args["threads"] is None:
+            args["threads"] = _default_threads()
+        if args["threads"] < 1:
+            raise ConfigError(f"thread count must be >= 1, got {args['threads']}")
     return args
-
-
-def _pool(threads: int):
-    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
 
 def _build_chain(args: dict):
     if args["subseq"] is not None and args["S"] is None:
         raise ConfigError("--subseq requires --S")
+    if args["D"] < 1:
+        raise ConfigError(f"--D must be >= 1, got {args['D']}")
     schedule = make_linear_beta_schedule(args["T"], eta=args["eta"])
     if args["S"] is not None:
         subsequence = select_subsequence(args["T"], args["S"], args["subseq"] or "linear")
@@ -205,7 +219,8 @@ def _load_noise(args: dict, S: int, D: int) -> np.ndarray:
 
 
 def _write_manifest(out_dir: str, command: str, args: dict,
-                    outputs: list[str], timings_ms: dict) -> None:
+                    outputs: list[str], timings_ms: dict,
+                    solver: dict | None = None) -> None:
     manifest = {
         "command": command,
         "args": args,
@@ -218,6 +233,8 @@ def _write_manifest(out_dir: str, command: str, args: dict,
         "outputs": outputs,
         "timings_ms": {k: round(v, 3) for k, v in timings_ms.items()},
     }
+    if solver is not None:
+        manifest["solver"] = solver
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -235,6 +252,7 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     timings = {}
 
     t1 = time.perf_counter()
+    solver = None
     if args["mode"] == "sequential":
         from .chain import sequential_rollout
 
@@ -242,17 +260,20 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         residuals = None
     else:
         method = "picard" if args["mode"] == "deq-picard" else "anderson"
-        pool = _pool(args["threads"])
-        try:
-            result = solve_stack(
-                x_T, schedule, subsequence, predictor, noise,
-                _solver_config(args, method), args["init"], pool,
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        result = solve_stack(
+            x_T, schedule, subsequence, predictor, noise,
+            _solver_config(args, method), args["init"],
+        )
         states = result.states
         residuals = result.residuals
+        # An unconverged solve still exits 0; this record is how a caller
+        # tells it apart from a converged one.
+        solver = {
+            "converged": result.converged,
+            "iters": result.iters,
+            "final_residual": residuals[-1],
+            "picard_fallbacks": result.picard_fallbacks,
+        }
     timings["solve"] = (time.perf_counter() - t1) * 1000.0
 
     write_stack(os.path.join(args["out"], "x0.stack"), states[-1], args["T"], args["eta"])
@@ -263,7 +284,7 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         write_residual_csv(os.path.join(args["out"], "residuals.csv"), residuals)
         outputs.append("residuals.csv")
     timings["total"] = (time.perf_counter() - t0) * 1000.0
-    _write_manifest(args["out"], "sample", args, outputs, timings)
+    _write_manifest(args["out"], "sample", args, outputs, timings, solver)
     return 0
 
 
@@ -290,19 +311,14 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         seed=args["seed"],
         init=args["init"],
     )
-    pool = _pool(args["threads"])
-    try:
-        if args["method"] == "naive":
-            run = invert_naive(target, cfg, schedule, subsequence, predictor, pool)
-        elif args["method"] == "deq":
-            run = invert_deq(target, cfg, schedule, subsequence, predictor, pool)
-        else:
-            run = invert_deq_stochastic(
-                target, args["eta"], cfg, schedule, subsequence, predictor, pool
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    if args["method"] == "naive":
+        run = invert_naive(target, cfg, schedule, subsequence, predictor)
+    elif args["method"] == "deq":
+        run = invert_deq(target, cfg, schedule, subsequence, predictor)
+    else:
+        run = invert_deq_stochastic(
+            target, args["eta"], cfg, schedule, subsequence, predictor
+        )
 
     os.makedirs(args["out"], exist_ok=True)
     write_stack(os.path.join(args["out"], "x_T_hat.stack"), run.x_T_hat,
@@ -331,23 +347,17 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     S, D = subsequence.S, predictor.dim
     method = "picard" if args["mode"] == "deq-picard" else "anderson"
     solver_cfg = _solver_config(args, method)
-    pool = _pool(args["threads"])
     traces = []
-    try:
-        for j in range(args["runs"]):
-            seed = args["seed"] + j
-            x_T = draw_x_T(seed, D)
-            noise = draw_noise_stack(seed, S, D) if args["eta"] > 0.0 else None
-            if args.get("noise_file"):
-                noise, _, _ = read_stack(args["noise_file"])
-            result = solve_stack(
-                x_T, schedule, subsequence, predictor, noise,
-                solver_cfg, args["init"], pool,
-            )
-            traces.append(result.residuals)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for j in range(args["runs"]):
+        seed = args["seed"] + j
+        x_T = draw_x_T(seed, D)
+        noise = draw_noise_stack(seed, S, D) if args["eta"] > 0.0 else None
+        if args.get("noise_file"):
+            noise, _, _ = read_stack(args["noise_file"])
+        result = solve_stack(
+            x_T, schedule, subsequence, predictor, noise, solver_cfg, args["init"]
+        )
+        traces.append(result.residuals)
     os.makedirs(args["out"], exist_ok=True)
     write_trace_csv(os.path.join(args["out"], "trace.csv"), traces)
     timings = {"total": (time.perf_counter() - t0) * 1000.0}
@@ -360,8 +370,10 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     from .chain import sequential_rollout
 
-    s_values = [int(s) for s in str(args["S_list"]).split(",") if s]
-    thread_values = [int(n) for n in str(args["threads_list"]).split(",") if n]
+    s_values = _int_list(args["S_list"], "--S-list")
+    thread_values = _int_list(args["threads_list"], "--threads-list")
+    if any(n < 1 for n in thread_values):
+        raise ConfigError(f"--threads-list entries must be >= 1, got {args['threads_list']!r}")
     rows = []
     for S in s_values:
         run_args = dict(args, S=S, subseq=args["subseq"] or "linear")
@@ -376,17 +388,12 @@ def cmd_bench(ns: argparse.Namespace) -> int:
                      (time.perf_counter() - t1) * 1000.0, subsequence.S])
 
         for threads in thread_values:
-            pool = _pool(threads)
-            try:
-                t1 = time.perf_counter()
-                result = solve_stack(
-                    x_T, schedule, subsequence, predictor, noise,
-                    _solver_config(run_args, "anderson"), args["init"], pool,
-                )
-                wall = (time.perf_counter() - t1) * 1000.0
-            finally:
-                if pool is not None:
-                    pool.shutdown()
+            t1 = time.perf_counter()
+            result = solve_stack(
+                x_T, schedule, subsequence, predictor, noise,
+                _solver_config(run_args, "anderson"), args["init"],
+            )
+            wall = (time.perf_counter() - t1) * 1000.0
             rows.append(["deq-anderson", S, threads, wall, result.iters])
 
     os.makedirs(args["out"], exist_ok=True)

@@ -4,12 +4,12 @@ Three routes, cheapest first:
 
 * ``phantom_grad`` backpropagates through a single damped application of
   the joint update on top of the (detached) solver output:
-  y = tau * h_tilde(stack*) + (1 - tau) * stack*.  One vjp sweep, O(S)
-  predictor vjp calls.
+  y = tau * h_tilde(stack*) + (1 - tau) * stack*.  One vjp sweep, which is
+  one batched predictor vjp call over S rows.
 * ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
   fixed point by the same substitution scheme the forward solve uses; the
   strictly triangular Jacobian makes the iteration exact after at most S
-  sweeps.  O(S) sweeps of O(S) vjp calls.
+  sweeps.  O(S) sweeps of one batched vjp call each.
 * ``rollout_backprop_grad`` differentiates the sequential sampler step by
   step; it needs the O(S D) forward stack in memory and serves as the
   ground truth the implicit route must reproduce.
@@ -21,7 +21,6 @@ function actually differentiated.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import Executor
 
 import numpy as np
 
@@ -70,23 +69,15 @@ class Adam:
         return param - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def loss_and_seed(
-    x0_hat: np.ndarray, target: np.ndarray, squared: bool = True
-) -> tuple[float, np.ndarray]:
-    """Reconstruction loss on the denoised row and its derivative there.
-
-    Squared Frobenius by default; the plain norm variant is available for
-    experiments that want unit-scale gradients.
-    """
+def loss_and_seed(x0_hat: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared Frobenius reconstruction loss on the denoised row and its
+    derivative there."""
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if x0_hat.shape != target.shape:
         raise ShapeError(f"shapes {x0_hat.shape} and {target.shape} differ")
     r = x0_hat - target
-    if squared:
-        return float(r @ r), 2.0 * r
-    n = float(np.linalg.norm(r))
-    return n, (r / n if n > 0.0 else np.zeros_like(r))
+    return float(r @ r), 2.0 * r
 
 
 def phantom_grad(
@@ -98,8 +89,6 @@ def phantom_grad(
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
     tau: float = 0.1,
-    pool: Executor | None = None,
-    squared: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Damped one-step gradient with the solver output treated as constant.
 
@@ -110,14 +99,12 @@ def phantom_grad(
     stack_star = np.asarray(stack_star, dtype=np.float64)
     S = stack_star.shape[0]
     y = tau * h_tilde(
-        stack_star, x_T, schedule, subsequence, predictor, noise, pool
+        stack_star, x_T, schedule, subsequence, predictor, noise
     ) + (1.0 - tau) * stack_star
-    loss, seed = loss_and_seed(y[S - 1], target_x0, squared)
+    loss, seed = loss_and_seed(y[S - 1], target_x0)
     cot = np.zeros_like(stack_star)
     cot[S - 1] = seed
-    _, cot_x_T = h_tilde_vjp(
-        stack_star, x_T, schedule, subsequence, predictor, cot, pool
-    )
+    _, cot_x_T = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, cot)
     return loss, tau * cot_x_T
 
 
@@ -130,13 +117,14 @@ def adjoint_solve(
     predictor: NoisePredictor,
     tol: float = 1e-6,
     max_iters: int | None = None,
-    pool: Executor | None = None,
+    pool: object | None = None,
 ) -> tuple[np.ndarray, list[float]]:
     """Solve v = v @ dh/dstack + seed_stack at the fixed point.
 
     Substitution mirrors the forward solver; nilpotency of the Jacobian
     terminates it within S sweeps, so the default budget of S + 5 only
     exists to catch a broken vjp.  Returns (v, per-sweep deltas).
+    ``pool`` is accepted for compatibility with older callers and ignored.
     """
     S = stack_star.shape[0]
     if max_iters is None:
@@ -144,9 +132,7 @@ def adjoint_solve(
     v = seed_stack.copy()
     deltas: list[float] = []
     for _ in range(max_iters):
-        pulled, _ = h_tilde_vjp(
-            stack_star, x_T, schedule, subsequence, predictor, v, pool
-        )
+        pulled, _ = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, v)
         v_next = pulled + seed_stack
         delta = float(np.linalg.norm(v_next - v))
         deltas.append(delta)
@@ -167,9 +153,6 @@ def exact_ift_grad(
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
     adjoint_tol: float = 1e-6,
-    adjoint_max_iters: int | None = None,
-    pool: Executor | None = None,
-    squared: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Implicit-function gradient through the fixed point.
 
@@ -179,21 +162,13 @@ def exact_ift_grad(
     """
     stack_star = np.asarray(stack_star, dtype=np.float64)
     S = stack_star.shape[0]
-    loss, seed = loss_and_seed(stack_star[S - 1], target_x0, squared)
+    loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
     seed_stack = np.zeros_like(stack_star)
     seed_stack[S - 1] = seed
     v, _ = adjoint_solve(
-        stack_star,
-        x_T,
-        seed_stack,
-        schedule,
-        subsequence,
-        predictor,
-        tol=adjoint_tol,
-        max_iters=adjoint_max_iters,
-        pool=pool,
+        stack_star, x_T, seed_stack, schedule, subsequence, predictor, tol=adjoint_tol
     )
-    _, cot_x_T = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, v, pool)
+    _, cot_x_T = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, v)
     return loss, cot_x_T
 
 
@@ -204,7 +179,6 @@ def rollout_backprop_grad(
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
-    squared: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Differentiate the sequential sampler by reverse sweep over its steps.
 
@@ -217,7 +191,7 @@ def rollout_backprop_grad(
     S = coeffs.S
     x_T = np.asarray(x_T, dtype=np.float64)
     states = sequential_rollout(x_T, schedule, subsequence, predictor, noise)
-    loss, lam = loss_and_seed(states[S - 1], target_x0, squared)
+    loss, lam = loss_and_seed(states[S - 1], target_x0)
     for p in range(1, S + 1):
         x_p = states[S - 1 - p] if p < S else x_T
         lam = (coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]) * lam + coeffs.c1[

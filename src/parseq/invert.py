@@ -17,7 +17,6 @@ the epoch count.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +31,9 @@ from .schedule import DiffusionSchedule, TimestepSubsequence
 from .solvers import SolverConfig, default_solver_config
 
 
-def frobenius_loss(a: np.ndarray, b: np.ndarray, squared: bool = True) -> float:
-    """Reconstruction distance; squared l2 by default, plain norm behind the flag."""
-    loss, _ = loss_and_seed(np.asarray(a), np.asarray(b), squared)
+def frobenius_loss(a: np.ndarray, b: np.ndarray) -> float:
+    """Reconstruction distance: squared l2."""
+    loss, _ = loss_and_seed(np.asarray(a), np.asarray(b))
     return loss
 
 
@@ -45,13 +44,11 @@ class InversionConfig:
     gradient_mode: str = "phantom"
     tau: float = 0.1
     adjoint_tol: float = 1e-6
-    adjoint_max_iters: int | None = None
     solver: SolverConfig | None = None
     stop_loss: float = 0.0
     seed: int = 0
     warm_start: bool = True
     init: str = "x_T"
-    squared_loss: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -82,6 +79,7 @@ def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
         "loss_trace": [float(v) for v in run.loss_trace],
         "best_loss": float(run.best_loss),
         "epochs_run": run.epochs_run,
+        "solver_iters": list(run.solver_iters),
         "x_T_hat_file": x_T_hat_file,
     }
 
@@ -99,7 +97,6 @@ def invert_naive(
     schedule: DiffusionSchedule,
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
-    pool: Executor | None = None,
 ) -> InversionRun:
     """Gradient descent through the full sequential rollout each epoch."""
     if schedule.eta != 0.0:
@@ -111,9 +108,7 @@ def invert_naive(
     adam = Adam(lr=cfg.lr)
     run = InversionRun(x_T_hat=x_T)
     for _ in range(cfg.epochs):
-        loss, grad = rollout_backprop_grad(
-            x_T, target, schedule, subsequence, predictor, squared=cfg.squared_loss
-        )
+        loss, grad = rollout_backprop_grad(x_T, target, schedule, subsequence, predictor)
         run.loss_trace.append(loss)
         run.best_loss = min(run.best_loss, loss)
         run.epochs_run += 1
@@ -131,7 +126,6 @@ def _invert_deq_core(
     schedule: DiffusionSchedule,
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
-    pool: Executor | None,
 ) -> InversionRun:
     S = subsequence.S if subsequence is not None else schedule.T
     solver_cfg = cfg.solver if cfg.solver is not None else default_solver_config(schedule.eta)
@@ -143,7 +137,7 @@ def _invert_deq_core(
         init = warm if (cfg.warm_start and warm is not None) else init_stack(x_T, S, cfg.init)
         try:
             result = solve_stack(
-                x_T, schedule, subsequence, predictor, noise, solver_cfg, init, pool
+                x_T, schedule, subsequence, predictor, noise, solver_cfg, init
             )
         except DivergenceError:
             if cfg.warm_start and warm is not None:
@@ -158,7 +152,6 @@ def _invert_deq_core(
                     noise,
                     solver_cfg,
                     init_stack(x_T, S, cfg.init),
-                    pool,
                 )
             else:
                 raise DivergenceError(
@@ -177,8 +170,6 @@ def _invert_deq_core(
                 predictor,
                 noise,
                 tau=cfg.tau,
-                pool=pool,
-                squared=cfg.squared_loss,
             )
         else:
             loss, grad = exact_ift_grad(
@@ -189,9 +180,6 @@ def _invert_deq_core(
                 subsequence,
                 predictor,
                 adjoint_tol=cfg.adjoint_tol,
-                adjoint_max_iters=cfg.adjoint_max_iters,
-                pool=pool,
-                squared=cfg.squared_loss,
             )
         run.loss_trace.append(loss)
         run.best_loss = min(run.best_loss, loss)
@@ -210,7 +198,6 @@ def invert_deq(
     schedule: DiffusionSchedule,
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
-    pool: Executor | None = None,
 ) -> InversionRun:
     """Fixed-point inversion of the deterministic chain."""
     if schedule.eta != 0.0:
@@ -218,9 +205,7 @@ def invert_deq(
             f"invert_deq expects eta=0; use invert_deq_stochastic for eta={schedule.eta}"
         )
     target = _check_target(x0_target)
-    return _invert_deq_core(
-        target, None, cfg, schedule, subsequence, predictor, pool
-    )
+    return _invert_deq_core(target, None, cfg, schedule, subsequence, predictor)
 
 
 def invert_deq_stochastic(
@@ -230,7 +215,6 @@ def invert_deq_stochastic(
     schedule: DiffusionSchedule,
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
-    pool: Executor | None = None,
 ) -> InversionRun:
     """Inversion of a noisy chain: the noise stack is drawn once from its
     own stream and pinned, making the joint map deterministic again.
@@ -242,6 +226,4 @@ def invert_deq_stochastic(
     schedule = dataclasses.replace(schedule, eta=float(eta))
     S = subsequence.S if subsequence is not None else schedule.T
     noise = rng.stream(cfg.seed, "noise_stack").standard_normal((S, target.size))
-    return _invert_deq_core(
-        target, noise, cfg, schedule, subsequence, predictor, pool
-    )
+    return _invert_deq_core(target, noise, cfg, schedule, subsequence, predictor)

@@ -2,9 +2,12 @@
 
 Every predictor is a pure function of (x, t) together with a hand-written
 vector-Jacobian product, so the gradient machinery needs no autodiff
-framework.  ``predict`` consumes a state of shape (D,) and a natural
-timestep label t; ``vjp`` pulls a cotangent of shape (D,) back through the
-Jacobian at that same point.
+framework.  Both calls take either one state of shape (D,) with an int
+timestep label t, or a batch of shape (N, D) with an (N,) array of labels,
+one per row.  A batch is what lets the joint update evaluate all S
+timesteps of a sweep in a single call; row i of a batched result is the
+single-row result at (x[i], t[i]), bit for bit for the elementwise
+predictors and up to matrix-product rounding for the MLP.
 """
 
 from __future__ import annotations
@@ -15,28 +18,40 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError
-from .schedule import DiffusionSchedule
+from .schedule import ALPHA_BAR_ZERO, DiffusionSchedule
 
 
 class NoisePredictor(ABC):
-    """Interface shared by all epsilon models."""
+    """Interface shared by all epsilon models.
+
+    ``x`` is one state (D,) with an int ``t``, or a batch (N, D) with an
+    (N,) integer array ``t``; results have the shape of ``x``.
+    """
 
     #: State dimension D.
     dim: int
 
     @abstractmethod
-    def predict(self, x: np.ndarray, t: int) -> np.ndarray:
-        """Predicted noise at state x and timestep t; shape (D,)."""
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        """Predicted noise at state(s) x and timestep(s) t; shape of x."""
 
     @abstractmethod
-    def vjp(self, x: np.ndarray, t: int, cotangent: np.ndarray) -> np.ndarray:
-        """cotangent^T @ (d predict / d x) evaluated at (x, t); shape (D,)."""
+    def vjp(
+        self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray
+    ) -> np.ndarray:
+        """cotangent^T @ (d predict / d x) evaluated row by row at (x, t);
+        shape of x."""
 
-    def _check_state(self, x: np.ndarray) -> np.ndarray:
+    def _check_state(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ShapeError(f"expected state of shape ({self.dim},), got {x.shape}")
-        return x
+        if x.shape == (self.dim,):
+            return x
+        if x.ndim == 2 and x.shape[1] == self.dim and np.shape(t) == x.shape[:1]:
+            return x
+        raise ShapeError(
+            f"expected a state ({self.dim},) or a batch (N, {self.dim}) with (N,) "
+            f"timesteps, got state {x.shape} and timesteps {np.shape(t)}"
+        )
 
 
 class ZeroPredictor(NoisePredictor):
@@ -45,13 +60,11 @@ class ZeroPredictor(NoisePredictor):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def predict(self, x: np.ndarray, t: int) -> np.ndarray:
-        self._check_state(x)
-        return np.zeros(self.dim)
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        return np.zeros(self._check_state(x, t).shape)
 
-    def vjp(self, x: np.ndarray, t: int, cotangent: np.ndarray) -> np.ndarray:
-        self._check_state(x)
-        return np.zeros(self.dim)
+    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        return np.zeros(self._check_state(x, t).shape)
 
 
 class ConstantPredictor(NoisePredictor):
@@ -63,13 +76,11 @@ class ConstantPredictor(NoisePredictor):
             raise ShapeError("constant value must be 1-d")
         self.dim = int(self.value.size)
 
-    def predict(self, x: np.ndarray, t: int) -> np.ndarray:
-        self._check_state(x)
-        return self.value.copy()
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.value, self._check_state(x, t).shape).copy()
 
-    def vjp(self, x: np.ndarray, t: int, cotangent: np.ndarray) -> np.ndarray:
-        self._check_state(x)
-        return np.zeros(self.dim)
+    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        return np.zeros(self._check_state(x, t).shape)
 
 
 class GaussianOptimalPredictor(NoisePredictor):
@@ -95,19 +106,26 @@ class GaussianOptimalPredictor(NoisePredictor):
             raise ShapeError("var entries must be >= 0")
         self.schedule = schedule
         self.dim = int(self.mu.size)
+        # Signal products indexed by timestep, slot 0 being the boundary.
+        self._alpha_by_t = np.concatenate([[ALPHA_BAR_ZERO], schedule.alpha_bars])
 
-    def _gain(self, t: int) -> tuple[float, np.ndarray]:
-        a = self.schedule.alpha_bar(t)
+    def _gain(self, t: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        # The scalar path is the hot one for sequential sampling; only a
+        # batch of timesteps pays for the array lookup.
+        if isinstance(t, np.ndarray):
+            a = self._alpha_by_t[t][:, None]
+        else:
+            a = self.schedule.alpha_bar(t)
         denom = a * self.var + (1.0 - a)
         return a, np.sqrt(1.0 - a) / denom
 
-    def predict(self, x: np.ndarray, t: int) -> np.ndarray:
-        x = self._check_state(x)
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        x = self._check_state(x, t)
         a, gain = self._gain(t)
         return gain * (x - np.sqrt(a) * self.mu)
 
-    def vjp(self, x: np.ndarray, t: int, cotangent: np.ndarray) -> np.ndarray:
-        self._check_state(x)
+    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        self._check_state(x, t)
         cotangent = np.asarray(cotangent, dtype=np.float64)
         _, gain = self._gain(t)
         return gain * cotangent
@@ -157,30 +175,38 @@ class MlpPredictor(NoisePredictor):
         self.t_max = int(t_max)
         self.dim = widths[-1]
 
-    def _forward(self, x: np.ndarray, t: int) -> list[np.ndarray]:
-        a = np.concatenate([x, [t / self.t_max]])
+    def _forward(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
+        # A batch holds one state per row, so its layers multiply from the
+        # right; a single state keeps the matrix-vector product.
+        batch = x.ndim == 2
+        if batch:
+            a = np.concatenate([x, (t / self.t_max)[:, None]], axis=1)
+        else:
+            a = np.concatenate([x, [t / self.t_max]])
         acts = [a]
         last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ acts[-1] + b
+            z = (acts[-1] @ w.T if batch else w @ acts[-1]) + b
             acts.append(z if layer == last else np.tanh(z))
         return acts
 
-    def predict(self, x: np.ndarray, t: int) -> np.ndarray:
-        x = self._check_state(x)
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        x = self._check_state(x, t)
         return self._forward(x, t)[-1]
 
-    def vjp(self, x: np.ndarray, t: int, cotangent: np.ndarray) -> np.ndarray:
-        x = self._check_state(x)
+    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+        x = self._check_state(x, t)
         acts = self._forward(x, t)
         g = np.asarray(cotangent, dtype=np.float64)
+        batch = x.ndim == 2
         last = len(self.weights) - 1
         for layer in range(last, -1, -1):
             if layer != last:
                 # acts[layer + 1] is tanh(z); tanh' = 1 - tanh^2.
                 g = g * (1.0 - acts[layer + 1] ** 2)
-            g = self.weights[layer].T @ g
-        return g[:-1]
+            w = self.weights[layer]
+            g = g @ w if batch else w.T @ g
+        return g[..., :-1]
 
 
 def random_mlp(

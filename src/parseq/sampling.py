@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
-
 import numpy as np
 
 from . import rng
-from .chain import h_tilde, init_stack, sequential_rollout
+from .chain import h_tilde, init_stack
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
 from .solvers import FixedPointResult, SolverConfig, default_solver_config, solve
@@ -31,7 +29,6 @@ def solve_stack(
     noise: np.ndarray | None = None,
     cfg: SolverConfig | None = None,
     init: str | np.ndarray = "x_T",
-    pool: Executor | None = None,
 ) -> FixedPointResult:
     """Solve the joint system for the whole stack below x_T.
 
@@ -47,17 +44,6 @@ def solve_stack(
         init_states = np.asarray(init, dtype=np.float64)
 
     def step_map(states: np.ndarray) -> np.ndarray:
-        return h_tilde(states, x_T, schedule, subsequence, predictor, noise, pool)
+        return h_tilde(states, x_T, schedule, subsequence, predictor, noise)
 
     return solve(step_map, init_states, cfg)
-
-
-def sample_sequential(
-    x_T: np.ndarray,
-    schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
-    predictor: NoisePredictor,
-    noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """Alias for the step-by-step reference sampler."""
-    return sequential_rollout(x_T, schedule, subsequence, predictor, noise)

@@ -11,6 +11,7 @@ evaluations than the spectral radius of the map would suggest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,10 +34,12 @@ class SolverConfig:
             raise ConfigError(f"unknown solver method '{self.method}'")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0.0:
-            raise ConfigError(f"tol must be >= 0, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.history_m < 1:
             raise ConfigError(f"history_m must be >= 1, got {self.history_m}")
+        if not (math.isfinite(self.mixing_beta) and self.mixing_beta > 0.0):
+            raise ConfigError(f"mixing_beta must be finite and > 0, got {self.mixing_beta}")
         if self.ridge_lambda < 0.0:
             raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
 

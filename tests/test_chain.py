@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,6 +191,26 @@ class TestHTilde:
                 cur = h_tilde(cur, x_T, sched, sub, predictor)
             np.testing.assert_allclose(cur, truth, rtol=0, atol=1e-8)
 
+    def test_elementwise_predictors_reach_rollout_bitwise(self):
+        # The batched call of an elementwise predictor gives each row the
+        # bits of its per-row call, so S sweeps reproduce the rollout exactly.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=1.0)
+        rng = np.random.default_rng(17)
+        sub = select_subsequence(100, 12, "linear")
+        x_T = rng.standard_normal(3)
+        noise = rng.standard_normal((12, 3))
+        for pred in (
+            ZeroPredictor(3),
+            ConstantPredictor(rng.standard_normal(3)),
+            GaussianOptimalPredictor(rng.standard_normal(3), rng.uniform(0.3, 2.0, 3), sched),
+        ):
+            cur = init_stack(x_T, 12)
+            for _ in range(12):
+                cur = h_tilde(cur, x_T, sched, sub, pred, noise)
+            np.testing.assert_array_equal(
+                cur, sequential_rollout(x_T, sched, sub, pred, noise)
+            )
+
     def test_fixed_noise_equivalence_eta_one(self):
         sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=1.0)
         rng = np.random.default_rng(4)
@@ -215,17 +234,6 @@ class TestHTilde:
         b = h_tilde(states, x_T, sched, sub, gaussian, noise)
         np.testing.assert_array_equal(a, b)
 
-    def test_thread_pool_is_bit_identical(self, sched, gaussian):
-        sub = select_subsequence(100, 12, "linear")
-        rng = np.random.default_rng(10)
-        states = rng.standard_normal((12, 3))
-        x_T = rng.standard_normal(3)
-        serial = h_tilde(states, x_T, sched, sub, gaussian)
-        for workers in (2, 8):
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parallel = h_tilde(states, x_T, sched, sub, gaussian, pool=pool)
-            np.testing.assert_array_equal(serial, parallel)
-
     def test_shape_errors(self, sched, gaussian):
         sub = select_subsequence(100, 4, "linear")
         with pytest.raises(ShapeError):
@@ -237,7 +245,7 @@ class TestHTilde:
     def test_divergence_detected(self, sched):
         class ExplodingPredictor(ZeroPredictor):
             def predict(self, x, t):
-                return np.full(self.dim, np.inf)
+                return np.full(np.shape(x), np.inf)
 
         sub = select_subsequence(100, 3, "linear")
         with pytest.raises(DivergenceError):
@@ -321,17 +329,28 @@ class TestHTildeVjp:
         )
         np.testing.assert_array_equal(cs[4], np.zeros(3))
 
-    def test_pool_matches_serial(self, sched, gaussian):
-        sub = select_subsequence(100, 6, "linear")
+    def test_single_transition(self, sched):
+        # At S = 1 the stack feeds no transition: the update reads only
+        # x_T, and the whole cotangent lands on x_T.
         rng = np.random.default_rng(16)
-        states = rng.standard_normal((6, 3))
-        x_T = rng.standard_normal(3)
-        u = rng.standard_normal((6, 3))
-        cs, cx = h_tilde_vjp(states, x_T, sched, sub, gaussian, u)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            cs_p, cx_p = h_tilde_vjp(states, x_T, sched, sub, gaussian, u, pool=pool)
-        np.testing.assert_array_equal(cs, cs_p)
-        np.testing.assert_array_equal(cx, cx_p)
+        predictor = random_mlp(2, [6], rng, t_max=100)
+        sub = select_subsequence(100, 1, "linear")
+        states = rng.standard_normal((1, 2))
+        x_T = rng.standard_normal(2)
+        u = rng.standard_normal((1, 2))
+        out = h_tilde(states, x_T, sched, sub, predictor)
+        np.testing.assert_allclose(
+            out, sequential_rollout(x_T, sched, sub, predictor), rtol=1e-12
+        )
+        cot_states, cot_x_T = h_tilde_vjp(states, x_T, sched, sub, predictor, u)
+        np.testing.assert_array_equal(cot_states, np.zeros((1, 2)))
+
+        def through_x_T(xv):
+            return float((h_tilde(states, xv, sched, sub, predictor) * u).sum())
+
+        np.testing.assert_allclose(
+            cot_x_T, central_difference_grad(through_x_T, x_T), rtol=1e-5, atol=1e-8
+        )
 
 
 class TestChainCoefficients:

@@ -9,10 +9,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parseq import cli
 from parseq.chain import sequential_rollout
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_gaussian, save_mlp
 from parseq.rng import stream
@@ -128,6 +133,30 @@ class TestSample:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["args"]["threads"] == 4
 
+    def test_manifest_records_the_solve(self, fixtures, tmp_path):
+        # A budget too small to converge still exits 0, and the manifest
+        # says so.
+        root = fixtures["root"]
+        base = ["sample", "--predictor", f"gaussian:{root / 'gauss.json'}",
+                "--T", 20, "--seed", 4]
+        res = run_cli(*base, "--mode", "deq-anderson", "--solver-max-iters", 2,
+                      "--out", tmp_path / "short")
+        assert res.returncode == 0
+        manifest = json.loads((tmp_path / "short" / "manifest.json").read_text())
+        header, rows = read_trace(tmp_path / "short" / "residuals.csv")
+        assert manifest["solver"] == {
+            "converged": False,
+            "iters": 2,
+            "final_residual": float(rows[-1][1]),
+            "picard_fallbacks": 0,
+        }
+        assert run_cli(*base, "--mode", "deq-picard", "--solver-tol", 1e-9,
+                       "--out", tmp_path / "full").returncode == 0
+        solver = json.loads((tmp_path / "full" / "manifest.json").read_text())["solver"]
+        assert solver["converged"] and solver["final_residual"] <= 1e-9
+        assert run_cli(*base, "--mode", "sequential", "--out", tmp_path / "seq").returncode == 0
+        assert "solver" not in json.loads((tmp_path / "seq" / "manifest.json").read_text())
+
 
 class TestManifestRerun:
     def test_rerun_reproduces_outputs_byte_for_byte(self, fixtures, tmp_path):
@@ -213,6 +242,26 @@ class TestExitCodes:
         res = run_cli("invert", "--target", tmp_path / "nope.stack",
                       "--T", 20, "--predictor", "zero", "--out", tmp_path / "x")
         assert res.returncode == 4
+
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--threads", -3], None),
+            (["--threads", 0], None),
+            (["--D", 0], None),
+            ([], {"PARSEQ_THREADS": "abc"}),
+            ([], {"PARSEQ_THREADS": "0"}),
+            (["--mixing-beta", 0], None),
+            (["--solver-tol", "nan"], None),
+        ],
+        ids=["threads-negative", "threads-zero", "D-zero", "env-threads-text",
+             "env-threads-zero", "mixing-beta-zero", "solver-tol-nan"],
+    )
+    def test_bad_flag_values_are_usage_errors(self, flags, env, tmp_path):
+        res = run_cli("sample", "--mode", "deq-anderson", "--predictor", "gaussian",
+                      "--T", 10, *flags, "--out", tmp_path / "x", env_extra=env)
+        assert res.returncode == 2
+        assert "usage error" in res.stderr and "Traceback" not in res.stderr
 
     def test_divergent_weights_exit_numeric_failure(self, fixtures, tmp_path):
         root = fixtures["root"]
@@ -332,6 +381,8 @@ class TestInvert:
         assert report["epochs_run"] == 40
         assert report["best_loss"] <= report["loss_trace"][0]
         assert report["x_T_hat_file"] == "x_T_hat.stack"
+        assert len(report["solver_iters"]) == 40
+        assert all(isinstance(n, int) and n >= 1 for n in report["solver_iters"])
         x_T_hat, _, _ = read_stack(out / "x_T_hat.stack")
         assert x_T_hat.shape == (1, 3)
         with open(out / "loss_trace.csv", newline="") as fh:
@@ -368,3 +419,47 @@ class TestInvert:
         run_b = json.loads((tmp_path / "b" / "run.json").read_text())
         assert run_a["config"]["grad"] == "exact"
         assert run_b["config"]["eta"] == 0.5
+
+
+def _valid_thread_count(text):
+    try:
+        return int(text) >= 1
+    except ValueError:
+        return False
+
+
+class TestArgvBoundary:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        threads=st.one_of(st.none(), st.integers(-3, 4)),
+        env_threads=st.one_of(
+            st.none(), st.sampled_from(["abc", "", "0", "-2", "1.5", "1", " 3 "])
+        ),
+        D=st.integers(-2, 4),
+        mode=st.sampled_from(["sequential", "deq-picard", "deq-anderson"]),
+        tol=st.sampled_from(["1e-3", "0", "-1", "nan", "inf"]),
+        beta=st.sampled_from(["1", "0.5", "0", "-1", "nan"]),
+    )
+    def test_exit_code_is_success_or_usage_error(self, threads, env_threads, D, mode, tol, beta):
+        # Every generated argument vector is well formed for argparse, so it
+        # must end in 0 or a usage error (2), never in a traceback.
+        argv = ["sample", "--predictor", "gaussian", "--T", "4", "--D", str(D),
+                "--mode", mode, "--solver-tol", tol, "--mixing-beta", beta]
+        if threads is not None:
+            argv += ["--threads", str(threads)]
+        env = {k: v for k, v in os.environ.items() if k != "PARSEQ_THREADS"}
+        if env_threads is not None:
+            env["PARSEQ_THREADS"] = env_threads
+        with tempfile.TemporaryDirectory() as out, mock.patch.dict(os.environ, env, clear=True):
+            try:
+                code = cli.main(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        bad_threads = (
+            threads < 1 if threads is not None
+            else env_threads is not None and not _valid_thread_count(env_threads)
+        )
+        bad_solver = mode != "sequential" and (
+            tol in ("-1", "nan", "inf") or beta in ("0", "-1", "nan")
+        )
+        assert code == (2 if bad_threads or D < 1 or bad_solver else 0)

@@ -86,16 +86,6 @@ class TestLossAndSeed:
         assert loss == 5.0
         np.testing.assert_array_equal(seed, [2.0, 4.0])
 
-    def test_unsquared_values(self):
-        loss, seed = loss_and_seed(np.array([3.0, 4.0]), np.zeros(2), squared=False)
-        assert loss == 5.0
-        np.testing.assert_allclose(seed, [0.6, 0.8], rtol=1e-15)
-
-    def test_unsquared_zero_residual_finite(self):
-        loss, seed = loss_and_seed(np.ones(3), np.ones(3), squared=False)
-        assert loss == 0.0
-        np.testing.assert_array_equal(seed, np.zeros(3))
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             loss_and_seed(np.zeros(2), np.zeros(3))
@@ -301,15 +291,6 @@ class TestRolloutBackpropGrad:
         _, grad_r = rollout_backprop_grad(x_T, target, sched, sub, pred)
         _, grad_i = exact_ift_grad(stack, x_T, target, sched, sub, pred)
         np.testing.assert_allclose(grad_r, grad_i, rtol=1e-10)
-
-    def test_unsquared_variant_scales_gradient(self):
-        sched, sub, pred, x_T, _, _, target = solved_case(5, 2, 15)
-        loss_sq, grad_sq = rollout_backprop_grad(x_T, target, sched, sub, pred)
-        loss_un, grad_un = rollout_backprop_grad(
-            x_T, target, sched, sub, pred, squared=False
-        )
-        assert loss_un == pytest.approx(np.sqrt(loss_sq), rel=1e-12)
-        np.testing.assert_allclose(grad_un, grad_sq / (2.0 * loss_un), rtol=1e-10)
 
 
 class TestGradcheckReport:

@@ -1,5 +1,4 @@
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -165,19 +164,6 @@ class TestInvertDeq:
         assert a.loss_trace == b.loss_trace
         np.testing.assert_array_equal(a.x_T_hat, b.x_T_hat)
 
-    def test_thread_pool_bit_identical(self):
-        sched, sub = small_chain()
-        rng = np.random.default_rng(1)
-        pred = random_mlp(2, [10], rng, t_max=40)
-        cfg = dict(epochs=20, lr=0.01, seed=9, solver=PICARD)
-        serial = invert_deq(np.array([0.5, -0.2]), InversionConfig(**cfg), sched, sub, pred)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = invert_deq(
-                np.array([0.5, -0.2]), InversionConfig(**cfg), sched, sub, pred, pool=pool
-            )
-        assert serial.loss_trace == pooled.loss_trace
-        np.testing.assert_array_equal(serial.x_T_hat, pooled.x_T_hat)
-
     def test_warm_start_does_not_change_result(self):
         # Picard to machine tolerance makes the fixed point independent of
         # the init, so warm and cold runs differ only in solver work.
@@ -307,8 +293,11 @@ class TestRunReport:
             ZeroPredictor(2),
         )
         report = run_report(run, {"method": "naive"}, "x_T_hat.stack")
-        assert set(report) == {"config", "loss_trace", "best_loss", "epochs_run", "x_T_hat_file"}
+        assert set(report) == {
+            "config", "loss_trace", "best_loss", "epochs_run", "solver_iters", "x_T_hat_file"
+        }
         assert report["epochs_run"] == 3
+        assert report["solver_iters"] == []
         assert len(report["loss_trace"]) == 3
         assert all(isinstance(v, float) for v in report["loss_trace"])
         assert report["x_T_hat_file"] == "x_T_hat.stack"

@@ -43,6 +43,46 @@ class TestTrivialPredictors:
         p = ZeroPredictor(3)
         with pytest.raises(ShapeError):
             p.predict(np.zeros(4), 1)
+        with pytest.raises(ShapeError):
+            p.predict(np.zeros((2, 3)), 1)
+        with pytest.raises(ShapeError):
+            p.predict(np.zeros((2, 3)), np.array([1, 2, 3]))
+
+
+def make_predictor(kind, sched, rng):
+    if kind == "zero":
+        return ZeroPredictor(4)
+    if kind == "constant":
+        return ConstantPredictor(rng.standard_normal(4))
+    if kind == "gaussian":
+        return GaussianOptimalPredictor(
+            rng.standard_normal(4), rng.uniform(0.3, 2.0, 4), sched
+        )
+    return random_mlp(4, [16, 8], rng, t_max=100)
+
+
+class TestBatchedContract:
+    """A batch of rows with one timestep each equals the per-row calls."""
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
+    def test_batch_matches_rows(self, sched, kind):
+        rng = np.random.default_rng(21)
+        p = make_predictor(kind, sched, rng)
+        x = rng.standard_normal((7, 4))
+        u = rng.standard_normal((7, 4))
+        t = np.array([1, 100, 37, 37, 2, 64, 99])
+        got = p.predict(x, t), p.vjp(x, t, u)
+        rows = (
+            np.array([p.predict(x[i], int(t[i])) for i in range(7)]),
+            np.array([p.vjp(x[i], int(t[i]), u[i]) for i in range(7)]),
+        )
+        for batched, per_row in zip(got, rows):
+            assert batched.shape == (7, 4)
+            if kind == "mlp":
+                # One matrix product per layer instead of one per row.
+                np.testing.assert_allclose(batched, per_row, rtol=1e-12, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(batched, per_row)
 
 
 class TestGaussianOptimalPredictor:

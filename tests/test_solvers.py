@@ -56,6 +56,11 @@ class TestSolverConfig:
             dict(tol=-1.0),
             dict(history_m=0),
             dict(ridge_lambda=-0.1),
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
+            dict(mixing_beta=0.0),
+            dict(mixing_beta=-0.5),
+            dict(mixing_beta=float("nan")),
         ],
     )
     def test_validation(self, kwargs):
