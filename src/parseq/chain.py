@@ -20,6 +20,11 @@ strictly triangular (each output depends only on strictly higher positions
 plus x_T), so repeated application converges in at most S steps and the
 transpose system solved by the gradient code is nilpotent.
 
+The public functions build the ``ChainCoefficients`` on every call; the
+private kernels ``_sweep``, ``_sweep_vjp`` and ``_rollout`` take them
+ready-made, so a solver or an adjoint loop builds them once for all of its
+sweeps.
+
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
 Noise layout: ``noise[i - 1]`` is the draw injected by transition i.
@@ -50,6 +55,10 @@ class ChainCoefficients:
     Arrays have length S + 1 and are indexed by position; slot 0 is the
     boundary below the last transition (alpha = 1, tau = 0) and slots i >= 1
     describe transition i, i.e. the step from tau_i down to tau_{i-1}.
+    ``ratio[i]`` is sqrt_alpha[i - 1] / sqrt_alpha[i], the factor that
+    carries a state down transition i (slot 0 is unused and zero).  The
+    arrays are read-only, because one instance serves every sweep of a
+    solve.
     """
 
     alpha: np.ndarray
@@ -57,6 +66,7 @@ class ChainCoefficients:
     c1: np.ndarray
     sigma: np.ndarray
     taus: np.ndarray
+    ratio: np.ndarray
 
     @property
     def S(self) -> int:
@@ -85,8 +95,13 @@ def chain_coefficients(
     for i in range(1, S + 1):
         sigma[i] = sigma_for_pair(alpha[i - 1], alpha[i], schedule.eta)
         c1[i] = c1_for_pair(alpha[i - 1], alpha[i], schedule.eta)
+    sqrt_alpha = np.sqrt(alpha)
+    ratio = np.zeros(S + 1)
+    ratio[1:] = sqrt_alpha[:-1] / sqrt_alpha[1:]
+    for arr in (alpha, sqrt_alpha, c1, sigma, taus, ratio):
+        arr.setflags(write=False)
     return ChainCoefficients(
-        alpha=alpha, sqrt_alpha=np.sqrt(alpha), c1=c1, sigma=sigma, taus=taus
+        alpha=alpha, sqrt_alpha=sqrt_alpha, c1=c1, sigma=sigma, taus=taus, ratio=ratio
     )
 
 
@@ -154,19 +169,25 @@ def sequential_rollout(
     This is the reference path: the fixed point of h_tilde must reproduce
     it exactly, and it serves as the oracle in the equivalence tests.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
+    return _rollout(chain_coefficients(schedule, subsequence), x_T, predictor, noise)
+
+
+def _rollout(
+    coeffs: ChainCoefficients,
+    x_T: np.ndarray,
+    predictor: NoisePredictor,
+    noise: np.ndarray | None,
+) -> np.ndarray:
     S = coeffs.S
     x_T = np.asarray(x_T, dtype=np.float64)
-    noise = _normalize_noise(noise, S, x_T.size)
+    noise = _check_noise(noise, S, x_T.size)
+    if noise is None:
+        noise = np.zeros((S, x_T.size))
     states = np.empty((S, x_T.size))
     x = x_T
     for p in range(S, 0, -1):
         eps_hat = predictor.predict(x, int(coeffs.taus[p]))
-        x = (
-            (coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]) * x
-            + coeffs.c1[p] * eps_hat
-            + coeffs.sigma[p] * noise[p - 1]
-        )
+        x = coeffs.ratio[p] * x + coeffs.c1[p] * eps_hat + coeffs.sigma[p] * noise[p - 1]
         if not np.all(np.isfinite(x)):
             raise DivergenceError(
                 f"non-finite state after the step from t={int(coeffs.taus[p])}"
@@ -175,9 +196,9 @@ def sequential_rollout(
     return states
 
 
-def _normalize_noise(noise: np.ndarray | None, S: int, D: int) -> np.ndarray:
+def _check_noise(noise: np.ndarray | None, S: int, D: int) -> np.ndarray | None:
     if noise is None:
-        return np.zeros((S, D))
+        return None
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != (S, D):
         raise ShapeError(f"noise shape {noise.shape} does not match (S={S}, D={D})")
@@ -199,27 +220,44 @@ def h_tilde(
     independent and run as one batched predictor call.  The per-position
     sums share one carried accumulation down the chain, keeping the whole
     update one predictor call and O(S D) arithmetic instead of the O(S^2)
-    literal double sum.  ``pool`` is accepted for compatibility with older
-    callers and ignored.
+    literal double sum.  Each call builds the chain coefficients afresh;
+    ``sampling.solve_stack`` and the gradient routes build them once and
+    call the ``_sweep`` kernel instead.  ``pool`` is accepted for
+    compatibility with older callers and ignored.
     """
     coeffs = chain_coefficients(schedule, subsequence)
+    states, x_T = _check_stack(states, x_T, coeffs.S)
+    return _sweep(coeffs, states, x_T, predictor, _check_noise(noise, coeffs.S, x_T.size))
+
+
+def _sweep(
+    coeffs: ChainCoefficients,
+    states: np.ndarray,
+    x_T: np.ndarray,
+    predictor: NoisePredictor,
+    noise: np.ndarray | None,
+) -> np.ndarray:
+    """``h_tilde`` on checked float64 inputs with ready coefficients."""
     S = coeffs.S
-    states, x_T = _check_stack(states, x_T, S)
-    noise = _normalize_noise(noise, S, x_T.size)
     eps_pred = predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
-    out_pos = np.empty_like(states)
-    # Horner-style carry down the chain, with the same expression shape as
-    # sequential_rollout's update, so the rollout stack is a fixed point of
-    # this map bit for bit.  The sweep stays serial and in fixed order.
+    terms = coeffs.c1[1:, None] * eps_pred
+    noise_terms = None if noise is None else coeffs.sigma[1:, None] * noise
+    out = np.empty_like(states)
+    # Horner-style carry down the chain, with the same expression order as
+    # _rollout's update, so the rollout stack is a fixed point of this map
+    # bit for bit.  Only this carry is serial; it runs in fixed order.
     carry = x_T
     for p in range(S, 0, -1):
-        carry = (
-            (coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]) * carry
-            + coeffs.c1[p] * eps_pred[p - 1]
-            + coeffs.sigma[p] * noise[p - 1]
-        )
-        out_pos[p - 1] = carry
-    out = out_pos[::-1].copy()
+        row = out[S - p]
+        np.multiply(coeffs.ratio[p], carry, out=row)
+        row += terms[p - 1]
+        if noise_terms is not None:
+            row += noise_terms[p - 1]
+        carry = row
+    if noise_terms is None:
+        # Without noise _rollout still adds a zero noise row, which turns a
+        # -0.0 state into +0.0; adding +0.0 once here gives the same bits.
+        out += 0.0
     if not np.all(np.isfinite(out)):
         raise DivergenceError("non-finite stack after simultaneous update")
     return out
@@ -254,28 +292,41 @@ def h_tilde_vjp(
     onto transition p only needs the prefix P_p = sum_{j < p} sqrt(A_j) u_j;
     one batched predictor vjp over all S timesteps then finishes the job.
     The noise enters h_tilde additively and so never appears in the
-    Jacobian.  ``pool`` is accepted for compatibility with older callers
-    and ignored.
+    Jacobian.  Like ``h_tilde``, each call builds the chain coefficients;
+    the kernel ``_sweep_vjp`` takes them ready-made.  ``pool`` is accepted
+    for compatibility with older callers and ignored.
     """
     coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
-    states, x_T = _check_stack(states, x_T, S)
+    states, x_T = _check_stack(states, x_T, coeffs.S)
+    return _sweep_vjp(coeffs, states, x_T, predictor, _check_cotangent(cotangent, states))
+
+
+def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
     cotangent = np.asarray(cotangent, dtype=np.float64)
     if cotangent.shape != states.shape:
         raise ShapeError(
             f"cotangent shape {cotangent.shape} does not match stack {states.shape}"
         )
-    upos = cotangent[::-1]
-    prefixes = np.empty_like(states)
-    acc = np.zeros(x_T.size)
-    for p in range(1, S + 1):
-        acc = acc + coeffs.sqrt_alpha[p - 1] * upos[p - 1]
-        prefixes[p - 1] = acc
+    return cotangent
+
+
+def _sweep_vjp(
+    coeffs: ChainCoefficients,
+    states: np.ndarray,
+    x_T: np.ndarray,
+    predictor: NoisePredictor,
+    cotangent: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``h_tilde_vjp`` on checked float64 inputs with ready coefficients."""
+    S = coeffs.S
+    weighted = coeffs.sqrt_alpha[:-1, None] * cotangent[::-1]
+    # A running sum from zero turns a leading -0.0 into +0.0; cumsum starts
+    # from the first term itself, so add that zero explicitly.
+    weighted[0] += 0.0
+    prefixes = np.cumsum(weighted, axis=0)
     pulled = predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
+    scaled = (coeffs.c1[1:] / coeffs.sqrt_alpha[:-1])[:, None] * pulled
     cot_states = np.zeros_like(states)
-    for p in range(1, S):
-        cot_states[S - 1 - p] = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * pulled[p - 1]
-    cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + (
-        coeffs.c1[S] / coeffs.sqrt_alpha[S - 1]
-    ) * pulled[S - 1]
+    cot_states[: S - 1] = scaled[: S - 1][::-1]
+    cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + scaled[S - 1]
     return cot_states, cot_x_T

@@ -445,19 +445,38 @@ _COMMANDS = {
 }
 
 
+def _command_keys(command: str) -> set[str]:
+    """The argument names a manifest of ``command`` records: one per flag
+    of the subcommand, plus the command itself."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"} | {"command"}
+
+
 def cmd_rerun(ns: argparse.Namespace) -> int:
     with open(ns.manifest) as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError("manifest must be a JSON object")
     for field in ("command", "args"):
         if field not in manifest:
             raise ParseError(f"manifest missing field '{field}'")
     command = manifest["command"]
-    if command not in _COMMANDS:
-        raise ParseError(f"manifest names unknown command '{command}'")
-    args = dict(manifest["args"])
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ParseError(f"manifest names unknown command {command!r}")
+    args = manifest["args"]
+    if not isinstance(args, dict):
+        raise ParseError("manifest field 'args' must be a JSON object")
+    expected = _command_keys(command)
+    missing, unknown = sorted(expected - args.keys()), sorted(args.keys() - expected)
+    if missing or unknown:
+        raise ParseError(
+            f"manifest args for '{command}' do not match its flags "
+            f"(missing: {missing}, unknown: {unknown})"
+        )
+    args = dict(args)
     if ns.out is not None:
         args["out"] = ns.out
     return _COMMANDS[command](argparse.Namespace(**args))

@@ -9,13 +9,15 @@ Three routes, cheapest first:
 * ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
   fixed point by the same substitution scheme the forward solve uses; the
   strictly triangular Jacobian makes the iteration exact after at most S
-  sweeps.  O(S) sweeps of one batched vjp call each.
+  sweeps.  O(S) sweeps of one batched vjp call each, all sharing one set
+  of chain coefficients.
 * ``rollout_backprop_grad`` differentiates the sequential sampler step by
   step; it needs the O(S D) forward stack in memory and serves as the
   ground truth the implicit route must reproduce.
 
 All three return (loss, gradient) where loss is the value of the scalar
-function actually differentiated.
+function actually differentiated.  Each builds the chain coefficients once
+per call and runs the sweeps through the ``chain`` kernels that take them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ import csv
 
 import numpy as np
 
-from .chain import chain_coefficients, h_tilde, h_tilde_vjp, sequential_rollout
+from .chain import (
+    ChainCoefficients,
+    _check_cotangent,
+    _check_noise,
+    _check_stack,
+    _rollout,
+    _sweep,
+    _sweep_vjp,
+    chain_coefficients,
+)
 from .errors import AdjointError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
@@ -96,15 +107,15 @@ def phantom_grad(
     + (1 - tau) * stack*, so x_T is the only differentiable input and the
     returned gradient is tau times the x_T cotangent of one vjp sweep.
     """
-    stack_star = np.asarray(stack_star, dtype=np.float64)
-    S = stack_star.shape[0]
-    y = tau * h_tilde(
-        stack_star, x_T, schedule, subsequence, predictor, noise
-    ) + (1.0 - tau) * stack_star
+    coeffs = chain_coefficients(schedule, subsequence)
+    S = coeffs.S
+    stack_star, x_T = _check_stack(stack_star, x_T, S)
+    noise = _check_noise(noise, S, x_T.size)
+    y = tau * _sweep(coeffs, stack_star, x_T, predictor, noise) + (1.0 - tau) * stack_star
     loss, seed = loss_and_seed(y[S - 1], target_x0)
     cot = np.zeros_like(stack_star)
     cot[S - 1] = seed
-    _, cot_x_T = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, cot)
+    _, cot_x_T = _sweep_vjp(coeffs, stack_star, x_T, predictor, cot)
     return loss, tau * cot_x_T
 
 
@@ -124,15 +135,30 @@ def adjoint_solve(
     Substitution mirrors the forward solver; nilpotency of the Jacobian
     terminates it within S sweeps, so the default budget of S + 5 only
     exists to catch a broken vjp.  Returns (v, per-sweep deltas).
+    The chain coefficients are built once and shared by every sweep.
     ``pool`` is accepted for compatibility with older callers and ignored.
     """
-    S = stack_star.shape[0]
+    coeffs = chain_coefficients(schedule, subsequence)
+    stack_star, x_T = _check_stack(stack_star, x_T, coeffs.S)
+    seed_stack = _check_cotangent(seed_stack, stack_star)
+    return _adjoint_solve(coeffs, stack_star, x_T, seed_stack, predictor, tol, max_iters)
+
+
+def _adjoint_solve(
+    coeffs: ChainCoefficients,
+    stack_star: np.ndarray,
+    x_T: np.ndarray,
+    seed_stack: np.ndarray,
+    predictor: NoisePredictor,
+    tol: float,
+    max_iters: int | None,
+) -> tuple[np.ndarray, list[float]]:
     if max_iters is None:
-        max_iters = S + 5
+        max_iters = coeffs.S + 5
     v = seed_stack.copy()
     deltas: list[float] = []
     for _ in range(max_iters):
-        pulled, _ = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, v)
+        pulled, _ = _sweep_vjp(coeffs, stack_star, x_T, predictor, v)
         v_next = pulled + seed_stack
         delta = float(np.linalg.norm(v_next - v))
         deltas.append(delta)
@@ -160,15 +186,14 @@ def exact_ift_grad(
     dL/dx_T = v @ dh/dx_T with v the solution of the adjoint system seeded
     by dL/dstack*; the seed lives entirely in the denoised row.
     """
-    stack_star = np.asarray(stack_star, dtype=np.float64)
-    S = stack_star.shape[0]
+    coeffs = chain_coefficients(schedule, subsequence)
+    S = coeffs.S
+    stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
     seed_stack = np.zeros_like(stack_star)
     seed_stack[S - 1] = seed
-    v, _ = adjoint_solve(
-        stack_star, x_T, seed_stack, schedule, subsequence, predictor, tol=adjoint_tol
-    )
-    _, cot_x_T = h_tilde_vjp(stack_star, x_T, schedule, subsequence, predictor, v)
+    v, _ = _adjoint_solve(coeffs, stack_star, x_T, seed_stack, predictor, adjoint_tol, None)
+    _, cot_x_T = _sweep_vjp(coeffs, stack_star, x_T, predictor, v)
     return loss, cot_x_T
 
 
@@ -190,13 +215,11 @@ def rollout_backprop_grad(
     coeffs = chain_coefficients(schedule, subsequence)
     S = coeffs.S
     x_T = np.asarray(x_T, dtype=np.float64)
-    states = sequential_rollout(x_T, schedule, subsequence, predictor, noise)
+    states = _rollout(coeffs, x_T, predictor, noise)
     loss, lam = loss_and_seed(states[S - 1], target_x0)
     for p in range(1, S + 1):
         x_p = states[S - 1 - p] if p < S else x_T
-        lam = (coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]) * lam + coeffs.c1[
-            p
-        ] * predictor.vjp(x_p, int(coeffs.taus[p]), lam)
+        lam = coeffs.ratio[p] * lam + coeffs.c1[p] * predictor.vjp(x_p, int(coeffs.taus[p]), lam)
     return loss, lam
 
 

@@ -238,13 +238,28 @@ def save_mlp(path: str, predictor: MlpPredictor) -> None:
         json.dump(payload, fh)
 
 
-def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> MlpPredictor:
-    """Load an MLP weight file; reload is bit-identical to what was saved."""
+def _load_json_object(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"mlp weight file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    """A numeric JSON list as float64; anything else is a schema error."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be a list of numbers") from None
+
+
+def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> MlpPredictor:
+    """Load an MLP weight file; reload is bit-identical to what was saved."""
+    payload = _load_json_object(path, "mlp weight file")
     for field in ("widths", "weights", "biases", "time_embed"):
         if field not in payload:
             raise ParseError(f"mlp weight file missing field '{field}'")
@@ -252,19 +267,27 @@ def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> Mlp
         raise SchemaError(
             f"unsupported time_embed '{payload['time_embed']}'; expected 'scalar_append'"
         )
-    widths = [int(w) for w in payload["widths"]]
+    for field in ("widths", "weights", "biases"):
+        if not isinstance(payload[field], list):
+            raise SchemaError(f"mlp weight file field '{field}' must be a list")
+    try:
+        widths = [int(w) for w in payload["widths"]]
+    except (TypeError, ValueError):
+        raise SchemaError("mlp widths must be a list of integers") from None
+    if any(w < 1 for w in widths):
+        raise SchemaError(f"mlp widths must be positive, got {widths}")
     if len(payload["weights"]) != len(widths) - 1:
         raise SchemaError("number of weight matrices does not match widths")
     weights = []
     for layer, flat in enumerate(payload["weights"]):
         rows, cols = widths[layer + 1], widths[layer]
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = _float_array(flat, f"layer {layer} weights")
         if flat.size != rows * cols:
             raise SchemaError(
                 f"layer {layer} has {flat.size} weights, expected {rows * cols}"
             )
         weights.append(flat.reshape(rows, cols))
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    biases = [_float_array(b, f"layer {layer} bias") for layer, b in enumerate(payload["biases"])]
     predictor = MlpPredictor(widths, weights, biases, t_max=t_max)
     if expect_dim is not None and predictor.dim != expect_dim:
         raise SchemaError(
@@ -283,16 +306,12 @@ def save_gaussian(path: str, mu: np.ndarray, var: np.ndarray) -> None:
 
 def load_gaussian_params(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read diagonal Gaussian parameters written by save_gaussian."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"gaussian file {path} is not valid JSON: {exc}") from exc
+    payload = _load_json_object(path, "gaussian file")
     for field in ("mu", "var"):
         if field not in payload:
             raise ParseError(f"gaussian file missing field '{field}'")
-    mu = np.asarray(payload["mu"], dtype=np.float64)
-    var = np.asarray(payload["var"], dtype=np.float64)
+    mu = _float_array(payload["mu"], "gaussian mu")
+    var = _float_array(payload["var"], "gaussian var")
     if mu.ndim != 1 or var.shape != mu.shape:
         raise SchemaError("mu and var must be equal-length lists")
     return mu, var

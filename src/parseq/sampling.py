@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .chain import h_tilde, init_stack
+from .chain import _check_noise, _check_stack, _sweep, chain_coefficients, init_stack
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
 from .solvers import FixedPointResult, SolverConfig, default_solver_config, solve
@@ -33,17 +33,18 @@ def solve_stack(
     """Solve the joint system for the whole stack below x_T.
 
     ``init`` is either a ready (S, D) array (e.g. a warm start) or the name
-    of an init_stack rule.
+    of an init_stack rule.  The chain coefficients are built once here and
+    shared by every sweep of the solve.
     """
-    S = subsequence.S if subsequence is not None else schedule.T
+    coeffs = chain_coefficients(schedule, subsequence)
     if cfg is None:
         cfg = default_solver_config(schedule.eta)
     if isinstance(init, str):
-        init_states = init_stack(x_T, S, kind=init)
-    else:
-        init_states = np.asarray(init, dtype=np.float64)
+        init = init_stack(x_T, coeffs.S, kind=init)
+    init_states, x_T = _check_stack(init, x_T, coeffs.S)
+    noise = _check_noise(noise, coeffs.S, x_T.size)
 
     def step_map(states: np.ndarray) -> np.ndarray:
-        return h_tilde(states, x_T, schedule, subsequence, predictor, noise)
+        return _sweep(coeffs, states, x_T, predictor, noise)
 
     return solve(step_map, init_states, cfg)

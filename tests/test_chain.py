@@ -8,6 +8,7 @@ from parseq import (
     DivergenceError,
     GaussianOptimalPredictor,
     ShapeError,
+    SolverConfig,
     ZeroPredictor,
     central_difference_grad,
     chain_coefficients,
@@ -22,6 +23,7 @@ from parseq import (
     select_subsequence,
     sequential_rollout,
 )
+from parseq import chain, gradients, sampling
 from parseq.schedule import c1_for_pair, sigma_for_pair
 
 
@@ -47,6 +49,48 @@ def h_tilde_reference(states, x_T, schedule, subsequence, predictor, noise=None)
             )
         out[S - 1 - j] = acc
     return out
+
+
+def h_tilde_serial(states, x_T, schedule, subsequence, predictor, noise=None):
+    """The carry written out row by row, with a zero noise row when there is
+    no noise: the plain form the production sweep must match bit for bit.
+    The predictions come from the same one batched call."""
+    coeffs = chain_coefficients(schedule, subsequence)
+    S = coeffs.S
+    noise = np.zeros_like(states) if noise is None else noise
+    inputs = np.concatenate([states[: S - 1][::-1], x_T[None]])
+    eps = predictor.predict(inputs, coeffs.taus[1:])
+    out = np.empty_like(states)
+    carry = x_T
+    for p in range(S, 0, -1):
+        carry = (
+            (coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]) * carry
+            + coeffs.c1[p] * eps[p - 1]
+            + coeffs.sigma[p] * noise[p - 1]
+        )
+        out[S - p] = carry
+    return out
+
+
+def h_tilde_vjp_serial(states, x_T, schedule, subsequence, predictor, u):
+    """Running prefix sums and per-row scaling, one row at a time, around
+    the same one batched predictor vjp."""
+    coeffs = chain_coefficients(schedule, subsequence)
+    S = coeffs.S
+    prefixes = np.empty_like(states)
+    acc = np.zeros(x_T.size)
+    for p in range(1, S + 1):
+        acc = acc + coeffs.sqrt_alpha[p - 1] * u[S - p]
+        prefixes[p - 1] = acc
+    inputs = np.concatenate([states[: S - 1][::-1], x_T[None]])
+    pulled = predictor.vjp(inputs, coeffs.taus[1:], prefixes)
+    cot_states = np.zeros_like(states)
+    for p in range(1, S):
+        cot_states[S - 1 - p] = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * pulled[p - 1]
+    cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + (
+        coeffs.c1[S] / coeffs.sqrt_alpha[S - 1]
+    ) * pulled[S - 1]
+    return cot_states, cot_x_T
 
 
 @pytest.fixture
@@ -168,6 +212,30 @@ class TestHTilde:
         slow = h_tilde_reference(states, x_T, sched_s, sub, mlp, noise)
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("S", [1, 2, 7])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_matches_serial_carry_bitwise(self, S, eta):
+        # A -0.0 column in the stack and x_T makes signed-zero sums, whose
+        # sign the batched sweep must leave as the serial carry does.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=eta)
+        rng = np.random.default_rng(18)
+        sub = select_subsequence(100, S, "linear")
+        x_T = rng.standard_normal(3)
+        x_T[0] = -0.0
+        states = rng.standard_normal((S, 3))
+        states[:, 0] = -0.0
+        for pred in (ZeroPredictor(3), random_mlp(3, [8], rng, t_max=100)):
+            for noise in (None, rng.standard_normal((S, 3))):
+                out = h_tilde(states, x_T, sched, sub, pred, noise)
+                serial = h_tilde_serial(states, x_T, sched, sub, pred, noise)
+                np.testing.assert_array_equal(np.signbit(out), np.signbit(serial))
+                np.testing.assert_array_equal(out, serial)
+                # The double sum adds in another order: close, not bitwise.
+                np.testing.assert_allclose(
+                    out, h_tilde_reference(states, x_T, sched, sub, pred, noise),
+                    rtol=1e-10, atol=1e-12,
+                )
+
     def test_first_row_exact_after_one_application(self, sched, gaussian):
         # Row 0 depends on nothing but x_T, so any input stack fixes it.
         sub = select_subsequence(100, 6, "linear")
@@ -285,8 +353,20 @@ class TestHTildeVjp:
         np.testing.assert_array_equal(cs, np.zeros((4, 3)))
         np.testing.assert_array_equal(cx, np.zeros(3))
 
-    @pytest.mark.parametrize("predictor_kind", ["gaussian", "mlp"])
-    def test_matches_finite_differences(self, sched, predictor_kind):
+    @pytest.mark.parametrize(
+        "predictor_kind, S, eta",
+        [
+            ("gaussian", 3, 0.0),
+            ("mlp", 3, 0.0),
+            *[(kind, S, 1.0) for kind in ("gaussian", "mlp") for S in (1, 2, 3)],
+        ],
+        ids=["gaussian", "mlp", *[f"{kind}-S{S}-eta1" for kind in ("gaussian", "mlp")
+                                  for S in (1, 2, 3)]],
+    )
+    def test_matches_finite_differences(self, predictor_kind, S, eta):
+        # The noise stack enters h_tilde additively, so at eta = 1 the
+        # differences see it and the vjp, which never reads it, must agree.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=eta)
         rng = np.random.default_rng(14)
         if predictor_kind == "gaussian":
             predictor = GaussianOptimalPredictor(
@@ -294,18 +374,19 @@ class TestHTildeVjp:
             )
         else:
             predictor = random_mlp(2, [6], rng, t_max=100)
-        sub = select_subsequence(100, 3, "linear")
-        states = rng.standard_normal((3, 2))
+        sub = select_subsequence(100, S, "linear")
+        states = rng.standard_normal((S, 2))
         x_T = rng.standard_normal(2)
-        u = rng.standard_normal((3, 2))
+        u = rng.standard_normal((S, 2))
+        noise = rng.standard_normal((S, 2)) if eta > 0.0 else None
         cot_states, cot_x_T = h_tilde_vjp(states, x_T, sched, sub, predictor, u)
 
         def through_states(flat):
-            out = h_tilde(flat.reshape(3, 2), x_T, sched, sub, predictor)
+            out = h_tilde(flat.reshape(S, 2), x_T, sched, sub, predictor, noise)
             return float((out * u).sum())
 
         def through_x_T(xv):
-            out = h_tilde(states, xv, sched, sub, predictor)
+            out = h_tilde(states, xv, sched, sub, predictor, noise)
             return float((out * u).sum())
 
         fd_states = central_difference_grad(through_states, states.ravel())
@@ -314,6 +395,24 @@ class TestHTildeVjp:
             cot_states.ravel(), fd_states, rtol=1e-5, atol=1e-8
         )
         np.testing.assert_allclose(cot_x_T, fd_x_T, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("S", [1, 2, 7])
+    def test_matches_serial_prefix_bitwise(self, sched, S):
+        # A leading -0.0 cotangent row checks that the prefix sums start
+        # from +0.0 as a running sum does.
+        rng = np.random.default_rng(19)
+        predictor = random_mlp(3, [8], rng, t_max=100)
+        sub = select_subsequence(100, S, "linear")
+        states = rng.standard_normal((S, 3))
+        x_T = rng.standard_normal(3)
+        u = rng.standard_normal((S, 3))
+        u[S - 1] = -0.0
+        for pred in (ZeroPredictor(3), predictor):
+            fast = h_tilde_vjp(states, x_T, sched, sub, pred, u)
+            slow = h_tilde_vjp_serial(states, x_T, sched, sub, pred, u)
+            for a, b in zip(fast, slow):
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+                np.testing.assert_array_equal(a, b)
 
     def test_denoised_row_gets_no_cotangent(self, sched, gaussian):
         # No output reads the stack's bottom row, so nothing flows back to it.
@@ -371,6 +470,51 @@ class TestChainCoefficients:
             ap, at = coeffs.alpha[i - 1], coeffs.alpha[i]
             assert coeffs.sigma[i] == sigma_for_pair(ap, at, 0.5)
             assert coeffs.c1[i] == c1_for_pair(ap, at, 0.5)
+
+    def test_ratio_is_the_carry_division(self, sched):
+        coeffs = chain_coefficients(sched, select_subsequence(100, 9, "quadratic"))
+        for p in range(1, coeffs.S + 1):
+            assert coeffs.ratio[p] == coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]
+
+    def test_arrays_are_read_only(self, sched):
+        # One instance serves every sweep of a solve, so no sweep may edit it.
+        coeffs = chain_coefficients(sched, select_subsequence(100, 4, "linear"))
+        for name in ("alpha", "sqrt_alpha", "c1", "sigma", "taus", "ratio"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(coeffs, name)[1] = 0
+
+    @pytest.mark.parametrize("method", ["picard", "anderson"])
+    @pytest.mark.parametrize("max_iters", [1, 3, 6])
+    def test_built_once_per_call(self, monkeypatch, method, max_iters):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return chain_coefficients(*args, **kwargs)
+
+        for module in (chain, sampling, gradients):
+            monkeypatch.setattr(module, "chain_coefficients", counting, raising=False)
+        sched = make_linear_beta_schedule(100, 1e-4, 0.03)
+        sub = select_subsequence(100, 8, "linear")
+        rng = np.random.default_rng(20)
+        pred = random_mlp(3, [8], rng, t_max=100)
+        x_T = rng.standard_normal(3)
+        cfg = SolverConfig(method=method, max_iters=max_iters, tol=0.0)
+        result = sampling.solve_stack(x_T, sched, sub, pred, None, cfg)
+        assert result.iters == max_iters
+        assert len(calls) == 1
+        seed_stack = np.zeros_like(result.states)
+        seed_stack[-1] = 1.0
+        _, deltas = gradients.adjoint_solve(
+            result.states, x_T, seed_stack, sched, sub, pred, tol=1e-12
+        )
+        assert len(deltas) > 1
+        assert len(calls) == 2
+        target = rng.standard_normal(3)
+        for grad in (gradients.exact_ift_grad, gradients.phantom_grad):
+            grad(result.states, x_T, target, sched, sub, pred)
+        gradients.rollout_backprop_grad(x_T, target, sched, sub, pred)
+        assert len(calls) == 5
 
     def test_identity_subsequence_spans_chain(self, sched):
         coeffs = chain_coefficients(sched, identity_subsequence(100))

@@ -201,6 +201,27 @@ class TestManifestRerun:
         assert res.returncode == 4
         assert "command" in res.stderr
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: 5,
+            lambda m: [m],
+            lambda m: {**m, "args": [1, 2]},
+            lambda m: {**m, "command": ["sample"]},
+            lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "eta"}},
+            lambda m: {**m, "args": {**m["args"], "colour": "red"}},
+        ],
+        ids=["number", "list", "args-list", "command-list", "missing-key", "unknown-key"],
+    )
+    def test_rerun_rejects_malformed_manifest(self, edit, tmp_path, capsys):
+        ns = cli.build_parser().parse_args(["sample", "--out", str(tmp_path / "run")])
+        args = {k: v for k, v in vars(ns).items() if k != "func"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit({"command": "sample", "args": args})))
+        assert cli.main(["rerun", str(path)]) == 4
+        assert "manifest" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestExitCodes:
     def test_subseq_without_S_is_usage_error(self, tmp_path):
@@ -237,6 +258,35 @@ class TestExitCodes:
                       "--T", 20, "--out", tmp_path / "x")
         assert res.returncode == 4
         assert "widths" in res.stderr
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("gaussian", 5),
+            ("gaussian", [0.0, 1.0]),
+            ("gaussian", {"mu": [0, 0], "var": "ab"}),
+            ("gaussian", {"mu": {"a": 1}, "var": [1.0]}),
+            ("mlp", "weights"),
+            ("mlp", {"widths": [3, "a", 2], "weights": [], "biases": [],
+                     "time_embed": "scalar_append"}),
+            ("mlp", {"widths": 5, "weights": [], "biases": [],
+                     "time_embed": "scalar_append"}),
+            ("mlp", {"widths": [3, 2], "weights": [["x"] * 6], "biases": [[0, 0]],
+                     "time_embed": "scalar_append"}),
+            ("mlp", {"widths": [3, 2], "weights": [[0] * 6], "biases": [[0, "b"]],
+                     "time_embed": "scalar_append"}),
+        ],
+        ids=["gauss-number", "gauss-list", "gauss-text-var", "gauss-object-mu",
+             "mlp-text", "mlp-text-width", "mlp-number-widths", "mlp-text-weight",
+             "mlp-text-bias"],
+    )
+    def test_malformed_predictor_file_is_parse_error(self, kind, payload, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["sample", "--predictor", f"{kind}:{path}", "--T", "10",
+                         "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("parseq: ")
 
     def test_missing_file_is_io_error(self, fixtures, tmp_path):
         res = run_cli("invert", "--target", tmp_path / "nope.stack",
