@@ -19,7 +19,6 @@ from .chain import (
     sequential_rollout,
 )
 from .errors import (
-    AdjointError,
     ConfigError,
     DivergenceError,
     InsufficientDataError,

@@ -18,12 +18,12 @@ stack estimate, with the S noise predictions of one sweep taken in a
 single batched predictor call.  Its Jacobian with respect to the stack is
 strictly triangular (each output depends only on strictly higher positions
 plus x_T), so repeated application converges in at most S steps and the
-transpose system solved by the gradient code is nilpotent.
+transpose system of the gradient code is solved by one back-substitution.
 
 The public functions build the ``ChainCoefficients`` on every call; the
 private kernels ``_sweep``, ``_sweep_vjp`` and ``_rollout`` take them
-ready-made, so a solver or an adjoint loop builds them once for all of its
-sweeps.
+ready-made, so a solver or a gradient route builds them once for all of
+its sweeps.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
@@ -227,7 +227,10 @@ def h_tilde(
     """
     coeffs = chain_coefficients(schedule, subsequence)
     states, x_T = _check_stack(states, x_T, coeffs.S)
-    return _sweep(coeffs, states, x_T, predictor, _check_noise(noise, coeffs.S, x_T.size))
+    out = _sweep(coeffs, states, x_T, predictor, _check_noise(noise, coeffs.S, x_T.size))
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("non-finite stack after simultaneous update")
+    return out
 
 
 def _sweep(
@@ -237,7 +240,8 @@ def _sweep(
     predictor: NoisePredictor,
     noise: np.ndarray | None,
 ) -> np.ndarray:
-    """``h_tilde`` on checked float64 inputs with ready coefficients."""
+    """``h_tilde`` on checked float64 inputs with ready coefficients; the
+    caller checks the output for finiteness (the solvers check every iterate)."""
     S = coeffs.S
     eps_pred = predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
     terms = coeffs.c1[1:, None] * eps_pred
@@ -258,8 +262,6 @@ def _sweep(
         # Without noise _rollout still adds a zero noise row, which turns a
         # -0.0 state into +0.0; adding +0.0 once here gives the same bits.
         out += 0.0
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("non-finite stack after simultaneous update")
     return out
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    AdjointError,
     ConfigError,
     DivergenceError,
     InsufficientDataError,
@@ -445,11 +444,22 @@ _COMMANDS = {
 }
 
 
-def _command_keys(command: str) -> set[str]:
-    """The argument names a manifest of ``command`` records: one per flag
-    of the subcommand, plus the command itself."""
+def _command_actions(command: str) -> dict[str, argparse.Action]:
+    """The flags of ``command`` by the argument name a manifest records."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"} | {"command"}
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _fits(action: argparse.Action, value: object) -> bool:
+    """Whether a recorded ``value`` is one the flag's parser could produce."""
+    if value is None:
+        return action.default is None and not action.required
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    if action.choices is not None:
+        return value in action.choices
+    kinds = {int: int, float: (int, float)}.get(action.type, str)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def cmd_rerun(ns: argparse.Namespace) -> int:
@@ -469,13 +479,17 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
     args = manifest["args"]
     if not isinstance(args, dict):
         raise ParseError("manifest field 'args' must be a JSON object")
-    expected = _command_keys(command)
+    actions = _command_actions(command)
+    expected = actions.keys() | {"command"}
     missing, unknown = sorted(expected - args.keys()), sorted(args.keys() - expected)
     if missing or unknown:
         raise ParseError(
             f"manifest args for '{command}' do not match its flags "
             f"(missing: {missing}, unknown: {unknown})"
         )
+    mistyped = sorted(k for k, action in actions.items() if not _fits(action, args[k]))
+    if mistyped:
+        raise ParseError(f"manifest args for '{command}' have mistyped values: {mistyped}")
     args = dict(args)
     if ns.out is not None:
         args["out"] = ns.out
@@ -490,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         # would print on the way there are noise at the CLI level.
         with np.errstate(over="ignore", invalid="ignore"):
             return ns.func(ns)
-    except (DivergenceError, NumericDomainError, AdjointError) as exc:
+    except (DivergenceError, NumericDomainError) as exc:
         print(f"parseq: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ParseError, InsufficientDataError, OSError) as exc:

@@ -22,10 +22,6 @@ class DivergenceError(RuntimeError):
     """An iterate or chain state became non-finite."""
 
 
-class AdjointError(RuntimeError):
-    """The adjoint fixed-point iteration exhausted its budget."""
-
-
 class ParseError(ValueError):
     """A file does not parse or lacks a required field."""
 

@@ -7,17 +7,17 @@ Three routes, cheapest first:
   y = tau * h_tilde(stack*) + (1 - tau) * stack*.  One vjp sweep, which is
   one batched predictor vjp call over S rows.
 * ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
-  fixed point by the same substitution scheme the forward solve uses; the
-  strictly triangular Jacobian makes the iteration exact after at most S
-  sweeps.  O(S) sweeps of one batched vjp call each, all sharing one set
-  of chain coefficients.
+  fixed point.  The Jacobian J of ``h_tilde`` is strictly triangular, so
+  the system is solved exactly by one back-substitution from the x_0 row
+  up, one single-row predictor vjp per position (S - 1 in all); one
+  batched vjp sweep then pulls v back onto x_T.
 * ``rollout_backprop_grad`` differentiates the sequential sampler step by
   step; it needs the O(S D) forward stack in memory and serves as the
   ground truth the implicit route must reproduce.
 
 All three return (loss, gradient) where loss is the value of the scalar
 function actually differentiated.  Each builds the chain coefficients once
-per call and runs the sweeps through the ``chain`` kernels that take them.
+per call and passes them to the ``chain`` kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .chain import (
     _sweep_vjp,
     chain_coefficients,
 )
-from .errors import AdjointError, ShapeError
+from .errors import DivergenceError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
 
@@ -112,6 +112,8 @@ def phantom_grad(
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     noise = _check_noise(noise, S, x_T.size)
     y = tau * _sweep(coeffs, stack_star, x_T, predictor, noise) + (1.0 - tau) * stack_star
+    if not np.all(np.isfinite(y)):
+        raise DivergenceError("non-finite stack after simultaneous update")
     loss, seed = loss_and_seed(y[S - 1], target_x0)
     cot = np.zeros_like(stack_star)
     cot[S - 1] = seed
@@ -127,48 +129,46 @@ def adjoint_solve(
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
     tol: float = 1e-6,
-    max_iters: int | None = None,
     pool: object | None = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """Solve v = v @ dh/dstack + seed_stack at the fixed point.
+    """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
 
-    Substitution mirrors the forward solver; nilpotency of the Jacobian
-    terminates it within S sweeps, so the default budget of S + 5 only
-    exists to catch a broken vjp.  Returns (v, per-sweep deltas).
-    The chain coefficients are built once and shared by every sweep.
-    ``pool`` is accepted for compatibility with older callers and ignored.
+    The solve is one back-substitution (see ``_adjoint_solve``), so there
+    is nothing to iterate.  Returns (v, []); the empty list stands where
+    per-sweep deltas used to be.  ``tol`` and ``pool`` are accepted for
+    compatibility with older callers and ignored.
     """
     coeffs = chain_coefficients(schedule, subsequence)
     stack_star, x_T = _check_stack(stack_star, x_T, coeffs.S)
     seed_stack = _check_cotangent(seed_stack, stack_star)
-    return _adjoint_solve(coeffs, stack_star, x_T, seed_stack, predictor, tol, max_iters)
+    return _adjoint_solve(coeffs, stack_star, seed_stack, predictor), []
 
 
 def _adjoint_solve(
     coeffs: ChainCoefficients,
     stack_star: np.ndarray,
-    x_T: np.ndarray,
     seed_stack: np.ndarray,
     predictor: NoisePredictor,
-    tol: float,
-    max_iters: int | None,
-) -> tuple[np.ndarray, list[float]]:
-    if max_iters is None:
-        max_iters = coeffs.S + 5
-    v = seed_stack.copy()
-    deltas: list[float] = []
-    for _ in range(max_iters):
-        pulled, _ = _sweep_vjp(coeffs, stack_star, x_T, predictor, v)
-        v_next = pulled + seed_stack
-        delta = float(np.linalg.norm(v_next - v))
-        deltas.append(delta)
-        v = v_next
-        if delta <= tol:
-            return v, deltas
-    raise AdjointError(
-        f"adjoint iteration still moving after {max_iters} sweeps "
-        f"(last delta {deltas[-1]:.3g})"
-    )
+) -> np.ndarray:
+    """Solve v = seed + (stack cotangent of ``_sweep_vjp`` at v) from x_0 up.
+
+    Nothing reads x_0, so v_0 is its seed; v_p = seed_p + c1_p / sqrt(A_{p-1})
+    vjp(x_p, tau_p, P_p) needs only P_p = sum_{j < p} sqrt(A_j) v_j.  Sums
+    and products run in the sweep's order, so v is its fixed point bit for
+    bit wherever a one-row vjp matches the batched one.
+    """
+    S = coeffs.S
+    v = np.empty_like(seed_stack)
+    v[S - 1] = seed_stack[S - 1] + 0.0  # the sweep adds its +0.0 pullback here
+    prefix = 0.0
+    for p in range(1, S):
+        row = S - 1 - p
+        prefix = prefix + coeffs.sqrt_alpha[p - 1] * v[row + 1]
+        pulled = predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
+        v[row] = seed_stack[row] + coeffs.c1[p] / coeffs.sqrt_alpha[p - 1] * pulled
+    if not np.all(np.isfinite(v)):
+        raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
+    return v
 
 
 def exact_ift_grad(
@@ -178,13 +178,14 @@ def exact_ift_grad(
     schedule: DiffusionSchedule,
     subsequence: TimestepSubsequence | None,
     predictor: NoisePredictor,
-    adjoint_tol: float = 1e-6,
 ) -> tuple[float, np.ndarray]:
     """Implicit-function gradient through the fixed point.
 
     Differentiating stack* = h_tilde(stack*; x_T) gives
     dL/dx_T = v @ dh/dx_T with v the solution of the adjoint system seeded
-    by dL/dstack*; the seed lives entirely in the denoised row.
+    by dL/dstack*; the seed lives entirely in the denoised row.  v comes
+    from one exact back-substitution (S - 1 one-row vjp calls) and its
+    pullback onto x_T from one batched vjp sweep over S rows.
     """
     coeffs = chain_coefficients(schedule, subsequence)
     S = coeffs.S
@@ -192,7 +193,7 @@ def exact_ift_grad(
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
     seed_stack = np.zeros_like(stack_star)
     seed_stack[S - 1] = seed
-    v, _ = _adjoint_solve(coeffs, stack_star, x_T, seed_stack, predictor, adjoint_tol, None)
+    v = _adjoint_solve(coeffs, stack_star, seed_stack, predictor)
     _, cot_x_T = _sweep_vjp(coeffs, stack_star, x_T, predictor, v)
     return loss, cot_x_T
 

@@ -43,7 +43,6 @@ class InversionConfig:
     lr: float = 0.01
     gradient_mode: str = "phantom"
     tau: float = 0.1
-    adjoint_tol: float = 1e-6
     solver: SolverConfig | None = None
     stop_loss: float = 0.0
     seed: int = 0
@@ -161,26 +160,11 @@ def _invert_deq_core(
         if cfg.warm_start:
             warm = stack_star
         if cfg.gradient_mode == "phantom":
-            loss, grad = phantom_grad(
-                stack_star,
-                x_T,
-                target,
-                schedule,
-                subsequence,
-                predictor,
-                noise,
-                tau=cfg.tau,
-            )
+            loss, grad = phantom_grad(stack_star, x_T, target, schedule, subsequence,
+                                      predictor, noise, tau=cfg.tau)
         else:
-            loss, grad = exact_ift_grad(
-                stack_star,
-                x_T,
-                target,
-                schedule,
-                subsequence,
-                predictor,
-                adjoint_tol=cfg.adjoint_tol,
-            )
+            loss, grad = exact_ift_grad(stack_star, x_T, target, schedule, subsequence,
+                                        predictor)
         run.loss_trace.append(loss)
         run.best_loss = min(run.best_loss, loss)
         run.solver_iters.append(result.iters)

@@ -210,8 +210,13 @@ class TestManifestRerun:
             lambda m: {**m, "command": ["sample"]},
             lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "eta"}},
             lambda m: {**m, "args": {**m["args"], "colour": "red"}},
+            lambda m: {**m, "args": {**m["args"], "T": "abc"}},
+            lambda m: {**m, "args": {**m["args"], "eta": "0.5"}},
+            lambda m: {**m, "args": {**m["args"], "mode": "deq-newton"}},
+            lambda m: {**m, "args": {**m["args"], "save_stack": 1}},
         ],
-        ids=["number", "list", "args-list", "command-list", "missing-key", "unknown-key"],
+        ids=["number", "list", "args-list", "command-list", "missing-key", "unknown-key",
+             "T-text", "eta-text", "mode-unknown", "save_stack-number"],
     )
     def test_rerun_rejects_malformed_manifest(self, edit, tmp_path, capsys):
         ns = cli.build_parser().parse_args(["sample", "--out", str(tmp_path / "run")])

@@ -5,13 +5,16 @@ import pytest
 
 from parseq import (
     Adam,
-    AdjointError,
+    ConstantPredictor,
+    DivergenceError,
     GaussianOptimalPredictor,
+    NoisePredictor,
     ShapeError,
     SolverConfig,
     ZeroPredictor,
     adjoint_solve,
     central_difference_grad,
+    chain_coefficients,
     exact_ift_grad,
     h_tilde,
     loss_and_seed,
@@ -24,6 +27,7 @@ from parseq import (
     solve_stack,
     write_gradcheck_report,
 )
+from parseq.chain import _sweep_vjp
 
 
 def solved_case(S, D, seed, eta=0.0, hidden=12, T=60):
@@ -165,28 +169,83 @@ class TestPhantomGrad:
         phantom_grad(stack, x_T, target, sched, sub, pred)
         np.testing.assert_array_equal(stack, before)
 
+    def test_non_finite_sweep_is_divergence(self):
+        class ExplodingPredictor(ZeroPredictor):
+            def predict(self, x, t):
+                return np.full(np.shape(x), np.inf)
+
+        sched, sub, _, x_T, _, stack, target = solved_case(5, 2, 4)
+        with pytest.raises(DivergenceError):
+            phantom_grad(stack, x_T, target, sched, sub, ExplodingPredictor(2))
+
+
+class CountingPredictor(NoisePredictor):
+    """Forwards to a predictor and records the rows of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+        self.predict_rows, self.vjp_rows = [], []
+
+    def predict(self, x, t):
+        self.predict_rows.append(np.shape(x)[0] if np.ndim(x) == 2 else 1)
+        return self.inner.predict(x, t)
+
+    def vjp(self, x, t, cotangent):
+        self.vjp_rows.append(np.shape(x)[0] if np.ndim(x) == 2 else 1)
+        return self.inner.vjp(x, t, cotangent)
+
 
 class TestAdjointSolve:
-    @pytest.mark.parametrize("S", [1, 5, 25])
-    def test_terminates_within_s_sweeps(self, S):
-        sched, sub, pred, x_T, _, stack, _ = solved_case(S, 2, 5, T=100)
-        seed_stack = np.zeros_like(stack)
-        seed_stack[-1] = np.array([1.0, -2.0])
-        v, deltas = adjoint_solve(
-            stack, x_T, seed_stack, sched, sub, pred, tol=1e-10
-        )
-        assert len(deltas) <= S
-        assert deltas[-1] <= 1e-10
-        assert v.shape == stack.shape
+    @pytest.mark.parametrize("S", [1, 2, 7, 25])
+    @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
+    def test_is_the_fixed_point_of_one_sweep(self, kind, S):
+        # v = seed + (the stack cotangent of one vjp sweep at v), the
+        # system the back-substitution solves; -0.0 seed rows check that
+        # signed zeros come out as the sweep makes them.
+        sched, sub, pred, x_T, _, stack, _ = solved_case(S, 3, 5, T=100)
+        pred = {
+            "zero": ZeroPredictor(3),
+            "constant": ConstantPredictor(np.array([0.3, -0.1, 0.2])),
+            "gaussian": GaussianOptimalPredictor(
+                np.array([0.4, -0.2, 0.1]), np.array([1.2, 0.7, 0.9]), sched
+            ),
+            "mlp": pred,
+        }[kind]
+        coeffs = chain_coefficients(sched, sub)
+        seed_stack = np.random.default_rng(S).standard_normal((S, 3))
+        seed_stack[0] = seed_stack[-1] = -0.0
+        v, deltas = adjoint_solve(stack, x_T, seed_stack, sched, sub, pred)
+        assert deltas == []
+        pulled, _ = _sweep_vjp(coeffs, stack, x_T, pred, v)
+        expected = seed_stack + pulled
+        if kind == "mlp":
+            assert rel_err(v, expected) <= 1e-12
+        else:
+            assert v.tobytes() == expected.tobytes()
 
-    def test_budget_exhaustion_raises(self):
-        sched, sub, pred, x_T, _, stack, _ = solved_case(5, 2, 6)
+    @pytest.mark.parametrize("S", [1, 2, 7])
+    def test_one_vjp_row_per_position(self, S):
+        sched, sub, pred, x_T, _, stack, target = solved_case(S, 2, 6)
+        counting = CountingPredictor(pred)
         seed_stack = np.zeros_like(stack)
         seed_stack[-1] = np.ones(2)
-        with pytest.raises(AdjointError, match="sweeps"):
-            adjoint_solve(
-                stack, x_T, seed_stack, sched, sub, pred, tol=1e-15, max_iters=1
-            )
+        adjoint_solve(stack, x_T, seed_stack, sched, sub, counting)
+        assert counting.vjp_rows == [1] * (S - 1)
+        assert counting.predict_rows == []
+        counting.vjp_rows.clear()
+        exact_ift_grad(stack, x_T, target, sched, sub, counting)
+        assert counting.vjp_rows == [1] * (S - 1) + [S]
+        assert sum(counting.vjp_rows) == 2 * S - 1
+        assert counting.predict_rows == []
+
+    def test_non_finite_vjp_is_divergence(self):
+        class BrokenVjp(ZeroPredictor):
+            def vjp(self, x, t, cotangent):
+                return np.full(np.shape(x), np.inf)
+
+        sched, sub, _, x_T, _, stack, target = solved_case(5, 2, 6)
+        with pytest.raises(DivergenceError, match="adjoint"):
+            exact_ift_grad(stack, x_T, target, sched, sub, BrokenVjp(2))
 
 
 class TestExactIftGrad:
@@ -220,19 +279,17 @@ class TestExactIftGrad:
             r = sequential_rollout(xt, sched, sub, pred)[-1] - target
             return float(r @ r)
 
-        _, grad = exact_ift_grad(stack, x_T, target, sched, sub, pred, adjoint_tol=1e-12)
+        _, grad = exact_ift_grad(stack, x_T, target, sched, sub, pred)
         fd = central_difference_grad(rollout_loss, x_T)
         assert rel_err(grad, fd) < 1e-3
 
     @pytest.mark.parametrize("S,D", [(1, 1), (5, 2), (25, 4)])
     def test_equals_rollout_backprop(self, S, D):
         sched, sub, pred, x_T, _, stack, target = solved_case(S, D, 8, T=100)
-        loss_i, grad_i = exact_ift_grad(
-            stack, x_T, target, sched, sub, pred, adjoint_tol=1e-12
-        )
+        loss_i, grad_i = exact_ift_grad(stack, x_T, target, sched, sub, pred)
         loss_r, grad_r = rollout_backprop_grad(x_T, target, sched, sub, pred)
         assert loss_i == pytest.approx(loss_r, rel=1e-9)
-        assert rel_err(grad_i, grad_r) < 1e-6
+        assert rel_err(grad_i, grad_r) < 1e-12
 
     def test_zero_at_optimum(self):
         sched, sub, pred, x_T, _, stack, _ = solved_case(5, 2, 9)
