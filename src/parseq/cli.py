@@ -151,6 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` and ``rerun`` share, built on first use: a
+    process that calls ``main`` repeatedly builds it once."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _resolved_args(ns: argparse.Namespace) -> dict:
     args = {k: v for k, v in vars(ns).items() if k != "func"}
     if "threads" in args:
@@ -346,13 +358,14 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     S, D = subsequence.S, predictor.dim
     method = "picard" if args["mode"] == "deq-picard" else "anderson"
     solver_cfg = _solver_config(args, method)
+    fixed_noise = _load_noise(args, S, D) if args["noise_file"] else None
     traces = []
     for j in range(args["runs"]):
         seed = args["seed"] + j
         x_T = draw_x_T(seed, D)
-        noise = draw_noise_stack(seed, S, D) if args["eta"] > 0.0 else None
-        if args.get("noise_file"):
-            noise, _, _ = read_stack(args["noise_file"])
+        noise = fixed_noise
+        if noise is None and args["eta"] > 0.0:
+            noise = draw_noise_stack(seed, S, D)
         result = solve_stack(
             x_T, schedule, subsequence, predictor, noise, solver_cfg, args["init"]
         )
@@ -446,7 +459,7 @@ _COMMANDS = {
 
 def _command_actions(command: str) -> dict[str, argparse.Action]:
     """The flags of ``command`` by the argument name a manifest records."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
 
 
@@ -497,8 +510,7 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         # Divergence surfaces as exit code 3; the overflow warnings numpy
         # would print on the way there are noise at the CLI level.

@@ -69,6 +69,9 @@ class InversionRun:
     best_loss: float = float("inf")
     epochs_run: int = 0
     solver_iters: list[int] = field(default_factory=list)
+    #: Whether each epoch's stack solve reached its tolerance; a solve that
+    #: stops at its budget still yields a gradient and the run goes on.
+    solver_converged: list[bool] = field(default_factory=list)
 
 
 def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
@@ -79,6 +82,7 @@ def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
         "best_loss": float(run.best_loss),
         "epochs_run": run.epochs_run,
         "solver_iters": list(run.solver_iters),
+        "solver_converged": list(run.solver_converged),
         "x_T_hat_file": x_T_hat_file,
     }
 
@@ -168,6 +172,7 @@ def _invert_deq_core(
         run.loss_trace.append(loss)
         run.best_loss = min(run.best_loss, loss)
         run.solver_iters.append(result.iters)
+        run.solver_converged.append(result.converged)
         run.epochs_run += 1
         if loss <= cfg.stop_loss:
             break

@@ -12,8 +12,13 @@ predictors and up to matrix-product rounding for the MLP.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import threading
 from abc import ABC, abstractmethod
+from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -238,15 +243,44 @@ def save_mlp(path: str, predictor: MlpPredictor) -> None:
         json.dump(payload, fh)
 
 
-def _load_json_object(path: str, what: str) -> dict:
+#: Parsed predictor files, at most one entry per path: the loader, the
+#: SHA-256 digest of the bytes it parsed, and the checked content with its
+#: arrays read-only.  A hit needs the same loader and digest, so a file
+#: rewritten in place is parsed again whatever its size or mtime; the
+#: bytes themselves are not kept.  A process that loads one predictor per
+#: command parses each file once per content.
+_MEMO: OrderedDict[str, tuple[str, bytes, tuple]] = OrderedDict()
+_MEMO_ENTRIES = 4
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoised(path: str, what: str, parse: Callable[[dict], tuple]) -> tuple:
+    """``parse`` of the JSON object in ``path``, reused while the file's
+    bytes are unchanged.  ``parse`` checks the payload and returns its
+    arrays read-only; one that raises leaves the memo untouched."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    with _MEMO_LOCK:
+        entry = _MEMO.get(path)
+        if entry is not None and entry[:2] == (what, digest):
+            _MEMO.move_to_end(path)
+            return entry[2]
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        # Decoded as a text-mode open() decodes, so undecodable bytes fail
+        # with the message a text read gives.
+        payload = json.loads(io.TextIOWrapper(io.BytesIO(data)).read())
     except ValueError as exc:
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{what} {path} must hold a JSON object")
-    return payload
+    content = parse(payload)
+    with _MEMO_LOCK:
+        _MEMO[path] = (what, digest, content)
+        _MEMO.move_to_end(path)
+        if len(_MEMO) > _MEMO_ENTRIES:
+            _MEMO.popitem(last=False)
+    return content
 
 
 def _float_array(value, what: str) -> np.ndarray:
@@ -257,9 +291,13 @@ def _float_array(value, what: str) -> np.ndarray:
         raise SchemaError(f"{what} must be a list of numbers") from None
 
 
-def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> MlpPredictor:
-    """Load an MLP weight file; reload is bit-identical to what was saved."""
-    payload = _load_json_object(path, "mlp weight file")
+def _read_only(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return tuple(arrays)
+
+
+def _parse_mlp(payload: dict) -> tuple:
     for field in ("widths", "weights", "biases", "time_embed"):
         if field not in payload:
             raise ParseError(f"mlp weight file missing field '{field}'")
@@ -288,6 +326,16 @@ def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> Mlp
             )
         weights.append(flat.reshape(rows, cols))
     biases = [_float_array(b, f"layer {layer} bias") for layer, b in enumerate(payload["biases"])]
+    checked = MlpPredictor(widths, weights, biases)
+    return tuple(checked.widths), _read_only(checked.weights), _read_only(checked.biases)
+
+
+def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> MlpPredictor:
+    """Load an MLP weight file; reload is bit-identical to what was saved.
+
+    Every call returns a new predictor; its weight arrays are read-only and
+    shared with every other load of the same file content."""
+    widths, weights, biases = _memoised(path, "mlp weight file", _parse_mlp)
     predictor = MlpPredictor(widths, weights, biases, t_max=t_max)
     if expect_dim is not None and predictor.dim != expect_dim:
         raise SchemaError(
@@ -304,9 +352,7 @@ def save_gaussian(path: str, mu: np.ndarray, var: np.ndarray) -> None:
         json.dump({"mu": mu.tolist(), "var": var.tolist()}, fh)
 
 
-def load_gaussian_params(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read diagonal Gaussian parameters written by save_gaussian."""
-    payload = _load_json_object(path, "gaussian file")
+def _parse_gaussian(payload: dict) -> tuple[np.ndarray, np.ndarray]:
     for field in ("mu", "var"):
         if field not in payload:
             raise ParseError(f"gaussian file missing field '{field}'")
@@ -314,4 +360,10 @@ def load_gaussian_params(path: str) -> tuple[np.ndarray, np.ndarray]:
     var = _float_array(payload["var"], "gaussian var")
     if mu.ndim != 1 or var.shape != mu.shape:
         raise SchemaError("mu and var must be equal-length lists")
-    return mu, var
+    return _read_only([mu, var])
+
+
+def load_gaussian_params(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read diagonal Gaussian parameters written by save_gaussian, as
+    read-only arrays shared with every other load of the same content."""
+    return _memoised(path, "gaussian file", _parse_gaussian)

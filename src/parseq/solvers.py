@@ -116,6 +116,15 @@ def _anderson_gamma(F: np.ndarray, lam: float) -> np.ndarray | None:
     return np.concatenate([delta, [1.0 - delta.sum()]])
 
 
+def _grown(ring: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """A ring of ``size`` mirrored slots that starts with the first ``rows``
+    rows of ``ring``.  Their mirror slots are left empty: a mirror slot is
+    read only after the window has wrapped, and by then it was rewritten."""
+    out = np.empty((2 * size, ring.shape[1]))
+    out[:rows] = ring[:rows]
+    return out
+
+
 def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
     """Anderson-accelerated fixed-point iteration with ridge regularization.
 
@@ -129,9 +138,15 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     """
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
-    X: list[np.ndarray] = []
-    G: list[np.ndarray] = []
-    F: list[np.ndarray] = []
+    # History rings of the last m (iterate, output, residual) rows.  Each
+    # row is written twice, at slot and slot + size, so the newest k rows
+    # are always the contiguous, oldest-first slice [start, start + k).  A
+    # long window starts small and doubles as it fills, so memory follows
+    # the iterations actually run.
+    m = min(cfg.history_m, cfg.max_iters)
+    size = min(m, 16)
+    X, G, F = (np.empty((2 * size, x.size)) for _ in range(3))
+    stored = 0
     residuals: list[float] = []
     fallbacks = 0
     converged = False
@@ -145,26 +160,30 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
             x = g
             converged = True
             break
-        X.append(x.ravel().copy())
-        G.append(g.ravel().copy())
-        F.append(f.copy())
-        if len(X) > cfg.history_m:
-            X.pop(0)
-            G.pop(0)
-            F.pop(0)
-        gamma = _anderson_gamma(np.stack(F), cfg.ridge_lambda)
+        if stored == size < m:
+            # Nothing has wrapped yet: the history is rows [0, size) in order.
+            size = min(2 * size, m)
+            X, G, F = (_grown(ring, stored, size) for ring in (X, G, F))
+        slot = stored % size
+        for ring, row in ((X, x.ravel()), (G, g.ravel()), (F, f)):
+            ring[slot] = ring[slot + size] = row
+        stored += 1
+        k = min(stored, size)
+        start = (stored - k) % size
+        Xw, Gw, Fw = X[start:start + k], G[start:start + k], F[start:start + k]
+        gamma = _anderson_gamma(Fw, cfg.ridge_lambda)
         if gamma is None:
             fallbacks += 1
-            nxt = (1.0 - beta) * X[-1] + beta * G[-1]
+            nxt = (1.0 - beta) * Xw[-1] + beta * Gw[-1]
         else:
-            nxt = (1.0 - beta) * (gamma @ np.stack(X)) + beta * (gamma @ np.stack(G))
+            nxt = (1.0 - beta) * (gamma @ Xw) + beta * (gamma @ Gw)
         x = nxt.reshape(shape)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
     else:
         # Budget exhausted: hand back the last map output rather than the
         # unmeasured extrapolation.
-        x = G[-1].reshape(shape) if G else x
+        x = G[(stored - 1) % size].reshape(shape).copy()
     return FixedPointResult(
         states=x,
         residuals=residuals,

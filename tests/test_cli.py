@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -228,6 +229,56 @@ class TestManifestRerun:
         assert not (tmp_path / "run").exists()
 
 
+class TestRepeatedMainCalls:
+    """One process calling ``cli.main`` again and again, as a batch script
+    does: fixed costs are paid once and no call changes the next."""
+
+    def test_parser_built_and_weight_file_parsed_once(self, fixtures, tmp_path, monkeypatch,
+                                                      capsys):
+        from parseq import predictors
+
+        monkeypatch.setattr(predictors, "_MEMO", OrderedDict())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds, parses = [], []
+        build, parse = cli.build_parser, predictors._parse_mlp
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(predictors, "_parse_mlp", lambda p: parses.append(1) or parse(p))
+        weights = tmp_path / "mlp.json"
+        weights.write_bytes((fixtures["root"] / "mlp.json").read_bytes())
+        argv = ["sample", "--predictor", f"mlp:{weights}", "--T", "30", "--S", "10"]
+        for mode in ("sequential", "deq-picard", "deq-anderson", "sequential"):
+            assert cli.main(argv + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
+        assert cli.main(["rerun", str(tmp_path / "sequential" / "manifest.json")]) == 0
+        assert (len(builds), len(parses)) == (1, 1)
+        # A malformed rewrite still fails as a parse error, every time.
+        weights.write_text(weights.read_text()[:-1])
+        for _ in range(2):
+            assert cli.main(argv + ["--out", str(tmp_path / "bad")]) == 4
+        assert "not valid JSON" in capsys.readouterr().err
+        assert len(builds) == 1
+
+    def test_in_process_runs_match_fresh_processes(self, fixtures, tmp_path):
+        base = ["sample", "--predictor", f"mlp:{fixtures['root'] / 'mlp.json'}",
+                "--T", "30", "--S", "10", "--seed", "3"]
+        runs = [["--save-stack", "--out"], ["--out"]]
+        for j, flags in enumerate(runs):
+            assert cli.main(base + flags + [str(tmp_path / f"in{j}")]) == 0
+            assert run_cli(*base, *flags, tmp_path / f"fresh{j}").returncode == 0
+        for j in range(len(runs)):
+            inproc, fresh = tmp_path / f"in{j}", tmp_path / f"fresh{j}"
+            assert sorted(os.listdir(inproc)) == sorted(os.listdir(fresh))
+            manifests = []
+            for out in (inproc, fresh):
+                manifest = json.loads((out / "manifest.json").read_text())
+                del manifest["timings_ms"]
+                manifest["args"]["out"] = None
+                manifests.append(manifest)
+            assert manifests[0] == manifests[1]
+            for name in manifests[0]["outputs"]:
+                assert (inproc / name).read_bytes() == (fresh / name).read_bytes()
+        assert "stack.stack" not in os.listdir(tmp_path / "in1")
+
+
 class TestExitCodes:
     def test_subseq_without_S_is_usage_error(self, tmp_path):
         res = run_cli("sample", "--predictor", "zero", "--T", 20,
@@ -364,6 +415,20 @@ class TestTrace:
         _, rows = read_trace(tmp_path / "tr" / "trace.csv")
         assert len(rows) == 2
         assert float(rows[1][1]) == 0.0 and float(rows[1][2]) == 0.0
+
+    def test_noise_file_is_read_once_and_shape_checked(self, fixtures, tmp_path, monkeypatch,
+                                                       capsys):
+        reads = []
+        read = cli.read_stack
+        monkeypatch.setattr(cli, "read_stack", lambda p: reads.append(p) or read(p))
+        noise = fixtures["root"] / "noise20.stack"
+        base = ["trace", "--predictor", "gaussian", "--D", "3", "--T", "40", "--S", "20",
+                "--eta", "1", "--runs", "3", "--noise-file", str(noise)]
+        assert cli.main(base + ["--out", str(tmp_path / "ok")]) == 0
+        assert len(reads) == 1
+        assert cli.main(base + ["--D", "2", "--out", str(tmp_path / "bad")]) == 2
+        assert "noise file holds shape (20, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
 
 class TestBench:

@@ -294,13 +294,32 @@ class TestRunReport:
         )
         report = run_report(run, {"method": "naive"}, "x_T_hat.stack")
         assert set(report) == {
-            "config", "loss_trace", "best_loss", "epochs_run", "solver_iters", "x_T_hat_file"
+            "config", "loss_trace", "best_loss", "epochs_run", "solver_iters",
+            "solver_converged", "x_T_hat_file",
         }
         assert report["epochs_run"] == 3
         assert report["solver_iters"] == []
+        assert report["solver_converged"] == []
         assert len(report["loss_trace"]) == 3
         assert all(isinstance(v, float) for v in report["loss_trace"])
         assert report["x_T_hat_file"] == "x_T_hat.stack"
+
+    @pytest.mark.parametrize("max_iters, converged", [(2, False), (40, True)])
+    def test_records_whether_each_solve_converged(self, max_iters, converged):
+        # A budget too small for the tolerance still yields a gradient and
+        # the run goes on; the report says which epochs stopped short.
+        sched, sub = small_chain()
+        pred = GaussianOptimalPredictor(np.array([0.5, -0.5]), np.array([1.5, 0.8]), sched)
+        solver = SolverConfig(max_iters=max_iters, tol=1e-9)
+        run = invert_deq(
+            np.array([0.2, -0.1]),
+            InversionConfig(epochs=4, lr=0.01, seed=0, solver=solver, warm_start=False),
+            sched, sub, pred,
+        )
+        report = run_report(run, {"method": "deq"}, "x_T_hat.stack")
+        assert report["solver_converged"] == [converged] * 4
+        assert all(type(c) is bool for c in report["solver_converged"])
+        assert (max(report["solver_iters"]) == max_iters) is not converged
 
     def test_retained_state_is_constant_size(self):
         # The run object keeps one estimate and scalar traces only; no
@@ -319,5 +338,6 @@ class TestRunReport:
         )
         assert long.x_T_hat.nbytes == short.x_T_hat.nbytes
         assert {k for k in vars(long)} == {
-            "x_T_hat", "loss_trace", "best_loss", "epochs_run", "solver_iters"
+            "x_T_hat", "loss_trace", "best_loss", "epochs_run", "solver_iters",
+            "solver_converged",
         }

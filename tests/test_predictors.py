@@ -1,8 +1,14 @@
 import math
+import os
+import sys
+import threading
+import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from parseq import predictors
 from parseq import (
     ConstantPredictor,
     GaussianOptimalPredictor,
@@ -231,3 +237,147 @@ class TestGaussianParamsFile:
         path.write_text('{"mu": [1.0]}')
         with pytest.raises(ParseError, match="var"):
             load_gaussian_params(str(path))
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty parse memo, so that a test sees only its own loads."""
+    memo = OrderedDict()
+    monkeypatch.setattr(predictors, "_MEMO", memo)
+    return memo
+
+
+def _parse_counter(monkeypatch, name):
+    calls = []
+    parse = getattr(predictors, name)
+
+    def counting(payload):
+        calls.append(1)
+        return parse(payload)
+
+    monkeypatch.setattr(predictors, name, counting)
+    return calls
+
+
+def _same_size_same_mtime_rewrite(path, text):
+    before = os.stat(path)
+    assert len(text.encode()) == before.st_size
+    path.write_text(text)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+
+
+class TestParseMemo:
+    def test_same_content_is_parsed_once(self, tmp_path, fresh_memo, monkeypatch):
+        calls = _parse_counter(monkeypatch, "_parse_mlp")
+        path = tmp_path / "mlp.json"
+        save_mlp(str(path), random_mlp(3, [8], np.random.default_rng(0)))
+        first = load_mlp(str(path))
+        second = load_mlp(str(path))
+        assert len(calls) == 1
+        assert first is not second
+        assert all(a is b for a, b in zip(first.weights, second.weights))
+
+    def test_rewrite_with_same_size_and_mtime_is_reparsed(self, tmp_path, fresh_memo):
+        path = tmp_path / "g.json"
+        path.write_text('{"mu": [1.0, 2.0], "var": [0.5, 4.0]}')
+        assert load_gaussian_params(str(path))[0].tolist() == [1.0, 2.0]
+        _same_size_same_mtime_rewrite(path, '{"mu": [3.0, 2.0], "var": [0.5, 4.0]}')
+        assert load_gaussian_params(str(path))[0].tolist() == [3.0, 2.0]
+        assert len(fresh_memo) == 1
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"widths": [3, 2], "weights": [[0, 0, 0, 0, 0]], "biases": [[0, 0]], '
+             '"time_embed": "scalar_append"}', SchemaError),
+            ('{"widths": [3, 2], "weights": [[0, 0, 0, 0, 0, 0]], "biases": [[0, 0]], '
+             '"time_embed": "scalar_append"', ParseError),
+        ],
+        ids=["truncated-weights", "not-json"],
+    )
+    def test_malformed_rewrite_after_a_good_load_fails(self, text, error, tmp_path, fresh_memo):
+        path = tmp_path / "mlp.json"
+        good = ('{"widths": [3, 2], "weights": [[0, 0, 0, 0, 0, 0]], "biases": [[0, 0]], '
+                '"time_embed": "scalar_append"}')
+        path.write_text(good)
+        assert load_mlp(str(path)).dim == 2
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(error):
+                load_mlp(str(path))
+        path.write_text(good)
+        assert load_mlp(str(path)).dim == 2
+
+    def test_arrays_are_read_only(self, tmp_path, fresh_memo):
+        mlp_path, gauss_path = tmp_path / "mlp.json", tmp_path / "g.json"
+        save_mlp(str(mlp_path), random_mlp(3, [8], np.random.default_rng(0)))
+        save_gaussian(str(gauss_path), np.array([1.0, -2.0]), np.array([0.5, 4.0]))
+        for _ in range(2):
+            p = load_mlp(str(mlp_path))
+            arrays = [*p.weights, *p.biases, *load_gaussian_params(str(gauss_path))]
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                p.weights[0][0, 0] = 1.0
+        assert load_gaussian_params(str(gauss_path))[0].tolist() == [1.0, -2.0]
+
+    def test_t_max_and_expect_dim_apply_per_call(self, tmp_path, fresh_memo):
+        path = tmp_path / "mlp.json"
+        save_mlp(str(path), random_mlp(3, [8], np.random.default_rng(0)))
+        short, long = load_mlp(str(path), t_max=50), load_mlp(str(path), t_max=500)
+        assert (short.t_max, long.t_max) == (50, 500)
+        assert not np.array_equal(short.predict(np.zeros(3), 25), long.predict(np.zeros(3), 25))
+        with pytest.raises(SchemaError, match="dimension"):
+            load_mlp(str(path), expect_dim=4)
+        assert load_mlp(str(path), expect_dim=3).dim == 3
+
+    def test_bounded_with_one_entry_per_path(self, tmp_path, fresh_memo):
+        paths = [tmp_path / f"g{i}.json" for i in range(7)]
+        for i, path in enumerate(paths):
+            save_gaussian(str(path), np.array([float(i)]), np.array([1.0]))
+            load_gaussian_params(str(path))
+            save_gaussian(str(path), np.array([float(i + 10)]), np.array([1.0]))
+            load_gaussian_params(str(path))
+        assert len(fresh_memo) == predictors._MEMO_ENTRIES < len(paths)
+        assert list(fresh_memo) == [str(p) for p in paths[-predictors._MEMO_ENTRIES:]]
+
+    def test_concurrent_loads_with_eviction(self, tmp_path, monkeypatch):
+        # More files than entries and more threads than cores, with a short
+        # switch interval and a memo that yields the interpreter between a
+        # lookup and the update that follows it: every load must still see
+        # its own file's content and the memo must stay bounded.
+        class YieldingMemo(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0)
+                return value
+
+        memo = YieldingMemo()
+        monkeypatch.setattr(predictors, "_MEMO", memo)
+        paths = [tmp_path / f"g{i}.json" for i in range(predictors._MEMO_ENTRIES + 2)]
+        for i, path in enumerate(paths):
+            save_gaussian(str(path), np.array([float(i)]), np.array([1.0]))
+        wrong, errors = [], []
+
+        def worker(offset):
+            try:
+                for n in range(150):
+                    i = (n + offset) % len(paths)
+                    if load_gaussian_params(str(paths[i]))[0][0] != i:
+                        wrong.append(i)
+            except Exception as exc:  # recorded, then asserted empty below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (errors, wrong) == ([], [])
+        assert len(memo) == predictors._MEMO_ENTRIES

@@ -22,6 +22,7 @@ from parseq import (
     solve,
     solve_stack,
 )
+from parseq.solvers import _anderson_gamma, _checked_step
 
 
 def affine_map(rho: float, dim: int, seed: int):
@@ -265,6 +266,121 @@ class TestAnderson:
         assert res.converged
         assert res.residuals[-1] <= cfg.tol
         assert all(r >= 0 for r in res.residuals)
+
+
+def _list_history_anderson(step_map, init, cfg):
+    """The list-and-stack Anderson loop the ring buffers replaced, kept as
+    the bitwise reference for them."""
+    x = np.array(init, dtype=np.float64, copy=True)
+    shape = x.shape
+    X, G, F = [], [], []
+    residuals = []
+    fallbacks = 0
+    converged = False
+    beta = cfg.mixing_beta
+    for it in range(cfg.max_iters):
+        g = _checked_step(step_map, x, it)
+        f = (g - x).ravel()
+        r = float(np.linalg.norm(f))
+        residuals.append(r)
+        if r <= cfg.tol:
+            x = g
+            converged = True
+            break
+        X.append(x.ravel().copy())
+        G.append(g.ravel().copy())
+        F.append(f.copy())
+        if len(X) > cfg.history_m:
+            X.pop(0)
+            G.pop(0)
+            F.pop(0)
+        gamma = _anderson_gamma(np.stack(F), cfg.ridge_lambda)
+        if gamma is None:
+            fallbacks += 1
+            nxt = (1.0 - beta) * X[-1] + beta * G[-1]
+        else:
+            nxt = (1.0 - beta) * (gamma @ np.stack(X)) + beta * (gamma @ np.stack(G))
+        x = nxt.reshape(shape)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
+    else:
+        x = G[-1].reshape(shape) if G else x
+    return FixedPointResult(
+        states=x, residuals=residuals, iters=len(residuals),
+        converged=converged, picard_fallbacks=fallbacks,
+    )
+
+
+def _gauss_sampling_chain(cfg):
+    # The eta = 1 sampling chain at S = 100: Anderson needs dozens of
+    # iterations, so the history window wraps many times.
+    sched = make_linear_beta_schedule(1000, eta=1.0)
+    sub = select_subsequence(1000, 100, "linear")
+    rng = np.random.default_rng(21)
+    pred = GaussianOptimalPredictor(rng.normal(size=16), rng.uniform(0.3, 2.0, 16), sched)
+    x_T, noise = rng.standard_normal(16), rng.standard_normal((100, 16))
+    return (lambda s: h_tilde(s, x_T, sched, sub, pred, noise)), init_stack(x_T, 100), cfg
+
+
+def _mlp_chain(cfg):
+    sched = make_linear_beta_schedule(200)
+    sub = select_subsequence(200, 25, "linear")
+    pred = random_mlp(8, [32], np.random.default_rng(22), t_max=200)
+    x_T = np.random.default_rng(23).standard_normal(8)
+    return (lambda s: h_tilde(s, x_T, sched, sub, pred)), init_stack(x_T, 25), cfg
+
+
+def _translation(cfg):
+    # x + c with no ridge: every weight solve past the first is singular.
+    return (lambda x: x + np.array([[1.0], [-0.5], [0.25]])), np.zeros((3, 1)), cfg
+
+
+class TestAndersonHistory:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: _gauss_sampling_chain(SolverConfig(max_iters=100, tol=1e-3)),
+            lambda: _gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3, history_m=3)),
+            lambda: _mlp_chain(SolverConfig(max_iters=30, tol=1e-10, mixing_beta=0.7)),
+            lambda: _mlp_chain(SolverConfig(max_iters=4, tol=1e-10, history_m=8)),
+            lambda: _translation(SolverConfig(max_iters=9, ridge_lambda=0.0, history_m=3)),
+            lambda: _gauss_sampling_chain(SolverConfig(max_iters=70, tol=1e-12, history_m=40)),
+        ],
+        ids=["gauss-converges", "gauss-capped", "mlp-damped", "mlp-short-budget",
+             "translation-fallback", "gauss-long-window"],
+    )
+    def test_matches_list_history_bitwise(self, case):
+        step_map, init, cfg = case()
+        ref = _list_history_anderson(step_map, init, cfg)
+        res = anderson_solve(step_map, init, cfg)
+        assert res.states.shape == ref.states.shape
+        assert res.states.tobytes() == ref.states.tobytes()
+        assert np.array(res.residuals).tobytes() == np.array(ref.residuals).tobytes()
+        assert (res.iters, res.converged, res.picard_fallbacks) == (
+            ref.iters, ref.converged, ref.picard_fallbacks
+        )
+
+    def test_long_window_costs_only_the_iterations_run(self):
+        # A window and budget of a billion rows must not be allocated up
+        # front; a constant map converges on its second evaluation.
+        cfg = SolverConfig(max_iters=10**9, tol=0.0, history_m=10**9)
+        res = anderson_solve(lambda x: np.full(3, 2.0), np.zeros(3), cfg)
+        assert (res.converged, res.iters) == (True, 2)
+        assert res.states.tolist() == [2.0, 2.0, 2.0]
+
+    def test_cases_cover_wrap_cap_and_fallback(self):
+        gauss = anderson_solve(*_gauss_sampling_chain(SolverConfig(max_iters=100, tol=1e-3)))
+        assert gauss.converged and gauss.iters > 2 * SolverConfig().history_m
+        capped = anderson_solve(*_gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3)))
+        assert not capped.converged
+        moved = anderson_solve(
+            *_translation(SolverConfig(max_iters=9, ridge_lambda=0.0, history_m=3))
+        )
+        assert moved.picard_fallbacks == 8
+        long = anderson_solve(
+            *_gauss_sampling_chain(SolverConfig(max_iters=70, tol=1e-12, history_m=40))
+        )
+        assert long.iters > 40
 
 
 class TestDispatch:
