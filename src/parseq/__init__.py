@@ -9,13 +9,13 @@ fixed point.
 """
 
 from .chain import (
+    Chain,
     ChainCoefficients,
     chain_coefficients,
     ddim_step,
     h_tilde,
     h_tilde_vjp,
     init_stack,
-    residual,
     sequential_rollout,
 )
 from .errors import (
@@ -37,15 +37,7 @@ from .gradients import (
     rollout_backprop_grad,
     write_gradcheck_report,
 )
-from .invert import (
-    InversionConfig,
-    InversionRun,
-    frobenius_loss,
-    invert_deq,
-    invert_deq_stochastic,
-    invert_naive,
-    run_report,
-)
+from .invert import InversionConfig, InversionRun, invert, run_report
 from .metrics import MomentSummary, gaussian_w2, sample_moments
 from .predictors import (
     ConstantPredictor,
@@ -66,8 +58,6 @@ from .schedule import (
     TimestepSubsequence,
     identity_subsequence,
     make_linear_beta_schedule,
-    schedule_config,
-    schedule_from_config,
     select_subsequence,
 )
 from .solvers import (
@@ -78,13 +68,6 @@ from .solvers import (
     picard_solve,
     solve,
 )
-from .stackio import (
-    read_stack,
-    stack_t_labels,
-    write_residual_csv,
-    write_stack,
-    write_stack_csv,
-    write_trace_csv,
-)
+from .stackio import read_stack, write_residual_csv, write_stack, write_trace_csv
 
 __version__ = "0.1.0"

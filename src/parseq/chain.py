@@ -20,10 +20,12 @@ strictly triangular (each output depends only on strictly higher positions
 plus x_T), so repeated application converges in at most S steps and the
 transpose system of the gradient code is solved by one back-substitution.
 
-The public functions build the ``ChainCoefficients`` on every call; the
-private kernels ``_sweep``, ``_sweep_vjp`` and ``_rollout`` take them
-ready-made, so a solver or a gradient route builds them once for all of
-its sweeps.
+A ``Chain`` holds everything these maps read: the schedule, the
+subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
+checked and built once.  The private kernels ``_sweep``, ``_sweep_vjp`` and
+``_rollout`` take a chain, and so do the solver and gradient routes built
+on them.  ``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the
+older per-call form: each builds a fresh chain from its arguments.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
@@ -32,7 +34,7 @@ Noise layout: ``noise[i - 1]`` is the draw injected by transition i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,6 +107,47 @@ def chain_coefficients(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """One sampling chain, checked once: schedule, subsequence, noise model,
+    pinned noise and the coefficients built from them.
+
+    ``subsequence=None`` selects the full chain 1..T and is stored resolved.
+    ``noise=None`` injects no noise; otherwise ``noise`` is the (S, D) stack
+    of per-transition draws, D being the predictor's dimension, held as a
+    read-only view like the coefficient arrays.
+    """
+
+    schedule: DiffusionSchedule
+    subsequence: TimestepSubsequence | None
+    predictor: NoisePredictor
+    noise: np.ndarray | None = None
+    coeffs: ChainCoefficients = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        subsequence = self.subsequence
+        if subsequence is None:
+            subsequence = identity_subsequence(self.schedule.T)
+        coeffs = chain_coefficients(self.schedule, subsequence)
+        noise = self.noise
+        if noise is not None:
+            noise = np.asarray(noise, dtype=np.float64)
+            shape = (coeffs.S, self.predictor.dim)
+            if noise.shape != shape:
+                raise ShapeError(
+                    f"noise shape {noise.shape} does not match (S={shape[0]}, D={shape[1]})"
+                )
+            noise = noise.view()
+            noise.setflags(write=False)
+        object.__setattr__(self, "subsequence", subsequence)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def S(self) -> int:
+        return self.coeffs.S
+
+
 def init_stack(x_T: np.ndarray, S: int, kind: str = "x_T") -> np.ndarray:
     """Initial stack estimate: every row copies x_T, or all zeros."""
     x_T = np.asarray(x_T, dtype=np.float64)
@@ -169,20 +212,14 @@ def sequential_rollout(
     This is the reference path: the fixed point of h_tilde must reproduce
     it exactly, and it serves as the oracle in the equivalence tests.
     """
-    return _rollout(chain_coefficients(schedule, subsequence), x_T, predictor, noise)
+    return _rollout(Chain(schedule, subsequence, predictor, noise), x_T)
 
 
-def _rollout(
-    coeffs: ChainCoefficients,
-    x_T: np.ndarray,
-    predictor: NoisePredictor,
-    noise: np.ndarray | None,
-) -> np.ndarray:
+def _rollout(chain: Chain, x_T: np.ndarray) -> np.ndarray:
+    coeffs, predictor = chain.coeffs, chain.predictor
     S = coeffs.S
     x_T = np.asarray(x_T, dtype=np.float64)
-    noise = _check_noise(noise, S, x_T.size)
-    if noise is None:
-        noise = np.zeros((S, x_T.size))
+    noise = chain.noise if chain.noise is not None else np.zeros((S, x_T.size))
     states = np.empty((S, x_T.size))
     x = x_T
     for p in range(S, 0, -1):
@@ -194,15 +231,6 @@ def _rollout(
             )
         states[S - p] = x
     return states
-
-
-def _check_noise(noise: np.ndarray | None, S: int, D: int) -> np.ndarray | None:
-    if noise is None:
-        return None
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (S, D):
-        raise ShapeError(f"noise shape {noise.shape} does not match (S={S}, D={D})")
-    return noise
 
 
 def h_tilde(
@@ -220,32 +248,26 @@ def h_tilde(
     independent and run as one batched predictor call.  The per-position
     sums share one carried accumulation down the chain, keeping the whole
     update one predictor call and O(S D) arithmetic instead of the O(S^2)
-    literal double sum.  Each call builds the chain coefficients afresh;
-    ``sampling.solve_stack`` and the gradient routes build them once and
-    call the ``_sweep`` kernel instead.  ``pool`` is accepted for
-    compatibility with older callers and ignored.
+    literal double sum.  Each call builds a fresh ``Chain``;
+    ``sampling.solve_stack`` and the gradient routes take one and call the
+    ``_sweep`` kernel instead.  ``pool`` is accepted for compatibility with
+    older callers and ignored.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
-    states, x_T = _check_stack(states, x_T, coeffs.S)
-    out = _sweep(coeffs, states, x_T, predictor, _check_noise(noise, coeffs.S, x_T.size))
+    chain = Chain(schedule, subsequence, predictor, noise)
+    out = _sweep(chain, *_check_stack(states, x_T, chain.S))
     if not np.all(np.isfinite(out)):
         raise DivergenceError("non-finite stack after simultaneous update")
     return out
 
 
-def _sweep(
-    coeffs: ChainCoefficients,
-    states: np.ndarray,
-    x_T: np.ndarray,
-    predictor: NoisePredictor,
-    noise: np.ndarray | None,
-) -> np.ndarray:
-    """``h_tilde`` on checked float64 inputs with ready coefficients; the
-    caller checks the output for finiteness (the solvers check every iterate)."""
+def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
+    """``h_tilde`` on checked float64 inputs; the caller checks the output
+    for finiteness (the solvers check every iterate)."""
+    coeffs = chain.coeffs
     S = coeffs.S
-    eps_pred = predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
+    eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
     terms = coeffs.c1[1:, None] * eps_pred
-    noise_terms = None if noise is None else coeffs.sigma[1:, None] * noise
+    noise_terms = None if chain.noise is None else coeffs.sigma[1:, None] * chain.noise
     out = np.empty_like(states)
     # Horner-style carry down the chain, with the same expression order as
     # _rollout's update, so the rollout stack is a fixed point of this map
@@ -265,19 +287,6 @@ def _sweep(
     return out
 
 
-def residual(
-    states: np.ndarray,
-    x_T: np.ndarray,
-    schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
-    predictor: NoisePredictor,
-    noise: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """h_tilde(states) - states and its flattened l2 norm."""
-    g = h_tilde(states, x_T, schedule, subsequence, predictor, noise) - states
-    return g, float(np.linalg.norm(g))
-
-
 def h_tilde_vjp(
     states: np.ndarray,
     x_T: np.ndarray,
@@ -294,13 +303,13 @@ def h_tilde_vjp(
     onto transition p only needs the prefix P_p = sum_{j < p} sqrt(A_j) u_j;
     one batched predictor vjp over all S timesteps then finishes the job.
     The noise enters h_tilde additively and so never appears in the
-    Jacobian.  Like ``h_tilde``, each call builds the chain coefficients;
-    the kernel ``_sweep_vjp`` takes them ready-made.  ``pool`` is accepted
-    for compatibility with older callers and ignored.
+    Jacobian.  Like ``h_tilde``, each call builds a fresh ``Chain``; the
+    kernel ``_sweep_vjp`` takes one.  ``pool`` is accepted for
+    compatibility with older callers and ignored.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
-    states, x_T = _check_stack(states, x_T, coeffs.S)
-    return _sweep_vjp(coeffs, states, x_T, predictor, _check_cotangent(cotangent, states))
+    chain = Chain(schedule, subsequence, predictor)
+    states, x_T = _check_stack(states, x_T, chain.S)
+    return _sweep_vjp(chain, states, x_T, _check_cotangent(cotangent, states))
 
 
 def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -313,20 +322,17 @@ def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _sweep_vjp(
-    coeffs: ChainCoefficients,
-    states: np.ndarray,
-    x_T: np.ndarray,
-    predictor: NoisePredictor,
-    cotangent: np.ndarray,
+    chain: Chain, states: np.ndarray, x_T: np.ndarray, cotangent: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``h_tilde_vjp`` on checked float64 inputs with ready coefficients."""
+    """``h_tilde_vjp`` on checked float64 inputs."""
+    coeffs = chain.coeffs
     S = coeffs.S
     weighted = coeffs.sqrt_alpha[:-1, None] * cotangent[::-1]
     # A running sum from zero turns a leading -0.0 into +0.0; cumsum starts
     # from the first term itself, so add that zero explicitly.
     weighted[0] += 0.0
     prefixes = np.cumsum(weighted, axis=0)
-    pulled = predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
+    pulled = chain.predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
     scaled = (coeffs.c1[1:] / coeffs.sqrt_alpha[:-1])[:, None] * pulled
     cot_states = np.zeros_like(states)
     cot_states[: S - 1] = scaled[: S - 1][::-1]

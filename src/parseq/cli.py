@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -31,7 +32,8 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .invert import InversionConfig, invert_deq, invert_deq_stochastic, invert_naive, run_report
+from .chain import Chain, _rollout
+from .invert import InversionConfig, invert, run_report
 from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
 from .sampling import draw_noise_stack, draw_x_T, solve_stack
@@ -173,7 +175,7 @@ def _resolved_args(ns: argparse.Namespace) -> dict:
     return args
 
 
-def _build_chain(args: dict):
+def _build_chain(args: dict) -> Chain:
     if args["subseq"] is not None and args["S"] is None:
         raise ConfigError("--subseq requires --S")
     if args["D"] < 1:
@@ -199,7 +201,8 @@ def _build_chain(args: dict):
         predictor = load_mlp(path, t_max=args["T"])
     else:
         raise ConfigError(f"unknown predictor '{args['predictor']}'")
-    return schedule, subsequence, predictor
+    return Chain(schedule, subsequence, predictor,
+                 _load_noise(args, subsequence.S, predictor.dim))
 
 
 def _solver_config(args: dict, method: str) -> SolverConfig:
@@ -216,7 +219,7 @@ def _solver_config(args: dict, method: str) -> SolverConfig:
     )
 
 
-def _load_noise(args: dict, S: int, D: int) -> np.ndarray:
+def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
     if args.get("noise_file"):
         noise, _, _ = read_stack(args["noise_file"])
         if noise.shape != (S, D):
@@ -224,7 +227,9 @@ def _load_noise(args: dict, S: int, D: int) -> np.ndarray:
                 f"noise file holds shape {noise.shape}, chain needs ({S}, {D})"
             )
         return noise
-    if args["eta"] > 0.0:
+    # invert's deq-stochastic pins its draws even at eta 0, where the zero
+    # sigmas multiply them into zeros.
+    if args["eta"] > 0.0 or args.get("method") == "deq-stochastic":
         return draw_noise_stack(args["seed"], S, D)
     return None
 
@@ -254,10 +259,8 @@ def _write_manifest(out_dir: str, command: str, args: dict,
 def cmd_sample(ns: argparse.Namespace) -> int:
     args = _resolved_args(ns)
     t0 = time.perf_counter()
-    schedule, subsequence, predictor = _build_chain(args)
-    S, D = subsequence.S, predictor.dim
-    x_T = draw_x_T(args["seed"], D)
-    noise = _load_noise(args, S, D)
+    chain = _build_chain(args)
+    x_T = draw_x_T(args["seed"], chain.predictor.dim)
     os.makedirs(args["out"], exist_ok=True)
     outputs = ["x0.stack"]
     timings = {}
@@ -265,16 +268,11 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     solver = None
     if args["mode"] == "sequential":
-        from .chain import sequential_rollout
-
-        states = sequential_rollout(x_T, schedule, subsequence, predictor, noise)
+        states = _rollout(chain, x_T)
         residuals = None
     else:
         method = "picard" if args["mode"] == "deq-picard" else "anderson"
-        result = solve_stack(
-            x_T, schedule, subsequence, predictor, noise,
-            _solver_config(args, method), args["init"],
-        )
+        result = solve_stack(chain, x_T, _solver_config(args, method), args["init"])
         states = result.states
         residuals = result.residuals
         # An unconverged solve still exits 0; this record is how a caller
@@ -304,32 +302,29 @@ def cmd_invert(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args["method"] in ("naive", "deq") and args["eta"] > 0.0:
         raise ConfigError(f"--method {args['method']} requires --eta 0")
-    schedule, subsequence, predictor = _build_chain(args)
+    chain = _build_chain(args)
     target_states, _, _ = read_stack(args["target"])
     target = target_states[-1]
-    if target.size != predictor.dim:
+    if target.size != chain.predictor.dim:
         raise ShapeError(
-            f"target dimension {target.size} != predictor dimension {predictor.dim}"
+            f"target dimension {target.size} != predictor dimension {chain.predictor.dim}"
         )
+    if args["method"] == "naive":
+        gradient_mode = "rollout"
+    else:
+        gradient_mode = "exact_ift" if args["grad"] == "exact" else "phantom"
     method_for_solver = "picard" if args["method"] == "naive" else "anderson"
     cfg = InversionConfig(
         epochs=args["epochs"],
         lr=args["lr"],
-        gradient_mode="exact_ift" if args["grad"] == "exact" else "phantom",
+        gradient_mode=gradient_mode,
         tau=args["tau"],
         solver=_solver_config(args, method_for_solver),
         stop_loss=args["stop_loss"],
         seed=args["seed"],
         init=args["init"],
     )
-    if args["method"] == "naive":
-        run = invert_naive(target, cfg, schedule, subsequence, predictor)
-    elif args["method"] == "deq":
-        run = invert_deq(target, cfg, schedule, subsequence, predictor)
-    else:
-        run = invert_deq_stochastic(
-            target, args["eta"], cfg, schedule, subsequence, predictor
-        )
+    run = invert(target, cfg, chain)
 
     os.makedirs(args["out"], exist_ok=True)
     write_stack(os.path.join(args["out"], "x_T_hat.stack"), run.x_T_hat,
@@ -354,22 +349,19 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args["runs"] < 1:
         raise ConfigError(f"--runs must be >= 1, got {args['runs']}")
-    schedule, subsequence, predictor = _build_chain(args)
-    S, D = subsequence.S, predictor.dim
+    chain = _build_chain(args)
+    D = chain.predictor.dim
     method = "picard" if args["mode"] == "deq-picard" else "anderson"
     solver_cfg = _solver_config(args, method)
-    fixed_noise = _load_noise(args, S, D) if args["noise_file"] else None
     traces = []
     for j in range(args["runs"]):
         seed = args["seed"] + j
         x_T = draw_x_T(seed, D)
-        noise = fixed_noise
-        if noise is None and args["eta"] > 0.0:
-            noise = draw_noise_stack(seed, S, D)
-        result = solve_stack(
-            x_T, schedule, subsequence, predictor, noise, solver_cfg, args["init"]
-        )
-        traces.append(result.residuals)
+        run_chain = chain
+        if args["eta"] > 0.0 and not args["noise_file"]:
+            # Without a noise file each run draws its own noise.
+            run_chain = dataclasses.replace(chain, noise=draw_noise_stack(seed, chain.S, D))
+        traces.append(solve_stack(run_chain, x_T, solver_cfg, args["init"]).residuals)
     os.makedirs(args["out"], exist_ok=True)
     write_trace_csv(os.path.join(args["out"], "trace.csv"), traces)
     timings = {"total": (time.perf_counter() - t0) * 1000.0}
@@ -380,8 +372,6 @@ def cmd_trace(ns: argparse.Namespace) -> int:
 def cmd_bench(ns: argparse.Namespace) -> int:
     args = _resolved_args(ns)
     t0 = time.perf_counter()
-    from .chain import sequential_rollout
-
     s_values = _int_list(args["S_list"], "--S-list")
     thread_values = _int_list(args["threads_list"], "--threads-list")
     if any(n < 1 for n in thread_values):
@@ -389,22 +379,16 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     rows = []
     for S in s_values:
         run_args = dict(args, S=S, subseq=args["subseq"] or "linear")
-        schedule, subsequence, predictor = _build_chain(run_args)
-        D = predictor.dim
-        x_T = draw_x_T(args["seed"], D)
-        noise = _load_noise(run_args, subsequence.S, D)
+        chain = _build_chain(run_args)
+        x_T = draw_x_T(args["seed"], chain.predictor.dim)
 
         t1 = time.perf_counter()
-        sequential_rollout(x_T, schedule, subsequence, predictor, noise)
-        rows.append(["sequential", S, 1,
-                     (time.perf_counter() - t1) * 1000.0, subsequence.S])
+        _rollout(chain, x_T)
+        rows.append(["sequential", S, 1, (time.perf_counter() - t1) * 1000.0, chain.S])
 
         for threads in thread_values:
             t1 = time.perf_counter()
-            result = solve_stack(
-                x_T, schedule, subsequence, predictor, noise,
-                _solver_config(run_args, "anderson"), args["init"],
-            )
+            result = solve_stack(chain, x_T, _solver_config(run_args, "anderson"), args["init"])
             wall = (time.perf_counter() - t1) * 1000.0
             rows.append(["deq-anderson", S, threads, wall, result.iters])
 

@@ -16,8 +16,9 @@ Three routes, cheapest first:
   ground truth the implicit route must reproduce.
 
 All three return (loss, gradient) where loss is the value of the scalar
-function actually differentiated.  Each builds the chain coefficients once
-per call and passes them to the ``chain`` kernels.
+function actually differentiated.  The first two take a ``Chain``;
+``rollout_backprop_grad`` and ``adjoint_solve`` keep the older per-call
+form and build a fresh chain from their arguments.
 """
 
 from __future__ import annotations
@@ -26,16 +27,7 @@ import csv
 
 import numpy as np
 
-from .chain import (
-    ChainCoefficients,
-    _check_cotangent,
-    _check_noise,
-    _check_stack,
-    _rollout,
-    _sweep,
-    _sweep_vjp,
-    chain_coefficients,
-)
+from .chain import Chain, _check_cotangent, _check_stack, _rollout, _sweep, _sweep_vjp
 from .errors import DivergenceError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
@@ -92,13 +84,10 @@ def loss_and_seed(x0_hat: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
 
 
 def phantom_grad(
+    chain: Chain,
     stack_star: np.ndarray,
     x_T: np.ndarray,
     target_x0: np.ndarray,
-    schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
-    predictor: NoisePredictor,
-    noise: np.ndarray | None = None,
     tau: float = 0.1,
 ) -> tuple[float, np.ndarray]:
     """Damped one-step gradient with the solver output treated as constant.
@@ -107,17 +96,15 @@ def phantom_grad(
     + (1 - tau) * stack*, so x_T is the only differentiable input and the
     returned gradient is tau times the x_T cotangent of one vjp sweep.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
+    S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
-    noise = _check_noise(noise, S, x_T.size)
-    y = tau * _sweep(coeffs, stack_star, x_T, predictor, noise) + (1.0 - tau) * stack_star
+    y = tau * _sweep(chain, stack_star, x_T) + (1.0 - tau) * stack_star
     if not np.all(np.isfinite(y)):
         raise DivergenceError("non-finite stack after simultaneous update")
     loss, seed = loss_and_seed(y[S - 1], target_x0)
     cot = np.zeros_like(stack_star)
     cot[S - 1] = seed
-    _, cot_x_T = _sweep_vjp(coeffs, stack_star, x_T, predictor, cot)
+    _, cot_x_T = _sweep_vjp(chain, stack_star, x_T, cot)
     return loss, tau * cot_x_T
 
 
@@ -138,18 +125,12 @@ def adjoint_solve(
     per-sweep deltas used to be.  ``tol`` and ``pool`` are accepted for
     compatibility with older callers and ignored.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
-    stack_star, x_T = _check_stack(stack_star, x_T, coeffs.S)
-    seed_stack = _check_cotangent(seed_stack, stack_star)
-    return _adjoint_solve(coeffs, stack_star, seed_stack, predictor), []
+    chain = Chain(schedule, subsequence, predictor)
+    stack_star, x_T = _check_stack(stack_star, x_T, chain.S)
+    return _adjoint_solve(chain, stack_star, _check_cotangent(seed_stack, stack_star)), []
 
 
-def _adjoint_solve(
-    coeffs: ChainCoefficients,
-    stack_star: np.ndarray,
-    seed_stack: np.ndarray,
-    predictor: NoisePredictor,
-) -> np.ndarray:
+def _adjoint_solve(chain: Chain, stack_star: np.ndarray, seed_stack: np.ndarray) -> np.ndarray:
     """Solve v = seed + (stack cotangent of ``_sweep_vjp`` at v) from x_0 up.
 
     Nothing reads x_0, so v_0 is its seed; v_p = seed_p + c1_p / sqrt(A_{p-1})
@@ -157,6 +138,7 @@ def _adjoint_solve(
     and products run in the sweep's order, so v is its fixed point bit for
     bit wherever a one-row vjp matches the batched one.
     """
+    coeffs = chain.coeffs
     S = coeffs.S
     v = np.empty_like(seed_stack)
     v[S - 1] = seed_stack[S - 1] + 0.0  # the sweep adds its +0.0 pullback here
@@ -164,7 +146,7 @@ def _adjoint_solve(
     for p in range(1, S):
         row = S - 1 - p
         prefix = prefix + coeffs.sqrt_alpha[p - 1] * v[row + 1]
-        pulled = predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
+        pulled = chain.predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
         v[row] = seed_stack[row] + coeffs.c1[p] / coeffs.sqrt_alpha[p - 1] * pulled
     if not np.all(np.isfinite(v)):
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
@@ -172,12 +154,7 @@ def _adjoint_solve(
 
 
 def exact_ift_grad(
-    stack_star: np.ndarray,
-    x_T: np.ndarray,
-    target_x0: np.ndarray,
-    schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
-    predictor: NoisePredictor,
+    chain: Chain, stack_star: np.ndarray, x_T: np.ndarray, target_x0: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Implicit-function gradient through the fixed point.
 
@@ -187,14 +164,13 @@ def exact_ift_grad(
     from one exact back-substitution (S - 1 one-row vjp calls) and its
     pullback onto x_T from one batched vjp sweep over S rows.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
+    S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
     seed_stack = np.zeros_like(stack_star)
     seed_stack[S - 1] = seed
-    v = _adjoint_solve(coeffs, stack_star, seed_stack, predictor)
-    _, cot_x_T = _sweep_vjp(coeffs, stack_star, x_T, predictor, v)
+    v = _adjoint_solve(chain, stack_star, seed_stack)
+    _, cot_x_T = _sweep_vjp(chain, stack_star, x_T, v)
     return loss, cot_x_T
 
 
@@ -213,14 +189,22 @@ def rollout_backprop_grad(
 
         lam <- sqrt(A_{p-1} / A_p) lam + c1_p vjp_eps(x_p, tau_p, lam).
     """
-    coeffs = chain_coefficients(schedule, subsequence)
+    return _rollout_backprop(Chain(schedule, subsequence, predictor, noise), x_T, target_x0)
+
+
+def _rollout_backprop(
+    chain: Chain, x_T: np.ndarray, target_x0: np.ndarray
+) -> tuple[float, np.ndarray]:
+    coeffs = chain.coeffs
     S = coeffs.S
     x_T = np.asarray(x_T, dtype=np.float64)
-    states = _rollout(coeffs, x_T, predictor, noise)
+    states = _rollout(chain, x_T)
     loss, lam = loss_and_seed(states[S - 1], target_x0)
     for p in range(1, S + 1):
         x_p = states[S - 1 - p] if p < S else x_T
-        lam = coeffs.ratio[p] * lam + coeffs.c1[p] * predictor.vjp(x_p, int(coeffs.taus[p]), lam)
+        lam = coeffs.ratio[p] * lam + coeffs.c1[p] * chain.predictor.vjp(
+            x_p, int(coeffs.taus[p]), lam
+        )
     return loss, lam
 
 

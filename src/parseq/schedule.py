@@ -90,8 +90,8 @@ class DiffusionSchedule:
         rebuilt = np.cumprod(1.0 - betas)
         if not np.allclose(alpha_bars, rebuilt, rtol=1e-12, atol=0.0):
             raise ConfigError("alpha_bars disagree with cumprod(1 - betas)")
-        if self.eta < 0.0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
         betas.setflags(write=False)
         alpha_bars.setflags(write=False)
         object.__setattr__(self, "betas", betas)
@@ -203,37 +203,3 @@ def identity_subsequence(T: int) -> TimestepSubsequence:
     return TimestepSubsequence(
         indices=tuple(range(1, T + 1)), kind="linear", requested_S=T
     )
-
-
-def schedule_config(
-    schedule: DiffusionSchedule, subsequence: TimestepSubsequence
-) -> dict:
-    """JSON-ready description of a schedule plus its subsequence."""
-    return {
-        "T": schedule.T,
-        "beta_start": schedule.beta_start,
-        "beta_end": schedule.beta_end,
-        "eta": schedule.eta,
-        "subsequence": {"kind": subsequence.kind, "S": subsequence.requested_S},
-    }
-
-
-def schedule_from_config(cfg: dict) -> tuple[DiffusionSchedule, TimestepSubsequence]:
-    """Rebuild (schedule, subsequence) from a dict written by schedule_config."""
-    from .errors import ParseError
-
-    for key in ("T", "beta_start", "beta_end", "eta", "subsequence"):
-        if key not in cfg:
-            raise ParseError(f"schedule config missing field '{key}'")
-    sub_cfg = cfg["subsequence"]
-    for key in ("kind", "S"):
-        if key not in sub_cfg:
-            raise ParseError(f"schedule config missing field 'subsequence.{key}'")
-    schedule = make_linear_beta_schedule(
-        int(cfg["T"]),
-        float(cfg["beta_start"]),
-        float(cfg["beta_end"]),
-        eta=float(cfg["eta"]),
-    )
-    sub = select_subsequence(schedule.T, int(sub_cfg["S"]), str(sub_cfg["kind"]))
-    return schedule, sub

@@ -40,8 +40,8 @@ class SolverConfig:
             raise ConfigError(f"history_m must be >= 1, got {self.history_m}")
         if not (math.isfinite(self.mixing_beta) and self.mixing_beta > 0.0):
             raise ConfigError(f"mixing_beta must be finite and > 0, got {self.mixing_beta}")
-        if self.ridge_lambda < 0.0:
-            raise ConfigError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0.0):
+            raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
 
 
 def default_solver_config(eta: float, method: str = "anderson") -> SolverConfig:

@@ -9,9 +9,7 @@ Binary stack layout (little-endian throughout):
     float64     eta noise scale
     S*D float64 row-major payload
 
-CSV stacks carry one row per state as ``k,t,dim0..dim{D-1}`` where k is
-the stack index and t the natural timestep of that row.  Residual traces
-are ``iter,residual_l2`` with 0-indexed iterations.
+Residual traces are ``iter,residual_l2`` with 0-indexed iterations.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import struct
 import numpy as np
 
 from .errors import ParseError, ShapeError
-from .schedule import TimestepSubsequence
 
 MAGIC = b"PSDQ1"
 _HEADER = struct.Struct("<5sIIId")
@@ -56,29 +53,6 @@ def read_stack(path: str) -> tuple[np.ndarray, int, float]:
         )
     payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     return payload.reshape(S, D).astype(np.float64), int(T), float(eta)
-
-
-def stack_t_labels(subsequence: TimestepSubsequence) -> list[int]:
-    """Timestep label of each stack row: row k holds position S - 1 - k, and
-    the bottom row is the denoised state at t = 0."""
-    taus = list(subsequence.indices)
-    return [taus[i] for i in range(len(taus) - 2, -1, -1)] + [0]
-
-
-def write_stack_csv(path: str, states: np.ndarray, t_labels: list[int]) -> None:
-    states = np.asarray(states, dtype=np.float64)
-    if states.ndim == 1:
-        states = states[None, :]
-    if len(t_labels) != states.shape[0]:
-        raise ShapeError(
-            f"{len(t_labels)} t labels for {states.shape[0]} stack rows"
-        )
-    D = states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "t"] + [f"dim{d}" for d in range(D)])
-        for k, (t, row) in enumerate(zip(t_labels, states)):
-            writer.writerow([k, t] + [repr(float(v)) for v in row])
 
 
 def write_residual_csv(path: str, residuals: list[float]) -> None:

@@ -5,6 +5,7 @@ One test per criterion, each printing a single PASS/FAIL line (run with
 stated runtime budget assert the measured wall clock as well.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from parseq.chain import h_tilde, residual, sequential_rollout
+import parseq
+from parseq.chain import Chain, h_tilde, sequential_rollout
 from parseq.gradients import (
     central_difference_grad,
     exact_ift_grad,
@@ -22,7 +24,7 @@ from parseq.gradients import (
     rollout_backprop_grad,
     write_gradcheck_report,
 )
-from parseq.invert import InversionConfig, invert_deq, invert_deq_stochastic, invert_naive
+from parseq.invert import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_mlp
 from parseq.sampling import draw_noise_stack, draw_x_T, solve_stack
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
@@ -69,7 +71,7 @@ def test_criterion_1_fixed_point_matches_rollout():
         noise = draw_noise_stack(seed, S, D) if eta > 0 else None
         rollout = sequential_rollout(x_T, schedule, subsequence, predictor, noise)
         cfg = SolverConfig(method="picard", max_iters=S + 2, tol=1e-12)
-        result = solve_stack(x_T, schedule, subsequence, predictor, noise, cfg)
+        result = solve_stack(Chain(schedule, subsequence, predictor, noise), x_T, cfg)
         worst = max(worst, float(np.max(np.abs(result.states - rollout))))
     elapsed = time.perf_counter() - t0
     report(
@@ -89,10 +91,10 @@ def test_criterion_2_picard_finite_convergence():
         noise = draw_noise_stack(seed, S, D) if eta > 0 else None
         init = 1e3 * np.random.default_rng(1000 + seed).standard_normal((S, D))
         cfg = SolverConfig(method="picard", max_iters=S, tol=0.0)
-        result = solve_stack(x_T, schedule, subsequence, predictor, noise, cfg, init)
-        _, res_norm = residual(
-            result.states, x_T, schedule, subsequence, predictor, noise
-        )
+        result = solve_stack(Chain(schedule, subsequence, predictor, noise), x_T, cfg, init)
+        res_norm = float(np.linalg.norm(
+            h_tilde(result.states, x_T, schedule, subsequence, predictor, noise) - result.states
+        ))
         worst_res = max(worst_res, res_norm)
         worst_iters_margin = max(worst_iters_margin, result.iters - S)
     elapsed = time.perf_counter() - t0
@@ -121,7 +123,7 @@ def test_criterion_3_anderson_budget():
                 method="anderson", max_iters=budget, tol=1e-3,
                 history_m=5, ridge_lambda=1e-4,
             )
-            result = solve_stack(x_T, schedule, subsequence, predictor, noise, cfg)
+            result = solve_stack(Chain(schedule, subsequence, predictor, noise), x_T, cfg)
             assert result.converged and result.residuals[-1] <= 1e-3
             sink.append(result.iters)
     elapsed = time.perf_counter() - t0
@@ -153,12 +155,11 @@ def test_criterion_4_gradient_checks(tmp_path):
         x_T = draw_x_T(seed, D)
         target = stream(seed, "target").standard_normal(D)
         cfg = SolverConfig(method="picard", max_iters=S + 2, tol=1e-13)
-        stack = solve_stack(x_T, schedule, subsequence, predictor, None, cfg).states
+        chain = Chain(schedule, subsequence, predictor)
+        stack = solve_stack(chain, x_T, cfg).states
 
         tau = 0.1
-        _, g_phantom = phantom_grad(
-            stack, x_T, target, schedule, subsequence, predictor, tau=tau
-        )
+        _, g_phantom = phantom_grad(chain, stack, x_T, target, tau=tau)
 
         def damped_loss(z):
             # solver output held constant; only the explicit x_T leaf moves
@@ -174,9 +175,7 @@ def test_criterion_4_gradient_checks(tmp_path):
             return float(np.sum((s[-1] - target) ** 2))
 
         fd_full = central_difference_grad(rollout_loss, x_T)
-        _, g_exact = exact_ift_grad(
-            stack, x_T, target, schedule, subsequence, predictor
-        )
+        _, g_exact = exact_ift_grad(chain, stack, x_T, target)
         _, g_rollout = rollout_backprop_grad(
             x_T, target, schedule, subsequence, predictor
         )
@@ -209,8 +208,8 @@ def test_criterion_5_eta_zero_collapse():
     )
 
     cfg = SolverConfig(method="anderson", max_iters=30, tol=1e-10)
-    res_none = solve_stack(x_T, schedule, subsequence, predictor, None, cfg)
-    res_zero = solve_stack(x_T, schedule, subsequence, predictor, zero_noise, cfg)
+    res_none = solve_stack(Chain(schedule, subsequence, predictor), x_T, cfg)
+    res_zero = solve_stack(Chain(schedule, subsequence, predictor, zero_noise), x_T, cfg)
     solver_ok = np.array_equal(res_none.states, res_zero.states) and (
         res_none.residuals == res_zero.residuals
     )
@@ -218,8 +217,9 @@ def test_criterion_5_eta_zero_collapse():
     target = sequential_rollout(x_T, schedule, subsequence, predictor)[-1]
     icfg = InversionConfig(epochs=40, lr=0.05, seed=3,
                            solver=SolverConfig(method="picard", max_iters=S + 2, tol=1e-12))
-    run_det = invert_deq(target, icfg, schedule, subsequence, predictor)
-    run_sto = invert_deq_stochastic(target, 0.0, icfg, schedule, subsequence, predictor)
+    pinned = draw_noise_stack(icfg.seed, S, D)
+    run_det = invert(target, icfg, Chain(schedule, subsequence, predictor))
+    run_sto = invert(target, icfg, Chain(schedule, subsequence, predictor, pinned))
     invert_ok = np.array_equal(run_det.x_T_hat, run_sto.x_T_hat) and (
         run_det.loss_trace == run_sto.loss_trace
     )
@@ -250,8 +250,9 @@ def test_criterion_6_self_inversion():
             epochs=400, lr=0.01, tau=0.1, stop_loss=1e-3, seed=seed,
             solver=SolverConfig(method="picard", max_iters=S + 2, tol=1e-12),
         )
-        run_deq = invert_deq(target, cfg, schedule, subsequence, predictor)
-        run_naive = invert_naive(target, cfg, schedule, subsequence, predictor)
+        chain = Chain(schedule, subsequence, predictor)
+        run_deq = invert(target, cfg, chain)
+        run_naive = invert(target, dataclasses.replace(cfg, gradient_mode="rollout"), chain)
         ok &= run_deq.best_loss <= 1e-3 and run_deq.epochs_run <= 400
         ok &= run_naive.epochs_run >= run_deq.epochs_run
         details.append(
@@ -280,7 +281,7 @@ def test_criterion_7_x_T_init_beats_zero_init():
         x_T = draw_x_T(seed, D)
         for kind in ("x_T", "zero"):
             cfg = SolverConfig(method="picard", max_iters=S + 2, tol=1e-8)
-            res = solve_stack(x_T, schedule, subsequence, predictor, None, cfg, kind)
+            res = solve_stack(Chain(schedule, subsequence, predictor), x_T, cfg, kind)
             assert res.converged
             iters[kind].append(res.iters)
     mean_x_T = float(np.mean(iters["x_T"]))
@@ -296,6 +297,9 @@ def test_criterion_7_x_T_init_beats_zero_init():
 def run_cli(*args):
     env = os.environ.copy()
     env.pop("PARSEQ_THREADS", None)
+    # The child imports the parseq this process imported, installed or not.
+    src = os.path.dirname(os.path.dirname(parseq.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "parseq", *[str(a) for a in args]],
         capture_output=True,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parseq import (
+    Chain,
     ConstantPredictor,
     DivergenceError,
     GaussianOptimalPredictor,
@@ -19,7 +20,6 @@ from parseq import (
     init_stack,
     make_linear_beta_schedule,
     random_mlp,
-    residual,
     select_subsequence,
     sequential_rollout,
 )
@@ -185,9 +185,9 @@ class TestHTilde:
         # T=1, alpha_bar=0.98, zero predictor, x_T=[1], zero stack:
         # the update returns 1/sqrt(0.98) and the residual equals it.
         sched = make_linear_beta_schedule(1, 0.02, 0.02)
-        g, norm = residual(
-            np.zeros((1, 1)), np.array([1.0]), sched, None, ZeroPredictor(1)
-        )
+        states = np.zeros((1, 1))
+        g = h_tilde(states, np.array([1.0]), sched, None, ZeroPredictor(1)) - states
+        norm = float(np.linalg.norm(g))
         assert g[0, 0] == pytest.approx(1.0 / math.sqrt(0.98), rel=1e-14)
         assert g[0, 0] == pytest.approx(1.0101525445522107, rel=1e-14)
         assert norm == pytest.approx(abs(g[0, 0]), rel=1e-15)
@@ -328,7 +328,7 @@ class TestHTilde:
 
         sub = select_subsequence(100, 3, "linear")
         with pytest.raises(DivergenceError):
-            sampling.solve_stack(np.ones(2), sched, sub, ExplodingPredictor(2),
+            sampling.solve_stack(Chain(sched, sub, ExplodingPredictor(2)), np.ones(2),
                                  cfg=SolverConfig(method=method))
 
 
@@ -512,9 +512,15 @@ class TestChainCoefficients:
         pred = random_mlp(3, [8], rng, t_max=100)
         x_T = rng.standard_normal(3)
         cfg = SolverConfig(method=method, max_iters=max_iters, tol=0.0)
-        result = sampling.solve_stack(x_T, sched, sub, pred, None, cfg)
-        assert result.iters == max_iters
+        pinned = Chain(sched, sub, pred)
         assert len(calls) == 1
+        result = sampling.solve_stack(pinned, x_T, cfg)
+        assert result.iters == max_iters
+        target = rng.standard_normal(3)
+        for grad in (gradients.exact_ift_grad, gradients.phantom_grad):
+            grad(pinned, result.states, x_T, target)
+        assert len(calls) == 1
+        # The per-call wrappers build a fresh chain each.
         seed_stack = np.zeros_like(result.states)
         seed_stack[-1] = 1.0
         _, deltas = gradients.adjoint_solve(
@@ -522,16 +528,36 @@ class TestChainCoefficients:
         )
         assert deltas == []
         assert len(calls) == 2
-        target = rng.standard_normal(3)
-        for grad in (gradients.exact_ift_grad, gradients.phantom_grad):
-            grad(result.states, x_T, target, sched, sub, pred)
         gradients.rollout_backprop_grad(x_T, target, sched, sub, pred)
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     def test_identity_subsequence_spans_chain(self, sched):
         coeffs = chain_coefficients(sched, identity_subsequence(100))
         assert coeffs.S == 100
         assert coeffs.taus[-1] == 100
+
+
+class TestChain:
+    def test_none_subsequence_is_the_full_chain(self, sched, gaussian):
+        full = Chain(sched, None, gaussian)
+        assert full.subsequence == identity_subsequence(100)
+        assert full.S == 100 and full.coeffs.taus[-1] == 100
+        assert full.noise is None
+
+    def test_noise_checked_against_S_and_predictor_dimension(self, sched, gaussian):
+        sub = select_subsequence(100, 4, "linear")
+        chain = Chain(sched, sub, gaussian, [[0.5] * 3] * 4)
+        assert chain.noise.dtype == np.float64 and chain.noise.shape == (4, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            chain.noise[0, 0] = 1.0
+        for shape in ((3, 3), (4, 2)):
+            with pytest.raises(ShapeError, match="noise shape"):
+                Chain(sched, sub, gaussian, np.zeros(shape))
+
+    def test_subsequence_beyond_T_is_rejected(self, gaussian):
+        short = make_linear_beta_schedule(50, 1e-4, 0.03)
+        with pytest.raises(ShapeError, match="beyond T=50"):
+            Chain(short, select_subsequence(100, 4, "linear"), gaussian)
 
 
 class TestInitStack:

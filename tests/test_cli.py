@@ -5,6 +5,7 @@ stderr, and the files on disk are exactly what a shell user would see.
 """
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -30,6 +31,9 @@ from parseq.stackio import read_stack, write_stack
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("PARSEQ_THREADS", None)
+    # The child imports the parseq this process imported, installed or not.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -359,15 +363,41 @@ class TestExitCodes:
             ([], {"PARSEQ_THREADS": "0"}),
             (["--mixing-beta", 0], None),
             (["--solver-tol", "nan"], None),
+            (["--ridge-lambda", "nan"], None),
+            (["--ridge-lambda", "inf"], None),
+            (["--eta", "nan"], None),
+            (["--eta", "inf"], None),
         ],
         ids=["threads-negative", "threads-zero", "D-zero", "env-threads-text",
-             "env-threads-zero", "mixing-beta-zero", "solver-tol-nan"],
+             "env-threads-zero", "mixing-beta-zero", "solver-tol-nan", "ridge-lambda-nan",
+             "ridge-lambda-inf", "eta-nan", "eta-inf"],
     )
     def test_bad_flag_values_are_usage_errors(self, flags, env, tmp_path):
         res = run_cli("sample", "--mode", "deq-anderson", "--predictor", "gaussian",
                       "--T", 10, *flags, "--out", tmp_path / "x", env_extra=env)
         assert res.returncode == 2
         assert "usage error" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lr", "nan"], ["--lr", "inf"], ["--stop-loss", "nan"], ["--stop-loss", "inf"],
+         ["--ridge-lambda", "nan"], ["--ridge-lambda", "inf"]],
+        ids=["lr-nan", "lr-inf", "stop-loss-nan", "stop-loss-inf", "ridge-lambda-nan",
+             "ridge-lambda-inf"],
+    )
+    def test_bad_invert_flag_values_are_usage_errors(self, flags, fixtures, tmp_path, capsys):
+        code = cli.main(["invert", "--target", str(fixtures["root"] / "target.stack"),
+                         "--predictor", "gaussian", "--D", "3", "--T", "10", "--epochs", "3",
+                         *flags, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_eta_above_one_stays_a_numeric_failure(self, capsys, tmp_path):
+        code = cli.main(["sample", "--predictor", "gaussian", "--T", "10", "--eta", "1.5",
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "negative radicand" in capsys.readouterr().err
 
     def test_divergent_weights_exit_numeric_failure(self, fixtures, tmp_path):
         root = fixtures["root"]
@@ -539,6 +569,96 @@ class TestInvert:
         run_b = json.loads((tmp_path / "b" / "run.json").read_text())
         assert run_a["config"]["grad"] == "exact"
         assert run_b["config"]["eta"] == 0.5
+
+
+#: SHA-256 of x_T_hat.stack, loss_trace.csv and run.json for each (method,
+#: grad, eta) of ``TestInvertBytes``, recorded while naive, deq and
+#: deq-stochastic inversion were three separate loops.
+INVERT_DIGESTS = {
+    ("naive", "phantom", "0"): (
+        "bd0810dafc16dbedeb5cb7fd6b2c7412c5b4ca67943d987e0494e474080e6435",
+        "0f86eafeacdbcad93ae97aa2a961c2941b3f391fb48e6aca4884c3cd3056e254",
+        "5afcbca0b095dd585d684d951e83511fc7a79484a1b29c056f4cf06f6fc1cee8",
+    ),
+    ("deq", "phantom", "0"): (
+        "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
+        "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
+        "12a19bf88103ad6b7296e2e7e98b8a33f29d126fe5626563bb9a9b21e3ad0fa1",
+    ),
+    ("deq", "exact", "0"): (
+        "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
+        "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
+        "ee7ce507304083ac4dae12ebd5453c0dcccf125f75ff1c9fdac351baf3687612",
+    ),
+    ("deq-stochastic", "phantom", "0"): (
+        "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
+        "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
+        "35f834198cd4e45e230d6f9a8d79663782bc7fdbb94e97f4bb2d59d87530e36a",
+    ),
+    ("deq-stochastic", "exact", "0"): (
+        "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
+        "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
+        "e74bf8890f5507dcce735e90e7c0af8fce66313d9b8f0a41218131f81312d9b5",
+    ),
+    ("deq-stochastic", "phantom", "1"): (
+        "d0bb233f64492fd216452b96607048795623cd6c4117066bf433c20dedb1f6ab",
+        "35b20c1d464d40660bbd006a16d4a9f5a22ab93cf06c15bd5ff6bb3bdf8276af",
+        "6e65f711b02078a4dd044698022e12ccdcadb0579a94ac70fa40c0fdbdf91e04",
+    ),
+    ("deq-stochastic", "exact", "1"): (
+        "9e36761968e0a6cc177a6adf2e4b9dd05716271d8231b23800cbf8a277f4c50a",
+        "e42eaa77f97e89de709177de84d38ea63e3f99e3f81728173bf964430bb96e46",
+        "46e779d05ac93c47c4ebf7bb8aa3c63f7a96aa2dad78dd19c5ad04fc8fe4f2f1",
+    ),
+}
+
+
+class TestInvertBytes:
+    """Every invert output on a small Gaussian chain, pinned to the bit.
+
+    The Gaussian predictor acts elementwise and the paths are relative, so
+    the bytes depend neither on BLAS nor on the temporary directory."""
+
+    def _invert(self, tmp_path, monkeypatch, method, grad, eta):
+        monkeypatch.chdir(tmp_path)
+        save_gaussian("g.json", np.array([0.5, -1.0, 0.25]), np.array([0.5, 2.0, 1.0]))
+        write_stack("target.stack", np.array([0.4, -1.2, 0.9]), 40, 0.0)
+        argv = ["invert", "--predictor", "gaussian:g.json", "--T", "40", "--S", "6",
+                "--eta", eta, "--seed", "5", "--threads", "1", "--target", "target.stack",
+                "--method", method, "--grad", grad, "--epochs", "30", "--lr", "0.1",
+                "--out", "out"]
+        assert cli.main(argv) == 0
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("method, grad, eta", list(INVERT_DIGESTS),
+                             ids=["-".join(key) for key in INVERT_DIGESTS])
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, method, grad, eta):
+        out = self._invert(tmp_path, monkeypatch, method, grad, eta)
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("x_T_hat.stack", "loss_trace.csv", "run.json"))
+        assert got == INVERT_DIGESTS[(method, grad, eta)]
+
+    @pytest.mark.parametrize("method", ["naive", "deq", "deq-stochastic"])
+    def test_builds_the_chain_coefficients_once(self, tmp_path, monkeypatch, method):
+        from parseq import chain, gradients, sampling
+
+        builds = []
+        build = chain.chain_coefficients
+        for module in (chain, sampling, gradients):
+            monkeypatch.setattr(module, "chain_coefficients",
+                                lambda *a: builds.append(1) or build(*a), raising=False)
+        out = self._invert(tmp_path, monkeypatch, method, "exact", "0")
+        assert json.loads((out / "run.json").read_text())["epochs_run"] == 30
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("eta", ["0", "1"])
+    def test_stochastic_method_pins_the_seeds_noise_stack(self, tmp_path, monkeypatch, eta):
+        chains = []
+        run = cli.invert
+        monkeypatch.setattr(cli, "invert", lambda t, cfg, c: chains.append(c) or run(t, cfg, c))
+        self._invert(tmp_path, monkeypatch, "deq-stochastic", "phantom", eta)
+        (chain,) = chains
+        assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
 
 
 def _valid_thread_count(text):

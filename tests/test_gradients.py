@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parseq import (
+    Chain,
     Adam,
     ConstantPredictor,
     DivergenceError,
@@ -14,7 +15,6 @@ from parseq import (
     ZeroPredictor,
     adjoint_solve,
     central_difference_grad,
-    chain_coefficients,
     exact_ift_grad,
     h_tilde,
     loss_and_seed,
@@ -39,7 +39,7 @@ def solved_case(S, D, seed, eta=0.0, hidden=12, T=60):
     x_T = rng.standard_normal(D)
     noise = rng.standard_normal((S, D)) if eta > 0 else None
     res = solve_stack(
-        x_T, sched, sub, pred, noise,
+        Chain(sched, sub, pred, noise), x_T,
         SolverConfig(method="picard", max_iters=S + 2, tol=1e-13),
     )
     target = rng.standard_normal(D)
@@ -105,7 +105,7 @@ class TestCentralDifference:
 class TestPhantomGrad:
     def test_zero_at_optimum(self):
         sched, sub, pred, x_T, _, stack, _ = solved_case(5, 2, 0)
-        loss, grad = phantom_grad(stack, x_T, stack[-1].copy(), sched, sub, pred)
+        loss, grad = phantom_grad(Chain(sched, sub, pred), stack, x_T, stack[-1].copy())
         assert loss <= 1e-20
         assert np.linalg.norm(grad) <= 1e-12
 
@@ -116,7 +116,7 @@ class TestPhantomGrad:
         target = np.array([0.1, 0.2])
         tau = 0.3
         loss, grad = phantom_grad(
-            stack, x_T, target, sched, None, ZeroPredictor(2), tau=tau
+            Chain(sched, None, ZeroPredictor(2)), stack, x_T, target, tau=tau
         )
         expected = tau * 2.0 * (stack[0] - target) / np.sqrt(0.98)
         np.testing.assert_allclose(grad, expected, rtol=1e-14)
@@ -131,7 +131,7 @@ class TestPhantomGrad:
                 np.array([0.4, -0.2]), np.array([1.2, 0.7]), sched
             )
             stack = solve_stack(
-                x_T, sched, sub, pred,
+                Chain(sched, sub, pred), x_T,
                 cfg=SolverConfig(method="picard", max_iters=7, tol=1e-13),
             ).states
         tau = 0.1
@@ -141,7 +141,7 @@ class TestPhantomGrad:
             r = y[-1] - target
             return float(r @ r)
 
-        _, grad = phantom_grad(stack, x_T, target, sched, sub, pred, tau=tau)
+        _, grad = phantom_grad(Chain(sched, sub, pred), stack, x_T, target, tau=tau)
         fd = central_difference_grad(one_step_loss, x_T)
         assert rel_err(grad, fd) < 1e-4
 
@@ -153,20 +153,20 @@ class TestPhantomGrad:
             r = y[-1] - target
             return float(r @ r)
 
-        _, grad = phantom_grad(stack, x_T, target, sched, sub, pred, noise, tau=0.1)
+        _, grad = phantom_grad(Chain(sched, sub, pred, noise), stack, x_T, target, tau=0.1)
         fd = central_difference_grad(one_step_loss, x_T)
         assert rel_err(grad, fd) < 1e-4
 
     def test_loss_value_is_damped_step_loss(self):
         sched, sub, pred, x_T, _, stack, target = solved_case(5, 2, 3)
-        loss, _ = phantom_grad(stack, x_T, target, sched, sub, pred, tau=0.1)
+        loss, _ = phantom_grad(Chain(sched, sub, pred), stack, x_T, target, tau=0.1)
         y = 0.1 * h_tilde(stack, x_T, sched, sub, pred) + 0.9 * stack
         assert loss == pytest.approx(float((y[-1] - target) @ (y[-1] - target)), rel=1e-12)
 
     def test_stack_not_mutated(self):
         sched, sub, pred, x_T, _, stack, target = solved_case(5, 2, 4)
         before = stack.copy()
-        phantom_grad(stack, x_T, target, sched, sub, pred)
+        phantom_grad(Chain(sched, sub, pred), stack, x_T, target)
         np.testing.assert_array_equal(stack, before)
 
     def test_non_finite_sweep_is_divergence(self):
@@ -176,7 +176,7 @@ class TestPhantomGrad:
 
         sched, sub, _, x_T, _, stack, target = solved_case(5, 2, 4)
         with pytest.raises(DivergenceError):
-            phantom_grad(stack, x_T, target, sched, sub, ExplodingPredictor(2))
+            phantom_grad(Chain(sched, sub, ExplodingPredictor(2)), stack, x_T, target)
 
 
 class CountingPredictor(NoisePredictor):
@@ -211,12 +211,11 @@ class TestAdjointSolve:
             ),
             "mlp": pred,
         }[kind]
-        coeffs = chain_coefficients(sched, sub)
         seed_stack = np.random.default_rng(S).standard_normal((S, 3))
         seed_stack[0] = seed_stack[-1] = -0.0
         v, deltas = adjoint_solve(stack, x_T, seed_stack, sched, sub, pred)
         assert deltas == []
-        pulled, _ = _sweep_vjp(coeffs, stack, x_T, pred, v)
+        pulled, _ = _sweep_vjp(Chain(sched, sub, pred), stack, x_T, v)
         expected = seed_stack + pulled
         if kind == "mlp":
             assert rel_err(v, expected) <= 1e-12
@@ -233,7 +232,7 @@ class TestAdjointSolve:
         assert counting.vjp_rows == [1] * (S - 1)
         assert counting.predict_rows == []
         counting.vjp_rows.clear()
-        exact_ift_grad(stack, x_T, target, sched, sub, counting)
+        exact_ift_grad(Chain(sched, sub, counting), stack, x_T, target)
         assert counting.vjp_rows == [1] * (S - 1) + [S]
         assert sum(counting.vjp_rows) == 2 * S - 1
         assert counting.predict_rows == []
@@ -245,7 +244,7 @@ class TestAdjointSolve:
 
         sched, sub, _, x_T, _, stack, target = solved_case(5, 2, 6)
         with pytest.raises(DivergenceError, match="adjoint"):
-            exact_ift_grad(stack, x_T, target, sched, sub, BrokenVjp(2))
+            exact_ift_grad(Chain(sched, sub, BrokenVjp(2)), stack, x_T, target)
 
 
 class TestExactIftGrad:
@@ -256,7 +255,7 @@ class TestExactIftGrad:
         x_T = np.array([0.8, -1.1])
         stack = sequential_rollout(x_T, sched, sub, pred)
         target = np.array([-0.3, 0.6])
-        _, grad = exact_ift_grad(stack, x_T, target, sched, sub, pred)
+        _, grad = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
         sqrt_aT = np.sqrt(sched.alpha_bar(40))
         expected = 2.0 * (stack[-1] - target) / sqrt_aT
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
@@ -271,7 +270,7 @@ class TestExactIftGrad:
                 np.array([-0.5, 0.3]), np.array([0.9, 1.4]), sched
             )
             stack = solve_stack(
-                x_T, sched, sub, pred,
+                Chain(sched, sub, pred), x_T,
                 cfg=SolverConfig(method="picard", max_iters=7, tol=1e-13),
             ).states
 
@@ -279,34 +278,34 @@ class TestExactIftGrad:
             r = sequential_rollout(xt, sched, sub, pred)[-1] - target
             return float(r @ r)
 
-        _, grad = exact_ift_grad(stack, x_T, target, sched, sub, pred)
+        _, grad = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
         fd = central_difference_grad(rollout_loss, x_T)
         assert rel_err(grad, fd) < 1e-3
 
     @pytest.mark.parametrize("S,D", [(1, 1), (5, 2), (25, 4)])
     def test_equals_rollout_backprop(self, S, D):
         sched, sub, pred, x_T, _, stack, target = solved_case(S, D, 8, T=100)
-        loss_i, grad_i = exact_ift_grad(stack, x_T, target, sched, sub, pred)
+        loss_i, grad_i = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
         loss_r, grad_r = rollout_backprop_grad(x_T, target, sched, sub, pred)
         assert loss_i == pytest.approx(loss_r, rel=1e-9)
         assert rel_err(grad_i, grad_r) < 1e-12
 
     def test_zero_at_optimum(self):
         sched, sub, pred, x_T, _, stack, _ = solved_case(5, 2, 9)
-        loss, grad = exact_ift_grad(stack, x_T, stack[-1].copy(), sched, sub, pred)
+        loss, grad = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, stack[-1].copy())
         assert loss <= 1e-20
         assert np.linalg.norm(grad) <= 1e-12
 
     def test_differs_from_phantom_in_general(self):
         sched, sub, pred, x_T, _, stack, target = solved_case(5, 2, 10)
-        _, g_exact = exact_ift_grad(stack, x_T, target, sched, sub, pred)
-        _, g_phantom = phantom_grad(stack, x_T, target, sched, sub, pred, tau=1.0)
+        _, g_exact = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
+        _, g_phantom = phantom_grad(Chain(sched, sub, pred), stack, x_T, target, tau=1.0)
         assert np.linalg.norm(g_exact - g_phantom) > 1e-6
 
     def test_stack_not_mutated(self):
         sched, sub, pred, x_T, _, stack, target = solved_case(5, 2, 11)
         before = stack.copy()
-        exact_ift_grad(stack, x_T, target, sched, sub, pred)
+        exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
         np.testing.assert_array_equal(stack, before)
 
 
@@ -346,7 +345,7 @@ class TestRolloutBackpropGrad:
     def test_single_step_equals_exact_ift(self):
         sched, sub, pred, x_T, _, stack, target = solved_case(1, 2, 14)
         _, grad_r = rollout_backprop_grad(x_T, target, sched, sub, pred)
-        _, grad_i = exact_ift_grad(stack, x_T, target, sched, sub, pred)
+        _, grad_i = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
         np.testing.assert_allclose(grad_r, grad_i, rtol=1e-10)
 
 

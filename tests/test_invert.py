@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from parseq import (
+    Chain,
     ConfigError,
     GaussianOptimalPredictor,
     InversionConfig,
     SolverConfig,
     ZeroPredictor,
-    frobenius_loss,
-    invert_deq,
-    invert_deq_stochastic,
-    invert_naive,
+    draw_noise_stack,
+    invert,
+    loss_and_seed,
     make_linear_beta_schedule,
     random_mlp,
     run_report,
@@ -31,17 +31,19 @@ def small_chain():
 
 
 class TestFrobeniusLoss:
+    """The reconstruction loss every inversion epoch reports."""
+
     def test_identical(self):
-        assert frobenius_loss(np.ones(4), np.ones(4)) == 0.0
+        assert loss_and_seed(np.ones(4), np.ones(4))[0] == 0.0
 
     def test_worked_value(self):
-        assert frobenius_loss(np.array([1.0, 2.0]), np.zeros(2)) == 5.0
+        assert loss_and_seed(np.array([1.0, 2.0]), np.zeros(2))[0] == 5.0
 
     def test_matches_elementwise_sum(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(100), rng.standard_normal(100)
         brute = sum((x - y) ** 2 for x, y in zip(a, b))
-        assert frobenius_loss(a, b) == pytest.approx(brute, rel=1e-12)
+        assert loss_and_seed(a, b)[0] == pytest.approx(brute, rel=1e-12)
 
 
 class TestConfig:
@@ -54,6 +56,10 @@ class TestConfig:
             dict(tau=0.0),
             dict(tau=1.5),
             dict(stop_loss=-1e-9),
+            dict(lr=float("nan")),
+            dict(lr=float("inf")),
+            dict(stop_loss=float("nan")),
+            dict(stop_loss=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
@@ -66,8 +72,10 @@ class TestInvertNaive:
         sched, sub = small_chain()
         x_T_true = stream(77, "x_T").standard_normal(2)
         target = sequential_rollout(x_T_true, sched, sub, ZeroPredictor(2))[-1]
-        run = invert_naive(
-            target, InversionConfig(epochs=200, lr=0.01, seed=2), sched, sub, ZeroPredictor(2)
+        run = invert(
+            target,
+            InversionConfig(epochs=200, lr=0.01, seed=2, gradient_mode="rollout"),
+            Chain(sched, sub, ZeroPredictor(2)),
         )
         assert np.linalg.norm(run.x_T_hat - x_T_true) <= 1e-3
 
@@ -77,8 +85,10 @@ class TestInvertNaive:
         pred = GaussianOptimalPredictor(np.full(8, 0.25), np.full(8, 1.5), sched)
         x_T_true = stream(21, "x_T").standard_normal(8)
         target = sequential_rollout(x_T_true, sched, sub, pred)[-1]
-        run = invert_naive(
-            target, InversionConfig(epochs=150, lr=0.01, seed=4), sched, sub, pred
+        run = invert(
+            target,
+            InversionConfig(epochs=150, lr=0.01, seed=4, gradient_mode="rollout"),
+            Chain(sched, sub, pred),
         )
         windows = np.array(run.loss_trace).reshape(15, 10).mean(axis=1)
         assert all(a > b for a, b in zip(windows, windows[1:]))
@@ -89,16 +99,15 @@ class TestInvertNaive:
         sched, sub = small_chain()
         noisy = dataclasses.replace(sched, eta=0.5)
         with pytest.raises(ConfigError, match="eta"):
-            invert_naive(np.zeros(2), InversionConfig(), noisy, sub, ZeroPredictor(2))
+            invert(np.zeros(2), InversionConfig(gradient_mode="rollout"),
+                   Chain(noisy, sub, ZeroPredictor(2)))
 
     def test_trace_bookkeeping(self):
         sched, sub = small_chain()
-        run = invert_naive(
+        run = invert(
             np.array([0.3, 0.1]),
-            InversionConfig(epochs=7, lr=0.01, seed=0),
-            sched,
-            sub,
-            ZeroPredictor(2),
+            InversionConfig(epochs=7, lr=0.01, seed=0, gradient_mode="rollout"),
+            Chain(sched, sub, ZeroPredictor(2)),
         )
         assert run.epochs_run == 7
         assert len(run.loss_trace) == 7
@@ -110,12 +119,10 @@ class TestInvertNaive:
         target = sequential_rollout(x_T_true, sched, sub, ZeroPredictor(2))[-1]
         # Seeded init == truth, so the very first loss is ~0 and the run
         # must stop at epoch 1 with the estimate untouched.
-        run = invert_naive(
+        run = invert(
             target,
-            InversionConfig(epochs=50, lr=0.01, seed=5, stop_loss=1e-12),
-            sched,
-            sub,
-            ZeroPredictor(2),
+            InversionConfig(epochs=50, lr=0.01, seed=5, stop_loss=1e-12, gradient_mode="rollout"),
+            Chain(sched, sub, ZeroPredictor(2)),
         )
         assert run.epochs_run == 1
         np.testing.assert_array_equal(run.x_T_hat, x_T_true)
@@ -125,12 +132,10 @@ class TestInvertDeq:
     def test_zero_predictor_closed_form(self):
         sched, sub = small_chain()
         x0_target = np.array([0.4, -0.9])
-        run = invert_deq(
+        run = invert(
             x0_target,
             InversionConfig(epochs=200, lr=0.01, seed=2, solver=PICARD),
-            sched,
-            sub,
-            ZeroPredictor(2),
+            Chain(sched, sub, ZeroPredictor(2)),
         )
         x_T_star = np.sqrt(sched.alpha_bar(40)) * x0_target
         assert np.linalg.norm(run.x_T_hat - x_T_star) <= 1e-3
@@ -141,10 +146,9 @@ class TestInvertDeq:
         x_T_true = stream(77, "x_T").standard_normal(2)
         target = sequential_rollout(x_T_true, sched, sub, pred)[-1]
         kwargs = dict(epochs=600, lr=0.01, seed=2, stop_loss=1e-4)
-        run_naive = invert_naive(target, InversionConfig(**kwargs), sched, sub, pred)
-        run_deq = invert_deq(
-            target, InversionConfig(solver=PICARD, **kwargs), sched, sub, pred
-        )
+        chain = Chain(sched, sub, pred)
+        run_naive = invert(target, InversionConfig(gradient_mode="rollout", **kwargs), chain)
+        run_deq = invert(target, InversionConfig(solver=PICARD, **kwargs), chain)
         assert run_naive.best_loss <= 1e-4
         assert run_deq.best_loss <= 1e-4
         assert run_deq.epochs_run <= run_naive.epochs_run
@@ -153,14 +157,14 @@ class TestInvertDeq:
         sched, sub = small_chain()
         noisy = dataclasses.replace(sched, eta=1.0)
         with pytest.raises(ConfigError, match="eta"):
-            invert_deq(np.zeros(2), InversionConfig(), noisy, sub, ZeroPredictor(2))
+            invert(np.zeros(2), InversionConfig(), Chain(noisy, sub, ZeroPredictor(2)))
 
     def test_same_seed_reproducible(self):
         sched, sub = small_chain()
         pred = GaussianOptimalPredictor(np.array([0.2, -0.1]), np.ones(2), sched)
         cfg = dict(epochs=30, lr=0.01, seed=9, solver=PICARD)
-        a = invert_deq(np.array([0.5, 0.5]), InversionConfig(**cfg), sched, sub, pred)
-        b = invert_deq(np.array([0.5, 0.5]), InversionConfig(**cfg), sched, sub, pred)
+        a = invert(np.array([0.5, 0.5]), InversionConfig(**cfg), Chain(sched, sub, pred))
+        b = invert(np.array([0.5, 0.5]), InversionConfig(**cfg), Chain(sched, sub, pred))
         assert a.loss_trace == b.loss_trace
         np.testing.assert_array_equal(a.x_T_hat, b.x_T_hat)
 
@@ -170,23 +174,18 @@ class TestInvertDeq:
         sched, sub = small_chain()
         pred = GaussianOptimalPredictor(np.array([0.1, 0.4]), np.ones(2), sched)
         base = dict(epochs=40, lr=0.01, seed=3, solver=PICARD)
-        warm = invert_deq(
-            np.array([0.2, 0.7]), InversionConfig(warm_start=True, **base), sched, sub, pred
-        )
-        cold = invert_deq(
-            np.array([0.2, 0.7]), InversionConfig(warm_start=False, **base), sched, sub, pred
-        )
+        chain = Chain(sched, sub, pred)
+        warm = invert(np.array([0.2, 0.7]), InversionConfig(warm_start=True, **base), chain)
+        cold = invert(np.array([0.2, 0.7]), InversionConfig(warm_start=False, **base), chain)
         np.testing.assert_allclose(warm.x_T_hat, cold.x_T_hat, rtol=0, atol=1e-9)
         np.testing.assert_allclose(warm.loss_trace, cold.loss_trace, rtol=1e-9, atol=1e-12)
 
     def test_solver_iters_recorded(self):
         sched, sub = small_chain()
-        run = invert_deq(
+        run = invert(
             np.array([0.1, 0.1]),
             InversionConfig(epochs=5, lr=0.01, seed=0, solver=PICARD),
-            sched,
-            sub,
-            ZeroPredictor(2),
+            Chain(sched, sub, ZeroPredictor(2)),
         )
         assert len(run.solver_iters) == run.epochs_run == 5
         assert all(i >= 1 for i in run.solver_iters)
@@ -206,7 +205,7 @@ class TestInvertDeq:
                 epochs=3000, lr=0.001, gradient_mode=mode, tau=0.1,
                 stop_loss=1e-4, seed=9, solver=solver,
             )
-            runs[mode] = invert_deq(target, cfg, sched, sub, pred)
+            runs[mode] = invert(target, cfg, Chain(sched, sub, pred))
         assert runs["exact_ift"].best_loss <= 1e-4
         assert runs["phantom"].best_loss <= 1e-4
         assert runs["exact_ift"].epochs_run <= runs["phantom"].epochs_run
@@ -223,7 +222,7 @@ class TestInvertDeq:
                 epochs=2000, lr=lr, gradient_mode=mode, tau=0.1,
                 stop_loss=1e-4, seed=9, solver=solver,
             )
-            return invert_deq(target, cfg, sched, sub, pred)
+            return invert(target, cfg, Chain(sched, sub, pred))
 
         exact = run("exact_ift", 0.001)
         phantom = run("phantom", 0.001)
@@ -239,11 +238,10 @@ class TestInvertDeqStochastic:
     def test_eta_zero_bit_identical_to_deterministic(self):
         sched, sub = small_chain()
         pred = GaussianOptimalPredictor(np.array([0.3, 0.0]), np.ones(2), sched)
-        cfg = dict(epochs=25, lr=0.01, seed=13, solver=PICARD)
-        det = invert_deq(np.array([0.4, -0.4]), InversionConfig(**cfg), sched, sub, pred)
-        sto = invert_deq_stochastic(
-            np.array([0.4, -0.4]), 0.0, InversionConfig(**cfg), sched, sub, pred
-        )
+        cfg = InversionConfig(epochs=25, lr=0.01, seed=13, solver=PICARD)
+        det = invert(np.array([0.4, -0.4]), cfg, Chain(sched, sub, pred))
+        pinned = Chain(sched, sub, pred, draw_noise_stack(13, sub.S, 2))
+        sto = invert(np.array([0.4, -0.4]), cfg, pinned)
         assert det.loss_trace == sto.loss_trace
         np.testing.assert_array_equal(det.x_T_hat, sto.x_T_hat)
 
@@ -257,13 +255,10 @@ class TestInvertDeqStochastic:
         known_noise = stream(seed, "noise_stack").standard_normal((sub.S, 2))
         noisy_sched = dataclasses.replace(sched, eta=1.0)
         target = sequential_rollout(x_T_true, noisy_sched, sub, pred, known_noise)[-1]
-        run = invert_deq_stochastic(
+        run = invert(
             target,
-            1.0,
             InversionConfig(epochs=800, lr=0.01, seed=seed, stop_loss=1e-6, solver=PICARD),
-            sched,
-            sub,
-            pred,
+            Chain(noisy_sched, sub, pred, known_noise),
         )
         assert run.best_loss <= 1e-6
         assert np.linalg.norm(run.x_T_hat - x_T_true) <= 5e-3
@@ -275,9 +270,10 @@ class TestInvertDeqStochastic:
         pred = GaussianOptimalPredictor(np.zeros(2), np.ones(2), sched)
         x_T_true = stream(77, "x_T").standard_normal(2)
         target = sequential_rollout(x_T_true, sched, sub, pred)[-1]
-        cfg = dict(epochs=400, lr=0.01, seed=5, solver=PICARD)
-        quiet = invert_deq_stochastic(target, 0.0, InversionConfig(**cfg), sched, sub, pred)
-        noisy = invert_deq_stochastic(target, 1.0, InversionConfig(**cfg), sched, sub, pred)
+        cfg = InversionConfig(epochs=400, lr=0.01, seed=5, solver=PICARD)
+        fresh = draw_noise_stack(5, sub.S, 2)
+        quiet = invert(target, cfg, Chain(sched, sub, pred, fresh))
+        noisy = invert(target, cfg, Chain(dataclasses.replace(sched, eta=1.0), sub, pred, fresh))
         assert noisy.best_loss > quiet.best_loss
         assert noisy.best_loss > 1e-3
 
@@ -285,12 +281,10 @@ class TestInvertDeqStochastic:
 class TestRunReport:
     def test_schema(self):
         sched, sub = small_chain()
-        run = invert_naive(
+        run = invert(
             np.array([0.2, 0.2]),
-            InversionConfig(epochs=3, lr=0.01, seed=0),
-            sched,
-            sub,
-            ZeroPredictor(2),
+            InversionConfig(epochs=3, lr=0.01, seed=0, gradient_mode="rollout"),
+            Chain(sched, sub, ZeroPredictor(2)),
         )
         report = run_report(run, {"method": "naive"}, "x_T_hat.stack")
         assert set(report) == {
@@ -311,10 +305,10 @@ class TestRunReport:
         sched, sub = small_chain()
         pred = GaussianOptimalPredictor(np.array([0.5, -0.5]), np.array([1.5, 0.8]), sched)
         solver = SolverConfig(max_iters=max_iters, tol=1e-9)
-        run = invert_deq(
+        run = invert(
             np.array([0.2, -0.1]),
             InversionConfig(epochs=4, lr=0.01, seed=0, solver=solver, warm_start=False),
-            sched, sub, pred,
+            Chain(sched, sub, pred),
         )
         report = run_report(run, {"method": "deq"}, "x_T_hat.stack")
         assert report["solver_converged"] == [converged] * 4
@@ -325,16 +319,12 @@ class TestRunReport:
         # The run object keeps one estimate and scalar traces only; no
         # per-epoch stacks or graphs accumulate.
         sched, sub = small_chain()
-        pred = ZeroPredictor(2)
-        short = invert_deq(
-            np.array([0.1, 0.3]),
-            InversionConfig(epochs=2, lr=0.01, seed=0, solver=PICARD),
-            sched, sub, pred,
+        chain = Chain(sched, sub, ZeroPredictor(2))
+        short = invert(
+            np.array([0.1, 0.3]), InversionConfig(epochs=2, lr=0.01, seed=0, solver=PICARD), chain
         )
-        long = invert_deq(
-            np.array([0.1, 0.3]),
-            InversionConfig(epochs=60, lr=0.01, seed=0, solver=PICARD),
-            sched, sub, pred,
+        long = invert(
+            np.array([0.1, 0.3]), InversionConfig(epochs=60, lr=0.01, seed=0, solver=PICARD), chain
         )
         assert long.x_T_hat.nbytes == short.x_T_hat.nbytes
         assert {k for k in vars(long)} == {

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parseq import (
+    Chain,
     ConfigError,
     DivergenceError,
     FixedPointResult,
@@ -62,6 +63,8 @@ class TestSolverConfig:
             dict(mixing_beta=0.0),
             dict(mixing_beta=-0.5),
             dict(mixing_beta=float("nan")),
+            dict(ridge_lambda=float("nan")),
+            dict(ridge_lambda=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
@@ -80,10 +83,8 @@ class TestPicard:
     def test_zero_predictor_chain_single_row(self):
         sched = make_linear_beta_schedule(1, 0.02, 0.02)
         res = solve_stack(
+            Chain(sched, None, ZeroPredictor(1)),
             np.array([1.0]),
-            sched,
-            None,
-            ZeroPredictor(1),
             cfg=SolverConfig(method="picard", max_iters=5, tol=1e-12),
         )
         assert res.converged
@@ -99,10 +100,8 @@ class TestPicard:
         x_T = rng.standard_normal(3)
         truth = sequential_rollout(x_T, sched, sub, pred)
         res = solve_stack(
+            Chain(sched, sub, pred),
             x_T,
-            sched,
-            sub,
-            pred,
             cfg=SolverConfig(method="picard", max_iters=5, tol=0.0),
         )
         assert not res.converged  # tol 0 is unreachable in the trace
@@ -127,10 +126,8 @@ class TestPicard:
         x_T = rng.standard_normal(2)
         init = rng.standard_normal((S, 2)) * 10
         res = solve_stack(
+            Chain(sched, sub, pred),
             x_T,
-            sched,
-            sub,
-            pred,
             init=init,
             cfg=SolverConfig(method="picard", max_iters=S, tol=1e-8),
         )
@@ -164,10 +161,8 @@ class TestPicard:
         rng = np.random.default_rng(seed)
         pred = random_mlp(3, [10], rng, t_max=120)
         res = solve_stack(
+            Chain(sched, sub, pred),
             rng.standard_normal(3),
-            sched,
-            sub,
-            pred,
             init=np.asarray(rng.standard_normal((S, 3)) * 5),
             cfg=SolverConfig(method="picard", max_iters=S + 1, tol=0.0),
         )
@@ -204,10 +199,9 @@ class TestAnderson:
             rng.normal(size=4), np.abs(rng.normal(size=4)) + 0.3, sched
         )
         x_T = rng.standard_normal(4)
-        res_a = solve_stack(x_T, sched, sub, pred, cfg=SolverConfig(max_iters=60, tol=1e-9))
-        res_p = solve_stack(
-            x_T, sched, sub, pred, cfg=SolverConfig(method="picard", max_iters=26, tol=1e-12)
-        )
+        chain = Chain(sched, sub, pred)
+        res_a = solve_stack(chain, x_T, cfg=SolverConfig(max_iters=60, tol=1e-9))
+        res_p = solve_stack(chain, x_T, cfg=SolverConfig(method="picard", max_iters=26, tol=1e-12))
         assert res_a.converged
         np.testing.assert_allclose(res_a.states, res_p.states, rtol=0, atol=1e-6)
 
@@ -218,7 +212,7 @@ class TestAnderson:
         pred = GaussianOptimalPredictor(np.zeros(3), np.ones(3), sched)
         noise = rng.standard_normal((50, 3))
         res = solve_stack(
-            rng.standard_normal(3), sched, sub, pred, noise, default_solver_config(1.0)
+            Chain(sched, sub, pred, noise), rng.standard_normal(3), default_solver_config(1.0)
         )
         assert res.converged
         assert res.iters <= 50
@@ -398,13 +392,13 @@ class TestDispatch:
         x_T = np.array([1.0, -1.0])
         for kind in ("x_T", "zero"):
             res = solve_stack(
-                x_T, sched, sub, pred, init=kind,
+                Chain(sched, sub, pred), x_T, init=kind,
                 cfg=SolverConfig(method="picard", max_iters=6, tol=1e-12),
             )
             assert res.converged
         init = init_stack(x_T, 4)
         res = solve_stack(
-            x_T, sched, sub, pred, init=init,
+            Chain(sched, sub, pred), x_T, init=init,
             cfg=SolverConfig(method="picard", max_iters=6, tol=1e-12),
         )
         assert res.converged

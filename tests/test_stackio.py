@@ -6,13 +6,9 @@ import pytest
 from parseq import (
     ParseError,
     ShapeError,
-    identity_subsequence,
     read_stack,
-    select_subsequence,
-    stack_t_labels,
     write_residual_csv,
     write_stack,
-    write_stack_csv,
     write_trace_csv,
 )
 
@@ -59,29 +55,6 @@ class TestBinaryStack:
 
 
 class TestCsvOutputs:
-    def test_t_labels_reverse_subsequence(self):
-        sub = select_subsequence(100, 4, "linear")
-        assert list(sub.indices) == [25, 50, 75, 100]
-        # row 0 sits just below x_T; the bottom row is the denoised state
-        assert stack_t_labels(sub) == [75, 50, 25, 0]
-
-    def test_t_labels_identity(self):
-        sub = identity_subsequence(3)
-        assert stack_t_labels(sub) == [2, 1, 0]
-
-    def test_stack_csv(self, tmp_path):
-        path = tmp_path / "stack.csv"
-        states = np.array([[1.0, 2.0], [3.0, 4.0]])
-        write_stack_csv(str(path), states, [5, 0])
-        rows = list(csv.reader(open(path, newline="")))
-        assert rows[0] == ["k", "t", "dim0", "dim1"]
-        assert rows[1] == ["0", "5", "1.0", "2.0"]
-        assert rows[2] == ["1", "0", "3.0", "4.0"]
-
-    def test_stack_csv_label_count_checked(self, tmp_path):
-        with pytest.raises(ShapeError):
-            write_stack_csv(str(tmp_path / "x.csv"), np.ones((3, 1)), [1, 0])
-
     def test_residual_csv_zero_indexed(self, tmp_path):
         path = tmp_path / "res.csv"
         write_residual_csv(str(path), [0.5, 0.125, 1e-9])
