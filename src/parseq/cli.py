@@ -42,21 +42,6 @@ from .stackio import read_stack, write_residual_csv, write_stack, write_trace_cs
 from .solvers import SolverConfig, default_solver_config
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("PARSEQ_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"PARSEQ_THREADS must be an integer, got {raw!r}") from None
-
-
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in str(text).split(",") if v]
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
-
-
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictor", default="zero",
                    help="zero | gaussian[:params.json] | mlp:weights.json")
@@ -69,10 +54,9 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--D", type=int, default=2,
                    help="state dimension for predictors without a file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="thread count, recorded in the manifest; every run is "
-                        "single-threaded and its outputs do not depend on it "
-                        "(default: PARSEQ_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="thread count (>= 1), recorded in the manifest; every run "
+                        "is single-threaded and its outputs do not depend on it")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -80,7 +64,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget (default 15, or 50 when eta > 0)")
     p.add_argument("--solver-tol", type=float, default=1e-3)
     p.add_argument("--history-m", type=int, default=5)
-    p.add_argument("--mixing-beta", type=float, default=1.0)
     p.add_argument("--ridge-lambda", type=float, default=1e-4)
     p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
                    help="stack initialization for the fixed-point solve")
@@ -132,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--S-list", default="5,25,100",
                    help="comma-separated subsequence lengths")
-    p.add_argument("--threads-list", default="1,2,8",
-                   help="comma-separated thread counts, one deq row each "
-                        "(recorded only, as --threads)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -167,11 +147,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _resolved_args(ns: argparse.Namespace) -> dict:
     args = {k: v for k, v in vars(ns).items() if k != "func"}
-    if "threads" in args:
-        if args["threads"] is None:
-            args["threads"] = _default_threads()
-        if args["threads"] < 1:
-            raise ConfigError(f"thread count must be >= 1, got {args['threads']}")
+    if args.get("threads", 1) < 1:
+        raise ConfigError(f"thread count must be >= 1, got {args['threads']}")
     return args
 
 
@@ -214,7 +191,6 @@ def _solver_config(args: dict, method: str) -> SolverConfig:
         max_iters=max_iters,
         tol=args["solver_tol"],
         history_m=args["history_m"],
-        mixing_beta=args["mixing_beta"],
         ridge_lambda=args["ridge_lambda"],
     )
 
@@ -304,6 +280,8 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--method {args['method']} requires --eta 0")
     chain = _build_chain(args)
     target_states, _, _ = read_stack(args["target"])
+    if len(target_states) == 0:
+        raise ParseError(f"target stack {args['target']} holds no rows")
     target = target_states[-1]
     if target.size != chain.predictor.dim:
         raise ShapeError(
@@ -372,10 +350,14 @@ def cmd_trace(ns: argparse.Namespace) -> int:
 def cmd_bench(ns: argparse.Namespace) -> int:
     args = _resolved_args(ns)
     t0 = time.perf_counter()
-    s_values = _int_list(args["S_list"], "--S-list")
-    thread_values = _int_list(args["threads_list"], "--threads-list")
-    if any(n < 1 for n in thread_values):
-        raise ConfigError(f"--threads-list entries must be >= 1, got {args['threads_list']!r}")
+    try:
+        s_values = [int(v) for v in str(args["S_list"]).split(",") if v]
+    except ValueError:
+        raise ConfigError(
+            f"--S-list must be comma-separated integers, got {args['S_list']!r}"
+        ) from None
+    if not s_values:
+        raise ConfigError("--S-list must name at least one subsequence length")
     rows = []
     for S in s_values:
         run_args = dict(args, S=S, subseq=args["subseq"] or "linear")
@@ -384,20 +366,18 @@ def cmd_bench(ns: argparse.Namespace) -> int:
 
         t1 = time.perf_counter()
         _rollout(chain, x_T)
-        rows.append(["sequential", S, 1, (time.perf_counter() - t1) * 1000.0, chain.S])
+        rows.append(["sequential", S, (time.perf_counter() - t1) * 1000.0, chain.S])
 
-        for threads in thread_values:
-            t1 = time.perf_counter()
-            result = solve_stack(chain, x_T, _solver_config(run_args, "anderson"), args["init"])
-            wall = (time.perf_counter() - t1) * 1000.0
-            rows.append(["deq-anderson", S, threads, wall, result.iters])
+        t1 = time.perf_counter()
+        result = solve_stack(chain, x_T, _solver_config(run_args, "anderson"), args["init"])
+        rows.append(["deq-anderson", S, (time.perf_counter() - t1) * 1000.0, result.iters])
 
     os.makedirs(args["out"], exist_ok=True)
     with open(os.path.join(args["out"], "bench.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["mode", "S", "threads", "wall_ms", "iters"])
-        for mode, S, threads, wall, iters in rows:
-            writer.writerow([mode, S, threads, f"{wall:.3f}", iters])
+        writer.writerow(["mode", "S", "wall_ms", "iters"])
+        for mode, S, wall, iters in rows:
+            writer.writerow([mode, S, f"{wall:.3f}", iters])
     timings = {"total": (time.perf_counter() - t0) * 1000.0}
     _write_manifest(args["out"], "bench", args, ["bench.csv"], timings)
     return 0

@@ -330,18 +330,13 @@ def _parse_mlp(payload: dict) -> tuple:
     return tuple(checked.widths), _read_only(checked.weights), _read_only(checked.biases)
 
 
-def load_mlp(path: str, t_max: int = 1000, expect_dim: int | None = None) -> MlpPredictor:
+def load_mlp(path: str, t_max: int = 1000) -> MlpPredictor:
     """Load an MLP weight file; reload is bit-identical to what was saved.
 
     Every call returns a new predictor; its weight arrays are read-only and
     shared with every other load of the same file content."""
     widths, weights, biases = _memoised(path, "mlp weight file", _parse_mlp)
-    predictor = MlpPredictor(widths, weights, biases, t_max=t_max)
-    if expect_dim is not None and predictor.dim != expect_dim:
-        raise SchemaError(
-            f"mlp operates on dimension {predictor.dim}, run requested {expect_dim}"
-        )
-    return predictor
+    return MlpPredictor(widths, weights, biases, t_max=t_max)
 
 
 def save_gaussian(path: str, mu: np.ndarray, var: np.ndarray) -> None:
@@ -358,8 +353,8 @@ def _parse_gaussian(payload: dict) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"gaussian file missing field '{field}'")
     mu = _float_array(payload["mu"], "gaussian mu")
     var = _float_array(payload["var"], "gaussian var")
-    if mu.ndim != 1 or var.shape != mu.shape:
-        raise SchemaError("mu and var must be equal-length lists")
+    if mu.ndim != 1 or var.shape != mu.shape or mu.size == 0:
+        raise SchemaError("mu and var must be non-empty equal-length lists")
     return _read_only([mu, var])
 
 

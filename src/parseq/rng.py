@@ -12,13 +12,11 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Registry of stream labels. New purposes are appended, never renumbered,
-# so existing streams stay stable as the package grows.
+# Registry of stream labels. New purposes are appended and retired ones
+# leave a gap, never a renumbering, so existing streams stay stable.
 _PURPOSES = {
     "x_T": 0,
     "noise_stack": 1,
-    "stack_init": 2,
-    "mlp_init": 3,
     "target": 4,
     "scratch": 5,
 }
@@ -28,8 +26,11 @@ def stream(seed: int, purpose: str, counter: int = 0) -> np.random.Generator:
     """Return the generator for (seed, purpose, counter).
 
     The triple is fed to a SeedSequence, so streams for distinct purposes
-    or counters are statistically independent and reproducible.
+    or counters are statistically independent and reproducible.  A
+    negative seed is a configuration error.
     """
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if purpose not in _PURPOSES:
         raise ConfigError(f"unknown rng purpose '{purpose}'; known: {sorted(_PURPOSES)}")
     ss = np.random.SeedSequence([int(seed), _PURPOSES[purpose], int(counter)])

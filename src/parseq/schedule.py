@@ -69,8 +69,6 @@ class DiffusionSchedule:
 
     betas: np.ndarray
     alpha_bars: np.ndarray
-    beta_start: float
-    beta_end: float
     eta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -109,18 +107,6 @@ class DiffusionSchedule:
             raise IndexError(f"timestep {t} outside [0, {self.T}]")
         return float(self.alpha_bars[t - 1])
 
-    def sigma(self, t: int, t_prev: int | None = None) -> float:
-        """Noise scale of the transition from t down to t_prev (default t-1)."""
-        if t_prev is None:
-            t_prev = t - 1
-        return sigma_for_pair(self.alpha_bar(t_prev), self.alpha_bar(t), self.eta)
-
-    def c1(self, t: int, t_prev: int | None = None) -> float:
-        """Predicted-noise coefficient of the transition from t to t_prev."""
-        if t_prev is None:
-            t_prev = t - 1
-        return c1_for_pair(self.alpha_bar(t_prev), self.alpha_bar(t), self.eta)
-
 
 def make_linear_beta_schedule(
     T: int,
@@ -140,27 +126,18 @@ def make_linear_beta_schedule(
         raise ConfigError(f"beta_end must be < 1, got {beta_end}")
     betas = np.linspace(beta_start, beta_end, T)
     alpha_bars = np.cumprod(1.0 - betas)
-    return DiffusionSchedule(
-        betas=betas,
-        alpha_bars=alpha_bars,
-        beta_start=float(beta_start),
-        beta_end=float(beta_end),
-        eta=float(eta),
-    )
+    return DiffusionSchedule(betas=betas, alpha_bars=alpha_bars, eta=float(eta))
 
 
 @dataclass(frozen=True)
 class TimestepSubsequence:
     """Strictly increasing selection of natural timesteps ending at <= T.
 
-    ``requested_S`` keeps the length asked of select_subsequence; the
-    quadratic rule may dedupe to fewer, and round-tripping a config needs
-    the original request, not the deduped length.
+    Only the indices are kept: ``S`` is their count, which the quadratic
+    rule of select_subsequence may leave below the length it was asked for.
     """
 
     indices: tuple[int, ...]
-    kind: str
-    requested_S: int
 
     def __post_init__(self) -> None:
         if len(self.indices) == 0:
@@ -195,11 +172,9 @@ def select_subsequence(T: int, S: int, kind: str = "linear") -> TimestepSubseque
     for tau in raw:
         if not deduped or tau > deduped[-1]:
             deduped.append(tau)
-    return TimestepSubsequence(indices=tuple(deduped), kind=kind, requested_S=S)
+    return TimestepSubsequence(indices=tuple(deduped))
 
 
 def identity_subsequence(T: int) -> TimestepSubsequence:
     """The full chain 1..T as a subsequence."""
-    return TimestepSubsequence(
-        indices=tuple(range(1, T + 1)), kind="linear", requested_S=T
-    )
+    return TimestepSubsequence(indices=tuple(range(1, T + 1)))

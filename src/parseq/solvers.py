@@ -4,9 +4,9 @@ Both solvers treat the map as a black box g = step_map(x) over an ndarray
 of any shape and record the residual ||g - x|| (flattened l2) once per
 iteration, 0-indexed.  ``picard_solve`` is plain repeated substitution; on
 the sampling chain its strictly triangular structure makes the S-th
-iterate exact.  ``anderson_solve`` extrapolates over a sliding window of
-m previous (iterate, output) pairs and typically needs far fewer
-evaluations than the spectral radius of the map would suggest.
+iterate exact.  ``anderson_solve`` mixes the map outputs of a sliding
+window of the last m iterations and typically needs far fewer evaluations
+than the spectral radius of the map would suggest.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class SolverConfig:
     max_iters: int = 15
     tol: float = 1e-3
     history_m: int = 5
-    mixing_beta: float = 1.0
     ridge_lambda: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -38,16 +37,14 @@ class SolverConfig:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.history_m < 1:
             raise ConfigError(f"history_m must be >= 1, got {self.history_m}")
-        if not (math.isfinite(self.mixing_beta) and self.mixing_beta > 0.0):
-            raise ConfigError(f"mixing_beta must be finite and > 0, got {self.mixing_beta}")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0.0):
             raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
 
 
-def default_solver_config(eta: float, method: str = "anderson") -> SolverConfig:
-    """Stock settings: 15 iterations suffice for deterministic chains,
-    stochastic ones get 50."""
-    return SolverConfig(method=method, max_iters=15 if eta == 0.0 else 50)
+def default_solver_config(eta: float) -> SolverConfig:
+    """Stock Anderson settings: 15 iterations suffice for deterministic
+    chains, stochastic ones get 50."""
+    return SolverConfig(max_iters=15 if eta == 0.0 else 50)
 
 
 @dataclass
@@ -126,31 +123,32 @@ def _grown(ring: np.ndarray, rows: int, size: int) -> np.ndarray:
 
 
 def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
-    """Anderson-accelerated fixed-point iteration with ridge regularization.
+    """Undamped Anderson-accelerated fixed-point iteration with ridge
+    regularization.
 
-    Keeps the last min(m, n) iterate/output pairs, solves the small ridge
-    system for mixing weights, and proposes
+    Keeps the residuals and map outputs of the last min(m, n) iterations
+    (m = ``cfg.history_m``), solves the small ridge system (weight
+    ``cfg.ridge_lambda``) for mixing weights gamma, and proposes
 
-        x+ = (1 - beta) sum_j gamma_j X_j + beta sum_j gamma_j G_j.
+        x+ = sum_j gamma_j G_j.
 
-    A failed weight solve falls back to the newest pair (a damped Picard
+    A failed weight solve falls back to the newest output (a plain Picard
     step) and is counted in ``picard_fallbacks``.
     """
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
-    # History rings of the last m (iterate, output, residual) rows.  Each
-    # row is written twice, at slot and slot + size, so the newest k rows
-    # are always the contiguous, oldest-first slice [start, start + k).  A
-    # long window starts small and doubles as it fills, so memory follows
-    # the iterations actually run.
+    # History rings of the last m (output, residual) rows.  Each row is
+    # written twice, at slot and slot + size, so the newest k rows are
+    # always the contiguous, oldest-first slice [start, start + k).  A long
+    # window starts small and doubles as it fills, so memory follows the
+    # iterations actually run.
     m = min(cfg.history_m, cfg.max_iters)
     size = min(m, 16)
-    X, G, F = (np.empty((2 * size, x.size)) for _ in range(3))
+    G, F = (np.empty((2 * size, x.size)) for _ in range(2))
     stored = 0
     residuals: list[float] = []
     fallbacks = 0
     converged = False
-    beta = cfg.mixing_beta
     for it in range(cfg.max_iters):
         g = _checked_step(step_map, x, it)
         f = (g - x).ravel()
@@ -163,20 +161,20 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
         if stored == size < m:
             # Nothing has wrapped yet: the history is rows [0, size) in order.
             size = min(2 * size, m)
-            X, G, F = (_grown(ring, stored, size) for ring in (X, G, F))
+            G, F = (_grown(ring, stored, size) for ring in (G, F))
         slot = stored % size
-        for ring, row in ((X, x.ravel()), (G, g.ravel()), (F, f)):
+        for ring, row in ((G, g.ravel()), (F, f)):
             ring[slot] = ring[slot + size] = row
         stored += 1
         k = min(stored, size)
         start = (stored - k) % size
-        Xw, Gw, Fw = X[start:start + k], G[start:start + k], F[start:start + k]
-        gamma = _anderson_gamma(Fw, cfg.ridge_lambda)
+        Gw = G[start:start + k]
+        gamma = _anderson_gamma(F[start:start + k], cfg.ridge_lambda)
         if gamma is None:
             fallbacks += 1
-            nxt = (1.0 - beta) * Xw[-1] + beta * Gw[-1]
+            nxt = Gw[-1].copy()
         else:
-            nxt = (1.0 - beta) * (gamma @ Xw) + beta * (gamma @ Gw)
+            nxt = gamma @ Gw
         x = nxt.reshape(shape)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")

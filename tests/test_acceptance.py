@@ -296,7 +296,6 @@ def test_criterion_7_x_T_init_beats_zero_init():
 
 def run_cli(*args):
     env = os.environ.copy()
-    env.pop("PARSEQ_THREADS", None)
     # The child imports the parseq this process imported, installed or not.
     src = os.path.dirname(os.path.dirname(parseq.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -352,15 +351,17 @@ def test_criterion_9_bench_report(tmp_path):
     out = tmp_path / "bench"
     res = run_cli(
         "bench", "--predictor", f"mlp:{weights}", "--T", 60,
-        "--S-list", "5,25,50", "--threads-list", "1,2,8", "--out", out,
+        "--S-list", "5,25,50", "--out", out,
     )
     ok = res.returncode == 0
     table = (out / "bench.csv").read_text().strip().splitlines()
     header, body = table[0], table[1:]
-    ok &= header == "mode,S,threads,wall_ms,iters"
-    ok &= len(body) == 3 * (1 + 3)
+    ok &= header == "mode,S,wall_ms,iters"
+    ok &= [tuple(line.split(",")[:2]) for line in body] == [
+        (mode, S) for S in ("5", "25", "50") for mode in ("sequential", "deq-anderson")
+    ]
     for line in body:
-        mode, S, threads, wall_ms, iters = line.split(",")
+        mode, S, wall_ms, iters = line.split(",")
         ok &= float(wall_ms) > 0.0
         ok &= int(iters) <= (15 if mode == "deq-anderson" else int(S))
     report(

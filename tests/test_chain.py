@@ -130,7 +130,8 @@ class TestDdimStep:
         p = ZeroPredictor(1)
         base = ddim_step(x, 5, sched, p, eps_t=None)
         noisy = ddim_step(x, 5, sched, p, eps_t=eps)
-        assert noisy[0] - base[0] == pytest.approx(2.0 * sched.sigma(5), rel=1e-13)
+        sigma = sigma_for_pair(sched.alpha_bar(4), sched.alpha_bar(5), 1.0)
+        assert noisy[0] - base[0] == pytest.approx(2.0 * sigma, rel=1e-13)
 
 
 class TestSequentialRollout:

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 from collections import OrderedDict
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,14 +27,11 @@ from parseq.schedule import make_linear_beta_schedule
 from parseq.stackio import read_stack, write_stack
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = os.environ.copy()
-    env.pop("PARSEQ_THREADS", None)
     # The child imports the parseq this process imported, installed or not.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "parseq", *[str(a) for a in args]],
         capture_output=True,
@@ -129,14 +125,14 @@ class TestSample:
         assert chain_T == 20 and eta == 0.0
         assert np.array_equal(stack[-1], x0[0])
 
-    def test_threads_default_comes_from_env(self, fixtures, tmp_path):
-        res = run_cli(
-            "sample", "--predictor", "zero", "--T", 3, "--out", tmp_path / "run",
-            env_extra={"PARSEQ_THREADS": "4"},
-        )
-        assert res.returncode == 0
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["args"]["threads"] == 4
+    def test_threads_default_to_one_and_are_recorded(self, tmp_path):
+        for flags, out in (([], "default"), (["--threads", 3], "three")):
+            res = run_cli("sample", "--predictor", "zero", "--T", 3, *flags,
+                          "--out", tmp_path / out)
+            assert res.returncode == 0
+        recorded = [json.loads((tmp_path / out / "manifest.json").read_text())["args"]["threads"]
+                    for out in ("default", "three")]
+        assert recorded == [1, 3]
 
     def test_manifest_records_the_solve(self, fixtures, tmp_path):
         # A budget too small to converge still exits 0, and the manifest
@@ -219,9 +215,10 @@ class TestManifestRerun:
             lambda m: {**m, "args": {**m["args"], "eta": "0.5"}},
             lambda m: {**m, "args": {**m["args"], "mode": "deq-newton"}},
             lambda m: {**m, "args": {**m["args"], "save_stack": 1}},
+            lambda m: {**m, "args": {**m["args"], "mixing_beta": 1.0}},
         ],
         ids=["number", "list", "args-list", "command-list", "missing-key", "unknown-key",
-             "T-text", "eta-text", "mode-unknown", "save_stack-number"],
+             "T-text", "eta-text", "mode-unknown", "save_stack-number", "retired-mixing-beta"],
     )
     def test_rerun_rejects_malformed_manifest(self, edit, tmp_path, capsys):
         ns = cli.build_parser().parse_args(["sample", "--out", str(tmp_path / "run")])
@@ -326,6 +323,7 @@ class TestExitCodes:
             ("gaussian", [0.0, 1.0]),
             ("gaussian", {"mu": [0, 0], "var": "ab"}),
             ("gaussian", {"mu": {"a": 1}, "var": [1.0]}),
+            ("gaussian", {"mu": [], "var": []}),
             ("mlp", "weights"),
             ("mlp", {"widths": [3, "a", 2], "weights": [], "biases": [],
                      "time_embed": "scalar_append"}),
@@ -336,7 +334,7 @@ class TestExitCodes:
             ("mlp", {"widths": [3, 2], "weights": [[0] * 6], "biases": [[0, "b"]],
                      "time_embed": "scalar_append"}),
         ],
-        ids=["gauss-number", "gauss-list", "gauss-text-var", "gauss-object-mu",
+        ids=["gauss-number", "gauss-list", "gauss-text-var", "gauss-object-mu", "gauss-empty",
              "mlp-text", "mlp-text-width", "mlp-number-widths", "mlp-text-weight",
              "mlp-text-bias"],
     )
@@ -353,28 +351,51 @@ class TestExitCodes:
                       "--T", 20, "--predictor", "zero", "--out", tmp_path / "x")
         assert res.returncode == 4
 
+    def test_zero_row_target_is_parse_error(self, tmp_path, capsys):
+        write_stack(tmp_path / "empty.stack", np.zeros((0, 3)), 20, 0.0)
+        code = cli.main(["invert", "--target", str(tmp_path / "empty.stack"), "--T", "20",
+                         "--predictor", "gaussian", "--D", "3", "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert "holds no rows" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "trace", "invert", "bench"])
+    def test_negative_seed_is_usage_error(self, command, fixtures, tmp_path, capsys):
+        extra = {"invert": ["--target", str(fixtures["root"] / "target.stack"), "--D", "3"],
+                 "bench": ["--S-list", "2,5"]}.get(command, [])
+        code = cli.main([command, "--predictor", "gaussian", "--T", "10", "--seed", "-1",
+                         *extra, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("s_list", ["", ","])
+    def test_empty_s_list_is_usage_error(self, s_list, tmp_path, capsys):
+        code = cli.main(["bench", "--predictor", "zero", "--T", "10", "--S-list", s_list,
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--S-list" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
-        "flags, env",
+        "flags",
         [
-            (["--threads", -3], None),
-            (["--threads", 0], None),
-            (["--D", 0], None),
-            ([], {"PARSEQ_THREADS": "abc"}),
-            ([], {"PARSEQ_THREADS": "0"}),
-            (["--mixing-beta", 0], None),
-            (["--solver-tol", "nan"], None),
-            (["--ridge-lambda", "nan"], None),
-            (["--ridge-lambda", "inf"], None),
-            (["--eta", "nan"], None),
-            (["--eta", "inf"], None),
+            ["--threads", -3],
+            ["--threads", 0],
+            ["--D", 0],
+            ["--history-m", 0],
+            ["--solver-tol", "nan"],
+            ["--ridge-lambda", "nan"],
+            ["--ridge-lambda", "inf"],
+            ["--eta", "nan"],
+            ["--eta", "inf"],
         ],
-        ids=["threads-negative", "threads-zero", "D-zero", "env-threads-text",
-             "env-threads-zero", "mixing-beta-zero", "solver-tol-nan", "ridge-lambda-nan",
-             "ridge-lambda-inf", "eta-nan", "eta-inf"],
+        ids=["threads-negative", "threads-zero", "D-zero", "history-m-zero", "solver-tol-nan",
+             "ridge-lambda-nan", "ridge-lambda-inf", "eta-nan", "eta-inf"],
     )
-    def test_bad_flag_values_are_usage_errors(self, flags, env, tmp_path):
+    def test_bad_flag_values_are_usage_errors(self, flags, tmp_path):
         res = run_cli("sample", "--mode", "deq-anderson", "--predictor", "gaussian",
-                      "--T", 10, *flags, "--out", tmp_path / "x", env_extra=env)
+                      "--T", 10, *flags, "--out", tmp_path / "x")
         assert res.returncode == 2
         assert "usage error" in res.stderr and "Traceback" not in res.stderr
 
@@ -465,25 +486,22 @@ class TestBench:
     def test_report_covers_every_combination(self, fixtures, tmp_path):
         root = fixtures["root"]
         res = run_cli("bench", "--predictor", f"mlp:{root / 'mlp.json'}",
-                      "--T", 30, "--S-list", "5,10", "--threads-list", "1,2",
-                      "--out", tmp_path / "bench")
+                      "--T", 30, "--S-list", "5,10", "--out", tmp_path / "bench")
         assert res.returncode == 0
         with open(tmp_path / "bench" / "bench.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["mode", "S", "threads", "wall_ms", "iters"]
+        assert rows[0] == ["mode", "S", "wall_ms", "iters"]
         body = rows[1:]
-        assert len(body) == 2 * (1 + 2)
-        assert {(r[0], r[1], r[2]) for r in body} == {
-            ("sequential", "5", "1"), ("deq-anderson", "5", "1"),
-            ("deq-anderson", "5", "2"), ("sequential", "10", "1"),
-            ("deq-anderson", "10", "1"), ("deq-anderson", "10", "2"),
-        }
+        assert [(r[0], r[1]) for r in body] == [
+            ("sequential", "5"), ("deq-anderson", "5"),
+            ("sequential", "10"), ("deq-anderson", "10"),
+        ]
         for r in body:
-            assert float(r[3]) > 0.0
+            assert float(r[2]) > 0.0
             if r[0] == "deq-anderson":
-                assert int(r[4]) <= 15
+                assert int(r[3]) <= 15
             else:
-                assert int(r[4]) == int(r[1])
+                assert int(r[3]) == int(r[1])
 
 
 class TestEvalW2:
@@ -578,37 +596,37 @@ INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
         "bd0810dafc16dbedeb5cb7fd6b2c7412c5b4ca67943d987e0494e474080e6435",
         "0f86eafeacdbcad93ae97aa2a961c2941b3f391fb48e6aca4884c3cd3056e254",
-        "5afcbca0b095dd585d684d951e83511fc7a79484a1b29c056f4cf06f6fc1cee8",
+        "1ad98c952662177a86cb0b747ac822c85044b1de3686b118fb1681856fb025d3",
     ),
     ("deq", "phantom", "0"): (
         "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
         "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
-        "12a19bf88103ad6b7296e2e7e98b8a33f29d126fe5626563bb9a9b21e3ad0fa1",
+        "3109a6b81d61d96c0e0a1f8314bd8cdbbcd36a6cae076098b893a4fc587426cd",
     ),
     ("deq", "exact", "0"): (
         "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
         "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
-        "ee7ce507304083ac4dae12ebd5453c0dcccf125f75ff1c9fdac351baf3687612",
+        "1995f6f7e7a8feb4d67d5f7477117b16e2a5af98e6770ef6c91efa3d1691fbf7",
     ),
     ("deq-stochastic", "phantom", "0"): (
         "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
         "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
-        "35f834198cd4e45e230d6f9a8d79663782bc7fdbb94e97f4bb2d59d87530e36a",
+        "45aa33b2542fed4243ba0177c4970f32f15a1bbf3c15dc360777870e6ecbad88",
     ),
     ("deq-stochastic", "exact", "0"): (
         "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
         "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
-        "e74bf8890f5507dcce735e90e7c0af8fce66313d9b8f0a41218131f81312d9b5",
+        "ff75f4d823be4c5c5a9de90bc5a3143adb9c152454754054ac22d4cfc58af80b",
     ),
     ("deq-stochastic", "phantom", "1"): (
         "d0bb233f64492fd216452b96607048795623cd6c4117066bf433c20dedb1f6ab",
         "35b20c1d464d40660bbd006a16d4a9f5a22ab93cf06c15bd5ff6bb3bdf8276af",
-        "6e65f711b02078a4dd044698022e12ccdcadb0579a94ac70fa40c0fdbdf91e04",
+        "bc3549711cfdeee9be632cbebdc9c60c737bb472bfb993d514892fe435431c05",
     ),
     ("deq-stochastic", "exact", "1"): (
         "9e36761968e0a6cc177a6adf2e4b9dd05716271d8231b23800cbf8a277f4c50a",
         "e42eaa77f97e89de709177de84d38ea63e3f99e3f81728173bf964430bb96e46",
-        "46e779d05ac93c47c4ebf7bb8aa3c63f7a96aa2dad78dd19c5ad04fc8fe4f2f1",
+        "8410643db68dbdbe3046d87e1455bb2b2ab9d141e640e2fa1889e86b528b4bfe",
     ),
 }
 
@@ -661,45 +679,78 @@ class TestInvertBytes:
         assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
 
 
-def _valid_thread_count(text):
+#: Solver flag values on both sides of their bounds.
+_SOLVER_FLAGS = dict(
+    tol=st.sampled_from(["1e-3", "0", "-1", "nan", "inf"]),
+    history_m=st.sampled_from(["-1", "0", "1", "5"]),
+    ridge=st.sampled_from(["-1", "0", "1e-4", "nan", "inf"]),
+)
+
+
+def _bad_solver_flags(tol, history_m, ridge):
+    return tol in ("-1", "nan", "inf") or int(history_m) < 1 or ridge in ("-1", "nan", "inf")
+
+
+def _exit_code(argv):
     try:
-        return int(text) >= 1
-    except ValueError:
-        return False
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestArgvBoundary:
+    """Every generated argument vector is well formed for argparse, so it
+    must end in 0 or a usage error (2), never in a traceback."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         threads=st.one_of(st.none(), st.integers(-3, 4)),
-        env_threads=st.one_of(
-            st.none(), st.sampled_from(["abc", "", "0", "-2", "1.5", "1", " 3 "])
-        ),
+        seed=st.integers(-3, 3),
         D=st.integers(-2, 4),
         mode=st.sampled_from(["sequential", "deq-picard", "deq-anderson"]),
-        tol=st.sampled_from(["1e-3", "0", "-1", "nan", "inf"]),
-        beta=st.sampled_from(["1", "0.5", "0", "-1", "nan"]),
+        **_SOLVER_FLAGS,
     )
-    def test_exit_code_is_success_or_usage_error(self, threads, env_threads, D, mode, tol, beta):
-        # Every generated argument vector is well formed for argparse, so it
-        # must end in 0 or a usage error (2), never in a traceback.
+    def test_exit_code_is_success_or_usage_error(self, threads, seed, D, mode, tol, history_m,
+                                                 ridge):
         argv = ["sample", "--predictor", "gaussian", "--T", "4", "--D", str(D),
-                "--mode", mode, "--solver-tol", tol, "--mixing-beta", beta]
+                "--seed", str(seed), "--mode", mode, "--solver-tol", tol,
+                "--history-m", history_m, "--ridge-lambda", ridge]
         if threads is not None:
             argv += ["--threads", str(threads)]
-        env = {k: v for k, v in os.environ.items() if k != "PARSEQ_THREADS"}
-        if env_threads is not None:
-            env["PARSEQ_THREADS"] = env_threads
-        with tempfile.TemporaryDirectory() as out, mock.patch.dict(os.environ, env, clear=True):
-            try:
-                code = cli.main(argv + ["--out", out])
-            except SystemExit as exc:
-                code = exc.code
-        bad_threads = (
-            threads < 1 if threads is not None
-            else env_threads is not None and not _valid_thread_count(env_threads)
-        )
-        bad_solver = mode != "sequential" and (
-            tol in ("-1", "nan", "inf") or beta in ("0", "-1", "nan")
-        )
-        assert code == (2 if bad_threads or D < 1 or bad_solver else 0)
+        with tempfile.TemporaryDirectory() as out:
+            code = _exit_code(argv + ["--out", out])
+        bad_threads = threads is not None and threads < 1
+        bad_solver = mode != "sequential" and _bad_solver_flags(tol, history_m, ridge)
+        assert code == (2 if bad_threads or seed < 0 or D < 1 or bad_solver else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["invert", "trace", "bench"]),
+        method=st.sampled_from(["naive", "deq", "deq-stochastic"]),
+        grad=st.sampled_from(["phantom", "exact"]),
+        s_list=st.sampled_from(["2,4", "4", "", "0,2", "x"]),
+        threads=st.integers(-1, 2),
+        seed=st.integers(-3, 3),
+        D=st.integers(-1, 3),
+        **_SOLVER_FLAGS,
+    )
+    def test_invert_trace_and_bench_exit_success_or_usage_error(
+        self, command, method, grad, s_list, threads, seed, D, tol, history_m, ridge
+    ):
+        argv = ["--predictor", "gaussian", "--T", "4", "--D", str(D), "--seed", str(seed),
+                "--threads", str(threads), "--solver-tol", tol, "--history-m", history_m,
+                "--ridge-lambda", ridge]
+        bad = threads < 1 or seed < 0 or D < 1 or _bad_solver_flags(tol, history_m, ridge)
+        with tempfile.TemporaryDirectory() as tmp:
+            if command == "invert":
+                target = os.path.join(tmp, "target.stack")
+                write_stack(target, np.full(max(D, 1), 0.5), 4, 0.0)
+                argv = ["invert", "--target", target, "--method", method, "--grad", grad,
+                        "--epochs", "3", *argv]
+            elif command == "trace":
+                argv = ["trace", "--runs", "2", *argv]
+            else:
+                argv = ["bench", "--S-list", s_list, *argv]
+                bad = bad or s_list not in ("2,4", "4")
+            code = _exit_code(argv + ["--out", os.path.join(tmp, "out")])
+        assert code == (2 if bad else 0)

@@ -197,11 +197,15 @@ class TestMlpPredictor:
             load_mlp(str(path))
 
     def test_dim_mismatch_is_schema_error(self, tmp_path):
-        p = random_mlp(2, [8], np.random.default_rng(0))
+        # Input width 4 cannot be a 2-d state plus its time slot.
+        import json
+
         path = tmp_path / "mlp.json"
-        save_mlp(str(path), p)
-        with pytest.raises(SchemaError, match="dimension"):
-            load_mlp(str(path), expect_dim=4)
+        with open(path, "w") as fh:
+            json.dump({"widths": [4, 2], "weights": [[0.0] * 8], "biases": [[0.0, 0.0]],
+                       "time_embed": "scalar_append"}, fh)
+        with pytest.raises(SchemaError, match="output width"):
+            load_mlp(str(path))
 
     def test_truncated_weights_is_schema_error(self, tmp_path):
         import json
@@ -321,15 +325,12 @@ class TestParseMemo:
                 p.weights[0][0, 0] = 1.0
         assert load_gaussian_params(str(gauss_path))[0].tolist() == [1.0, -2.0]
 
-    def test_t_max_and_expect_dim_apply_per_call(self, tmp_path, fresh_memo):
+    def test_t_max_applies_per_call(self, tmp_path, fresh_memo):
         path = tmp_path / "mlp.json"
         save_mlp(str(path), random_mlp(3, [8], np.random.default_rng(0)))
         short, long = load_mlp(str(path), t_max=50), load_mlp(str(path), t_max=500)
         assert (short.t_max, long.t_max) == (50, 500)
         assert not np.array_equal(short.predict(np.zeros(3), 25), long.predict(np.zeros(3), 25))
-        with pytest.raises(SchemaError, match="dimension"):
-            load_mlp(str(path), expect_dim=4)
-        assert load_mlp(str(path), expect_dim=3).dim == 3
 
     def test_bounded_with_one_entry_per_path(self, tmp_path, fresh_memo):
         paths = [tmp_path / f"g{i}.json" for i in range(7)]

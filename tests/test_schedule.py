@@ -120,21 +120,12 @@ class TestTransitionCoefficients:
     def test_radicand_stays_real_for_admissible_eta(self, T, eta, t):
         sched = make_linear_beta_schedule(T, 1e-4, 0.05, eta=eta)
         t = 1 + t % T
-        s = sched.sigma(t)
+        pair = (sched.alpha_bar(t - 1), sched.alpha_bar(t), eta)
+        s = sigma_for_pair(*pair)
         assert s >= 0.0
         assert 1.0 - sched.alpha_bar(t - 1) - s * s >= -1e-12
         # c1 must evaluate without a domain error anywhere in eta <= 1.
-        sched.c1(t)
-
-    def test_schedule_methods_match_pair_functions(self):
-        sched = make_linear_beta_schedule(7, 0.01, 0.3, eta=0.7)
-        for t in range(1, 8):
-            assert sched.sigma(t) == sigma_for_pair(
-                sched.alpha_bar(t - 1), sched.alpha_bar(t), 0.7
-            )
-            assert sched.c1(t) == c1_for_pair(
-                sched.alpha_bar(t - 1), sched.alpha_bar(t), 0.7
-            )
+        c1_for_pair(*pair)
 
 
 class TestSubsequence:
@@ -153,7 +144,6 @@ class TestSubsequence:
     def test_quadratic_dedupes(self):
         sub = select_subsequence(10, 10, "quadratic")
         assert len(sub.indices) < 10
-        assert sub.requested_S == 10
         assert list(sub.indices) == sorted(set(sub.indices))
 
     def test_s_larger_than_t_rejected(self):

@@ -43,7 +43,6 @@ class TestSolverConfig:
         assert cfg.max_iters == 15
         assert cfg.tol == 1e-3
         assert cfg.history_m == 5
-        assert cfg.mixing_beta == 1.0
         assert cfg.ridge_lambda == 1e-4
 
     def test_eta_dependent_budget(self):
@@ -60,9 +59,9 @@ class TestSolverConfig:
             dict(ridge_lambda=-0.1),
             dict(tol=float("nan")),
             dict(tol=float("inf")),
-            dict(mixing_beta=0.0),
-            dict(mixing_beta=-0.5),
-            dict(mixing_beta=float("nan")),
+            dict(history_m=-1),
+            dict(max_iters=-3),
+            dict(ridge_lambda=float("-inf")),
             dict(ridge_lambda=float("nan")),
             dict(ridge_lambda=float("inf")),
         ],
@@ -233,17 +232,15 @@ class TestAnderson:
         np.testing.assert_array_equal(res.states, np.full(2, 5.0))
         np.testing.assert_allclose(res.residuals, [np.sqrt(2.0)] * 5, rtol=1e-15)
 
-    def test_mixing_beta_damps(self):
-        # beta = 0.5 on a constant map from zero moves halfway first.
-        target = np.ones(2) * 2.0
-        trace = []
-
-        def fn(x):
-            trace.append(x.copy())
-            return target
-
-        anderson_solve(fn, np.zeros(2), SolverConfig(mixing_beta=0.5, max_iters=4, tol=1e-12))
-        np.testing.assert_allclose(trace[1], target * 0.5, rtol=1e-14)
+    def test_window_of_one_is_picard(self):
+        # With one history row the only weight is 1, so each step is the
+        # map output itself: the iterates are Picard's, bit for bit.
+        fn, _ = affine_map(0.9, 3, 4)
+        cfg = SolverConfig(max_iters=12, tol=1e-12, history_m=1)
+        res = anderson_solve(fn, np.ones(3), cfg)
+        ref = picard_solve(fn, np.ones(3), cfg)
+        assert res.states.tobytes() == ref.states.tobytes()
+        assert res.residuals == ref.residuals
 
     def test_init_not_mutated(self):
         fn, _ = affine_map(0.5, 3, 8)
@@ -267,11 +264,10 @@ def _list_history_anderson(step_map, init, cfg):
     the bitwise reference for them."""
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
-    X, G, F = [], [], []
+    G, F = [], []
     residuals = []
     fallbacks = 0
     converged = False
-    beta = cfg.mixing_beta
     for it in range(cfg.max_iters):
         g = _checked_step(step_map, x, it)
         f = (g - x).ravel()
@@ -281,19 +277,17 @@ def _list_history_anderson(step_map, init, cfg):
             x = g
             converged = True
             break
-        X.append(x.ravel().copy())
         G.append(g.ravel().copy())
         F.append(f.copy())
-        if len(X) > cfg.history_m:
-            X.pop(0)
+        if len(G) > cfg.history_m:
             G.pop(0)
             F.pop(0)
         gamma = _anderson_gamma(np.stack(F), cfg.ridge_lambda)
         if gamma is None:
             fallbacks += 1
-            nxt = (1.0 - beta) * X[-1] + beta * G[-1]
+            nxt = G[-1].copy()
         else:
-            nxt = (1.0 - beta) * (gamma @ np.stack(X)) + beta * (gamma @ np.stack(G))
+            nxt = gamma @ np.stack(G)
         x = nxt.reshape(shape)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
@@ -335,12 +329,12 @@ class TestAndersonHistory:
         [
             lambda: _gauss_sampling_chain(SolverConfig(max_iters=100, tol=1e-3)),
             lambda: _gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3, history_m=3)),
-            lambda: _mlp_chain(SolverConfig(max_iters=30, tol=1e-10, mixing_beta=0.7)),
+            lambda: _mlp_chain(SolverConfig(max_iters=30, tol=1e-10)),
             lambda: _mlp_chain(SolverConfig(max_iters=4, tol=1e-10, history_m=8)),
             lambda: _translation(SolverConfig(max_iters=9, ridge_lambda=0.0, history_m=3)),
             lambda: _gauss_sampling_chain(SolverConfig(max_iters=70, tol=1e-12, history_m=40)),
         ],
-        ids=["gauss-converges", "gauss-capped", "mlp-damped", "mlp-short-budget",
+        ids=["gauss-converges", "gauss-capped", "mlp-converges", "mlp-short-budget",
              "translation-fallback", "gauss-long-window"],
     )
     def test_matches_list_history_bitwise(self, case):
