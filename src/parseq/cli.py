@@ -36,7 +36,7 @@ from .chain import Chain, _rollout
 from .invert import InversionConfig, invert, run_report
 from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
-from .sampling import draw_noise_stack, draw_x_T, solve_stack
+from .sampling import draw_noise_stack, draw_x_T, picard_budget, solve_stack
 from .schedule import identity_subsequence, make_linear_beta_schedule, select_subsequence
 from .stackio import read_stack, write_residual_csv, write_stack, write_trace_csv
 from .solvers import SolverConfig, default_solver_config
@@ -59,12 +59,15 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
                         "is single-threaded and its outputs do not depend on it")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver-max-iters", type=int, default=None,
-                   help="iteration budget (default 15, or 50 when eta > 0)")
+def _add_solver_flags(p: argparse.ArgumentParser, anderson: bool = True) -> None:
+    """The solver flags; ``anderson`` adds the two that only Anderson reads."""
+    budget = "iteration budget (default: S + 1 for Picard, at which the triangular solve is exact"
+    budget += "; 15 for Anderson, or 50 when eta > 0)" if anderson else ")"
+    p.add_argument("--solver-max-iters", type=int, default=None, help=budget)
     p.add_argument("--solver-tol", type=float, default=1e-3)
-    p.add_argument("--history-m", type=int, default=5)
-    p.add_argument("--ridge-lambda", type=float, default=1e-4)
+    if anderson:
+        p.add_argument("--history-m", type=int, default=5)
+        p.add_argument("--ridge-lambda", type=float, default=1e-4)
     p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
                    help="stack initialization for the fixed-point solve")
 
@@ -90,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="recover x_T for a target x_0")
     _add_chain_flags(p)
-    _add_solver_flags(p)
+    # Every inversion solve is warm-started Picard.
+    _add_solver_flags(p, anderson=False)
     p.add_argument("--target", required=True, help="binary stack holding the target x_0")
     p.add_argument("--method", choices=["naive", "deq", "deq-stochastic"], default="deq")
     p.add_argument("--grad", choices=["phantom", "exact"], default="phantom")
@@ -149,6 +153,10 @@ def _resolved_args(ns: argparse.Namespace) -> dict:
     args = {k: v for k, v in vars(ns).items() if k != "func"}
     if args.get("threads", 1) < 1:
         raise ConfigError(f"thread count must be >= 1, got {args['threads']}")
+    if "solver_tol" in args:
+        # Check the solver flags even where no solve runs (sequential
+        # sampling), so that every command rejects them alike.
+        _solver_config(args, "picard", 1)
     return args
 
 
@@ -182,17 +190,18 @@ def _build_chain(args: dict) -> Chain:
                  _load_noise(args, subsequence.S, predictor.dim))
 
 
-def _solver_config(args: dict, method: str) -> SolverConfig:
+def _solver_config(args: dict, method: str, S: int) -> SolverConfig:
+    """The solve the flags ask for on an S-position chain.  Without
+    --solver-max-iters each method gets its default budget; a command
+    without the Anderson flags keeps their defaults."""
     max_iters = args["solver_max_iters"]
     if max_iters is None:
-        max_iters = default_solver_config(args["eta"]).max_iters
-    return SolverConfig(
-        method=method,
-        max_iters=max_iters,
-        tol=args["solver_tol"],
-        history_m=args["history_m"],
-        ridge_lambda=args["ridge_lambda"],
-    )
+        if method == "picard":
+            max_iters = picard_budget(S)
+        else:
+            max_iters = default_solver_config(args["eta"]).max_iters
+    anderson = {k: args[k] for k in ("history_m", "ridge_lambda") if k in args}
+    return SolverConfig(method=method, max_iters=max_iters, tol=args["solver_tol"], **anderson)
 
 
 def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
@@ -248,7 +257,7 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         residuals = None
     else:
         method = "picard" if args["mode"] == "deq-picard" else "anderson"
-        result = solve_stack(chain, x_T, _solver_config(args, method), args["init"])
+        result = solve_stack(chain, x_T, _solver_config(args, method, chain.S), args["init"])
         states = result.states
         residuals = result.residuals
         # An unconverged solve still exits 0; this record is how a caller
@@ -291,13 +300,12 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         gradient_mode = "rollout"
     else:
         gradient_mode = "exact_ift" if args["grad"] == "exact" else "phantom"
-    method_for_solver = "picard" if args["method"] == "naive" else "anderson"
     cfg = InversionConfig(
         epochs=args["epochs"],
         lr=args["lr"],
         gradient_mode=gradient_mode,
         tau=args["tau"],
-        solver=_solver_config(args, method_for_solver),
+        solver=_solver_config(args, "picard", chain.S),
         stop_loss=args["stop_loss"],
         seed=args["seed"],
         init=args["init"],
@@ -330,7 +338,7 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     chain = _build_chain(args)
     D = chain.predictor.dim
     method = "picard" if args["mode"] == "deq-picard" else "anderson"
-    solver_cfg = _solver_config(args, method)
+    solver_cfg = _solver_config(args, method, chain.S)
     traces = []
     for j in range(args["runs"]):
         seed = args["seed"] + j
@@ -369,7 +377,8 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         rows.append(["sequential", S, (time.perf_counter() - t1) * 1000.0, chain.S])
 
         t1 = time.perf_counter()
-        result = solve_stack(chain, x_T, _solver_config(run_args, "anderson"), args["init"])
+        cfg = _solver_config(run_args, "anderson", chain.S)
+        result = solve_stack(chain, x_T, cfg, args["init"])
         rows.append(["deq-anderson", S, (time.perf_counter() - t1) * 1000.0, result.iters])
 
     os.makedirs(args["out"], exist_ok=True)

@@ -6,6 +6,10 @@ picks how each epoch takes its gradient:
 * ``"rollout"`` differentiates the sequential sampler end to end.
 * ``"phantom"`` and ``"exact_ift"`` solve the joint system for the stack
   and take a cheap phantom or exact implicit gradient at the fixed point.
+  With ``warm_start`` each epoch's solve starts from the last epoch's
+  stack.  Without ``InversionConfig.solver`` it is Picard with
+  ``sampling.picard_budget`` sweeps, which cannot stop short of its
+  tolerance.
 
 A noisy chain (eta > 0) is inverted with its per-transition noise stack
 pinned in the ``Chain``, which keeps the joint map deterministic within
@@ -27,8 +31,8 @@ from . import rng
 from .chain import Chain
 from .errors import ConfigError, DivergenceError
 from .gradients import Adam, _rollout_backprop, exact_ift_grad, phantom_grad
-from .sampling import solve_stack
-from .solvers import SolverConfig, default_solver_config
+from .sampling import picard_budget, solve_stack
+from .solvers import SolverConfig
 
 
 @dataclass
@@ -95,7 +99,9 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
     eta = chain.schedule.eta
     if eta != 0.0 and chain.noise is None:
         raise ConfigError(f"inverting a chain with eta={eta} needs its noise pinned")
-    solver_cfg = cfg.solver if cfg.solver is not None else default_solver_config(eta)
+    solver_cfg = cfg.solver
+    if solver_cfg is None:
+        solver_cfg = SolverConfig(method="picard", max_iters=picard_budget(chain.S))
     x_T = rng.stream(cfg.seed, "x_T").standard_normal(target.size)
     adam = Adam(lr=cfg.lr)
     run = InversionRun(x_T_hat=x_T)

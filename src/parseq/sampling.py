@@ -19,6 +19,14 @@ def draw_noise_stack(seed: int, S: int, dim: int, counter: int = 0) -> np.ndarra
     return rng.stream(seed, "noise_stack", counter).standard_normal((S, dim))
 
 
+def picard_budget(S: int) -> int:
+    """Default sweep budget of a Picard solve over S positions.  The strictly
+    triangular map makes the S-th sweep exact and the next one confirms it
+    with a zero residual, so a solve with this budget cannot stop short of
+    its tolerance."""
+    return S + 1
+
+
 def solve_stack(
     chain: Chain,
     x_T: np.ndarray,

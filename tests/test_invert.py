@@ -18,6 +18,7 @@ from parseq import (
     run_report,
     select_subsequence,
     sequential_rollout,
+    solve_stack,
     stream,
 )
 
@@ -189,6 +190,23 @@ class TestInvertDeq:
         )
         assert len(run.solver_iters) == run.epochs_run == 5
         assert all(i >= 1 for i in run.solver_iters)
+
+    def test_default_picard_budget_converges_every_cold_solve(self):
+        # A cold solve of this S = 100 chain needs 18 Picard sweeps, more
+        # than the old default budget of 15; the default of S + 1 sweeps is
+        # exact on the triangular chain.
+        sched = make_linear_beta_schedule(1000)
+        sub = select_subsequence(1000, 100, "linear")
+        rng = np.random.default_rng(4)
+        pred = GaussianOptimalPredictor(rng.standard_normal(4), rng.uniform(0.5, 2.0, 4), sched)
+        chain = Chain(sched, sub, pred)
+        x_T = stream(0, "x_T").standard_normal(4)  # the run's first x_T
+        assert not solve_stack(chain, x_T, SolverConfig(method="picard", max_iters=15)).converged
+        cfg = InversionConfig(epochs=5, lr=0.1, seed=0, warm_start=False)
+        run = invert(np.array([0.3, -0.2, 1.1, 0.4]), cfg, chain)
+        assert run.epochs_run == 5
+        assert run.solver_converged == [True] * 5
+        assert 15 < run.solver_iters[0] <= 101
 
     def test_exact_mode_needs_no_more_epochs_than_phantom(self):
         # Affine-diagonal chain: the two gradients differ by a constant
