@@ -59,15 +59,13 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
                         "is single-threaded and its outputs do not depend on it")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, anderson: bool = True) -> None:
-    """The solver flags; ``anderson`` adds the two that only Anderson reads."""
-    budget = "iteration budget (default: S + 1 for Picard, at which the triangular solve is exact"
-    budget += "; 15 for Anderson, or 50 when eta > 0)" if anderson else ")"
-    p.add_argument("--solver-max-iters", type=int, default=None, help=budget)
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--solver-max-iters", type=int, default=None,
+                   help="iteration budget (default: S + 1 for Picard, at which the "
+                        "triangular solve is exact; 15 for Anderson, or 50 when eta > 0)")
     p.add_argument("--solver-tol", type=float, default=1e-3)
-    if anderson:
-        p.add_argument("--history-m", type=int, default=5)
-        p.add_argument("--ridge-lambda", type=float, default=1e-4)
+    p.add_argument("--history-m", type=int, default=5)
+    p.add_argument("--ridge-lambda", type=float, default=1e-4)
     p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
                    help="stack initialization for the fixed-point solve")
 
@@ -93,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="recover x_T for a target x_0")
     _add_chain_flags(p)
-    # Every inversion solve is warm-started Picard.
-    _add_solver_flags(p, anderson=False)
+    _add_solver_flags(p)
     p.add_argument("--target", required=True, help="binary stack holding the target x_0")
     p.add_argument("--method", choices=["naive", "deq", "deq-stochastic"], default="deq")
     p.add_argument("--grad", choices=["phantom", "exact"], default="phantom")
@@ -192,16 +189,20 @@ def _build_chain(args: dict) -> Chain:
 
 def _solver_config(args: dict, method: str, S: int) -> SolverConfig:
     """The solve the flags ask for on an S-position chain.  Without
-    --solver-max-iters each method gets its default budget; a command
-    without the Anderson flags keeps their defaults."""
+    --solver-max-iters each method gets its default budget."""
     max_iters = args["solver_max_iters"]
     if max_iters is None:
         if method == "picard":
             max_iters = picard_budget(S)
         else:
             max_iters = default_solver_config(args["eta"]).max_iters
-    anderson = {k: args[k] for k in ("history_m", "ridge_lambda") if k in args}
-    return SolverConfig(method=method, max_iters=max_iters, tol=args["solver_tol"], **anderson)
+    return SolverConfig(
+        method=method,
+        max_iters=max_iters,
+        tol=args["solver_tol"],
+        history_m=args["history_m"],
+        ridge_lambda=args["ridge_lambda"],
+    )
 
 
 def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
@@ -300,12 +301,15 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         gradient_mode = "rollout"
     else:
         gradient_mode = "exact_ift" if args["grad"] == "exact" else "phantom"
+    # Unlike the library's default, a deq inversion here still solves with
+    # Anderson: perfbench's traced run rebuilds this path bit for bit.
+    method_for_solver = "picard" if args["method"] == "naive" else "anderson"
     cfg = InversionConfig(
         epochs=args["epochs"],
         lr=args["lr"],
         gradient_mode=gradient_mode,
         tau=args["tau"],
-        solver=_solver_config(args, "picard", chain.S),
+        solver=_solver_config(args, method_for_solver, chain.S),
         stop_loss=args["stop_loss"],
         seed=args["seed"],
         init=args["init"],

@@ -9,8 +9,8 @@ Three routes, cheapest first:
 * ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
   fixed point.  The Jacobian J of ``h_tilde`` is strictly triangular, so
   the system is solved exactly by one back-substitution from the x_0 row
-  up, one single-row predictor vjp per position; one more step, at x_T,
-  pulls v back onto x_T (S one-row vjps in all).
+  up, one single-row predictor vjp per position (S - 1 in all); one
+  batched vjp sweep then pulls v back onto x_T.
 * ``rollout_backprop_grad`` differentiates the sequential sampler step by
   step; it needs the O(S D) forward stack in memory and serves as the
   ground truth the implicit route must reproduce.
@@ -121,30 +121,22 @@ def adjoint_solve(
     """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
 
     The solve is one back-substitution (see ``_adjoint_solve``), so there
-    is nothing to iterate.  Returns (v, []), dropping the x_T cotangent the
-    substitution also yields; the empty list stands where per-sweep deltas
-    used to be.  ``tol`` and ``pool`` are accepted for compatibility with
-    older callers and ignored.
+    is nothing to iterate.  Returns (v, []); the empty list stands where
+    per-sweep deltas used to be.  ``tol`` and ``pool`` are accepted for
+    compatibility with older callers and ignored.
     """
     chain = Chain(schedule, subsequence, predictor)
     stack_star, x_T = _check_stack(stack_star, x_T, chain.S)
-    v, _ = _adjoint_solve(chain, stack_star, x_T, _check_cotangent(seed_stack, stack_star))
-    return v, []
+    return _adjoint_solve(chain, stack_star, _check_cotangent(seed_stack, stack_star)), []
 
 
-def _adjoint_solve(
-    chain: Chain, stack_star: np.ndarray, x_T: np.ndarray, seed_stack: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve v = seed + (stack cotangent of ``_sweep_vjp`` at v) from x_0 up,
-    and pull v back onto x_T; returns (v, cot_x_T).
+def _adjoint_solve(chain: Chain, stack_star: np.ndarray, seed_stack: np.ndarray) -> np.ndarray:
+    """Solve v = seed + (stack cotangent of ``_sweep_vjp`` at v) from x_0 up.
 
     Nothing reads x_0, so v_0 is its seed; v_p = seed_p + c1_p / sqrt(A_{p-1})
-    vjp(x_p, tau_p, P_p) needs only P_p = sum_{j < p} sqrt(A_j) v_j.  Step S
-    reads x_T instead of a stack row and gives the x_T cotangent
-    P_S / sqrt(A_S) + c1_S / sqrt(A_{S-1}) vjp(x_T, tau_S, P_S).  Sums and
-    products run in the sweep's order, so v is its fixed point, and cot_x_T
-    its x_T cotangent at v, bit for bit wherever a one-row vjp matches the
-    batched one.
+    vjp(x_p, tau_p, P_p) needs only P_p = sum_{j < p} sqrt(A_j) v_j.  Sums
+    and products run in the sweep's order, so v is its fixed point bit for
+    bit wherever a one-row vjp matches the batched one.
     """
     coeffs = chain.coeffs
     S = coeffs.S
@@ -156,12 +148,9 @@ def _adjoint_solve(
         prefix = prefix + coeffs.sqrt_alpha[p - 1] * v[row + 1]
         pulled = chain.predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
         v[row] = seed_stack[row] + coeffs.c1[p] / coeffs.sqrt_alpha[p - 1] * pulled
-    prefix = prefix + coeffs.sqrt_alpha[S - 1] * v[0]
-    pulled = chain.predictor.vjp(x_T, int(coeffs.taus[S]), prefix)
-    cot_x_T = prefix / coeffs.sqrt_alpha[S] + coeffs.c1[S] / coeffs.sqrt_alpha[S - 1] * pulled
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(cot_x_T))):
+    if not np.all(np.isfinite(v)):
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
-    return v, cot_x_T
+    return v
 
 
 def exact_ift_grad(
@@ -171,16 +160,17 @@ def exact_ift_grad(
 
     Differentiating stack* = h_tilde(stack*; x_T) gives
     dL/dx_T = v @ dh/dx_T with v the solution of the adjoint system seeded
-    by dL/dstack*; the seed lives entirely in the denoised row.  v and its
-    pullback onto x_T come from one exact back-substitution of S one-row
-    vjp calls.
+    by dL/dstack*; the seed lives entirely in the denoised row.  v comes
+    from one exact back-substitution (S - 1 one-row vjp calls) and its
+    pullback onto x_T from one batched vjp sweep over S rows.
     """
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
     seed_stack = np.zeros_like(stack_star)
     seed_stack[S - 1] = seed
-    _, cot_x_T = _adjoint_solve(chain, stack_star, x_T, seed_stack)
+    v = _adjoint_solve(chain, stack_star, seed_stack)
+    _, cot_x_T = _sweep_vjp(chain, stack_star, x_T, v)
     return loss, cot_x_T
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -61,7 +62,7 @@ StepMap = Callable[[np.ndarray], np.ndarray]
 
 def _checked_step(step_map: StepMap, x: np.ndarray, iteration: int) -> np.ndarray:
     g = step_map(x)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError(f"non-finite iterate at solver iteration {iteration}")
     return g
 
@@ -73,7 +74,7 @@ def picard_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fixe
     converged = False
     for it in range(cfg.max_iters):
         g = _checked_step(step_map, x, it)
-        r = float(np.linalg.norm(g - x))
+        r = _norm((g - x).ravel())
         residuals.append(r)
         x = g
         if r <= cfg.tol:
@@ -82,6 +83,27 @@ def picard_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fixe
     return FixedPointResult(
         states=x, residuals=residuals, iters=len(residuals), converged=converged
     )
+
+
+def _norm(f: np.ndarray) -> float:
+    """The l2 norm of a 1-d array, computed as ``np.linalg.norm`` does it
+    (sqrt of the dot product) without its dispatch."""
+    return math.sqrt(f @ f)
+
+
+def _ridge_terms(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """lam (I + 1 1^T) and lam 1 of the n-weight ridge system, read-only."""
+    out = lam * (np.eye(n) + np.ones((n, n))), lam * np.ones(n)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+# A small window's weight solve takes microseconds, about what building its
+# ridge terms costs, so they are kept; a window of more than 32 weights
+# rebuilds them, which bounds the cache to 64 matrices of at most 32 x 32.
+_SMALL_WINDOW = 32
+_small_ridge_terms = lru_cache(maxsize=64)(_ridge_terms)
 
 
 def _anderson_gamma(F: np.ndarray, lam: float) -> np.ndarray | None:
@@ -102,15 +124,20 @@ def _anderson_gamma(F: np.ndarray, lam: float) -> np.ndarray | None:
     if k == 1:
         return np.ones(1)
     D = F[:-1] - F[-1]
-    A = D @ D.T + lam * (np.eye(k - 1) + np.ones((k - 1, k - 1)))
-    b = -D @ F[-1] + lam * np.ones(k - 1)
+    terms = _small_ridge_terms if k - 1 <= _SMALL_WINDOW else _ridge_terms
+    ridge, ridge_b = terms(k - 1, lam)
+    A = D @ D.T + ridge
+    b = -D @ F[-1] + ridge_b
     try:
         delta = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         return None
-    return np.concatenate([delta, [1.0 - delta.sum()]])
+    gamma = np.empty(k)
+    gamma[:-1] = delta
+    gamma[-1] = 1.0 - delta.sum()
+    return gamma
 
 
 def _grown(ring: np.ndarray, rows: int, size: int) -> np.ndarray:
@@ -152,7 +179,7 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     for it in range(cfg.max_iters):
         g = _checked_step(step_map, x, it)
         f = (g - x).ravel()
-        r = float(np.linalg.norm(f))
+        r = _norm(f)
         residuals.append(r)
         if r <= cfg.tol:
             x = g
@@ -176,7 +203,7 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
         else:
             nxt = gamma @ Gw
         x = nxt.reshape(shape)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
     else:
         # Budget exhausted: hand back the last map output rather than the

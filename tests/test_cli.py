@@ -402,9 +402,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--lr", "nan"], ["--lr", "inf"], ["--stop-loss", "nan"], ["--stop-loss", "inf"],
-         ["--solver-tol", "nan"], ["--solver-max-iters", "0"]],
-        ids=["lr-nan", "lr-inf", "stop-loss-nan", "stop-loss-inf", "solver-tol-nan",
-             "solver-max-iters-zero"],
+         ["--ridge-lambda", "nan"], ["--ridge-lambda", "inf"], ["--solver-tol", "nan"],
+         ["--solver-max-iters", "0"]],
+        ids=["lr-nan", "lr-inf", "stop-loss-nan", "stop-loss-inf", "ridge-lambda-nan",
+             "ridge-lambda-inf", "solver-tol-nan", "solver-max-iters-zero"],
     )
     def test_bad_invert_flag_values_are_usage_errors(self, flags, fixtures, tmp_path, capsys):
         code = cli.main(["invert", "--target", str(fixtures["root"] / "target.stack"),
@@ -412,18 +413,6 @@ class TestExitCodes:
                          *flags, "--out", str(tmp_path / "x")])
         assert code == 2
         assert "usage error" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("flags", [["--history-m", "5"], ["--ridge-lambda", "1e-4"]],
-                             ids=["history-m", "ridge-lambda"])
-    def test_invert_has_no_anderson_flags(self, flags, fixtures, tmp_path, capsys):
-        # Every inversion solve is Picard, so the flags only Anderson reads
-        # are not invert's.
-        code = _exit_code(["invert", "--target", str(fixtures["root"] / "target.stack"),
-                           "--predictor", "gaussian", "--D", "3", "--T", "10", "--epochs", "3",
-                           *flags, "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_eta_above_one_stays_a_numeric_failure(self, capsys, tmp_path):
@@ -600,67 +589,45 @@ class TestInvert:
         assert run_a["config"]["grad"] == "exact"
         assert run_b["config"]["eta"] == 0.5
 
-    @pytest.mark.parametrize("grad", ["phantom", "exact"])
-    def test_benchmark_shaped_gaussian_inversion_converges_every_solve(
-        self, tmp_path, monkeypatch, grad
-    ):
-        # A warm-started Anderson solve with its 15-iteration budget stopped
-        # short of --solver-tol in almost every epoch of this chain; Picard
-        # gets S + 1 sweeps, at which the triangular solve is exact.
-        monkeypatch.chdir(tmp_path)
-        rng = np.random.default_rng(1)
-        save_gaussian("g.json", rng.standard_normal(16), rng.uniform(0.3, 2.0, 16))
-        chain = ["--predictor", "gaussian:g.json", "--T", "1000", "--S", "10",
-                 "--subseq", "linear"]
-        assert cli.main(["sample", *chain, "--mode", "sequential", "--seed", "7",
-                         "--out", "truth"]) == 0
-        assert cli.main(["invert", *chain, "--target", "truth/x0.stack", "--method", "deq",
-                         "--grad", grad, "--lr", "0.1", "--stop-loss", "1e-3",
-                         "--epochs", "800", "--seed", "0", "--out", "inv"]) == 0
-        report = json.loads((tmp_path / "inv" / "run.json").read_text())
-        assert report["best_loss"] <= 1e-3
-        assert report["solver_converged"] == [True] * report["epochs_run"]
-        assert max(report["solver_iters"]) <= 11
-
 
 #: SHA-256 of x_T_hat.stack, loss_trace.csv and run.json for each (method,
-#: grad, eta) of ``TestInvertBytes``, recorded with every deq solve warm-started
-#: Picard at its default budget of S + 1 sweeps.
+#: grad, eta) of ``TestInvertBytes``, recorded while naive, deq and
+#: deq-stochastic inversion were three separate loops.
 INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
         "bd0810dafc16dbedeb5cb7fd6b2c7412c5b4ca67943d987e0494e474080e6435",
         "0f86eafeacdbcad93ae97aa2a961c2941b3f391fb48e6aca4884c3cd3056e254",
-        "27c936cf1df9d08d236ba7fe0ff5a649d52ccce12a719a6ab1e40c57c44a2687",
+        "1ad98c952662177a86cb0b747ac822c85044b1de3686b118fb1681856fb025d3",
     ),
     ("deq", "phantom", "0"): (
-        "b6ed9b2afbcc592a7d4b51bff1a8afeea3f8e6d980a71833894d5abdc8ea9a5b",
-        "ff24c26e8fccb67c8a62eb39c80d6e00020b64f97d2681ddab69e0eeedefdf4f",
-        "e8fcf18fec078424a64945865103d52d46991f654362be91b173d99f61036352",
+        "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
+        "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
+        "3109a6b81d61d96c0e0a1f8314bd8cdbbcd36a6cae076098b893a4fc587426cd",
     ),
     ("deq", "exact", "0"): (
-        "17bded34be440ca5077e642b839295896af816bd4a7c89508a95ae799b99889b",
-        "bc9a03a5808a8d45880e1fa9db15931bb4eef2241049b04678507c2347e6442e",
-        "a6c54c3f55186c4838ace45df892990e5709a4540b86165a2d580b5d15809ea2",
+        "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
+        "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
+        "1995f6f7e7a8feb4d67d5f7477117b16e2a5af98e6770ef6c91efa3d1691fbf7",
     ),
     ("deq-stochastic", "phantom", "0"): (
-        "b6ed9b2afbcc592a7d4b51bff1a8afeea3f8e6d980a71833894d5abdc8ea9a5b",
-        "ff24c26e8fccb67c8a62eb39c80d6e00020b64f97d2681ddab69e0eeedefdf4f",
-        "ad8158ccfd80731f272241f6b6ec01ddc47188c0d33616f92bca1d9b7cbaed31",
+        "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
+        "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
+        "45aa33b2542fed4243ba0177c4970f32f15a1bbf3c15dc360777870e6ecbad88",
     ),
     ("deq-stochastic", "exact", "0"): (
-        "17bded34be440ca5077e642b839295896af816bd4a7c89508a95ae799b99889b",
-        "bc9a03a5808a8d45880e1fa9db15931bb4eef2241049b04678507c2347e6442e",
-        "e348bcaed670c8d1dc5fce48c5ab6732e8eff7918f39c1d9c8fc075c95bcec8b",
+        "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
+        "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
+        "ff75f4d823be4c5c5a9de90bc5a3143adb9c152454754054ac22d4cfc58af80b",
     ),
     ("deq-stochastic", "phantom", "1"): (
-        "8cea5dcf938ce159aacdbc2d564c9ce0c3301ae39271b41107ef1d8beaf151f8",
-        "9073157ca54f257091c04525f6fe8845ce32272a4ca8895df75212d8eee3741e",
-        "cdac44de3d4b9a9c19bf9d8c34e2b4b9026bb2c70fa030afe6823717df05c714",
+        "d0bb233f64492fd216452b96607048795623cd6c4117066bf433c20dedb1f6ab",
+        "35b20c1d464d40660bbd006a16d4a9f5a22ab93cf06c15bd5ff6bb3bdf8276af",
+        "bc3549711cfdeee9be632cbebdc9c60c737bb472bfb993d514892fe435431c05",
     ),
     ("deq-stochastic", "exact", "1"): (
-        "ba6a8e402857e4bbeae76d11dffecf0f88b00281a447fc802ceb58a5b794d0d0",
-        "45765e9f764fcfceaf6ea2f660a5759e9e52f75dac68b9d2091d0e16e928074f",
-        "40332957b2e6eb29b95588108946679bbf5e3dbc35d61a93060b906f086594f0",
+        "9e36761968e0a6cc177a6adf2e4b9dd05716271d8231b23800cbf8a277f4c50a",
+        "e42eaa77f97e89de709177de84d38ea63e3f99e3f81728173bf964430bb96e46",
+        "8410643db68dbdbe3046d87e1455bb2b2ab9d141e640e2fa1889e86b528b4bfe",
     ),
 }
 
@@ -772,12 +739,8 @@ class TestArgvBoundary:
         self, command, method, grad, s_list, threads, seed, D, tol, history_m, ridge
     ):
         argv = ["--predictor", "gaussian", "--T", "4", "--D", str(D), "--seed", str(seed),
-                "--threads", str(threads), "--solver-tol", tol]
-        if command == "invert":
-            # invert has no Anderson flags: every inversion solve is Picard.
-            history_m, ridge = "5", "1e-4"
-        else:
-            argv += ["--history-m", history_m, "--ridge-lambda", ridge]
+                "--threads", str(threads), "--solver-tol", tol, "--history-m", history_m,
+                "--ridge-lambda", ridge]
         bad = threads < 1 or seed < 0 or D < 1 or _bad_solver_flags(tol, history_m, ridge)
         with tempfile.TemporaryDirectory() as tmp:
             if command == "invert":

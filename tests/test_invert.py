@@ -208,6 +208,26 @@ class TestInvertDeq:
         assert run.solver_converged == [True] * 5
         assert 15 < run.solver_iters[0] <= 101
 
+    @pytest.mark.parametrize("mode", ["phantom", "exact_ift"])
+    def test_benchmark_shaped_gaussian_inversion_converges_every_solve(self, mode):
+        # On this chain a warm-started Anderson solve with its 15-iteration
+        # budget stops short of its tolerance in almost every epoch; the
+        # default Picard solve gets S + 1 sweeps, at which it is exact.
+        sched = make_linear_beta_schedule(1000)
+        sub = select_subsequence(1000, 10, "linear")
+        rng = np.random.default_rng(1)
+        pred = GaussianOptimalPredictor(rng.standard_normal(16), rng.uniform(0.3, 2.0, 16), sched)
+        chain = Chain(sched, sub, pred)
+        target = sequential_rollout(stream(7, "x_T").standard_normal(16), sched, sub, pred)[-1]
+        anderson = SolverConfig(method="anderson", max_iters=15)
+        cfg = dict(epochs=800, lr=0.1, gradient_mode=mode, stop_loss=1e-3, seed=0)
+        run = invert(target, InversionConfig(**cfg), chain)
+        assert run.best_loss <= 1e-3
+        assert run.solver_converged == [True] * run.epochs_run
+        assert max(run.solver_iters) <= 11
+        old = invert(target, InversionConfig(solver=anderson, **cfg), chain)
+        assert sum(old.solver_converged) < old.epochs_run / 2
+
     def test_exact_mode_needs_no_more_epochs_than_phantom(self):
         # Affine-diagonal chain: the two gradients differ by a constant
         # per-coordinate positive factor that Adam normalizes away, so the

@@ -259,6 +259,26 @@ class TestAnderson:
         assert all(r >= 0 for r in res.residuals)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 2.5])
+def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
+    # _anderson_gamma keeps the ridge terms of small windows per (window,
+    # lambda) and rebuilds larger ones; either way each call must give the
+    # weights of the system built from scratch.
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 5, 2, 5, 16, 33, 34, 40):
+        for _ in range(2):
+            F = rng.standard_normal((k, 40))
+            got = _anderson_gamma(F, lam)
+            if k == 1:
+                assert got.tolist() == [1.0]
+                continue
+            D = F[:-1] - F[-1]
+            A = D @ D.T + lam * (np.eye(k - 1) + np.ones((k - 1, k - 1)))
+            delta = np.linalg.solve(A, -D @ F[-1] + lam * np.ones(k - 1))
+            want = np.concatenate([delta, [1.0 - delta.sum()]])
+            assert got.tobytes() == want.tobytes()
+
+
 def _list_history_anderson(step_map, init, cfg):
     """The list-and-stack Anderson loop the ring buffers replaced, kept as
     the bitwise reference for them."""
