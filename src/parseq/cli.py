@@ -153,7 +153,7 @@ def _resolved_args(ns: argparse.Namespace) -> dict:
     if "solver_tol" in args:
         # Check the solver flags even where no solve runs (sequential
         # sampling), so that every command rejects them alike.
-        _solver_config(args, "picard", 1)
+        SolverConfig(**_solver_flags(args))
     return args
 
 
@@ -187,22 +187,25 @@ def _build_chain(args: dict) -> Chain:
                  _load_noise(args, subsequence.S, predictor.dim))
 
 
+def _solver_flags(args: dict) -> dict:
+    """The SolverConfig fields the solver flags set."""
+    flags = dict(tol=args["solver_tol"], history_m=args["history_m"],
+                 ridge_lambda=args["ridge_lambda"])
+    if args["solver_max_iters"] is not None:
+        flags["max_iters"] = args["solver_max_iters"]
+    return flags
+
+
 def _solver_config(args: dict, method: str, S: int) -> SolverConfig:
     """The solve the flags ask for on an S-position chain.  Without
     --solver-max-iters each method gets its default budget."""
-    max_iters = args["solver_max_iters"]
-    if max_iters is None:
+    flags = _solver_flags(args)
+    if "max_iters" not in flags:
         if method == "picard":
-            max_iters = picard_budget(S)
+            flags["max_iters"] = picard_budget(S)
         else:
-            max_iters = default_solver_config(args["eta"]).max_iters
-    return SolverConfig(
-        method=method,
-        max_iters=max_iters,
-        tol=args["solver_tol"],
-        history_m=args["history_m"],
-        ridge_lambda=args["ridge_lambda"],
-    )
+            flags["max_iters"] = default_solver_config(args["eta"]).max_iters
+    return SolverConfig(method=method, **flags)
 
 
 def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:

@@ -113,41 +113,26 @@ class GaussianOptimalPredictor(NoisePredictor):
         self.dim = int(self.mu.size)
         # Signal products indexed by timestep, slot 0 being the boundary.
         self._alpha_by_t = np.concatenate([[ALPHA_BAR_ZERO], schedule.alpha_bars])
-        # (timestep key, gain, shift) of the last batch of timesteps: a
-        # solve sweeps the same batch again and again.
-        self._batch: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
-    def _gain(self, a: float | np.ndarray) -> float | np.ndarray:
-        return np.sqrt(1.0 - a) / (a * self.var + (1.0 - a))
-
-    def _batch_terms(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gain, shift) of a batch of timesteps, with predict = gain * (x -
-        shift); kept for the last batch, so that only a new batch pays for
-        the array lookup."""
-        key = (t.dtype.str, t.shape, t.tobytes())
-        batch = self._batch
-        if batch is None or batch[0] != key:
+    def _gain(self, t: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        # The scalar path is the hot one for sequential sampling; only a
+        # batch of timesteps pays for the array lookup.
+        if isinstance(t, np.ndarray):
             a = self._alpha_by_t[t][:, None]
-            batch = self._batch = (key, self._gain(a), np.sqrt(a) * self.mu)
-        return batch[1], batch[2]
+        else:
+            a = self.schedule.alpha_bar(t)
+        denom = a * self.var + (1.0 - a)
+        return a, np.sqrt(1.0 - a) / denom
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = self._check_state(x, t)
-        # The scalar path is the hot one for sequential sampling.
-        if isinstance(t, np.ndarray):
-            gain, shift = self._batch_terms(t)
-        else:
-            a = self.schedule.alpha_bar(t)
-            gain, shift = self._gain(a), np.sqrt(a) * self.mu
-        return gain * (x - shift)
+        a, gain = self._gain(t)
+        return gain * (x - np.sqrt(a) * self.mu)
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         self._check_state(x, t)
         cotangent = np.asarray(cotangent, dtype=np.float64)
-        if isinstance(t, np.ndarray):
-            gain = self._batch_terms(t)[0]
-        else:
-            gain = self._gain(self.schedule.alpha_bar(t))
+        _, gain = self._gain(t)
         return gain * cotangent
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,7 +73,7 @@ def picard_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fixe
     converged = False
     for it in range(cfg.max_iters):
         g = _checked_step(step_map, x, it)
-        r = _norm((g - x).ravel())
+        r = float(np.linalg.norm(g - x))
         residuals.append(r)
         x = g
         if r <= cfg.tol:
@@ -85,30 +84,16 @@ def picard_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fixe
     )
 
 
-def _norm(f: np.ndarray) -> float:
-    """The l2 norm of a 1-d array, computed as ``np.linalg.norm`` does it
-    (sqrt of the dot product) without its dispatch."""
-    return math.sqrt(f @ f)
-
-
 def _ridge_terms(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """lam (I + 1 1^T) and lam 1 of the n-weight ridge system, read-only."""
-    out = lam * (np.eye(n) + np.ones((n, n))), lam * np.ones(n)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    """lam (I + 1 1^T) and lam 1 of an n-weight ridge system.  A window of
+    k outputs uses their leading k - 1 entries, which do not depend on n."""
+    return lam * (np.eye(n) + np.ones((n, n))), lam * np.ones(n)
 
 
-# A small window's weight solve takes microseconds, about what building its
-# ridge terms costs, so they are kept; a window of more than 32 weights
-# rebuilds them, which bounds the cache to 64 matrices of at most 32 x 32.
-_SMALL_WINDOW = 32
-_small_ridge_terms = lru_cache(maxsize=64)(_ridge_terms)
-
-
-def _anderson_gamma(F: np.ndarray, lam: float) -> np.ndarray | None:
+def _anderson_gamma(F: np.ndarray, ridge: np.ndarray, ridge_b: np.ndarray) -> np.ndarray | None:
     """Combination weights minimizing ||gamma @ F||^2 + lam ||gamma||^2
-    subject to sum(gamma) = 1.
+    subject to sum(gamma) = 1, given ``_ridge_terms(n, lam)`` for some
+    n >= len(F) - 1.
 
     The constraint is eliminated by writing the last weight as one minus
     the rest, which turns the problem into an unconstrained ridge system in
@@ -124,10 +109,8 @@ def _anderson_gamma(F: np.ndarray, lam: float) -> np.ndarray | None:
     if k == 1:
         return np.ones(1)
     D = F[:-1] - F[-1]
-    terms = _small_ridge_terms if k - 1 <= _SMALL_WINDOW else _ridge_terms
-    ridge, ridge_b = terms(k - 1, lam)
-    A = D @ D.T + ridge
-    b = -D @ F[-1] + ridge_b
+    A = D @ D.T + ridge[:k - 1, :k - 1]
+    b = -D @ F[-1] + ridge_b[:k - 1]
     try:
         delta = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -172,6 +155,8 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     m = min(cfg.history_m, cfg.max_iters)
     size = min(m, 16)
     G, F = (np.empty((2 * size, x.size)) for _ in range(2))
+    # The weight system's ridge terms, built once per ring size.
+    ridge, ridge_b = _ridge_terms(size, cfg.ridge_lambda)
     stored = 0
     residuals: list[float] = []
     fallbacks = 0
@@ -179,7 +164,7 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     for it in range(cfg.max_iters):
         g = _checked_step(step_map, x, it)
         f = (g - x).ravel()
-        r = _norm(f)
+        r = float(np.linalg.norm(f))
         residuals.append(r)
         if r <= cfg.tol:
             x = g
@@ -189,6 +174,7 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
             # Nothing has wrapped yet: the history is rows [0, size) in order.
             size = min(2 * size, m)
             G, F = (_grown(ring, stored, size) for ring in (G, F))
+            ridge, ridge_b = _ridge_terms(size, cfg.ridge_lambda)
         slot = stored % size
         for ring, row in ((G, g.ravel()), (F, f)):
             ring[slot] = ring[slot + size] = row
@@ -196,7 +182,7 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
         k = min(stored, size)
         start = (stored - k) % size
         Gw = G[start:start + k]
-        gamma = _anderson_gamma(F[start:start + k], cfg.ridge_lambda)
+        gamma = _anderson_gamma(F[start:start + k], ridge, ridge_b)
         if gamma is None:
             fallbacks += 1
             nxt = Gw[-1].copy()

@@ -195,6 +195,36 @@ class TestManifestRerun:
             tmp_path / "b" / "x0.stack"
         ).read_bytes()
 
+    def test_picard_manifest_without_a_budget_reruns_at_the_current_default(
+        self, fixtures, tmp_path
+    ):
+        # A manifest records solver_max_iters null when the flag was not
+        # given, so its rerun takes the current default: S + 1 sweeps for
+        # Picard, 15 before that.  This S = 50 solve needs 16 sweeps, so a
+        # manifest written under the old default reruns to a converged solve
+        # and other bytes; naming 15 in its args reproduces the old run.
+        base = ["sample", "--mode", "deq-picard",
+                "--predictor", f"gaussian:{fixtures['root'] / 'gauss.json'}",
+                "--T", "1000", "--S", "50", "--seed", "11"]
+        assert cli.main([*base, "--out", str(tmp_path / "new")]) == 0
+        assert cli.main([*base, "--solver-max-iters", "15", "--out", str(tmp_path / "old")]) == 0
+        new = json.loads((tmp_path / "new" / "manifest.json").read_text())
+        old = json.loads((tmp_path / "old" / "manifest.json").read_text())
+        assert new["args"]["solver_max_iters"] is None
+        assert (new["solver"]["iters"], new["solver"]["converged"]) == (16, True)
+        assert (old["solver"]["iters"], old["solver"]["converged"]) == (15, False)
+
+        # The old default's manifest: the same args, budget unset.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({**old, "args": {**old["args"], "solver_max_iters": None}}))
+        assert cli.main(["rerun", str(manifest), "--out", str(tmp_path / "rerun")]) == 0
+        x0 = {d: (tmp_path / d / "x0.stack").read_bytes() for d in ("new", "old", "rerun")}
+        assert x0["rerun"] == x0["new"] != x0["old"]
+
+        manifest.write_text(json.dumps(old))
+        assert cli.main(["rerun", str(manifest), "--out", str(tmp_path / "pinned")]) == 0
+        assert (tmp_path / "pinned" / "x0.stack").read_bytes() == x0["old"]
+
     def test_rerun_rejects_manifest_without_command(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"args": {}}))

@@ -153,29 +153,6 @@ class TestGaussianOptimalPredictor:
         np.testing.assert_array_equal(x, [0.5, -1.0, 2.0])
 
 
-    def test_batch_memo_is_bitwise_a_fresh_evaluation(self, sched):
-        # The gain of the last timestep batch is kept; other batches, the
-        # scalar path and timesteps whose bytes coincide under another
-        # dtype or shape must still get their own gain.
-        rng = np.random.default_rng(3)
-        mu, var = rng.normal(size=4), rng.uniform(0.3, 2.0, 4)
-        p = GaussianOptimalPredictor(mu, var, sched)
-        batches = [
-            np.array([90, 50, 10]), np.array([80, 40, 2]), np.array([90, 50, 10]),
-            np.array([1, 0], dtype=np.int32), np.array([1]), np.array([[1], [0]]).ravel(),
-        ]
-        for t in batches + batches[::-1]:
-            x = rng.standard_normal((t.size, 4))
-            u = rng.standard_normal((t.size, 4))
-            fresh = GaussianOptimalPredictor(mu, var, sched)
-            assert p.predict(x, t).tobytes() == fresh.predict(x, t).tobytes()
-            assert p.vjp(x, t, u).tobytes() == fresh.vjp(x, t, u).tobytes()
-            for row in range(t.size):
-                assert p.predict(x[row], int(t[row])).tobytes() == fresh.predict(
-                    x[row : row + 1], t[row : row + 1]
-                )[0].tobytes()
-
-
 class TestMlpPredictor:
     def test_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ from parseq import (
     solve,
     solve_stack,
 )
-from parseq.solvers import _anderson_gamma, _checked_step
+from parseq.solvers import _anderson_gamma, _checked_step, _ridge_terms
 
 
 def affine_map(rho: float, dim: int, seed: int):
@@ -261,14 +261,15 @@ class TestAnderson:
 
 @pytest.mark.parametrize("lam", [0.0, 1e-4, 2.5])
 def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
-    # _anderson_gamma keeps the ridge terms of small windows per (window,
-    # lambda) and rebuilds larger ones; either way each call must give the
-    # weights of the system built from scratch.
+    # anderson_solve builds the ridge terms once per ring size and hands
+    # each window their leading block; every window must get the weights of
+    # the system built from scratch at its own size.
     rng = np.random.default_rng(8)
-    for k in (1, 2, 5, 2, 5, 16, 33, 34, 40):
-        for _ in range(2):
+    for n in (1, 16, 40):
+        ridge, ridge_b = _ridge_terms(n, lam)
+        for k in range(1, n + 2):
             F = rng.standard_normal((k, 40))
-            got = _anderson_gamma(F, lam)
+            got = _anderson_gamma(F, ridge, ridge_b)
             if k == 1:
                 assert got.tolist() == [1.0]
                 continue
@@ -302,7 +303,7 @@ def _list_history_anderson(step_map, init, cfg):
         if len(G) > cfg.history_m:
             G.pop(0)
             F.pop(0)
-        gamma = _anderson_gamma(np.stack(F), cfg.ridge_lambda)
+        gamma = _anderson_gamma(np.stack(F), *_ridge_terms(len(F) - 1, cfg.ridge_lambda))
         if gamma is None:
             fallbacks += 1
             nxt = G[-1].copy()
