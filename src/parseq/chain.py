@@ -7,18 +7,20 @@ at tau_i, the sequential sampler is
 
     x_{i-1} = sqrt(A_{i-1} / A_i) x_i + c1_i eps(x_i, tau_i) + sigma_i e_i
 
-and unrolling it from the top gives every position as an explicit sum
+and unrolling it from the top makes every position, divided by sqrt(A_j),
+a prefix sum of the same per-transition terms:
 
-    x_j = sqrt(A_j / A_S) x_T
-          + sum_{t=j}^{S-1} sqrt(A_j / A_t) (c1_{t+1} eps(x_{t+1}, tau_{t+1})
-                                             + sigma_{t+1} e_{t+1}).
+    x_j / sqrt(A_j) = x_T / sqrt(A_S) + sum_{p=j+1}^{S} u_p,
+    u_p = (c1_p eps(x_p, tau_p) + sigma_p e_p) / sqrt(A_{p-1}).
 
-``h_tilde`` evaluates that sum for all positions at once from the current
-stack estimate, with the S noise predictions of one sweep taken in a
-single batched predictor call.  Its Jacobian with respect to the stack is
-strictly triangular (each output depends only on strictly higher positions
-plus x_T), so repeated application converges in at most S steps and the
-transpose system of the gradient code is solved by one back-substitution.
+``h_tilde`` evaluates these sums for all positions at once from the current
+stack estimate, with one batched predictor call and one cumulative sum per
+sweep; the rollout adds the same terms in the same order, so its stack is a
+fixed point of ``h_tilde`` bit for bit wherever a batched prediction equals
+the per-row one.  The Jacobian is strictly triangular (each output depends
+only on strictly higher positions plus x_T), so repeated application
+converges in at most S steps and the transpose system of the gradient code
+is solved by one back-substitution.
 
 A ``Chain`` holds everything these maps read: the schedule, the
 subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
@@ -58,9 +60,10 @@ class ChainCoefficients:
     boundary below the last transition (alpha = 1, tau = 0) and slots i >= 1
     describe transition i, i.e. the step from tau_i down to tau_{i-1}.
     ``ratio[i]`` is sqrt_alpha[i - 1] / sqrt_alpha[i], the factor that
-    carries a state down transition i (slot 0 is unused and zero).  The
-    arrays are read-only, because one instance serves every sweep of a
-    solve.
+    carries a state down transition i, and ``scaled_c1[i]`` is
+    c1[i] / sqrt_alpha[i - 1], the weight of transition i's prediction in
+    the scaled coordinates (slot 0 of both is unused and zero).  The arrays
+    are read-only, because one instance serves every sweep of a solve.
     """
 
     alpha: np.ndarray
@@ -69,6 +72,7 @@ class ChainCoefficients:
     sigma: np.ndarray
     taus: np.ndarray
     ratio: np.ndarray
+    scaled_c1: np.ndarray
 
     @property
     def S(self) -> int:
@@ -98,13 +102,13 @@ def chain_coefficients(
         sigma[i] = sigma_for_pair(alpha[i - 1], alpha[i], schedule.eta)
         c1[i] = c1_for_pair(alpha[i - 1], alpha[i], schedule.eta)
     sqrt_alpha = np.sqrt(alpha)
-    ratio = np.zeros(S + 1)
+    ratio, scaled_c1 = np.zeros(S + 1), np.zeros(S + 1)
     ratio[1:] = sqrt_alpha[:-1] / sqrt_alpha[1:]
-    for arr in (alpha, sqrt_alpha, c1, sigma, taus, ratio):
+    scaled_c1[1:] = c1[1:] / sqrt_alpha[:-1]
+    arrays = (alpha, sqrt_alpha, c1, sigma, taus, ratio, scaled_c1)
+    for arr in arrays:
         arr.setflags(write=False)
-    return ChainCoefficients(
-        alpha=alpha, sqrt_alpha=sqrt_alpha, c1=c1, sigma=sigma, taus=taus, ratio=ratio
-    )
+    return ChainCoefficients(*arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +119,8 @@ class Chain:
     ``subsequence=None`` selects the full chain 1..T and is stored resolved.
     ``noise=None`` injects no noise; otherwise ``noise`` is the (S, D) stack
     of per-transition draws, D being the predictor's dimension, held as a
-    read-only view like the coefficient arrays.
+    read-only view like the coefficient arrays.  ``scaled_noise`` holds row
+    i - 1 times sigma_i / sqrt(A_{i-1}), or None when every sigma is zero.
     """
 
     schedule: DiffusionSchedule
@@ -123,6 +128,7 @@ class Chain:
     predictor: NoisePredictor
     noise: np.ndarray | None = None
     coeffs: ChainCoefficients = field(init=False, repr=False)
+    scaled_noise: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         subsequence = self.subsequence
@@ -139,9 +145,14 @@ class Chain:
                 )
             noise = noise.view()
             noise.setflags(write=False)
+        scaled_noise = None
+        if noise is not None and coeffs.sigma.any():
+            scaled_noise = (coeffs.sigma[1:] / coeffs.sqrt_alpha[:-1])[:, None] * noise
+            scaled_noise.setflags(write=False)
         object.__setattr__(self, "subsequence", subsequence)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "scaled_noise", scaled_noise)
 
     @property
     def S(self) -> int:
@@ -195,7 +206,7 @@ def ddim_step(
     out = np.sqrt(a_prev / a_t) * x_t + c1 * predictor.predict(x_t, t)
     if eps_t is not None:
         out = out + sig * np.asarray(eps_t, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceError(f"non-finite state after the step from t={t}")
     return out
 
@@ -216,20 +227,20 @@ def sequential_rollout(
 
 
 def _rollout(chain: Chain, x_T: np.ndarray) -> np.ndarray:
-    coeffs, predictor = chain.coeffs, chain.predictor
+    coeffs, predictor, noise = chain.coeffs, chain.predictor, chain.scaled_noise
     S = coeffs.S
-    x_T = np.asarray(x_T, dtype=np.float64)
-    noise = chain.noise if chain.noise is not None else np.zeros((S, x_T.size))
-    states = np.empty((S, x_T.size))
-    x = x_T
+    x = np.asarray(x_T, dtype=np.float64)
+    y = x / coeffs.sqrt_alpha[S]
+    states = np.empty((S, x.size))
     for p in range(S, 0, -1):
-        eps_hat = predictor.predict(x, int(coeffs.taus[p]))
-        x = coeffs.ratio[p] * x + coeffs.c1[p] * eps_hat + coeffs.sigma[p] * noise[p - 1]
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"non-finite state after the step from t={int(coeffs.taus[p])}"
-            )
-        states[S - p] = x
+        t = int(coeffs.taus[p])
+        u = coeffs.scaled_c1[p] * predictor.predict(x, t)
+        if noise is not None:
+            u += noise[p - 1]
+        y = y + u
+        x = states[S - p] = coeffs.sqrt_alpha[p - 1] * y
+        if not np.isfinite(x).all():
+            raise DivergenceError(f"non-finite state after the step from t={t}")
     return states
 
 
@@ -246,7 +257,7 @@ def h_tilde(
 
     All S predictor evaluations read the input stack, so they are mutually
     independent and run as one batched predictor call.  The per-position
-    sums share one carried accumulation down the chain, keeping the whole
+    sums are one prefix sum in the scaled coordinates, keeping the whole
     update one predictor call and O(S D) arithmetic instead of the O(S^2)
     literal double sum.  Each call builds a fresh ``Chain``;
     ``sampling.solve_stack`` and the gradient routes take one and call the
@@ -255,36 +266,25 @@ def h_tilde(
     """
     chain = Chain(schedule, subsequence, predictor, noise)
     out = _sweep(chain, *_check_stack(states, x_T, chain.S))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceError("non-finite stack after simultaneous update")
     return out
 
 
 def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
     """``h_tilde`` on checked float64 inputs; the caller checks the output
-    for finiteness (the solvers check every iterate)."""
+    for finiteness (the solvers check every iterate).  The scan rows
+    x_T / sqrt(A_S), u_S, .., u_1 are added strictly in order, as in _rollout."""
     coeffs = chain.coeffs
     S = coeffs.S
     eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
-    terms = coeffs.c1[1:, None] * eps_pred
-    noise_terms = None if chain.noise is None else coeffs.sigma[1:, None] * chain.noise
-    out = np.empty_like(states)
-    # Horner-style carry down the chain, with the same expression order as
-    # _rollout's update, so the rollout stack is a fixed point of this map
-    # bit for bit.  Only this carry is serial; it runs in fixed order.
-    carry = x_T
-    for p in range(S, 0, -1):
-        row = out[S - p]
-        np.multiply(coeffs.ratio[p], carry, out=row)
-        row += terms[p - 1]
-        if noise_terms is not None:
-            row += noise_terms[p - 1]
-        carry = row
-    if noise_terms is None:
-        # Without noise _rollout still adds a zero noise row, which turns a
-        # -0.0 state into +0.0; adding +0.0 once here gives the same bits.
-        out += 0.0
-    return out
+    scan = np.empty((S + 1, x_T.size))
+    np.divide(x_T, coeffs.sqrt_alpha[S], out=scan[0])
+    np.multiply(coeffs.scaled_c1[:0:-1, None], eps_pred[::-1], out=scan[1:])
+    if chain.scaled_noise is not None:
+        scan[1:] += chain.scaled_noise[::-1]
+    np.cumsum(scan, axis=0, out=scan)
+    return coeffs.sqrt_alpha[-2::-1, None] * scan[1:]
 
 
 def h_tilde_vjp(
@@ -333,7 +333,7 @@ def _sweep_vjp(
     weighted[0] += 0.0
     prefixes = np.cumsum(weighted, axis=0)
     pulled = chain.predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
-    scaled = (coeffs.c1[1:] / coeffs.sqrt_alpha[:-1])[:, None] * pulled
+    scaled = coeffs.scaled_c1[1:, None] * pulled
     cot_states = np.zeros_like(states)
     cot_states[: S - 1] = scaled[: S - 1][::-1]
     cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + scaled[S - 1]

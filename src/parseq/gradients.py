@@ -99,7 +99,7 @@ def phantom_grad(
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     y = tau * _sweep(chain, stack_star, x_T) + (1.0 - tau) * stack_star
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DivergenceError("non-finite stack after simultaneous update")
     loss, seed = loss_and_seed(y[S - 1], target_x0)
     cot = np.zeros_like(stack_star)
@@ -147,8 +147,8 @@ def _adjoint_solve(chain: Chain, stack_star: np.ndarray, seed_stack: np.ndarray)
         row = S - 1 - p
         prefix = prefix + coeffs.sqrt_alpha[p - 1] * v[row + 1]
         pulled = chain.predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
-        v[row] = seed_stack[row] + coeffs.c1[p] / coeffs.sqrt_alpha[p - 1] * pulled
-    if not np.all(np.isfinite(v)):
+        v[row] = seed_stack[row] + coeffs.scaled_c1[p] * pulled
+    if not np.isfinite(v).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
     return v
 

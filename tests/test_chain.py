@@ -52,9 +52,33 @@ def h_tilde_reference(states, x_T, schedule, subsequence, predictor, noise=None)
 
 
 def h_tilde_serial(states, x_T, schedule, subsequence, predictor, noise=None):
-    """The carry written out row by row, with a zero noise row when there is
-    no noise: the plain form the production sweep must match bit for bit.
+    """The scaled-coordinate carry written out row by row: y starts at
+    x_T / sqrt(A_S), gains u_p = (c1_p eps_p + sigma_p e_p) / sqrt(A_{p-1})
+    at each transition, and the row below transition p is sqrt(A_{p-1}) y.
+    This is the plain form the production sweep must match bit for bit.
+    Noise whose every sigma is zero is left out, as ``Chain`` leaves it out.
     The predictions come from the same one batched call."""
+    coeffs = chain_coefficients(schedule, subsequence)
+    S = coeffs.S
+    if not coeffs.sigma.any():
+        noise = None
+    inputs = np.concatenate([states[: S - 1][::-1], x_T[None]])
+    eps = predictor.predict(inputs, coeffs.taus[1:])
+    out = np.empty_like(states)
+    y = x_T / coeffs.sqrt_alpha[S]
+    for p in range(S, 0, -1):
+        u = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * eps[p - 1]
+        if noise is not None:
+            u = u + (coeffs.sigma[p] / coeffs.sqrt_alpha[p - 1]) * noise[p - 1]
+        y = y + u
+        out[S - p] = coeffs.sqrt_alpha[p - 1] * y
+    return out
+
+
+def h_tilde_horner(states, x_T, schedule, subsequence, predictor, noise=None):
+    """The earlier unscaled form of the carry, x <- (sqrt(A_{p-1}) / sqrt(A_p)) x
+    + c1_p eps_p + sigma_p e_p, row by row.  It rounds differently from
+    the scaled prefix sum, so the sweep must agree with it only closely."""
     coeffs = chain_coefficients(schedule, subsequence)
     S = coeffs.S
     noise = np.zeros_like(states) if noise is None else noise
@@ -231,7 +255,11 @@ class TestHTilde:
                 serial = h_tilde_serial(states, x_T, sched, sub, pred, noise)
                 np.testing.assert_array_equal(np.signbit(out), np.signbit(serial))
                 np.testing.assert_array_equal(out, serial)
-                # The double sum adds in another order: close, not bitwise.
+                # The unscaled carry and the double sum round differently:
+                # close, not bitwise.
+                np.testing.assert_allclose(
+                    out, h_tilde_horner(states, x_T, sched, sub, pred, noise), rtol=1e-13
+                )
                 np.testing.assert_allclose(
                     out, h_tilde_reference(states, x_T, sched, sub, pred, noise),
                     rtol=1e-10, atol=1e-12,
@@ -267,18 +295,20 @@ class TestHTilde:
         rng = np.random.default_rng(17)
         sub = select_subsequence(100, 12, "linear")
         x_T = rng.standard_normal(3)
+        x_T[0] = -0.0  # checks the signed zeros too
         noise = rng.standard_normal((12, 3))
         for pred in (
             ZeroPredictor(3),
             ConstantPredictor(rng.standard_normal(3)),
             GaussianOptimalPredictor(rng.standard_normal(3), rng.uniform(0.3, 2.0, 3), sched),
         ):
-            cur = init_stack(x_T, 12)
-            for _ in range(12):
-                cur = h_tilde(cur, x_T, sched, sub, pred, noise)
-            np.testing.assert_array_equal(
-                cur, sequential_rollout(x_T, sched, sub, pred, noise)
-            )
+            for pinned in (noise, None):
+                cur = init_stack(x_T, 12)
+                for _ in range(12):
+                    cur = h_tilde(cur, x_T, sched, sub, pred, pinned)
+                rollout = sequential_rollout(x_T, sched, sub, pred, pinned)
+                np.testing.assert_array_equal(np.signbit(cur), np.signbit(rollout))
+                np.testing.assert_array_equal(cur, rollout)
 
     def test_fixed_noise_equivalence_eta_one(self):
         sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=1.0)
@@ -294,14 +324,20 @@ class TestHTilde:
         np.testing.assert_allclose(cur, truth, rtol=1e-6, atol=1e-12)
 
     def test_eta_zero_ignores_noise_bitwise(self, sched, gaussian):
+        # With a -0.0 column, adding the zero noise terms would turn signed
+        # zeros into +0.0, so the sign bits show that the noise is left out.
         sub = select_subsequence(100, 8, "linear")
         rng = np.random.default_rng(9)
         states = rng.standard_normal((8, 3))
         x_T = rng.standard_normal(3)
+        states[:, 0] = x_T[0] = -0.0
         noise = rng.standard_normal((8, 3))
-        a = h_tilde(states, x_T, sched, sub, gaussian)
-        b = h_tilde(states, x_T, sched, sub, gaussian, noise)
-        np.testing.assert_array_equal(a, b)
+        assert Chain(sched, sub, gaussian, noise).scaled_noise is None
+        for pred in (gaussian, ZeroPredictor(3)):
+            a = h_tilde(states, x_T, sched, sub, pred)
+            b = h_tilde(states, x_T, sched, sub, pred, noise)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+            np.testing.assert_array_equal(a, b)
 
     def test_shape_errors(self, sched, gaussian):
         sub = select_subsequence(100, 4, "linear")
@@ -488,11 +524,12 @@ class TestChainCoefficients:
         coeffs = chain_coefficients(sched, select_subsequence(100, 9, "quadratic"))
         for p in range(1, coeffs.S + 1):
             assert coeffs.ratio[p] == coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]
+            assert coeffs.scaled_c1[p] == coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]
 
     def test_arrays_are_read_only(self, sched):
         # One instance serves every sweep of a solve, so no sweep may edit it.
         coeffs = chain_coefficients(sched, select_subsequence(100, 4, "linear"))
-        for name in ("alpha", "sqrt_alpha", "c1", "sigma", "taus", "ratio"):
+        for name in ("alpha", "sqrt_alpha", "c1", "sigma", "taus", "ratio", "scaled_c1"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(coeffs, name)[1] = 0
 

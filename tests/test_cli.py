@@ -451,6 +451,19 @@ class TestExitCodes:
         assert code == 3
         assert "negative radicand" in capsys.readouterr().err
 
+    def test_sequential_divergence_names_its_step(self, monkeypatch, capsys, tmp_path):
+        # The predictor breaks at t = 10 alone, the third of the steps from
+        # 20, 15, 10 and 5, so the rollout must stop there and say so.
+        class InfAtTen(cli.ZeroPredictor):
+            def predict(self, x, t):
+                return np.full(np.shape(x), np.inf if t == 10 else 0.0)
+
+        monkeypatch.setattr(cli, "ZeroPredictor", InfAtTen)
+        code = cli.main(["sample", "--mode", "sequential", "--T", "20", "--S", "4",
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert capsys.readouterr().err.rstrip().endswith("after the step from t=10")
+
     def test_divergent_weights_exit_numeric_failure(self, fixtures, tmp_path):
         root = fixtures["root"]
         res = run_cli("sample", "--mode", "deq-anderson",
@@ -621,43 +634,43 @@ class TestInvert:
 
 
 #: SHA-256 of x_T_hat.stack, loss_trace.csv and run.json for each (method,
-#: grad, eta) of ``TestInvertBytes``, recorded while naive, deq and
-#: deq-stochastic inversion were three separate loops.
+#: grad, eta) of ``TestInvertBytes``, recorded when the sweep and the rollout
+#: became one prefix sum in scaled coordinates.
 INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
-        "bd0810dafc16dbedeb5cb7fd6b2c7412c5b4ca67943d987e0494e474080e6435",
-        "0f86eafeacdbcad93ae97aa2a961c2941b3f391fb48e6aca4884c3cd3056e254",
-        "1ad98c952662177a86cb0b747ac822c85044b1de3686b118fb1681856fb025d3",
+        "7285898e5e7b6aca887eac7668d94cb742baaac7ac072757c652d96c911ea4ef",
+        "b1a1c56b19126afd385f62baf1f9fd6379c198fb9d997fb1d1f82b15d356c4c7",
+        "d5b6f7c227a43550c4a2e0e24203bdddaa6e6e5c08d04de3f41db03f86db33b4",
     ),
     ("deq", "phantom", "0"): (
-        "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
-        "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
-        "3109a6b81d61d96c0e0a1f8314bd8cdbbcd36a6cae076098b893a4fc587426cd",
+        "6a0d272c502ff5652d9ec2d7ef81ea06ca7ec14fb3733978f07749a090b7dc93",
+        "493d10c175d3a2f7a5e876901837659f5f208b0e51f9279b94cb3e80d932ef66",
+        "03f70c8ac3dffa364a5476b498542e5d91b50dceb0b39705606417299b501b50",
     ),
     ("deq", "exact", "0"): (
-        "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
-        "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
-        "1995f6f7e7a8feb4d67d5f7477117b16e2a5af98e6770ef6c91efa3d1691fbf7",
+        "1cf24221ce1b9a9fbc9947428620eada41f87a0d0019e50b7efc95f88eddc4ec",
+        "cae8f4f49cccd38f40e0fb71fa8f54c33727db38e395f59881deacdfc96bbfa0",
+        "9dc806e43216b86a91a99ace383a9d76e483820053d703977052958fcf326d1f",
     ),
     ("deq-stochastic", "phantom", "0"): (
-        "4ad82001e13a5327a5caefa4787ed8b1c1fab7a799bad3509c0a8dc9828b91db",
-        "f8a6b05c04170cd1f842ea08c84ed2170ac6bdfe07b76c68960c0cabd369315c",
-        "45aa33b2542fed4243ba0177c4970f32f15a1bbf3c15dc360777870e6ecbad88",
+        "6a0d272c502ff5652d9ec2d7ef81ea06ca7ec14fb3733978f07749a090b7dc93",
+        "493d10c175d3a2f7a5e876901837659f5f208b0e51f9279b94cb3e80d932ef66",
+        "1c7ca1a30d13ccc952154229d74d8709c8054151b1d1f0a1fc8cd7e97510aabd",
     ),
     ("deq-stochastic", "exact", "0"): (
-        "56144bef1a84f0166c1b4e7f497f8f10bf771aee368f788f46f9884905c61a14",
-        "128804fadb7c78039edbf6905cfb2d6507c4ddcbd81993e48640c87316eedcce",
-        "ff75f4d823be4c5c5a9de90bc5a3143adb9c152454754054ac22d4cfc58af80b",
+        "1cf24221ce1b9a9fbc9947428620eada41f87a0d0019e50b7efc95f88eddc4ec",
+        "cae8f4f49cccd38f40e0fb71fa8f54c33727db38e395f59881deacdfc96bbfa0",
+        "0e46c72db056c74a718557c09779c2cf9673d82e581dd3d20bdc380e3a64d24c",
     ),
     ("deq-stochastic", "phantom", "1"): (
-        "d0bb233f64492fd216452b96607048795623cd6c4117066bf433c20dedb1f6ab",
-        "35b20c1d464d40660bbd006a16d4a9f5a22ab93cf06c15bd5ff6bb3bdf8276af",
-        "bc3549711cfdeee9be632cbebdc9c60c737bb472bfb993d514892fe435431c05",
+        "f97528539c8cb559a53f37c2c5b9829e29bbc1682e89916a11fa5c5cbd8d1786",
+        "71289208718837dee3d8996612160248d7f2de0ec087a401af1dd5a87441222d",
+        "9bed91e0f93c113017b59f3c293ef9a75544470deac72713d963ea02a528eed8",
     ),
     ("deq-stochastic", "exact", "1"): (
-        "9e36761968e0a6cc177a6adf2e4b9dd05716271d8231b23800cbf8a277f4c50a",
-        "e42eaa77f97e89de709177de84d38ea63e3f99e3f81728173bf964430bb96e46",
-        "8410643db68dbdbe3046d87e1455bb2b2ab9d141e640e2fa1889e86b528b4bfe",
+        "058f1366e3cde511ca6c15b2543b12be97d9a14427fa521a574a7d9de0df4c5a",
+        "378286bc9b9d56af4affe28d4e3af3564379d87f7be8ca5ed77e9131696480ce",
+        "718c1f8279ac8f07b37b298524604327655015c76fb6972321b4d93be9ec396a",
     ),
 }
 
