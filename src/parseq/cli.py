@@ -65,7 +65,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                         "triangular solve is exact; 15 for Anderson, or 50 when eta > 0)")
     p.add_argument("--solver-tol", type=float, default=1e-3)
     p.add_argument("--history-m", type=int, default=5)
-    p.add_argument("--ridge-lambda", type=float, default=1e-4)
+    p.add_argument("--ridge-lambda", type=float, default=1e-4,
+                   help="Anderson's ridge weight, relative to the newest residual's "
+                        "squared norm")
     p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
                    help="stack initialization for the fixed-point solve")
 

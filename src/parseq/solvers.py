@@ -22,6 +22,11 @@ from .errors import ConfigError, DivergenceError
 
 @dataclass
 class SolverConfig:
+    """How ``solve`` runs: the method, its iteration budget and residual
+    tolerance, and for Anderson the window length ``history_m`` and the
+    ridge weight ``ridge_lambda``, relative to the newest residual's
+    squared norm."""
+
     method: str = "anderson"
     max_iters: int = 15
     tol: float = 1e-3
@@ -84,35 +89,39 @@ def picard_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fixe
     )
 
 
-def _ridge_terms(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """lam (I + 1 1^T) and lam 1 of an n-weight ridge system.  A window of
-    k outputs uses their leading k - 1 entries, which do not depend on n."""
-    return lam * (np.eye(n) + np.ones((n, n))), lam * np.ones(n)
+def _anderson_gamma(gram: np.ndarray, lam: float) -> np.ndarray | None:
+    """Combination weights of a window of k residuals F (oldest first,
+    newest f_last), given only its Gram matrix F F^T.  They minimize
 
+        ||gamma @ F||^2 + lam ||f_last||^2 ||gamma||^2
 
-def _anderson_gamma(F: np.ndarray, ridge: np.ndarray, ridge_b: np.ndarray) -> np.ndarray | None:
-    """Combination weights minimizing ||gamma @ F||^2 + lam ||gamma||^2
-    subject to sum(gamma) = 1, given ``_ridge_terms(n, lam)`` for some
-    n >= len(F) - 1.
+    subject to sum(gamma) = 1.  Scaling the ridge by the newest squared
+    residual keeps it in proportion to the fit as the residuals shrink, so
+    the weights do not depend on the units of the iterate.
 
     The constraint is eliminated by writing the last weight as one minus
     the rest, which turns the problem into an unconstrained ridge system in
     delta = gamma[:-1]:
 
-        (D D^T + lam (I + 1 1^T)) delta = -D f_last + lam 1,
-        D_j = F_j - F_last.
+        (D D^T + s (I + 1 1^T)) delta = -D f_last + s 1,
+        D_j = F_j - f_last,  s = lam ||f_last||^2,
+
+    whose entries are Gram entries: with M = F F^T and l the newest row,
+    (D D^T)_ij = M_ij - M_il - M_jl + M_ll and (D f_last)_i = M_il - M_ll.
 
     Returns None when the normal system cannot be solved, signalling the
     caller to fall back to a plain step.
     """
-    k = F.shape[0]
+    k = gram.shape[0]
     if k == 1:
         return np.ones(1)
-    D = F[:-1] - F[-1]
-    A = D @ D.T + ridge[:k - 1, :k - 1]
-    b = -D @ F[-1] + ridge_b[:k - 1]
+    c = gram[:-1, -1]
+    d = gram[-1, -1]
+    s = lam * d
+    A = gram[:-1, :-1] - c - c[:, None] + (d + s)
+    A.flat[::k] += s
     try:
-        delta = np.linalg.solve(A, b)
+        delta = np.linalg.solve(A, (d + s) - c)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(delta).all():
@@ -137,13 +146,16 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     regularization.
 
     Keeps the residuals and map outputs of the last min(m, n) iterations
-    (m = ``cfg.history_m``), solves the small ridge system (weight
-    ``cfg.ridge_lambda``) for mixing weights gamma, and proposes
+    (m = ``cfg.history_m``), solves the small ridge system for mixing
+    weights gamma, and proposes
 
         x+ = sum_j gamma_j G_j.
 
-    A failed weight solve falls back to the newest output (a plain Picard
-    step) and is counted in ``picard_fallbacks``.
+    The ridge weight is ``cfg.ridge_lambda`` times the newest residual's
+    squared norm (see ``_anderson_gamma``), so scaling the map's units by
+    a power of two scales every iterate by it, bit for bit.  A failed
+    weight solve falls back to the newest output (a plain Picard step) and
+    is counted in ``picard_fallbacks``.
     """
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
@@ -155,8 +167,10 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     m = min(cfg.history_m, cfg.max_iters)
     size = min(m, 16)
     G, F = (np.empty((2 * size, x.size)) for _ in range(2))
-    # The weight system's ridge terms, built once per ring size.
-    ridge, ridge_b = _ridge_terms(size, cfg.ridge_lambda)
+    # The window's Gram matrix F_w F_w^T, oldest row first.  Each iteration
+    # adds one row and column with a single matvec, and the block slides up
+    # by one once the window is full.
+    gram = np.empty((size, size))
     stored = 0
     residuals: list[float] = []
     fallbacks = 0
@@ -174,7 +188,8 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
             # Nothing has wrapped yet: the history is rows [0, size) in order.
             size = min(2 * size, m)
             G, F = (_grown(ring, stored, size) for ring in (G, F))
-            ridge, ridge_b = _ridge_terms(size, cfg.ridge_lambda)
+            gram, old = np.empty((size, size)), gram
+            gram[:stored, :stored] = old
         slot = stored % size
         for ring, row in ((G, g.ravel()), (F, f)):
             ring[slot] = ring[slot + size] = row
@@ -182,7 +197,10 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
         k = min(stored, size)
         start = (stored - k) % size
         Gw = G[start:start + k]
-        gamma = _anderson_gamma(F[start:start + k], ridge, ridge_b)
+        if stored > size:
+            gram[:-1, :-1] = gram[1:, 1:]
+        gram[k - 1, :k] = gram[:k, k - 1] = F[start:start + k] @ f
+        gamma = _anderson_gamma(gram[:k, :k], cfg.ridge_lambda)
         if gamma is None:
             fallbacks += 1
             nxt = Gw[-1].copy()

@@ -23,7 +23,7 @@ from parseq.chain import sequential_rollout
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_gaussian, save_mlp
 from parseq.rng import stream
 from parseq.sampling import draw_noise_stack, draw_x_T
-from parseq.schedule import make_linear_beta_schedule
+from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.stackio import read_stack, write_stack
 
 
@@ -643,34 +643,34 @@ INVERT_DIGESTS = {
         "d5b6f7c227a43550c4a2e0e24203bdddaa6e6e5c08d04de3f41db03f86db33b4",
     ),
     ("deq", "phantom", "0"): (
-        "6a0d272c502ff5652d9ec2d7ef81ea06ca7ec14fb3733978f07749a090b7dc93",
-        "493d10c175d3a2f7a5e876901837659f5f208b0e51f9279b94cb3e80d932ef66",
-        "03f70c8ac3dffa364a5476b498542e5d91b50dceb0b39705606417299b501b50",
+        "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
+        "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
+        "a2b2099ef7fe61e407fc7381a2fb00391ece60649e50825c4b36e820a942d157",
     ),
     ("deq", "exact", "0"): (
-        "1cf24221ce1b9a9fbc9947428620eada41f87a0d0019e50b7efc95f88eddc4ec",
-        "cae8f4f49cccd38f40e0fb71fa8f54c33727db38e395f59881deacdfc96bbfa0",
-        "9dc806e43216b86a91a99ace383a9d76e483820053d703977052958fcf326d1f",
+        "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
+        "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
+        "7fa94bc0dcc69bbc466c0592c3ed73008467800a79984585bdc5466e0da75dc6",
     ),
     ("deq-stochastic", "phantom", "0"): (
-        "6a0d272c502ff5652d9ec2d7ef81ea06ca7ec14fb3733978f07749a090b7dc93",
-        "493d10c175d3a2f7a5e876901837659f5f208b0e51f9279b94cb3e80d932ef66",
-        "1c7ca1a30d13ccc952154229d74d8709c8054151b1d1f0a1fc8cd7e97510aabd",
+        "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
+        "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
+        "c7ee5afc35182f5559ac7ae0bda21b090d053d87adcec10ececfb2652d56e3a3",
     ),
     ("deq-stochastic", "exact", "0"): (
-        "1cf24221ce1b9a9fbc9947428620eada41f87a0d0019e50b7efc95f88eddc4ec",
-        "cae8f4f49cccd38f40e0fb71fa8f54c33727db38e395f59881deacdfc96bbfa0",
-        "0e46c72db056c74a718557c09779c2cf9673d82e581dd3d20bdc380e3a64d24c",
+        "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
+        "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
+        "6ee491d959232d900b9736cfa5224a8b09a5b70d78ba19ca2a0c644734ef08a7",
     ),
     ("deq-stochastic", "phantom", "1"): (
-        "f97528539c8cb559a53f37c2c5b9829e29bbc1682e89916a11fa5c5cbd8d1786",
-        "71289208718837dee3d8996612160248d7f2de0ec087a401af1dd5a87441222d",
-        "9bed91e0f93c113017b59f3c293ef9a75544470deac72713d963ea02a528eed8",
+        "fdc587c2db8389d26115094eadd44319457246812ded8c5d74b96e340d352f30",
+        "d8baeb5dcd38a6d80999a5f580b4d13819a9bd7211115838904eb5d74b1b6aab",
+        "aba2e963d6c561e2f3fb34af73dbde95043ad7698c547b6edf82d8fbff40f439",
     ),
     ("deq-stochastic", "exact", "1"): (
-        "058f1366e3cde511ca6c15b2543b12be97d9a14427fa521a574a7d9de0df4c5a",
-        "378286bc9b9d56af4affe28d4e3af3564379d87f7be8ca5ed77e9131696480ce",
-        "718c1f8279ac8f07b37b298524604327655015c76fb6972321b4d93be9ec396a",
+        "2b3f663693b99c59416a0e12d74b935562c2b4b5a0bf892070f04fbc870579c4",
+        "75710a82748df66174ae11f53048de4dc3df736d9589d683050ce4e24566eaad",
+        "3254f726f324f8cc6c9740f1a5fba917013aebc303206b6024d8358f95a1ee10",
     ),
 }
 
@@ -721,6 +721,31 @@ class TestInvertBytes:
         self._invert(tmp_path, monkeypatch, "deq-stochastic", "phantom", eta)
         (chain,) = chains
         assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
+
+
+@pytest.mark.parametrize("grad", ["phantom", "exact"])
+def test_deq_inversion_converges_every_anderson_solve(tmp_path, monkeypatch, grad):
+    # The benchmark's Gaussian inversion chain (T 1000, S 10, D 16): each
+    # epoch's Anderson solve, warm-started from the last fixed point, must
+    # reach --solver-tol within its default budget of 15 iterations.
+    monkeypatch.chdir(tmp_path)
+    sched = make_linear_beta_schedule(1000)
+    rng = np.random.default_rng(1)
+    mu, var = rng.standard_normal(16), rng.uniform(0.3, 2.0, 16)
+    save_gaussian("g.json", mu, var)
+    x_T = stream(7, "x_T").standard_normal(16)
+    pred = GaussianOptimalPredictor(mu, var, sched)
+    target = sequential_rollout(x_T, sched, select_subsequence(1000, 10, "linear"), pred)[-1]
+    write_stack("target.stack", target, 1000, 0.0)
+    argv = ["invert", "--predictor", "gaussian:g.json", "--T", "1000", "--S", "10",
+            "--subseq", "linear", "--target", "target.stack", "--method", "deq",
+            "--grad", grad, "--lr", "0.1", "--stop-loss", "1e-3", "--epochs", "800",
+            "--seed", "0", "--out", "out"]
+    assert cli.main(argv) == 0
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert run["best_loss"] <= 1e-3
+    assert run["solver_converged"] == [True] * run["epochs_run"]
+    assert max(run["solver_iters"]) <= 15
 
 
 #: Solver flag values on both sides of their bounds.

@@ -210,9 +210,10 @@ class TestInvertDeq:
 
     @pytest.mark.parametrize("mode", ["phantom", "exact_ift"])
     def test_benchmark_shaped_gaussian_inversion_converges_every_solve(self, mode):
-        # On this chain a warm-started Anderson solve with its 15-iteration
-        # budget stops short of its tolerance in almost every epoch; the
-        # default Picard solve gets S + 1 sweeps, at which it is exact.
+        # The default Picard solve gets S + 1 sweeps, at which it is exact.
+        # A warm-started Anderson solve with its 15-iteration budget, as the
+        # CLI runs it, converges in every epoch too: its ridge shrinks with
+        # the residual, so the weights do not stall near the tolerance.
         sched = make_linear_beta_schedule(1000)
         sub = select_subsequence(1000, 10, "linear")
         rng = np.random.default_rng(1)
@@ -225,8 +226,10 @@ class TestInvertDeq:
         assert run.best_loss <= 1e-3
         assert run.solver_converged == [True] * run.epochs_run
         assert max(run.solver_iters) <= 11
-        old = invert(target, InversionConfig(solver=anderson, **cfg), chain)
-        assert sum(old.solver_converged) < old.epochs_run / 2
+        mixed = invert(target, InversionConfig(solver=anderson, **cfg), chain)
+        assert mixed.best_loss <= 1e-3
+        assert mixed.solver_converged == [True] * mixed.epochs_run
+        assert max(mixed.solver_iters) <= 15
 
     def test_exact_mode_needs_no_more_epochs_than_phantom(self):
         # Affine-diagonal chain: the two gradients differ by a constant

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from parseq import (
     solve,
     solve_stack,
 )
-from parseq.solvers import _anderson_gamma, _checked_step, _ridge_terms
+from parseq.chain import _rollout
+from parseq.sampling import draw_noise_stack, draw_x_T
+from parseq.solvers import _anderson_gamma, _checked_step
 
 
 def affine_map(rho: float, dim: int, seed: int):
@@ -178,9 +182,8 @@ class TestAnderson:
 
     @pytest.mark.parametrize("seed", [1, 3, 6])
     def test_beats_picard_on_slow_affine_map(self, seed):
-        # The default ridge floors the residual near sqrt(lambda), so the
-        # deep-tolerance comparison runs with a near-zero ridge; m=5 history
-        # spans the D=4 affine space and the solve is essentially exact.
+        # m=5 history spans the D=4 affine space and the solve is
+        # essentially exact.
         fn, fixed = affine_map(0.9, 4, seed)
         cfg = SolverConfig(max_iters=400, tol=1e-10, ridge_lambda=1e-12)
         cfg_p = SolverConfig(method="picard", max_iters=400, tol=1e-10)
@@ -259,33 +262,42 @@ class TestAnderson:
         assert all(r >= 0 for r in res.residuals)
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-4, 2.5])
+def _kkt_gamma(F, lam):
+    """The weights from the KKT system of min ||gamma F||^2 + s ||gamma||^2
+    subject to sum(gamma) = 1, with s = lam ||F[-1]||^2."""
+    k = len(F)
+    s = lam * (F[-1] @ F[-1])
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * (F @ F.T + s * np.eye(k))
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    return np.linalg.solve(kkt, np.eye(k + 1)[k])[:k]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-8, 1e-4, 1.0, 2.5])
 def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
-    # anderson_solve builds the ridge terms once per ring size and hands
-    # each window their leading block; every window must get the weights of
-    # the system built from scratch at its own size.
+    # The Gram-entry ridge system must give the weights of the constrained
+    # problem solved directly, on windows of every size up to 17 residuals
+    # and of residual scales far from 1.
     rng = np.random.default_rng(8)
-    for n in (1, 16, 40):
-        ridge, ridge_b = _ridge_terms(n, lam)
-        for k in range(1, n + 2):
-            F = rng.standard_normal((k, 40))
-            got = _anderson_gamma(F, ridge, ridge_b)
+    for k in range(1, 18):
+        for scale in (1e-6, 1.0, 1e6):
+            F = scale * rng.standard_normal((k, 40))
+            got = _anderson_gamma(F @ F.T, lam)
             if k == 1:
                 assert got.tolist() == [1.0]
                 continue
-            D = F[:-1] - F[-1]
-            A = D @ D.T + lam * (np.eye(k - 1) + np.ones((k - 1, k - 1)))
-            delta = np.linalg.solve(A, -D @ F[-1] + lam * np.ones(k - 1))
-            want = np.concatenate([delta, [1.0 - delta.sum()]])
-            assert got.tobytes() == want.tobytes()
+            assert got.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(got, _kkt_gamma(F, lam), rtol=1e-7, atol=1e-9)
 
 
 def _list_history_anderson(step_map, init, cfg):
     """The list-and-stack Anderson loop the ring buffers replaced, kept as
-    the bitwise reference for them."""
+    the bitwise reference for them.  Its window Gram gains one row and
+    column per iteration from the same matvec the solver makes."""
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
     G, F = [], []
+    gram = np.empty((0, 0))
     residuals = []
     fallbacks = 0
     converged = False
@@ -303,7 +315,13 @@ def _list_history_anderson(step_map, init, cfg):
         if len(G) > cfg.history_m:
             G.pop(0)
             F.pop(0)
-        gamma = _anderson_gamma(np.stack(F), *_ridge_terms(len(F) - 1, cfg.ridge_lambda))
+            gram = gram[1:, 1:]
+        k = len(F)
+        grown = np.empty((k, k))
+        grown[:-1, :-1] = gram
+        grown[-1] = grown[:, -1] = np.stack(F) @ f
+        gram = grown
+        gamma = _anderson_gamma(gram, cfg.ridge_lambda)
         if gamma is None:
             fallbacks += 1
             nxt = G[-1].copy()
@@ -353,7 +371,7 @@ class TestAndersonHistory:
             lambda: _mlp_chain(SolverConfig(max_iters=30, tol=1e-10)),
             lambda: _mlp_chain(SolverConfig(max_iters=4, tol=1e-10, history_m=8)),
             lambda: _translation(SolverConfig(max_iters=9, ridge_lambda=0.0, history_m=3)),
-            lambda: _gauss_sampling_chain(SolverConfig(max_iters=70, tol=1e-12, history_m=40)),
+            lambda: _gauss_sampling_chain(SolverConfig(max_iters=70, tol=0.0, history_m=40)),
         ],
         ids=["gauss-converges", "gauss-capped", "mlp-converges", "mlp-short-budget",
              "translation-fallback", "gauss-long-window"],
@@ -386,10 +404,56 @@ class TestAndersonHistory:
             *_translation(SolverConfig(max_iters=9, ridge_lambda=0.0, history_m=3))
         )
         assert moved.picard_fallbacks == 8
+        # tol 0 runs the whole budget: the 40-row window grows twice and wraps.
         long = anderson_solve(
-            *_gauss_sampling_chain(SolverConfig(max_iters=70, tol=1e-12, history_m=40))
+            *_gauss_sampling_chain(SolverConfig(max_iters=70, tol=0.0, history_m=40))
         )
         assert long.iters > 40
+
+
+@given(
+    e=st.integers(min_value=-20, max_value=20),
+    case=st.sampled_from([
+        lambda: _gauss_sampling_chain(SolverConfig(max_iters=100, tol=1e-3)),
+        lambda: _gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3, history_m=3)),
+        lambda: _mlp_chain(SolverConfig(max_iters=30, tol=1e-10)),
+        lambda: _translation(SolverConfig(max_iters=9, ridge_lambda=0.0, history_m=3)),
+    ]),
+)
+@settings(max_examples=30, deadline=None)
+def test_anderson_is_scale_equivariant(e, case):
+    # The ridge is relative to the newest residual, so measuring the same
+    # map in units c = 2^e (exact in binary floating point) scales every
+    # iterate by c and leaves the iteration count and fallbacks alone.
+    step_map, init, cfg = case()
+    c = 2.0**e
+    ref = anderson_solve(step_map, init, cfg)
+    res = anderson_solve(
+        lambda x: c * step_map(x / c), c * init, dataclasses.replace(cfg, tol=c * cfg.tol)
+    )
+    assert res.states.tobytes() == (c * ref.states).tobytes()
+    assert res.residuals == [c * r for r in ref.residuals]
+    assert (res.iters, res.converged, res.picard_fallbacks) == (
+        ref.iters, ref.converged, ref.picard_fallbacks
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_anderson_beats_picard_sweeps_on_the_eta_one_gaussian_chain(seed):
+    # The benchmark's sampling chain (T 1000, S 100, D 64, eta 1): Picard
+    # needs 33 sweeps to reach 1e-3. Anderson must converge within 40
+    # iterations with no plain-step fallback, and its x0 must match the
+    # sequential sampler's.
+    sched = make_linear_beta_schedule(1000, eta=1.0)
+    sub = select_subsequence(1000, 100, "linear")
+    rng = np.random.default_rng(seed)
+    pred = GaussianOptimalPredictor(rng.normal(size=64), rng.uniform(0.3, 2.0, 64), sched)
+    chain = Chain(sched, sub, pred, draw_noise_stack(seed, 100, 64))
+    x_T = draw_x_T(seed, 64)
+    res = solve_stack(chain, x_T, default_solver_config(1.0))
+    assert res.converged and res.iters <= 40
+    assert res.picard_fallbacks == 0
+    assert float(np.linalg.norm(res.states[-1] - _rollout(chain, x_T)[-1])) <= 1e-3
 
 
 class TestDispatch:
