@@ -59,11 +59,11 @@ class ChainCoefficients:
     Arrays have length S + 1 and are indexed by position; slot 0 is the
     boundary below the last transition (alpha = 1, tau = 0) and slots i >= 1
     describe transition i, i.e. the step from tau_i down to tau_{i-1}.
-    ``ratio[i]`` is sqrt_alpha[i - 1] / sqrt_alpha[i], the factor that
-    carries a state down transition i, and ``scaled_c1[i]`` is
-    c1[i] / sqrt_alpha[i - 1], the weight of transition i's prediction in
-    the scaled coordinates (slot 0 of both is unused and zero).  The arrays
-    are read-only, because one instance serves every sweep of a solve.
+    ``scaled_c1[i]`` is c1[i] / sqrt_alpha[i - 1], the weight of transition
+    i's prediction in the scaled coordinates y = x / sqrt(A) (slot 0 is
+    unused and zero); every chain pass, forward or backward, runs in those
+    coordinates.  The arrays are read-only, because one instance serves
+    every sweep of a solve.
     """
 
     alpha: np.ndarray
@@ -71,7 +71,6 @@ class ChainCoefficients:
     c1: np.ndarray
     sigma: np.ndarray
     taus: np.ndarray
-    ratio: np.ndarray
     scaled_c1: np.ndarray
 
     @property
@@ -102,10 +101,9 @@ def chain_coefficients(
         sigma[i] = sigma_for_pair(alpha[i - 1], alpha[i], schedule.eta)
         c1[i] = c1_for_pair(alpha[i - 1], alpha[i], schedule.eta)
     sqrt_alpha = np.sqrt(alpha)
-    ratio, scaled_c1 = np.zeros(S + 1), np.zeros(S + 1)
-    ratio[1:] = sqrt_alpha[:-1] / sqrt_alpha[1:]
+    scaled_c1 = np.zeros(S + 1)
     scaled_c1[1:] = c1[1:] / sqrt_alpha[:-1]
-    arrays = (alpha, sqrt_alpha, c1, sigma, taus, ratio, scaled_c1)
+    arrays = (alpha, sqrt_alpha, c1, sigma, taus, scaled_c1)
     for arr in arrays:
         arr.setflags(write=False)
     return ChainCoefficients(*arrays)

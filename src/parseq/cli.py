@@ -218,11 +218,7 @@ def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
                 f"noise file holds shape {noise.shape}, chain needs ({S}, {D})"
             )
         return noise
-    # invert's deq-stochastic pins its draws even at eta 0, where the zero
-    # sigmas multiply them into zeros.
-    if args["eta"] > 0.0 or args.get("method") == "deq-stochastic":
-        return draw_noise_stack(args["seed"], S, D)
-    return None
+    return draw_noise_stack(args["seed"], S, D) if args["eta"] > 0.0 else None
 
 
 def _write_manifest(out_dir: str, command: str, args: dict,
@@ -483,6 +479,8 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
             f"(missing: {missing}, unknown: {unknown})"
         )
     mistyped = sorted(k for k, action in actions.items() if not _fits(action, args[k]))
+    if args["command"] != command:
+        mistyped.append("command")
     if mistyped:
         raise ParseError(f"manifest args for '{command}' have mistyped values: {mistyped}")
     args = dict(args)

@@ -11,9 +11,11 @@ Three routes, cheapest first:
   the system is solved exactly by one back-substitution from the x_0 row
   up, one single-row predictor vjp per position (S - 1 in all); one
   batched vjp sweep then pulls v back onto x_T.
-* ``rollout_backprop_grad`` differentiates the sequential sampler step by
-  step; it needs the O(S D) forward stack in memory and serves as the
-  ground truth the implicit route must reproduce.
+* ``rollout_backprop_grad`` backpropagates through the sequential sampler
+  with its O(S D) forward stack kept.  It runs that back-substitution in
+  the same scaled coordinates and ends in a one-row vjp at x_T, so on the
+  rollout's stack it is ``exact_ift_grad`` bit for bit wherever a one-row
+  vjp matches the batched one.
 
 All three return (loss, gradient) where loss is the value of the scalar
 function actually differentiated.  The first two take a ``Chain``;
@@ -184,10 +186,10 @@ def rollout_backprop_grad(
 ) -> tuple[float, np.ndarray]:
     """Differentiate the sequential sampler by reverse sweep over its steps.
 
-    The forward stack is kept (O(S D) memory); the cotangent then climbs
-    one transition at a time:
-
-        lam <- sqrt(A_{p-1} / A_p) lam + c1_p vjp_eps(x_p, tau_p, lam).
+    Keeps the forward stack (O(S D) memory) and climbs it with the prefix
+    P of ``_adjoint_solve``, seeded with dL/dx_0:
+    P <- P + sqrt(A_p) (c1_p / sqrt(A_{p-1})) vjp_eps(x_p, tau_p, P).
+    dL/dx_T is P / sqrt(A_S) plus transition S's term, as in ``_sweep_vjp``.
     """
     return _rollout_backprop(Chain(schedule, subsequence, predictor, noise), x_T, target_x0)
 
@@ -195,17 +197,15 @@ def rollout_backprop_grad(
 def _rollout_backprop(
     chain: Chain, x_T: np.ndarray, target_x0: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    coeffs = chain.coeffs
-    S = coeffs.S
-    x_T = np.asarray(x_T, dtype=np.float64)
+    coeffs, predictor, S = chain.coeffs, chain.predictor, chain.S
     states = _rollout(chain, x_T)
-    loss, lam = loss_and_seed(states[S - 1], target_x0)
-    for p in range(1, S + 1):
-        x_p = states[S - 1 - p] if p < S else x_T
-        lam = coeffs.ratio[p] * lam + coeffs.c1[p] * chain.predictor.vjp(
-            x_p, int(coeffs.taus[p]), lam
-        )
-    return loss, lam
+    loss, seed = loss_and_seed(states[S - 1], target_x0)
+    prefix = seed + 0.0  # the adjoint's running sum turns a -0.0 seed into +0.0
+    for p in range(1, S):
+        pulled = predictor.vjp(states[S - 1 - p], int(coeffs.taus[p]), prefix)
+        prefix = prefix + coeffs.sqrt_alpha[p] * (coeffs.scaled_c1[p] * pulled)
+    pulled = predictor.vjp(x_T, int(coeffs.taus[S]), prefix)
+    return loss, prefix / coeffs.sqrt_alpha[S] + coeffs.scaled_c1[S] * pulled
 
 
 def central_difference_grad(

@@ -13,8 +13,7 @@ picks how each epoch takes its gradient:
 
 A noisy chain (eta > 0) is inverted with its per-transition noise stack
 pinned in the ``Chain``, which keeps the joint map deterministic within
-the run.  At eta = 0 every sigma vanishes and pinned draws multiply into
-zeros.
+the run.  At eta = 0 every sigma vanishes and the chain needs no noise.
 
 Peak retained state is one stack plus optimizer moments, independent of
 the epoch count.
@@ -27,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
 from .chain import Chain
 from .errors import ConfigError, DivergenceError
 from .gradients import Adam, _rollout_backprop, exact_ift_grad, phantom_grad
-from .sampling import picard_budget, solve_stack
+from .sampling import draw_x_T, picard_budget, solve_stack
 from .solvers import SolverConfig
 
 
@@ -85,24 +83,19 @@ def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
     }
 
 
-def _check_target(target: np.ndarray) -> np.ndarray:
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim != 1:
-        raise ConfigError(f"target must be a single state vector, got {target.shape}")
-    return target
-
-
 def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> InversionRun:
     """Adam on x_T against the squared distance of the chain's x_0 to the
     target, with the gradient of ``cfg.gradient_mode`` each epoch."""
-    target = _check_target(x0_target)
+    target = np.asarray(x0_target, dtype=np.float64)
+    if target.ndim != 1:
+        raise ConfigError(f"target must be a single state vector, got {target.shape}")
     eta = chain.schedule.eta
     if eta != 0.0 and chain.noise is None:
         raise ConfigError(f"inverting a chain with eta={eta} needs its noise pinned")
     solver_cfg = cfg.solver
     if solver_cfg is None:
         solver_cfg = SolverConfig(method="picard", max_iters=picard_budget(chain.S))
-    x_T = rng.stream(cfg.seed, "x_T").standard_normal(target.size)
+    x_T = draw_x_T(cfg.seed, target.size)
     adam = Adam(lr=cfg.lr)
     run = InversionRun(x_T_hat=x_T)
     warm: np.ndarray | None = None

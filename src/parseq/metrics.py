@@ -48,7 +48,7 @@ def sample_moments(samples: np.ndarray) -> MomentSummary:
 def gaussian_w2(
     mu1: np.ndarray, var1: np.ndarray, mu2: np.ndarray, var2: np.ndarray
 ) -> float:
-    """2-Wasserstein distance between diagonal Gaussians."""
+    """2-Wasserstein distance between diagonal Gaussians; NumericDomainError on overflow."""
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu2 = np.asarray(mu2, dtype=np.float64)
     var1 = np.asarray(var1, dtype=np.float64)
@@ -59,4 +59,7 @@ def gaussian_w2(
         raise NumericDomainError("variances must be >= 0")
     gap = mu1 - mu2
     dev = np.sqrt(var1) - np.sqrt(var2)
-    return float(np.sqrt(gap @ gap + dev @ dev))
+    w2 = float(np.sqrt(gap @ gap + dev @ dev))
+    if not np.isfinite(w2):
+        raise NumericDomainError("W2 is not finite: the moments or the distance overflow")
+    return w2

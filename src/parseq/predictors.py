@@ -274,7 +274,10 @@ def _memoised(path: str, what: str, parse: Callable[[dict], tuple]) -> tuple:
         raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{what} {path} must hold a JSON object")
-    content = parse(payload)
+    try:
+        content = parse(payload)
+    except ParseError as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from None
     with _MEMO_LOCK:
         _MEMO[path] = (what, digest, content)
         _MEMO.move_to_end(path)
@@ -284,11 +287,14 @@ def _memoised(path: str, what: str, parse: Callable[[dict], tuple]) -> tuple:
 
 
 def _float_array(value, what: str) -> np.ndarray:
-    """A numeric JSON list as float64; anything else is a schema error."""
+    """A numeric JSON list as finite float64; anything else is a schema error."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise SchemaError(f"{what} must be a list of numbers") from None
+    if not np.isfinite(array).all():
+        raise SchemaError(f"{what} must hold finite numbers")
+    return array
 
 
 def _read_only(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -300,14 +306,14 @@ def _read_only(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
 def _parse_mlp(payload: dict) -> tuple:
     for field in ("widths", "weights", "biases", "time_embed"):
         if field not in payload:
-            raise ParseError(f"mlp weight file missing field '{field}'")
+            raise ParseError(f"missing field '{field}'")
     if payload["time_embed"] != "scalar_append":
         raise SchemaError(
             f"unsupported time_embed '{payload['time_embed']}'; expected 'scalar_append'"
         )
     for field in ("widths", "weights", "biases"):
         if not isinstance(payload[field], list):
-            raise SchemaError(f"mlp weight file field '{field}' must be a list")
+            raise SchemaError(f"field '{field}' must be a list")
     try:
         widths = [int(w) for w in payload["widths"]]
     except (TypeError, ValueError):
@@ -350,7 +356,7 @@ def save_gaussian(path: str, mu: np.ndarray, var: np.ndarray) -> None:
 def _parse_gaussian(payload: dict) -> tuple[np.ndarray, np.ndarray]:
     for field in ("mu", "var"):
         if field not in payload:
-            raise ParseError(f"gaussian file missing field '{field}'")
+            raise ParseError(f"missing field '{field}'")
     mu = _float_array(payload["mu"], "gaussian mu")
     var = _float_array(payload["var"], "gaussian var")
     if mu.ndim != 1 or var.shape != mu.shape or mu.size == 0:

@@ -52,6 +52,8 @@ def read_stack(path: str) -> tuple[np.ndarray, int, float]:
             f"stack file {path} holds {len(blob)} bytes, expected {expected}"
         )
     payload = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    if not np.isfinite(payload).all():
+        raise ParseError(f"stack file {path} holds NaN or infinite values")
     return payload.reshape(S, D).astype(np.float64), int(T), float(eta)
 
 

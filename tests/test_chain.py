@@ -520,16 +520,16 @@ class TestChainCoefficients:
             assert coeffs.sigma[i] == sigma_for_pair(ap, at, 0.5)
             assert coeffs.c1[i] == c1_for_pair(ap, at, 0.5)
 
-    def test_ratio_is_the_carry_division(self, sched):
+    def test_scaled_c1_is_c1_over_the_lower_sqrt_alpha(self, sched):
         coeffs = chain_coefficients(sched, select_subsequence(100, 9, "quadratic"))
+        assert coeffs.scaled_c1[0] == 0.0
         for p in range(1, coeffs.S + 1):
-            assert coeffs.ratio[p] == coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]
             assert coeffs.scaled_c1[p] == coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]
 
     def test_arrays_are_read_only(self, sched):
         # One instance serves every sweep of a solve, so no sweep may edit it.
         coeffs = chain_coefficients(sched, select_subsequence(100, 4, "linear"))
-        for name in ("alpha", "sqrt_alpha", "c1", "sigma", "taus", "ratio", "scaled_c1"):
+        for name in ("alpha", "sqrt_alpha", "c1", "sigma", "taus", "scaled_c1"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(coeffs, name)[1] = 0
 

@@ -4,8 +4,10 @@ Each test drives the installed entry point in a subprocess so exit codes,
 stderr, and the files on disk are exactly what a shell user would see.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -579,6 +581,83 @@ class TestEvalW2:
         assert "dimension" in res.stderr
 
 
+class TestNonFiniteInputs:
+    """NaN and +-inf in an input file exit 4 and name the file; finite
+    samples whose statistics overflow exit 3.  No run prints a NaN or an
+    Infinity, which JSON cannot hold."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--target", "--noise-file", "--samples"])
+    def test_stack_flag(self, flag, bad, tmp_path, capsys):
+        rows = np.full((3, 2), 0.5)
+        rows[1, 1] = bad
+        path = str(tmp_path / "bad.stack")
+        write_stack(path, rows, 20, 0.0)
+        gauss = str(tmp_path / "g.json")
+        save_gaussian(gauss, np.zeros(2), np.ones(2))
+        argv = {
+            "--target": ["invert", "--target", path, "--predictor", "gaussian", "--D", "2",
+                         "--T", "20", "--epochs", "2"],
+            "--noise-file": ["sample", "--noise-file", path, "--predictor", "gaussian",
+                             "--D", "2", "--T", "20", "--S", "3", "--eta", "1"],
+            "--samples": ["eval-w2", "--samples", path, "--target", f"gaussian:{gauss}"],
+        }[flag]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert path in captured.err and "NaN or infinite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, kind, text",
+        [
+            *[(command, "gaussian", text) for command in ("sample", "eval-w2") for text in (
+                '{"mu": [0.0, 1.0], "var": [NaN, 1.0]}',
+                '{"mu": [Infinity, 1.0], "var": [1.0, 1.0]}',
+                '{"mu": [0.0, 1.0], "var": [1e999, 1.0]}',
+            )],
+            ("sample", "mlp", '{"widths": [3, 2], "weights": [[0, 0, 0, 0, 0, -Infinity]], '
+                              '"biases": [[0, 0]], "time_embed": "scalar_append"}'),
+            ("sample", "mlp", '{"widths": [3, 2], "weights": [[0, 0, 0, 0, 0, 0]], '
+                              '"biases": [[NaN, 0]], "time_embed": "scalar_append"}'),
+        ],
+        ids=[f"{c}-{k}" for c in ("sample", "eval-w2")
+             for k in ("nan-var", "inf-mu", "overflowing-var")] + ["mlp-inf-weight",
+                                                                 "mlp-nan-bias"],
+    )
+    def test_json_file(self, command, kind, text, tmp_path, capsys):
+        path = str(tmp_path / "params.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        samples = str(tmp_path / "samples.stack")
+        write_stack(samples, np.arange(6.0).reshape(3, 2), 0, 0.0)
+        argv = {
+            "sample": ["sample", "--predictor", f"{kind}:{path}", "--T", "10"],
+            "eval-w2": ["eval-w2", "--samples", samples, "--target", f"gaussian:{path}"],
+        }[command]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert path in captured.err and "finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200], ids=["moments", "distance"])
+    def test_overflowing_samples_are_a_numeric_failure(self, scale, tmp_path, capsys):
+        # At 1e308 the mean overflows; at 1e200 the moments are finite and
+        # the squared distance to the target's mean overflows.
+        samples = str(tmp_path / "big.stack")
+        write_stack(samples, np.array([[scale, 0.0], [scale, 1.0]]), 0, 0.0)
+        gauss = str(tmp_path / "g.json")
+        save_gaussian(gauss, np.zeros(2), np.ones(2))
+        code = cli.main(["eval-w2", "--samples", samples, "--target", f"gaussian:{gauss}",
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "numeric failure" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestInvert:
     def test_deq_run_writes_report_trace_and_recovered_state(self, fixtures, tmp_path):
         root = fixtures["root"]
@@ -635,12 +714,13 @@ class TestInvert:
 
 #: SHA-256 of x_T_hat.stack, loss_trace.csv and run.json for each (method,
 #: grad, eta) of ``TestInvertBytes``, recorded when the sweep and the rollout
-#: became one prefix sum in scaled coordinates.
+#: became one prefix sum in scaled coordinates; ``naive`` was re-recorded
+#: when the rollout's backprop became the exact route's back-substitution.
 INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
-        "7285898e5e7b6aca887eac7668d94cb742baaac7ac072757c652d96c911ea4ef",
-        "b1a1c56b19126afd385f62baf1f9fd6379c198fb9d997fb1d1f82b15d356c4c7",
-        "d5b6f7c227a43550c4a2e0e24203bdddaa6e6e5c08d04de3f41db03f86db33b4",
+        "7afe17d5c631f3906a2e843b0bf892e5918d0087a7fca02a8824c363338ba18e",
+        "ced2670c8b9693e3acec8101b2eb96ec607ae7dea448ff90da3845aabcfc7a5f",
+        "5754744ed96fb107b7135f091a50e6884339418b68d85c2cf5a853f9a7dc3412",
     ),
     ("deq", "phantom", "0"): (
         "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
@@ -715,12 +795,16 @@ class TestInvertBytes:
 
     @pytest.mark.parametrize("eta", ["0", "1"])
     def test_stochastic_method_pins_the_seeds_noise_stack(self, tmp_path, monkeypatch, eta):
+        # At eta 0 every sigma is zero, so no noise is drawn and none is pinned.
         chains = []
         run = cli.invert
         monkeypatch.setattr(cli, "invert", lambda t, cfg, c: chains.append(c) or run(t, cfg, c))
         self._invert(tmp_path, monkeypatch, "deq-stochastic", "phantom", eta)
         (chain,) = chains
-        assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
+        if eta == "0":
+            assert chain.noise is None and chain.scaled_noise is None
+        else:
+            assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
 
 
 @pytest.mark.parametrize("grad", ["phantom", "exact"])
@@ -823,3 +907,173 @@ class TestArgvBoundary:
                 bad = bad or s_list not in ("2,4", "4")
             code = _exit_code(argv + ["--out", os.path.join(tmp, "out")])
         assert code == (2 if bad else 0)
+
+
+_EVAL_VALUES = [-1.5, 0.0, 0.5, 2.0, 1e308, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(0, 4),
+    D=st.integers(1, 4),
+    values=st.lists(st.sampled_from(_EVAL_VALUES), min_size=16, max_size=16),
+    samples_file=st.sampled_from(["stack", "truncated", "missing"]),
+    target=st.sampled_from(["gaussian:params", "gaussian", "mlp:params", "gaussian:missing"]),
+    target_D=st.integers(1, 4),
+    mu=st.sampled_from([-1.0, 0.0, 1.5, np.nan, np.inf]),
+    var=st.sampled_from([-1.0, 0.5, 2.0, np.nan, -np.inf]),
+    out=st.booleans(),
+)
+def test_eval_w2_argv_exits_with_its_documented_code(rows, D, values, samples_file, target,
+                                                     target_D, mu, var, out):
+    data = np.array(values[: rows * D]).reshape(rows, D)
+    with tempfile.TemporaryDirectory() as tmp:
+        samples = os.path.join(tmp, "samples.stack")
+        if samples_file != "missing":
+            write_stack(samples, data, 0, 0.0)
+        if samples_file == "truncated":
+            with open(samples, "r+b") as fh:
+                fh.truncate(os.path.getsize(samples) - 3)
+        params = os.path.join(tmp, "params.json")
+        with open(params, "w") as fh:
+            json.dump({"mu": [mu] * target_D, "var": [var] * target_D}, fh)
+        spec = target.replace("params", params).replace("missing", os.path.join(tmp, "no.json"))
+        argv = ["eval-w2", "--samples", samples, "--target", spec]
+        if out:
+            argv += ["--out", os.path.join(tmp, "out")]
+        code = _exit_code(argv)
+        wrote = os.path.exists(os.path.join(tmp, "out", "eval.json"))
+    if not target.startswith("gaussian:"):
+        expected = 2  # --target must name a Gaussian parameter file
+    elif samples_file != "stack" or not np.isfinite(data).all():
+        expected = 4
+    elif target == "gaussian:missing" or not np.isfinite([mu, var]).all():
+        expected = 4
+    elif rows < 2:
+        expected = 4  # a variance needs two samples
+    elif D != target_D:
+        expected = 2
+    elif var < 0 or (data == 1e308).any():
+        expected = 3  # a negative target variance, or overflowing moments
+    else:
+        expected = 0
+    assert code == expected
+    assert wrote == (out and code == 0)
+
+
+def _manifest_args(command, tmp):
+    """The args a manifest of ``command`` records, on a small chain."""
+    target, samples = os.path.join(tmp, "target.stack"), os.path.join(tmp, "samples.stack")
+    write_stack(target, np.full(3, 0.5), 20, 0.0)
+    write_stack(samples, np.arange(12.0).reshape(4, 3), 0, 0.0)
+    params = os.path.join(tmp, "params.json")
+    save_gaussian(params, np.zeros(3), np.ones(3))
+    chain = ["--predictor", "gaussian", "--D", "3", "--T", "20"]
+    argv = {
+        "sample": ["sample", *chain, "--S", "4"],
+        "invert": ["invert", *chain, "--target", target, "--epochs", "3"],
+        "trace": ["trace", *chain, "--runs", "2"],
+        "bench": ["bench", *chain, "--S-list", "2,4"],
+        "eval-w2": ["eval-w2", "--samples", samples, "--target", f"gaussian:{params}"],
+    }[command]
+    ns = cli.build_parser().parse_args([*argv, "--out", os.path.join(tmp, "first")])
+    return {k: v for k, v in vars(ns).items() if k != "func"}
+
+
+#: What a manifest may record for each flag, written from the CLI's
+#: documented flags: the JSON types (an int also serves a float flag), and
+#: the values of a flag with choices.
+_INT_FLAGS = {"T", "S", "D", "seed", "threads", "epochs", "runs", "history_m",
+              "solver_max_iters"}
+_FLOAT_FLAGS = {"eta", "solver_tol", "ridge_lambda", "tau", "lr", "stop_loss"}
+_CHOICES = {"subseq": {"linear", "quadratic"}, "init": {"x_T", "zero"},
+            "method": {"naive", "deq", "deq-stochastic"}, "grad": {"phantom", "exact"}}
+_MODES = {"sample": {"sequential", "deq-anderson", "deq-picard"},
+          "trace": {"deq-anderson", "deq-picard"}}
+_NULLABLE = {"S", "subseq", "noise_file", "solver_max_iters"}
+
+
+def _recordable(command, key, value):
+    if isinstance(value, (list, dict)):
+        return False
+    if value is None:
+        return key in _NULLABLE or (command, key) == ("eval-w2", "out")
+    if key == "save_stack" or isinstance(value, bool):
+        return key == "save_stack" and isinstance(value, bool)
+    if key == "mode":
+        return value in _MODES[command]
+    if key in _CHOICES:
+        return value in _CHOICES[key]
+    if key in _INT_FLAGS:
+        return isinstance(value, int)
+    if key in _FLOAT_FLAGS:
+        return isinstance(value, (int, float))
+    return isinstance(value, str)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([-1.0, 0.0, 0.5, 2.0, float("nan"), float("inf")]),
+    st.text(alphabet="0123456789,.-xT", max_size=4),
+    st.sampled_from(["linear", "zero", "deq", "exact", "deq-picard", "sequential", "sample",
+                     "gaussian", "mlp:w.json"]),
+)
+_STRUCTURES = st.one_of(st.lists(st.integers(0, 2), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    command=st.sampled_from(["sample", "invert", "trace", "bench", "eval-w2"]),
+    edit=st.one_of(
+        st.tuples(st.just("keep")),
+        st.tuples(st.just("drop"), st.integers(0, 99)),
+        st.tuples(st.just("add"), st.text(alphabet="abc_", min_size=1, max_size=4)),
+        st.tuples(st.just("set"), st.integers(0, 99), st.one_of(_SCALARS, _STRUCTURES)),
+        st.tuples(st.just("command"), _SCALARS),
+        st.tuples(st.just("manifest"), st.one_of(_SCALARS, _STRUCTURES)),
+        st.tuples(st.just("text"), st.sampled_from(["", "{", "[1,", "nul", "{\"args\": }"])),
+    ),
+)
+def test_rerun_of_a_generated_manifest_exits_with_its_documented_code(command, edit):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        args = _manifest_args(command, tmp)
+        manifest = {"command": command, "args": args}
+        kind, *rest = edit
+        keys = sorted(args)
+        if kind == "drop":
+            del args[keys[rest[0] % len(keys)]]
+        elif kind == "add":
+            args["x_" + rest[0]] = 1
+        elif kind == "set":
+            key = keys[rest[0] % len(keys)]
+            fits = (rest[1] == command if key == "command"
+                    else _recordable(command, key, rest[1]))
+            unchanged = type(rest[1]) is type(args[key]) and rest[1] == args[key]
+            args[key] = rest[1]
+        elif kind == "command":
+            manifest["command"] = rest[0]
+        elif kind == "manifest":
+            manifest = rest[0]
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w") as fh:
+            fh.write(rest[0] if kind == "text" else json.dumps(manifest))
+        err = io.StringIO()
+        os.chdir(tmp)  # a replayed relative path stays inside this directory
+        try:
+            with contextlib.redirect_stderr(err):
+                code = _exit_code(["rerun", path, "--out", os.path.join(tmp, "out")])
+        finally:
+            os.chdir(cwd)
+    if kind == "keep" or (kind == "command" and rest[0] == command):
+        assert code == 0
+    elif kind == "set" and fits:
+        # A well-typed value runs the command, which may reject it as usage
+        # (2), numerics (3) or a file it names (4); the original runs.
+        assert code in ((0,) if unchanged else (0, 2, 3, 4))
+    else:
+        assert code == 4
+        assert "manifest" in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("parseq: ")

@@ -27,7 +27,8 @@ from parseq import (
     solve_stack,
     write_gradcheck_report,
 )
-from parseq.chain import _sweep_vjp
+from parseq.chain import _rollout, _sweep_vjp
+from parseq.gradients import _rollout_backprop
 
 
 def solved_case(S, D, seed, eta=0.0, hidden=12, T=60):
@@ -347,6 +348,93 @@ class TestRolloutBackpropGrad:
         _, grad_r = rollout_backprop_grad(x_T, target, sched, sub, pred)
         _, grad_i = exact_ift_grad(Chain(sched, sub, pred), stack, x_T, target)
         np.testing.assert_allclose(grad_r, grad_i, rtol=1e-10)
+
+
+def _rollout_and_exact(chain, x_T, target):
+    """Naive backprop, and the exact implicit gradient on the rollout's stack."""
+    naive = _rollout_backprop(chain, x_T, target)
+    return naive, exact_ift_grad(chain, _rollout(chain, x_T), x_T, target)
+
+
+_SUBSEQUENCES = [(S, kind) for kind in ("linear", "quadratic") for S in (1, 2, 10, 100)]
+
+
+class TestRolloutBackpropIsTheBackSubstitution:
+    """Naive backprop climbs the rollout in the scaled coordinates and adds
+    the terms of ``_adjoint_solve`` followed by ``_sweep_vjp`` in their
+    order, so on the rollout's stack it is the exact implicit gradient."""
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("S, kind", [*_SUBSEQUENCES, (None, "full")],
+                             ids=[f"{k}-{S}" for S, k in _SUBSEQUENCES] + ["full-1000"])
+    @pytest.mark.parametrize("name", ["zero", "constant", "gaussian"])
+    def test_elementwise_predictors_agree_bit_for_bit(self, name, S, kind, eta):
+        sched = make_linear_beta_schedule(1000, eta=eta)
+        sub = None if S is None else select_subsequence(1000, S, kind)
+        rng = np.random.default_rng(31)
+        pred = {
+            "zero": ZeroPredictor(3),
+            "constant": ConstantPredictor(rng.standard_normal(3)),
+            "gaussian": GaussianOptimalPredictor(
+                rng.standard_normal(3), rng.uniform(0.3, 2.0, 3), sched),
+        }[name]
+        noise = rng.standard_normal((sub.S if sub else 1000, 3)) if eta > 0 else None
+        (loss_n, grad_n), (loss_e, grad_e) = _rollout_and_exact(
+            Chain(sched, sub, pred, noise), rng.standard_normal(3), rng.standard_normal(3))
+        assert np.float64(loss_n).tobytes() == np.float64(loss_e).tobytes()
+        assert grad_n.tobytes() == grad_e.tobytes()
+
+    def test_signed_zeros_agree(self):
+        sched = make_linear_beta_schedule(50)
+        chain = Chain(sched, select_subsequence(50, 4, "linear"), ZeroPredictor(3))
+        x_T, target = np.array([-0.0, 1.0, 0.0]), np.array([0.0, 0.5, 0.0])
+        # x_0 carries the -0.0 of x_T, so the loss seed does too.
+        assert np.signbit(_rollout(chain, x_T)[-1][0])
+        (_, grad_n), (_, grad_e) = _rollout_and_exact(chain, x_T, target)
+        assert grad_n.tobytes() == grad_e.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("S, kind", [(1, "linear"), (10, "linear"), (100, "quadratic"),
+                                         (None, "full")])
+    def test_mlp_agrees_to_rounding(self, S, kind, eta):
+        sched = make_linear_beta_schedule(1000, eta=eta)
+        sub = None if S is None else select_subsequence(1000, S, kind)
+        rng = np.random.default_rng(32)
+        pred = random_mlp(4, [16, 16], rng, t_max=1000)
+        noise = rng.standard_normal((sub.S if sub else 1000, 4)) if eta > 0 else None
+        (loss_n, grad_n), (loss_e, grad_e) = _rollout_and_exact(
+            Chain(sched, sub, pred, noise), rng.standard_normal(4), rng.standard_normal(4))
+        assert loss_n == loss_e
+        assert rel_err(grad_n, grad_e) <= 1e-14
+
+
+class _CountingGaussian(GaussianOptimalPredictor):
+    """Records the rows of every predict and vjp call: 0 for one state, N
+    for an (N, D) batch."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {"predict": [], "vjp": []}
+
+    def predict(self, x, t):
+        self.calls["predict"].append(0 if np.ndim(x) == 1 else len(x))
+        return super().predict(x, t)
+
+    def vjp(self, x, t, cotangent):
+        self.calls["vjp"].append(0 if np.ndim(x) == 1 else len(x))
+        return super().vjp(x, t, cotangent)
+
+
+@pytest.mark.parametrize("S", [1, 2, 10])
+def test_rollout_backprop_makes_S_one_row_forward_and_vjp_calls(S):
+    # The cost contract of the naive route: the rollout's S one-row
+    # forward calls and S one-row vjp calls, no batched call (the exact
+    # route's batched sweep would add S vjp rows).
+    sched = make_linear_beta_schedule(100)
+    pred = _CountingGaussian(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
+    chain = Chain(sched, select_subsequence(100, S, "linear"), pred)
+    _rollout_backprop(chain, np.array([0.4, -1.1]), np.array([0.1, 0.2]))
+    assert pred.calls == {"predict": [0] * S, "vjp": [0] * S}
 
 
 class TestGradcheckReport:
