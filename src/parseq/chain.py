@@ -24,10 +24,12 @@ is solved by one back-substitution.
 
 A ``Chain`` holds everything these maps read: the schedule, the
 subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
-checked and built once.  The private kernels ``_sweep``, ``_sweep_vjp`` and
-``_rollout`` take a chain, and so do the solver and gradient routes built
-on them.  ``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the
-older per-call form: each builds a fresh chain from its arguments.
+checked and built once.  The private kernels ``_sweep``, ``_rollout`` and
+``_x_T_step`` take a chain, and so do the solver and gradient routes built
+on them; ``_x_T_step`` is the one-row pullback onto x_T that every
+gradient route ends in.  ``sequential_rollout``, ``h_tilde`` and
+``h_tilde_vjp`` keep the older per-call form: each builds a fresh chain
+from its arguments.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
@@ -298,16 +300,26 @@ def h_tilde_vjp(
 
     Returns (cotangent_states, cotangent_x_T).  Output position j carries
     weight sqrt(A_j) on every transition at or above it, so the pullback
-    onto transition p only needs the prefix P_p = sum_{j < p} sqrt(A_j) u_j;
-    one batched predictor vjp over all S timesteps then finishes the job.
-    The noise enters h_tilde additively and so never appears in the
-    Jacobian.  Like ``h_tilde``, each call builds a fresh ``Chain``; the
-    kernel ``_sweep_vjp`` takes one.  ``pool`` is accepted for
-    compatibility with older callers and ignored.
+    onto transition p only needs the prefix P_p = sum_{j < p} sqrt(A_j) u_j.
+    One batched predictor vjp over all S timesteps gives the stack
+    cotangent, and ``_x_T_step`` the x_T cotangent from P_S, as every
+    gradient route takes it.  The noise enters h_tilde additively and so
+    never appears in the Jacobian.  Like ``h_tilde``, each call builds a
+    fresh ``Chain``.  ``pool`` is accepted for compatibility with older
+    callers and ignored.
     """
     chain = Chain(schedule, subsequence, predictor)
-    states, x_T = _check_stack(states, x_T, chain.S)
-    return _sweep_vjp(chain, states, x_T, _check_cotangent(cotangent, states))
+    coeffs, S = chain.coeffs, chain.S
+    states, x_T = _check_stack(states, x_T, S)
+    weighted = coeffs.sqrt_alpha[:-1, None] * _check_cotangent(cotangent, states)[::-1]
+    # A running sum from zero turns a leading -0.0 into +0.0; cumsum starts
+    # from the first term itself, so add that zero explicitly.
+    weighted[0] += 0.0
+    prefixes = np.cumsum(weighted, axis=0)
+    pulled = predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
+    cot_states = np.zeros_like(states)
+    cot_states[: S - 1] = (coeffs.scaled_c1[1:S, None] * pulled[: S - 1])[::-1]
+    return cot_states, _x_T_step(chain, x_T, prefixes[S - 1])
 
 
 def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -319,20 +331,11 @@ def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
     return cotangent
 
 
-def _sweep_vjp(
-    chain: Chain, states: np.ndarray, x_T: np.ndarray, cotangent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``h_tilde_vjp`` on checked float64 inputs."""
+def _x_T_step(chain: Chain, x_T: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """The x_T cotangent of the prefix P_S = sum_{j < S} sqrt(A_j) v_j:
+    x_T's direct weight 1 / sqrt(A_S) plus transition S's term, from one
+    one-row vjp.  Every gradient route ends here."""
     coeffs = chain.coeffs
     S = coeffs.S
-    weighted = coeffs.sqrt_alpha[:-1, None] * cotangent[::-1]
-    # A running sum from zero turns a leading -0.0 into +0.0; cumsum starts
-    # from the first term itself, so add that zero explicitly.
-    weighted[0] += 0.0
-    prefixes = np.cumsum(weighted, axis=0)
-    pulled = chain.predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
-    scaled = coeffs.scaled_c1[1:, None] * pulled
-    cot_states = np.zeros_like(states)
-    cot_states[: S - 1] = scaled[: S - 1][::-1]
-    cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + scaled[S - 1]
-    return cot_states, cot_x_T
+    pulled = chain.predictor.vjp(x_T, int(coeffs.taus[S]), prefix)
+    return prefix / coeffs.sqrt_alpha[S] + coeffs.scaled_c1[S] * pulled

@@ -303,14 +303,14 @@ def cmd_invert(ns: argparse.Namespace) -> int:
     else:
         gradient_mode = "exact_ift" if args["grad"] == "exact" else "phantom"
     # Unlike the library's default, a deq inversion here still solves with
-    # Anderson: perfbench's traced run rebuilds this path bit for bit.
-    method_for_solver = "picard" if args["method"] == "naive" else "anderson"
+    # Anderson: perfbench's traced run rebuilds this path bit for bit.  The
+    # naive method never solves, so it ignores the config.
     cfg = InversionConfig(
         epochs=args["epochs"],
         lr=args["lr"],
         gradient_mode=gradient_mode,
         tau=args["tau"],
-        solver=_solver_config(args, method_for_solver, chain.S),
+        solver=_solver_config(args, "anderson", chain.S),
         stop_loss=args["stop_loss"],
         seed=args["seed"],
         init=args["init"],

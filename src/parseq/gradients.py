@@ -1,21 +1,21 @@
 """Gradients of the reconstruction loss with respect to the terminal state.
 
-Three routes, cheapest first:
+Three routes, cheapest first, all ending in the same one-row pullback
+onto x_T (``chain._x_T_step``):
 
 * ``phantom_grad`` backpropagates through a single damped application of
   the joint update on top of the (detached) solver output:
-  y = tau * h_tilde(stack*) + (1 - tau) * stack*.  One vjp sweep, which is
-  one batched predictor vjp call over S rows.
+  y = tau * h_tilde(stack*) + (1 - tau) * stack*.  The loss row reads x_T
+  only directly and through transition S, so the gradient is one one-row
+  vjp.
 * ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
   fixed point.  The Jacobian J of ``h_tilde`` is strictly triangular, so
   the system is solved exactly by one back-substitution from the x_0 row
-  up, one single-row predictor vjp per position (S - 1 in all); one
-  batched vjp sweep then pulls v back onto x_T.
+  up, one one-row predictor vjp per position; the x_T step adds the
+  last, S in all.
 * ``rollout_backprop_grad`` backpropagates through the sequential sampler
-  with its O(S D) forward stack kept.  It runs that back-substitution in
-  the same scaled coordinates and ends in a one-row vjp at x_T, so on the
-  rollout's stack it is ``exact_ift_grad`` bit for bit wherever a one-row
-  vjp matches the batched one.
+  with its O(S D) forward stack kept: it is ``exact_ift_grad`` on the
+  rollout's stack, so the two are equal bit for bit for every predictor.
 
 All three return (loss, gradient) where loss is the value of the scalar
 function actually differentiated.  The first two take a ``Chain``;
@@ -29,7 +29,7 @@ import csv
 
 import numpy as np
 
-from .chain import Chain, _check_cotangent, _check_stack, _rollout, _sweep, _sweep_vjp
+from .chain import Chain, _check_cotangent, _check_stack, _rollout, _sweep, _x_T_step
 from .errors import DivergenceError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
@@ -95,8 +95,9 @@ def phantom_grad(
     """Damped one-step gradient with the solver output treated as constant.
 
     The loss reads the bottom row of y = tau * h_tilde(stack*; x_T)
-    + (1 - tau) * stack*, so x_T is the only differentiable input and the
-    returned gradient is tau times the x_T cotangent of one vjp sweep.
+    + (1 - tau) * stack*, so x_T is the only differentiable input.  That
+    row reads x_T directly and through transition S alone, so the gradient
+    is tau times ``_x_T_step`` of the loss seed: one one-row vjp.
     """
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
@@ -104,10 +105,8 @@ def phantom_grad(
     if not np.isfinite(y).all():
         raise DivergenceError("non-finite stack after simultaneous update")
     loss, seed = loss_and_seed(y[S - 1], target_x0)
-    cot = np.zeros_like(stack_star)
-    cot[S - 1] = seed
-    _, cot_x_T = _sweep_vjp(chain, stack_star, x_T, cot)
-    return loss, tau * cot_x_T
+    # + 0.0 turns a -0.0 seed into +0.0, as the running sum of h_tilde_vjp does.
+    return loss, tau * _x_T_step(chain, x_T, seed + 0.0)
 
 
 def adjoint_solve(
@@ -122,37 +121,32 @@ def adjoint_solve(
 ) -> tuple[np.ndarray, list[float]]:
     """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
 
-    The solve is one back-substitution (see ``_adjoint_solve``), so there
-    is nothing to iterate.  Returns (v, []); the empty list stands where
-    per-sweep deltas used to be.  ``tol`` and ``pool`` are accepted for
-    compatibility with older callers and ignored.
+    The Jacobian is strictly triangular, so the solve is one
+    back-substitution from the x_0 row up.  Nothing reads x_0, so v_0 is
+    its seed; v_p = seed_p + c1_p / sqrt(A_{p-1}) vjp(x_p, tau_p, P_p)
+    needs only P_p = sum_{j < p} sqrt(A_j) v_j, one one-row vjp per
+    position.  Sums and products run in the order of ``h_tilde_vjp``, so v
+    is the fixed point of its stack cotangent bit for bit wherever a
+    one-row vjp matches the batched one.  Returns (v, []); the empty list
+    stands where per-sweep deltas used to be, and there is nothing to
+    iterate.  ``tol`` and ``pool`` are accepted for compatibility with
+    older callers and ignored.
     """
     chain = Chain(schedule, subsequence, predictor)
-    stack_star, x_T = _check_stack(stack_star, x_T, chain.S)
-    return _adjoint_solve(chain, stack_star, _check_cotangent(seed_stack, stack_star)), []
-
-
-def _adjoint_solve(chain: Chain, stack_star: np.ndarray, seed_stack: np.ndarray) -> np.ndarray:
-    """Solve v = seed + (stack cotangent of ``_sweep_vjp`` at v) from x_0 up.
-
-    Nothing reads x_0, so v_0 is its seed; v_p = seed_p + c1_p / sqrt(A_{p-1})
-    vjp(x_p, tau_p, P_p) needs only P_p = sum_{j < p} sqrt(A_j) v_j.  Sums
-    and products run in the sweep's order, so v is its fixed point bit for
-    bit wherever a one-row vjp matches the batched one.
-    """
-    coeffs = chain.coeffs
-    S = coeffs.S
+    coeffs, S = chain.coeffs, chain.S
+    stack_star, x_T = _check_stack(stack_star, x_T, S)
+    seed_stack = _check_cotangent(seed_stack, stack_star)
     v = np.empty_like(seed_stack)
     v[S - 1] = seed_stack[S - 1] + 0.0  # the sweep adds its +0.0 pullback here
     prefix = 0.0
     for p in range(1, S):
         row = S - 1 - p
         prefix = prefix + coeffs.sqrt_alpha[p - 1] * v[row + 1]
-        pulled = chain.predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
+        pulled = predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
         v[row] = seed_stack[row] + coeffs.scaled_c1[p] * pulled
     if not np.isfinite(v).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
-    return v
+    return v, []
 
 
 def exact_ift_grad(
@@ -161,19 +155,25 @@ def exact_ift_grad(
     """Implicit-function gradient through the fixed point.
 
     Differentiating stack* = h_tilde(stack*; x_T) gives
-    dL/dx_T = v @ dh/dx_T with v the solution of the adjoint system seeded
-    by dL/dstack*; the seed lives entirely in the denoised row.  v comes
-    from one exact back-substitution (S - 1 one-row vjp calls) and its
-    pullback onto x_T from one batched vjp sweep over S rows.
+    dL/dx_T = v @ dh/dx_T with v the adjoint solution (``adjoint_solve``)
+    seeded by dL/dstack*, which lives entirely in the denoised row.  Only
+    v's running prefix P is needed: from P = dL/dx_0 the back-substitution
+    climbs the stack, P <- P + sqrt(A_p) (c1_p / sqrt(A_{p-1}))
+    vjp(x_p, tau_p, P), and ``_x_T_step`` pulls P onto x_T.  That is S
+    one-row vjp calls and no forward call.  On the rollout's stack this is
+    backprop through the sequential sampler (``rollout_backprop_grad``).
     """
-    S = chain.S
+    coeffs, predictor, S = chain.coeffs, chain.predictor, chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
-    seed_stack = np.zeros_like(stack_star)
-    seed_stack[S - 1] = seed
-    v = _adjoint_solve(chain, stack_star, seed_stack)
-    _, cot_x_T = _sweep_vjp(chain, stack_star, x_T, v)
-    return loss, cot_x_T
+    prefix = seed + 0.0  # the adjoint's running sum turns a -0.0 seed into +0.0
+    for p in range(1, S):
+        pulled = predictor.vjp(stack_star[S - 1 - p], int(coeffs.taus[p]), prefix)
+        prefix = prefix + coeffs.sqrt_alpha[p] * (coeffs.scaled_c1[p] * pulled)
+    grad = _x_T_step(chain, x_T, prefix)
+    if not np.isfinite(grad).all():
+        raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
+    return loss, grad
 
 
 def rollout_backprop_grad(
@@ -186,26 +186,13 @@ def rollout_backprop_grad(
 ) -> tuple[float, np.ndarray]:
     """Differentiate the sequential sampler by reverse sweep over its steps.
 
-    Keeps the forward stack (O(S D) memory) and climbs it with the prefix
-    P of ``_adjoint_solve``, seeded with dL/dx_0:
-    P <- P + sqrt(A_p) (c1_p / sqrt(A_{p-1})) vjp_eps(x_p, tau_p, P).
-    dL/dx_T is P / sqrt(A_S) plus transition S's term, as in ``_sweep_vjp``.
+    Keeps the rollout's O(S D) stack and runs ``exact_ift_grad`` on it:
+    the rollout is the fixed point, so backprop through the chain and the
+    implicit gradient are one computation.  S one-row forward calls and S
+    one-row vjp calls.
     """
-    return _rollout_backprop(Chain(schedule, subsequence, predictor, noise), x_T, target_x0)
-
-
-def _rollout_backprop(
-    chain: Chain, x_T: np.ndarray, target_x0: np.ndarray
-) -> tuple[float, np.ndarray]:
-    coeffs, predictor, S = chain.coeffs, chain.predictor, chain.S
-    states = _rollout(chain, x_T)
-    loss, seed = loss_and_seed(states[S - 1], target_x0)
-    prefix = seed + 0.0  # the adjoint's running sum turns a -0.0 seed into +0.0
-    for p in range(1, S):
-        pulled = predictor.vjp(states[S - 1 - p], int(coeffs.taus[p]), prefix)
-        prefix = prefix + coeffs.sqrt_alpha[p] * (coeffs.scaled_c1[p] * pulled)
-    pulled = predictor.vjp(x_T, int(coeffs.taus[S]), prefix)
-    return loss, prefix / coeffs.sqrt_alpha[S] + coeffs.scaled_c1[S] * pulled
+    chain = Chain(schedule, subsequence, predictor, noise)
+    return exact_ift_grad(chain, _rollout(chain, x_T), x_T, target_x0)
 
 
 def central_difference_grad(

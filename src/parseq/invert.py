@@ -3,7 +3,8 @@
 ``invert`` runs one Adam loop over x_T; ``InversionConfig.gradient_mode``
 picks how each epoch takes its gradient:
 
-* ``"rollout"`` differentiates the sequential sampler end to end.
+* ``"rollout"`` differentiates the sequential sampler end to end, as
+  ``exact_ift_grad`` on the rollout's stack.
 * ``"phantom"`` and ``"exact_ift"`` solve the joint system for the stack
   and take a cheap phantom or exact implicit gradient at the fixed point.
   With ``warm_start`` each epoch's solve starts from the last epoch's
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain
+from .chain import Chain, _rollout
 from .errors import ConfigError, DivergenceError
-from .gradients import Adam, _rollout_backprop, exact_ift_grad, phantom_grad
+from .gradients import Adam, exact_ift_grad, phantom_grad
 from .sampling import draw_x_T, picard_budget, solve_stack
 from .solvers import SolverConfig
 
@@ -101,7 +102,7 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
     warm: np.ndarray | None = None
     for epoch in range(cfg.epochs):
         if cfg.gradient_mode == "rollout":
-            loss, grad = _rollout_backprop(chain, x_T, target)
+            loss, grad = exact_ift_grad(chain, _rollout(chain, x_T), x_T, target)
         else:
             try:
                 result = solve_stack(chain, x_T, solver_cfg, cfg.init if warm is None else warm)

@@ -361,6 +361,8 @@ def _parse_gaussian(payload: dict) -> tuple[np.ndarray, np.ndarray]:
     var = _float_array(payload["var"], "gaussian var")
     if mu.ndim != 1 or var.shape != mu.shape or mu.size == 0:
         raise SchemaError("mu and var must be non-empty equal-length lists")
+    if (var < 0.0).any():
+        raise SchemaError("var entries must be >= 0")
     return _read_only([mu, var])
 
 

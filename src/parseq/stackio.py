@@ -7,7 +7,7 @@ Binary stack layout (little-endian throughout):
     uint32      D   state dimension
     uint32      T   full chain length the stack was sampled under
     float64     eta noise scale
-    S*D float64 row-major payload
+    S*D float64 row-major payload, finite
 
 Residual traces are ``iter,residual_l2`` with 0-indexed iterations.
 """
@@ -19,18 +19,22 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import NumericDomainError, ParseError, ShapeError
 
 MAGIC = b"PSDQ1"
 _HEADER = struct.Struct("<5sIIId")
 
 
 def write_stack(path: str, states: np.ndarray, chain_T: int, eta: float) -> None:
+    """Write (S, D) states, or one state as a single row.  The payload must
+    be finite, as ``read_stack`` requires; nothing is written otherwise."""
     states = np.asarray(states, dtype=np.float64)
     if states.ndim == 1:
         states = states[None, :]
     if states.ndim != 2:
         raise ShapeError(f"stack payload must be 2-d, got shape {states.shape}")
+    if not np.isfinite(states).all():
+        raise NumericDomainError(f"refusing to write NaN or infinite values to {path}")
     S, D = states.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, S, D, int(chain_T), float(eta)))

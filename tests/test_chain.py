@@ -98,7 +98,8 @@ def h_tilde_horner(states, x_T, schedule, subsequence, predictor, noise=None):
 
 def h_tilde_vjp_serial(states, x_T, schedule, subsequence, predictor, u):
     """Running prefix sums and per-row scaling, one row at a time, around
-    the same one batched predictor vjp."""
+    the same one batched predictor vjp for the stack and a one-row vjp at
+    x_T."""
     coeffs = chain_coefficients(schedule, subsequence)
     S = coeffs.S
     prefixes = np.empty_like(states)
@@ -113,7 +114,7 @@ def h_tilde_vjp_serial(states, x_T, schedule, subsequence, predictor, u):
         cot_states[S - 1 - p] = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * pulled[p - 1]
     cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + (
         coeffs.c1[S] / coeffs.sqrt_alpha[S - 1]
-    ) * pulled[S - 1]
+    ) * predictor.vjp(x_T, int(coeffs.taus[S]), prefixes[S - 1])
     return cot_states, cot_x_T
 
 

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,14 @@ from parseq.rng import stream
 from parseq.sampling import draw_noise_stack, draw_x_T
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.stackio import read_stack, write_stack
+
+
+def write_raw_stack(path, rows, T, eta):
+    """A PSDQ1 stack file written byte by byte, so that its payload may hold
+    the NaN or +-inf that ``write_stack`` refuses."""
+    rows = np.asarray(rows, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<5sIIId", b"PSDQ1", *rows.shape, T, eta) + rows.tobytes())
 
 
 def run_cli(*args):
@@ -582,9 +591,9 @@ class TestEvalW2:
 
 
 class TestNonFiniteInputs:
-    """NaN and +-inf in an input file exit 4 and name the file; finite
-    samples whose statistics overflow exit 3.  No run prints a NaN or an
-    Infinity, which JSON cannot hold."""
+    """NaN and +-inf in an input file, and a negative Gaussian variance,
+    exit 4 and name the file; finite samples whose statistics overflow
+    exit 3.  No run prints a NaN or an Infinity, which JSON cannot hold."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--target", "--noise-file", "--samples"])
@@ -592,7 +601,7 @@ class TestNonFiniteInputs:
         rows = np.full((3, 2), 0.5)
         rows[1, 1] = bad
         path = str(tmp_path / "bad.stack")
-        write_stack(path, rows, 20, 0.0)
+        write_raw_stack(path, rows, 20, 0.0)
         gauss = str(tmp_path / "g.json")
         save_gaussian(gauss, np.zeros(2), np.ones(2))
         argv = {
@@ -638,6 +647,22 @@ class TestNonFiniteInputs:
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 4
         captured = capsys.readouterr()
         assert path in captured.err and "finite" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "eval-w2"])
+    def test_negative_variance_file_exits_4(self, command, tmp_path, capsys):
+        path = str(tmp_path / "params.json")
+        save_gaussian(path, np.zeros(2), np.array([1.0, -0.5]))
+        samples = str(tmp_path / "samples.stack")
+        write_stack(samples, np.arange(6.0).reshape(3, 2), 0, 0.0)
+        argv = {
+            "sample": ["sample", "--predictor", f"gaussian:{path}", "--T", "10"],
+            "eval-w2": ["eval-w2", "--samples", samples, "--target", f"gaussian:{path}"],
+        }[command]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert path in captured.err and "var entries must be >= 0" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -930,7 +955,7 @@ def test_eval_w2_argv_exits_with_its_documented_code(rows, D, values, samples_fi
     with tempfile.TemporaryDirectory() as tmp:
         samples = os.path.join(tmp, "samples.stack")
         if samples_file != "missing":
-            write_stack(samples, data, 0, 0.0)
+            write_raw_stack(samples, data, 0, 0.0)
         if samples_file == "truncated":
             with open(samples, "r+b") as fh:
                 fh.truncate(os.path.getsize(samples) - 3)
@@ -947,14 +972,14 @@ def test_eval_w2_argv_exits_with_its_documented_code(rows, D, values, samples_fi
         expected = 2  # --target must name a Gaussian parameter file
     elif samples_file != "stack" or not np.isfinite(data).all():
         expected = 4
-    elif target == "gaussian:missing" or not np.isfinite([mu, var]).all():
-        expected = 4
+    elif target == "gaussian:missing" or not np.isfinite([mu, var]).all() or var < 0:
+        expected = 4  # a negative variance is a schema error of the file
     elif rows < 2:
         expected = 4  # a variance needs two samples
     elif D != target_D:
         expected = 2
-    elif var < 0 or (data == 1e308).any():
-        expected = 3  # a negative target variance, or overflowing moments
+    elif (data == 1e308).any():
+        expected = 3  # overflowing moments
     else:
         expected = 0
     assert code == expected

@@ -17,6 +17,7 @@ from parseq import (
     central_difference_grad,
     exact_ift_grad,
     h_tilde,
+    h_tilde_vjp,
     loss_and_seed,
     make_linear_beta_schedule,
     phantom_grad,
@@ -27,8 +28,7 @@ from parseq import (
     solve_stack,
     write_gradcheck_report,
 )
-from parseq.chain import _rollout, _sweep_vjp
-from parseq.gradients import _rollout_backprop
+from parseq.chain import _rollout
 
 
 def solved_case(S, D, seed, eta=0.0, hidden=12, T=60):
@@ -216,7 +216,7 @@ class TestAdjointSolve:
         seed_stack[0] = seed_stack[-1] = -0.0
         v, deltas = adjoint_solve(stack, x_T, seed_stack, sched, sub, pred)
         assert deltas == []
-        pulled, _ = _sweep_vjp(Chain(sched, sub, pred), stack, x_T, v)
+        pulled, _ = h_tilde_vjp(stack, x_T, sched, sub, pred, v)
         expected = seed_stack + pulled
         if kind == "mlp":
             assert rel_err(v, expected) <= 1e-12
@@ -234,8 +234,7 @@ class TestAdjointSolve:
         assert counting.predict_rows == []
         counting.vjp_rows.clear()
         exact_ift_grad(Chain(sched, sub, counting), stack, x_T, target)
-        assert counting.vjp_rows == [1] * (S - 1) + [S]
-        assert sum(counting.vjp_rows) == 2 * S - 1
+        assert counting.vjp_rows == [1] * S
         assert counting.predict_rows == []
 
     def test_non_finite_vjp_is_divergence(self):
@@ -352,7 +351,8 @@ class TestRolloutBackpropGrad:
 
 def _rollout_and_exact(chain, x_T, target):
     """Naive backprop, and the exact implicit gradient on the rollout's stack."""
-    naive = _rollout_backprop(chain, x_T, target)
+    naive = rollout_backprop_grad(
+        x_T, target, chain.schedule, chain.subsequence, chain.predictor, chain.noise)
     return naive, exact_ift_grad(chain, _rollout(chain, x_T), x_T, target)
 
 
@@ -360,9 +360,8 @@ _SUBSEQUENCES = [(S, kind) for kind in ("linear", "quadratic") for S in (1, 2, 1
 
 
 class TestRolloutBackpropIsTheBackSubstitution:
-    """Naive backprop climbs the rollout in the scaled coordinates and adds
-    the terms of ``_adjoint_solve`` followed by ``_sweep_vjp`` in their
-    order, so on the rollout's stack it is the exact implicit gradient."""
+    """Naive backprop is the exact implicit gradient on the rollout's stack,
+    so the two agree bit for bit for every predictor, the MLP included."""
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     @pytest.mark.parametrize("S, kind", [*_SUBSEQUENCES, (None, "full")],
@@ -396,7 +395,7 @@ class TestRolloutBackpropIsTheBackSubstitution:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     @pytest.mark.parametrize("S, kind", [(1, "linear"), (10, "linear"), (100, "quadratic"),
                                          (None, "full")])
-    def test_mlp_agrees_to_rounding(self, S, kind, eta):
+    def test_mlp_agrees_bit_for_bit(self, S, kind, eta):
         sched = make_linear_beta_schedule(1000, eta=eta)
         sub = None if S is None else select_subsequence(1000, S, kind)
         rng = np.random.default_rng(32)
@@ -404,8 +403,8 @@ class TestRolloutBackpropIsTheBackSubstitution:
         noise = rng.standard_normal((sub.S if sub else 1000, 4)) if eta > 0 else None
         (loss_n, grad_n), (loss_e, grad_e) = _rollout_and_exact(
             Chain(sched, sub, pred, noise), rng.standard_normal(4), rng.standard_normal(4))
-        assert loss_n == loss_e
-        assert rel_err(grad_n, grad_e) <= 1e-14
+        assert np.float64(loss_n).tobytes() == np.float64(loss_e).tobytes()
+        assert grad_n.tobytes() == grad_e.tobytes()
 
 
 class _CountingGaussian(GaussianOptimalPredictor):
@@ -428,13 +427,80 @@ class _CountingGaussian(GaussianOptimalPredictor):
 @pytest.mark.parametrize("S", [1, 2, 10])
 def test_rollout_backprop_makes_S_one_row_forward_and_vjp_calls(S):
     # The cost contract of the naive route: the rollout's S one-row
-    # forward calls and S one-row vjp calls, no batched call (the exact
-    # route's batched sweep would add S vjp rows).
+    # forward calls and S one-row vjp calls, no batched call.
+    sched = make_linear_beta_schedule(100)
+    pred = _CountingGaussian(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
+    sub = select_subsequence(100, S, "linear")
+    rollout_backprop_grad(np.array([0.4, -1.1]), np.array([0.1, 0.2]), sched, sub, pred)
+    assert pred.calls == {"predict": [0] * S, "vjp": [0] * S}
+
+
+@pytest.mark.parametrize("S", [1, 2, 10])
+@pytest.mark.parametrize("route, calls", [
+    (phantom_grad, lambda S: {"predict": [S], "vjp": [0]}),
+    (exact_ift_grad, lambda S: {"predict": [], "vjp": [0] * S}),
+], ids=["phantom", "exact"])
+def test_fixed_point_routes_make_their_counted_calls(route, calls, S):
+    # Phantom: the damped step's one S-row forward call and one one-row
+    # vjp at x_T.  Exact: S one-row vjp calls and no forward call.
     sched = make_linear_beta_schedule(100)
     pred = _CountingGaussian(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
     chain = Chain(sched, select_subsequence(100, S, "linear"), pred)
-    _rollout_backprop(chain, np.array([0.4, -1.1]), np.array([0.1, 0.2]))
-    assert pred.calls == {"predict": [0] * S, "vjp": [0] * S}
+    x_T, target = np.array([0.4, -1.1]), np.array([0.1, 0.2])
+    stack = _rollout(chain, x_T)
+    pred.calls = {"predict": [], "vjp": []}
+    route(chain, stack, x_T, target)
+    assert pred.calls == calls(S)
+
+
+def _traced_phantom(stack, x_T, target, sched, sub, pred, tau):
+    """The phantom gradient as perfbench/tracing.py composes it from the
+    public calls: ``h_tilde`` for the damped step, then ``h_tilde_vjp``."""
+    S = len(stack)
+    y = tau * h_tilde(stack, x_T, sched, sub, pred) + (1.0 - tau) * stack
+    loss, seed_row = loss_and_seed(y[S - 1], target)
+    v = np.zeros_like(stack)
+    v[S - 1] = seed_row
+    return loss, tau * h_tilde_vjp(stack, x_T, sched, sub, pred, v)[1]
+
+
+def _traced_exact(stack, x_T, target, sched, sub, pred):
+    """The exact gradient as perfbench/tracing.py composes it from the
+    public calls: ``adjoint_solve``, then ``h_tilde_vjp``."""
+    S = len(stack)
+    loss, seed_row = loss_and_seed(stack[S - 1], target)
+    seed_stack = np.zeros_like(stack)
+    seed_stack[S - 1] = seed_row
+    v, _ = adjoint_solve(stack, x_T, seed_stack, sched, sub, pred)
+    return loss, h_tilde_vjp(stack, x_T, sched, sub, pred, v)[1]
+
+
+@pytest.mark.parametrize("S", [1, 2, 10])
+@pytest.mark.parametrize("kind", ["gaussian", "mlp"])
+def test_traced_compositions_give_the_gradient_bytes(kind, S):
+    # The traced benchmark checks that its compositions reproduce the CLI's
+    # x_T_hat bit for bit; a change that breaks that fails here first.  The
+    # MLP has the benchmark's widths, at which a batched vjp row rounds
+    # differently from a one-row vjp.
+    sched = make_linear_beta_schedule(1000)
+    sub = select_subsequence(1000, S, "linear")
+    rng = np.random.default_rng(40 + S)
+    pred = {
+        "gaussian": GaussianOptimalPredictor(
+            rng.standard_normal(16), rng.uniform(0.3, 2.0, 16), sched),
+        "mlp": random_mlp(16, [64, 64], rng, t_max=1000),
+    }[kind]
+    chain = Chain(sched, sub, pred)
+    x_T, target = rng.standard_normal(16), rng.standard_normal(16)
+    stack = solve_stack(chain, x_T, SolverConfig(method="picard", max_iters=S + 1)).states
+    for got, want in [
+        (_traced_phantom(stack, x_T, target, sched, sub, pred, 0.1),
+         phantom_grad(chain, stack, x_T, target, tau=0.1)),
+        (_traced_exact(stack, x_T, target, sched, sub, pred),
+         exact_ift_grad(chain, stack, x_T, target)),
+    ]:
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestGradcheckReport:

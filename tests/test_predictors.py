@@ -242,6 +242,13 @@ class TestGaussianParamsFile:
         with pytest.raises(ParseError, match="var"):
             load_gaussian_params(str(path))
 
+    def test_negative_var_is_a_schema_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"mu": [1.0, 2.0], "var": [0.5, -0.25]}')
+        with pytest.raises(SchemaError, match="var entries must be >= 0") as info:
+            load_gaussian_params(str(path))
+        assert str(path) in str(info.value)
+
 
 @pytest.fixture
 def fresh_memo(monkeypatch):

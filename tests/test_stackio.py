@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parseq import (
+    NumericDomainError,
     ParseError,
     ShapeError,
     read_stack,
@@ -48,6 +49,15 @@ class TestBinaryStack:
         path.write_bytes(blob[:-8])
         with pytest.raises(ParseError, match="bytes"):
             read_stack(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_refuses_a_payload_read_stack_would_refuse(self, bad, tmp_path):
+        path = tmp_path / "x.stack"
+        rows = np.ones((2, 3))
+        rows[1, 2] = bad
+        with pytest.raises(NumericDomainError, match="NaN or infinite"):
+            write_stack(str(path), rows, 4, 0.0)
+        assert not path.exists()
 
     def test_rejects_3d_payload(self, tmp_path):
         with pytest.raises(ShapeError):
