@@ -45,7 +45,6 @@ import numpy as np
 from .errors import DivergenceError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import (
-    ALPHA_BAR_ZERO,
     DiffusionSchedule,
     TimestepSubsequence,
     c1_for_pair,
@@ -81,30 +80,19 @@ class ChainCoefficients:
 
 
 def chain_coefficients(
-    schedule: DiffusionSchedule, subsequence: TimestepSubsequence | None = None
+    schedule: DiffusionSchedule, subsequence: TimestepSubsequence
 ) -> ChainCoefficients:
-    """Evaluate alpha products and transition coefficients along a subsequence."""
-    if subsequence is None:
-        subsequence = identity_subsequence(schedule.T)
+    """Alpha products and transition coefficients along a subsequence, as whole arrays."""
     if subsequence.indices[-1] > schedule.T:
         raise ShapeError(
             f"subsequence reaches t={subsequence.indices[-1]} beyond T={schedule.T}"
         )
-    S = subsequence.S
-    alpha = np.empty(S + 1)
-    taus = np.zeros(S + 1, dtype=np.int64)
-    alpha[0] = ALPHA_BAR_ZERO
-    for i, tau in enumerate(subsequence.indices, start=1):
-        alpha[i] = schedule.alpha_bar(tau)
-        taus[i] = tau
-    c1 = np.zeros(S + 1)
-    sigma = np.zeros(S + 1)
-    for i in range(1, S + 1):
-        sigma[i] = sigma_for_pair(alpha[i - 1], alpha[i], schedule.eta)
-        c1[i] = c1_for_pair(alpha[i - 1], alpha[i], schedule.eta)
+    taus = np.array((0, *subsequence.indices), dtype=np.int64)
+    alpha = schedule.alpha_by_t[taus]
+    sigma = np.concatenate([[0.0], sigma_for_pair(alpha[:-1], alpha[1:], schedule.eta)])
+    c1 = np.concatenate([[0.0], c1_for_pair(alpha[:-1], alpha[1:], schedule.eta)])
     sqrt_alpha = np.sqrt(alpha)
-    scaled_c1 = np.zeros(S + 1)
-    scaled_c1[1:] = c1[1:] / sqrt_alpha[:-1]
+    scaled_c1 = np.concatenate([[0.0], c1[1:] / sqrt_alpha[:-1]])
     arrays = (alpha, sqrt_alpha, c1, sigma, taus, scaled_c1)
     for arr in arrays:
         arr.setflags(write=False)

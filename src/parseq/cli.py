@@ -259,7 +259,9 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         residuals = None
     else:
         method = "picard" if args["mode"] == "deq-picard" else "anderson"
-        result = solve_stack(chain, x_T, _solver_config(args, method, chain.S), args["init"])
+        cfg = _solver_config(args, method, chain.S)
+        args["solver_max_iters"] = cfg.max_iters
+        result = solve_stack(chain, x_T, cfg, args["init"])
         states = result.states
         residuals = result.residuals
         # An unconverged solve still exits 0; this record is how a caller
@@ -330,6 +332,7 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     timings = {"total": (time.perf_counter() - t0) * 1000.0}
+    args["solver_max_iters"] = cfg.solver.max_iters  # run.json keeps the flag as given
     _write_manifest(args["out"], "invert", args,
                     ["x_T_hat.stack", "loss_trace.csv", "run.json"], timings)
     return 0
@@ -344,6 +347,7 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     D = chain.predictor.dim
     method = "picard" if args["mode"] == "deq-picard" else "anderson"
     solver_cfg = _solver_config(args, method, chain.S)
+    args["solver_max_iters"] = solver_cfg.max_iters
     traces = []
     for j in range(args["runs"]):
         seed = args["seed"] + j
@@ -385,6 +389,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         cfg = _solver_config(run_args, "anderson", chain.S)
         result = solve_stack(chain, x_T, cfg, args["init"])
         rows.append(["deq-anderson", S, (time.perf_counter() - t1) * 1000.0, result.iters])
+    args["solver_max_iters"] = cfg.max_iters  # Anderson's default depends only on eta
 
     os.makedirs(args["out"], exist_ok=True)
     with open(os.path.join(args["out"], "bench.csv"), "w", newline="") as fh:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, SchemaError, ShapeError
-from .schedule import ALPHA_BAR_ZERO, DiffusionSchedule
+from .schedule import DiffusionSchedule
 
 
 class NoisePredictor(ABC):
@@ -111,14 +111,12 @@ class GaussianOptimalPredictor(NoisePredictor):
             raise ShapeError("var entries must be >= 0")
         self.schedule = schedule
         self.dim = int(self.mu.size)
-        # Signal products indexed by timestep, slot 0 being the boundary.
-        self._alpha_by_t = np.concatenate([[ALPHA_BAR_ZERO], schedule.alpha_bars])
 
     def _gain(self, t: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         # The scalar path is the hot one for sequential sampling; only a
         # batch of timesteps pays for the array lookup.
         if isinstance(t, np.ndarray):
-            a = self._alpha_by_t[t][:, None]
+            a = self.schedule.alpha_by_t[t][:, None]
         else:
             a = self.schedule.alpha_bar(t)
         denom = a * self.var + (1.0 - a)

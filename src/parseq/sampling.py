@@ -9,14 +9,14 @@ from .chain import Chain, _check_stack, _sweep, init_stack
 from .solvers import FixedPointResult, SolverConfig, default_solver_config, solve
 
 
-def draw_x_T(seed: int, dim: int, counter: int = 0) -> np.ndarray:
+def draw_x_T(seed: int, dim: int) -> np.ndarray:
     """Standard normal terminal state from the x_T stream."""
-    return rng.stream(seed, "x_T", counter).standard_normal(dim)
+    return rng.stream(seed, "x_T").standard_normal(dim)
 
 
-def draw_noise_stack(seed: int, S: int, dim: int, counter: int = 0) -> np.ndarray:
+def draw_noise_stack(seed: int, S: int, dim: int) -> np.ndarray:
     """Per-transition standard normal draws from the noise stream."""
-    return rng.stream(seed, "noise_stack", counter).standard_normal((S, dim))
+    return rng.stream(seed, "noise_stack").standard_normal((S, dim))
 
 
 def picard_budget(S: int) -> int:

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   virtual index t = 0 sits below the last transition and carries
   signal product 1, so the final step lands on a fully denoised state.
 * ``alpha_bars[t-1]`` is the running product of (1 - beta_s) for s <= t.
+  ``alpha_by_t[t]``, derived once per schedule and read-only, is the one
+  table every lookup reads: the products by timestep, t = 0 included.
 * A transition from t to its predecessor t_prev mixes the current state,
   the predicted noise, and an optional fresh draw:
 
@@ -13,16 +15,18 @@ Conventions used throughout the package:
       c1(t)    = sqrt(1 - a_prev - sigma(t)^2) - sqrt(a_prev * (1 - a_t) / a_t)
 
   with a_t = alpha_bar(t) and a_prev = alpha_bar(t_prev).  eta = 0 gives
-  the deterministic chain (sigma identically zero); eta = 1 recovers the
-  ancestral sampler's noise level.
+  the deterministic chain (sigma identically +0.0); eta = 1 recovers the
+  ancestral sampler's noise level.  ``sigma_for_pair`` and ``c1_for_pair``
+  take one pair of floats or equal-shape arrays of pairs, so a whole
+  chain's coefficients are one call each.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigError, NumericDomainError
 
@@ -35,30 +39,27 @@ ALPHA_BAR_ZERO = 1.0
 _RADICAND_SLACK = 1e-12
 
 
-def sigma_for_pair(alpha_bar_prev: float, alpha_bar_t: float, eta: float) -> float:
-    """Per-transition noise scale for an adjacent pair of signal products."""
-    if eta == 0.0:
-        return 0.0
+def sigma_for_pair(alpha_bar_prev: ArrayLike, alpha_bar_t: ArrayLike, eta: float) -> ArrayLike:
+    """Per-transition noise scale for adjacent pairs of signal products."""
     return (
         eta
-        * math.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar_t))
-        * math.sqrt(1.0 - alpha_bar_t / alpha_bar_prev)
+        * np.sqrt((1.0 - alpha_bar_prev) / (1.0 - alpha_bar_t))
+        * np.sqrt(1.0 - alpha_bar_t / alpha_bar_prev)
     )
 
 
-def c1_for_pair(alpha_bar_prev: float, alpha_bar_t: float, eta: float) -> float:
-    """Coefficient multiplying the predicted noise in one transition."""
+def c1_for_pair(alpha_bar_prev: ArrayLike, alpha_bar_t: ArrayLike, eta: float) -> ArrayLike:
+    """Coefficient multiplying the predicted noise in each transition."""
     s = sigma_for_pair(alpha_bar_prev, alpha_bar_t, eta)
     radicand = 1.0 - alpha_bar_prev - s * s
-    if radicand < 0.0:
-        if radicand < -_RADICAND_SLACK:
-            raise NumericDomainError(
-                f"negative radicand {radicand:.6g} in c1 "
-                f"(alpha_bar_prev={alpha_bar_prev:.6g}, eta={eta:.6g}); "
-                "eta > 1 exceeds the admissible noise level"
-            )
-        radicand = 0.0
-    return math.sqrt(radicand) - math.sqrt(
+    if np.any(radicand < -_RADICAND_SLACK):
+        i = np.argmax(np.ravel(radicand) < -_RADICAND_SLACK)  # the first bad pair
+        raise NumericDomainError(
+            f"negative radicand {np.ravel(radicand)[i]:.6g} in c1 (alpha_bar_prev="
+            f"{np.ravel(alpha_bar_prev)[i]:.6g}, eta={eta:.6g}); eta > 1 exceeds the "
+            "admissible noise level"
+        )
+    return np.sqrt(np.maximum(radicand, 0.0)) - np.sqrt(
         alpha_bar_prev * (1.0 - alpha_bar_t) / alpha_bar_t
     )
 
@@ -70,6 +71,7 @@ class DiffusionSchedule:
     betas: np.ndarray
     alpha_bars: np.ndarray
     eta: float = 0.0
+    alpha_by_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         betas = np.asarray(self.betas, dtype=np.float64)
@@ -82,18 +84,26 @@ class DiffusionSchedule:
             raise ConfigError("every beta must lie in (0, 1)")
         if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
             raise ConfigError("every alpha_bar must lie in (0, 1)")
-        if np.any(np.diff(alpha_bars) >= 0.0):
-            raise ConfigError("alpha_bars must be strictly decreasing")
+        stalls = np.flatnonzero(np.diff(alpha_bars) >= 0.0)
+        if stalls.size:
+            t = int(stalls[0]) + 2  # with valid betas, only an underflowed product stalls
+            underflow = alpha_bars[t - 2] < np.finfo(np.float64).tiny
+            raise ConfigError(
+                f"alpha_bars must be strictly decreasing, but alpha_bar({t}) does not "
+                f"fall below alpha_bar({t - 1})"
+                + ("; the signal product underflows float64" if underflow else "")
+            )
         # Cross-check the cumulative product against betas to 1e-12 relative.
         rebuilt = np.cumprod(1.0 - betas)
         if not np.allclose(alpha_bars, rebuilt, rtol=1e-12, atol=0.0):
             raise ConfigError("alpha_bars disagree with cumprod(1 - betas)")
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+        if not (np.isfinite(self.eta) and self.eta >= 0.0):
             raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
-        betas.setflags(write=False)
-        alpha_bars.setflags(write=False)
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alpha_bars", alpha_bars)
+        arrays = dict(betas=betas, alpha_bars=alpha_bars,
+                      alpha_by_t=np.concatenate([[ALPHA_BAR_ZERO], alpha_bars]))
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def T(self) -> int:
@@ -101,11 +111,9 @@ class DiffusionSchedule:
 
     def alpha_bar(self, t: int) -> float:
         """Signal product at timestep t; t = 0 returns the boundary value 1."""
-        if t == 0:
-            return ALPHA_BAR_ZERO
-        if not 1 <= t <= self.T:
+        if not 0 <= t <= self.T:
             raise IndexError(f"timestep {t} outside [0, {self.T}]")
-        return float(self.alpha_bars[t - 1])
+        return float(self.alpha_by_t[t])
 
 
 def make_linear_beta_schedule(

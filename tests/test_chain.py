@@ -6,6 +6,7 @@ import pytest
 from parseq import (
     Chain,
     ConstantPredictor,
+    DiffusionSchedule,
     DivergenceError,
     GaussianOptimalPredictor,
     ShapeError,
@@ -512,14 +513,38 @@ class TestChainCoefficients:
         for i, tau in enumerate(sub.indices, start=1):
             assert coeffs.alpha[i] == sched.alpha_bar(tau)
 
-    def test_transition_coefficients_match_pair_functions(self):
-        sched = make_linear_beta_schedule(50, 1e-3, 0.04, eta=0.5)
-        sub = select_subsequence(50, 5, "quadratic")
+    @pytest.mark.parametrize("kind", ["linear", "quadratic", "full"])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_transition_coefficients_match_pair_functions(self, eta, kind):
+        # The whole-array build equals the scalar formulas bit for bit,
+        # signed zeros included.
+        sched = make_linear_beta_schedule(50, 1e-3, 0.04, eta=eta)
+        sub = identity_subsequence(50) if kind == "full" else select_subsequence(50, 5, kind)
         coeffs = chain_coefficients(sched, sub)
-        for i in range(1, coeffs.S + 1):
-            ap, at = coeffs.alpha[i - 1], coeffs.alpha[i]
-            assert coeffs.sigma[i] == sigma_for_pair(ap, at, 0.5)
-            assert coeffs.c1[i] == c1_for_pair(ap, at, 0.5)
+        pairs = [(sched.alpha_bar(t_prev), sched.alpha_bar(t), eta)
+                 for t_prev, t in zip((0, *sub.indices), sub.indices)]
+        for name, pair_fn in (("sigma", sigma_for_pair), ("c1", c1_for_pair)):
+            expected = np.array([0.0] + [float(pair_fn(*pair)) for pair in pairs])
+            assert getattr(coeffs, name).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_no_negative_zero_at_eta_zero(self, kind):
+        sched = make_linear_beta_schedule(1000, eta=0.0)
+        coeffs = chain_coefficients(sched, select_subsequence(1000, 100, kind))
+        for arr in (coeffs.sigma, coeffs.c1, coeffs.scaled_c1):
+            assert not np.any((arr == 0.0) & np.signbit(arr))
+        assert not np.any(coeffs.sigma)
+
+    def test_built_without_scalar_lookups(self, monkeypatch):
+        # Every position's product comes from the schedule's table in one
+        # indexing operation, not from a per-position alpha_bar call.
+        calls = []
+        lookup = DiffusionSchedule.alpha_bar
+        monkeypatch.setattr(DiffusionSchedule, "alpha_bar",
+                            lambda self, t: calls.append(t) or lookup(self, t))
+        sched = make_linear_beta_schedule(1000, eta=1.0)
+        Chain(sched, select_subsequence(1000, 100, "linear"), ZeroPredictor(2))
+        assert calls == []
 
     def test_scaled_c1_is_c1_over_the_lower_sqrt_alpha(self, sched):
         coeffs = chain_coefficients(sched, select_subsequence(100, 9, "quadratic"))

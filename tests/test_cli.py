@@ -209,11 +209,12 @@ class TestManifestRerun:
     def test_picard_manifest_without_a_budget_reruns_at_the_current_default(
         self, fixtures, tmp_path
     ):
-        # A manifest records solver_max_iters null when the flag was not
-        # given, so its rerun takes the current default: S + 1 sweeps for
-        # Picard, 15 before that.  This S = 50 solve needs 16 sweeps, so a
-        # manifest written under the old default reruns to a converged solve
-        # and other bytes; naming 15 in its args reproduces the old run.
+        # A manifest written before budgets were recorded holds
+        # solver_max_iters null, so its rerun takes the current default:
+        # S + 1 sweeps for Picard, 15 before that.  This S = 50 solve needs
+        # 16 sweeps, so a manifest written under the old default reruns to a
+        # converged solve and other bytes; naming 15 in its args reproduces
+        # the old run.
         base = ["sample", "--mode", "deq-picard",
                 "--predictor", f"gaussian:{fixtures['root'] / 'gauss.json'}",
                 "--T", "1000", "--S", "50", "--seed", "11"]
@@ -221,7 +222,7 @@ class TestManifestRerun:
         assert cli.main([*base, "--solver-max-iters", "15", "--out", str(tmp_path / "old")]) == 0
         new = json.loads((tmp_path / "new" / "manifest.json").read_text())
         old = json.loads((tmp_path / "old" / "manifest.json").read_text())
-        assert new["args"]["solver_max_iters"] is None
+        assert new["args"]["solver_max_iters"] == 51
         assert (new["solver"]["iters"], new["solver"]["converged"]) == (16, True)
         assert (old["solver"]["iters"], old["solver"]["converged"]) == (15, False)
 
@@ -336,6 +337,13 @@ class TestExitCodes:
                       "--out", tmp_path / "x")
         assert res.returncode == 2
         assert "eta" in res.stderr
+
+    def test_underflowing_schedule_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["sample", "--T", "100000", "--S", "10",
+                         "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parseq: usage error: ")
+        assert "alpha_bar(85547)" in err and "underflows float64" in err
 
     def test_unknown_predictor_is_usage_error(self, tmp_path):
         res = run_cli("sample", "--predictor", "resnet", "--out", tmp_path / "x")
@@ -830,6 +838,58 @@ class TestInvertBytes:
             assert chain.noise is None and chain.scaled_noise is None
         else:
             assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
+
+
+#: SHA-256 of x0.stack, stack.stack and (for a solve) residuals.csv.
+SAMPLE_DIGESTS = {
+    ("sequential", "0"): (
+        "8a36d77e9c07f6acf4b064d1c3c2e2faec059f270a97ccee83d7e2eef043f2ad",
+        "de7620e4b2e9607accdea34c320471ce9162725f77d746e9b0f5ad84df9cb501",
+    ),
+    ("sequential", "1"): (
+        "ec6ad8726c19d451bdf21bab9da07afa44fb8aa62c0539b33edf2a0debc14167",
+        "c169a0a13f6d690f025bc901b1f4dcdbcbdf46686cdf662b65f07b102048f486",
+    ),
+    ("deq-picard", "0"): (
+        "e927d41fce800d038ed13cb23d3dd2650d8e63a466dea3d7d8bff2a052df8887",
+        "4f4fb36120b000cd1ea7c0e3a2c83fc69f84320583cac9f0c90d1ac1538bcd47",
+        "066f9bf5ba849963c1469a62564ec4ff0dd265e401a5c23598a1c88abebff33b",
+    ),
+    ("deq-picard", "1"): (
+        "b6560f23a1aeb21318b93c1d4d04a0b6fd25360788cd8ddb11ff2e51ddaef227",
+        "e756fc41a3933d01880b74ec7e4f8ecb09b18bd49359b3965bd63753143935e5",
+        "254bef31ff7dbc4304490ad452d1b0e91a73134a3e76dde4ce958e3eea002bc1",
+    ),
+    ("deq-anderson", "0"): (
+        "0c31e66191d45120cc463ce06489443b902ace60bf9a287644428028fce6580c",
+        "4599ed394c81b33f1ed705da7a01a05f1303092428c7946abcac20c4d7119177",
+        "3126c9bdaf86567854d4861158b9514f757880d621ee7d079801785d2a6cbb1a",
+    ),
+    ("deq-anderson", "1"): (
+        "8ecd0ad7669b3133af8d1b2a78de5f463bc84fecc0c6693722a59710e5af153c",
+        "6251a7576d900546ac2e05538514a9152367b246f37bc0e4dcf0e1d53fe4489d",
+        "349944de44a77da046fea85cddb6724fb2e47ec1b10e572cd6a8d141f8179a9f",
+    ),
+}
+
+
+class TestSampleBytes:
+    """Every sample output on a Gaussian chain (T 1000, S 50, D 8), pinned to
+    the bit, signed zeros included: the chain coefficients, the rollout and
+    both solvers all feed these files."""
+
+    @pytest.mark.parametrize("mode, eta", list(SAMPLE_DIGESTS),
+                             ids=["-".join(key) for key in SAMPLE_DIGESTS])
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, mode, eta):
+        monkeypatch.chdir(tmp_path)
+        save_gaussian("g.json", np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8))
+        argv = ["sample", "--predictor", "gaussian:g.json", "--T", "1000", "--S", "50",
+                "--eta", eta, "--seed", "3", "--mode", mode, "--save-stack", "--out", "out"]
+        assert cli.main(argv) == 0
+        names = ("x0.stack", "stack.stack", "residuals.csv")[:len(SAMPLE_DIGESTS[(mode, eta)])]
+        got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in names)
+        assert got == SAMPLE_DIGESTS[(mode, eta)]
 
 
 @pytest.mark.parametrize("grad", ["phantom", "exact"])

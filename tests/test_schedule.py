@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from parseq import (
     ConfigError,
+    DiffusionSchedule,
     NumericDomainError,
     make_linear_beta_schedule,
     select_subsequence,
@@ -42,6 +43,30 @@ class TestLinearBetaSchedule:
             sched.alpha_bar(11)
         with pytest.raises(IndexError):
             sched.alpha_bar(-1)
+
+    def test_alpha_by_t_is_the_read_only_table_behind_alpha_bar(self):
+        sched = make_linear_beta_schedule(40, 1e-3, 0.05)
+        table = sched.alpha_by_t
+        assert table.shape == (41,) and table[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0.5
+        for t in range(41):
+            assert sched.alpha_bar(t) == table[t]
+        for t in (-1, 41):
+            with pytest.raises(IndexError):
+                sched.alpha_bar(t)
+
+    def test_underflowing_product_is_named(self):
+        # With the default betas the product reaches subnormals and stops
+        # decreasing: alpha_bar(85547) rounds to alpha_bar(85546).
+        with pytest.raises(ConfigError, match=r"alpha_bar\(85547\) does not fall below "
+                           r"alpha_bar\(85546\); the signal product underflows float64"):
+            make_linear_beta_schedule(100_000)
+
+    def test_non_decreasing_products_without_underflow(self):
+        with pytest.raises(ConfigError, match=r"alpha_bar\(2\) does not fall below "
+                           r"alpha_bar\(1\)$"):
+            DiffusionSchedule(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -110,6 +135,12 @@ class TestTransitionCoefficients:
     def test_excess_eta_leaves_domain(self):
         with pytest.raises(NumericDomainError):
             c1_for_pair(0.9, 0.5, 3.0)
+
+    def test_excess_eta_names_the_first_bad_pair_of_an_array(self):
+        # The boundary pair has sigma 0 and stays admissible at any eta.
+        prev, cur = np.array([1.0, 0.9, 0.8]), np.array([0.7, 0.5, 0.3])
+        with pytest.raises(NumericDomainError, match=r"alpha_bar_prev=0\.9, eta=3"):
+            c1_for_pair(prev, cur, 3.0)
 
     @given(
         T=st.integers(min_value=2, max_value=100),
