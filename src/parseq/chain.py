@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import (
     DiffusionSchedule,
@@ -186,6 +186,8 @@ def ddim_step(
     """One sequential transition from t down to t_prev (default t - 1)."""
     if t_prev is None:
         t_prev = t - 1
+    if t_prev >= t:
+        raise ConfigError(f"a DDIM step goes down: t_prev={t_prev} is not below t={t}")
     x_t = np.asarray(x_t, dtype=np.float64)
     a_prev = schedule.alpha_bar(t_prev)
     a_t = schedule.alpha_bar(t)

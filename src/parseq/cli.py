@@ -300,19 +300,21 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         raise ShapeError(
             f"target dimension {target.size} != predictor dimension {chain.predictor.dim}"
         )
+    # Unlike the library's default, a deq inversion here still solves with
+    # Anderson: perfbench's traced run rebuilds this path bit for bit.  Naive
+    # never solves: it ignores the config and records the budget as given.
+    solver = _solver_config(args, "anderson", chain.S)
     if args["method"] == "naive":
         gradient_mode = "rollout"
     else:
         gradient_mode = "exact_ift" if args["grad"] == "exact" else "phantom"
-    # Unlike the library's default, a deq inversion here still solves with
-    # Anderson: perfbench's traced run rebuilds this path bit for bit.  The
-    # naive method never solves, so it ignores the config.
+        args["solver_max_iters"] = solver.max_iters
     cfg = InversionConfig(
         epochs=args["epochs"],
         lr=args["lr"],
         gradient_mode=gradient_mode,
         tau=args["tau"],
-        solver=_solver_config(args, "anderson", chain.S),
+        solver=solver,
         stop_loss=args["stop_loss"],
         seed=args["seed"],
         init=args["init"],
@@ -332,7 +334,6 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     timings = {"total": (time.perf_counter() - t0) * 1000.0}
-    args["solver_max_iters"] = cfg.solver.max_iters  # run.json keeps the flag as given
     _write_manifest(args["out"], "invert", args,
                     ["x_T_hat.stack", "loss_trace.csv", "run.json"], timings)
     return 0

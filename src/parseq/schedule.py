@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .errors import ConfigError, NumericDomainError
 
@@ -39,7 +38,8 @@ ALPHA_BAR_ZERO = 1.0
 _RADICAND_SLACK = 1e-12
 
 
-def sigma_for_pair(alpha_bar_prev: ArrayLike, alpha_bar_t: ArrayLike, eta: float) -> ArrayLike:
+def sigma_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndarray,
+                   eta: float) -> float | np.ndarray:
     """Per-transition noise scale for adjacent pairs of signal products."""
     return (
         eta
@@ -48,7 +48,8 @@ def sigma_for_pair(alpha_bar_prev: ArrayLike, alpha_bar_t: ArrayLike, eta: float
     )
 
 
-def c1_for_pair(alpha_bar_prev: ArrayLike, alpha_bar_t: ArrayLike, eta: float) -> ArrayLike:
+def c1_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndarray,
+                eta: float) -> float | np.ndarray:
     """Coefficient multiplying the predicted noise in each transition."""
     s = sigma_for_pair(alpha_bar_prev, alpha_bar_t, eta)
     radicand = 1.0 - alpha_bar_prev - s * s
@@ -176,11 +177,7 @@ def select_subsequence(T: int, S: int, kind: str = "linear") -> TimestepSubseque
         raw = [max(1, (T * i * i) // (S * S)) for i in range(1, S + 1)]
     else:
         raise ConfigError(f"unknown subsequence kind '{kind}'")
-    deduped: list[int] = []
-    for tau in raw:
-        if not deduped or tau > deduped[-1]:
-            deduped.append(tau)
-    return TimestepSubsequence(indices=tuple(deduped))
+    return TimestepSubsequence(indices=tuple(dict.fromkeys(raw)))  # raw never decreases
 
 
 def identity_subsequence(T: int) -> TimestepSubsequence:

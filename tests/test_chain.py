@@ -5,6 +5,7 @@ import pytest
 
 from parseq import (
     Chain,
+    ConfigError,
     ConstantPredictor,
     DiffusionSchedule,
     DivergenceError,
@@ -148,6 +149,11 @@ class TestDdimStep:
         out = ddim_step(x, 50, sched, ZeroPredictor(2))
         ratio = math.sqrt(sched.alpha_bar(49) / sched.alpha_bar(50))
         np.testing.assert_allclose(out, ratio * x, rtol=1e-14)
+
+    @pytest.mark.parametrize("t_prev", [50, 51])
+    def test_rejects_a_step_that_does_not_go_down(self, sched, t_prev):
+        with pytest.raises(ConfigError, match=f"t_prev={t_prev} is not below t=50"):
+            ddim_step(np.array([1.0]), 50, sched, ZeroPredictor(1), t_prev=t_prev)
 
     def test_noise_term_enters_linearly(self):
         sched = make_linear_beta_schedule(10, 0.01, 0.2, eta=1.0)

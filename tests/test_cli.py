@@ -749,6 +749,8 @@ class TestInvert:
 #: grad, eta) of ``TestInvertBytes``, recorded when the sweep and the rollout
 #: became one prefix sum in scaled coordinates; ``naive`` was re-recorded
 #: when the rollout's backprop became the exact route's back-substitution.
+#: The deq run.json digests were re-recorded when run.json began to record
+#: the solver budget that ran (15, or 50 at eta > 0) in place of null.
 INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
         "7afe17d5c631f3906a2e843b0bf892e5918d0087a7fca02a8824c363338ba18e",
@@ -758,32 +760,32 @@ INVERT_DIGESTS = {
     ("deq", "phantom", "0"): (
         "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
         "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
-        "a2b2099ef7fe61e407fc7381a2fb00391ece60649e50825c4b36e820a942d157",
+        "4cd58ffa2748247330c510a9e89fa04958c4c9bcc6b348484e7bfa9ec4ef7ef6",
     ),
     ("deq", "exact", "0"): (
         "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
         "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
-        "7fa94bc0dcc69bbc466c0592c3ed73008467800a79984585bdc5466e0da75dc6",
+        "4ab92c9f71297c7a7cbc8e89124c3e4270159e00cf01b5bce867b5b1e35d38a4",
     ),
     ("deq-stochastic", "phantom", "0"): (
         "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
         "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
-        "c7ee5afc35182f5559ac7ae0bda21b090d053d87adcec10ececfb2652d56e3a3",
+        "a79d95f22d9f468d685d33870a16bc4ace784c3f1d8f904a274dca2f0cb2fa3c",
     ),
     ("deq-stochastic", "exact", "0"): (
         "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
         "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
-        "6ee491d959232d900b9736cfa5224a8b09a5b70d78ba19ca2a0c644734ef08a7",
+        "2fb3c17937197ce4a25392be83966ce22797a668aba25186d92da2af79460dfb",
     ),
     ("deq-stochastic", "phantom", "1"): (
         "fdc587c2db8389d26115094eadd44319457246812ded8c5d74b96e340d352f30",
         "d8baeb5dcd38a6d80999a5f580b4d13819a9bd7211115838904eb5d74b1b6aab",
-        "aba2e963d6c561e2f3fb34af73dbde95043ad7698c547b6edf82d8fbff40f439",
+        "93da8657425ca082a8d6bd9a35573e23756f1e392b3aa47b0d3f202e585970c7",
     ),
     ("deq-stochastic", "exact", "1"): (
         "2b3f663693b99c59416a0e12d74b935562c2b4b5a0bf892070f04fbc870579c4",
         "75710a82748df66174ae11f53048de4dc3df736d9589d683050ce4e24566eaad",
-        "3254f726f324f8cc6c9740f1a5fba917013aebc303206b6024d8358f95a1ee10",
+        "8ef0110cd2741a70c1c79c01bef6d41dcc87d315ea34ac6586a69f42b7e2a4d9",
     ),
 }
 
@@ -812,6 +814,26 @@ class TestInvertBytes:
         got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("x_T_hat.stack", "loss_trace.csv", "run.json"))
         assert got == INVERT_DIGESTS[(method, grad, eta)]
+
+    @pytest.mark.parametrize("method, grad, eta", list(INVERT_DIGESTS),
+                             ids=["-".join(key) for key in INVERT_DIGESTS])
+    def test_rerun_reproduces_every_output(self, tmp_path, monkeypatch, method, grad, eta):
+        out = self._invert(tmp_path, monkeypatch, method, grad, eta)
+        names = ("x_T_hat.stack", "loss_trace.csv", "run.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        manifest_before = json.loads((out / "manifest.json").read_text())
+        budget = None if method == "naive" else (15 if eta == "0" else 50)
+        assert manifest_before["args"]["solver_max_iters"] == budget
+        assert json.loads(before["run.json"])["config"]["solver_max_iters"] == budget
+        for name in names:
+            (out / name).unlink()
+
+        assert cli.main(["rerun", "out/manifest.json"]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == before
+        manifest_after = json.loads((out / "manifest.json").read_text())
+        manifest_before.pop("timings_ms")
+        manifest_after.pop("timings_ms")
+        assert manifest_after == manifest_before
 
     @pytest.mark.parametrize("method", ["naive", "deq", "deq-stochastic"])
     def test_builds_the_chain_coefficients_once(self, tmp_path, monkeypatch, method):
