@@ -64,10 +64,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget (default: S + 1 for Picard, at which the "
                         "triangular solve is exact; 15 for Anderson, or 50 when eta > 0)")
     p.add_argument("--solver-tol", type=float, default=1e-3)
-    p.add_argument("--history-m", type=int, default=5)
-    p.add_argument("--ridge-lambda", type=float, default=1e-4,
-                   help="Anderson's ridge weight, relative to the newest residual's "
-                        "squared norm")
     p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
                    help="stack initialization for the fixed-point solve")
 
@@ -95,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_flags(p)
     _add_solver_flags(p)
     p.add_argument("--target", required=True, help="binary stack holding the target x_0")
-    p.add_argument("--method", choices=["naive", "deq", "deq-stochastic"], default="deq")
+    p.add_argument("--method", choices=["naive", "deq"], default="deq",
+                   help="naive backpropagates through the sequential sampler; deq "
+                        "solves the joint system.  At eta > 0 both pin the seed's "
+                        "noise stack")
     p.add_argument("--grad", choices=["phantom", "exact"], default="phantom")
     p.add_argument("--tau", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=400)
@@ -191,8 +190,7 @@ def _build_chain(args: dict) -> Chain:
 
 def _solver_flags(args: dict) -> dict:
     """The SolverConfig fields the solver flags set."""
-    flags = dict(tol=args["solver_tol"], history_m=args["history_m"],
-                 ridge_lambda=args["ridge_lambda"])
+    flags = dict(tol=args["solver_tol"])
     if args["solver_max_iters"] is not None:
         flags["max_iters"] = args["solver_max_iters"]
     return flags
@@ -289,8 +287,6 @@ def cmd_sample(ns: argparse.Namespace) -> int:
 def cmd_invert(ns: argparse.Namespace) -> int:
     args = _resolved_args(ns)
     t0 = time.perf_counter()
-    if args["method"] in ("naive", "deq") and args["eta"] > 0.0:
-        raise ConfigError(f"--method {args['method']} requires --eta 0")
     chain = _build_chain(args)
     target_states, _, _ = read_stack(args["target"])
     if len(target_states) == 0:

@@ -1,9 +1,9 @@
 """Deterministic per-purpose random streams.
 
 A single top-level seed expands into independent generators keyed by a
-purpose label and an optional counter.  Each consumer owns its stream, so
-adding a new draw site (or skipping one, e.g. the noise stack at eta = 0)
-never shifts the values seen by the others.
+purpose label.  Each consumer owns its stream, so adding a new draw site
+(or skipping one, e.g. the noise stack at eta = 0) never shifts the
+values seen by the others.
 """
 
 from __future__ import annotations
@@ -22,16 +22,18 @@ _PURPOSES = {
 }
 
 
-def stream(seed: int, purpose: str, counter: int = 0) -> np.random.Generator:
-    """Return the generator for (seed, purpose, counter).
+def stream(seed: int, purpose: str) -> np.random.Generator:
+    """Return the generator for (seed, purpose).
 
-    The triple is fed to a SeedSequence, so streams for distinct purposes
-    or counters are statistically independent and reproducible.  A
-    negative seed is a configuration error.
+    The pair is fed to a SeedSequence, so streams for distinct purposes
+    are statistically independent and reproducible.  A negative seed is a
+    configuration error.
     """
     if int(seed) < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if purpose not in _PURPOSES:
         raise ConfigError(f"unknown rng purpose '{purpose}'; known: {sorted(_PURPOSES)}")
-    ss = np.random.SeedSequence([int(seed), _PURPOSES[purpose], int(counter)])
+    # The third entropy word stays 0, so every stream keeps the bits that
+    # recorded outputs were drawn from.
+    ss = np.random.SeedSequence([int(seed), _PURPOSES[purpose], 0])
     return np.random.default_rng(ss)

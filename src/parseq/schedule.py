@@ -65,9 +65,12 @@ def c1_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndar
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionSchedule:
-    """Immutable variance schedule plus the run's noise scale eta."""
+    """Immutable variance schedule plus the run's noise scale eta.
+
+    Schedules compare and hash by identity: the generated field-wise
+    ``==`` would compare arrays and raise."""
 
     betas: np.ndarray
     alpha_bars: np.ndarray

@@ -5,8 +5,8 @@ of any shape and record the residual ||g - x|| (flattened l2) once per
 iteration, 0-indexed.  ``picard_solve`` is plain repeated substitution; on
 the sampling chain its strictly triangular structure makes the S-th
 iterate exact.  ``anderson_solve`` mixes the map outputs of a sliding
-window of the last m iterations and typically needs far fewer evaluations
-than the spectral radius of the map would suggest.
+window of the last ``HISTORY_M`` iterations and typically needs far fewer
+evaluations than the spectral radius of the map would suggest.
 """
 
 from __future__ import annotations
@@ -19,19 +19,20 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 
+#: Anderson's window: the map outputs of at most this many iterations mix.
+HISTORY_M = 5
+#: Anderson's ridge weight, relative to the newest residual's squared norm.
+RIDGE_LAMBDA = 1e-4
+
 
 @dataclass
 class SolverConfig:
     """How ``solve`` runs: the method, its iteration budget and residual
-    tolerance, and for Anderson the window length ``history_m`` and the
-    ridge weight ``ridge_lambda``, relative to the newest residual's
-    squared norm."""
+    tolerance."""
 
     method: str = "anderson"
     max_iters: int = 15
     tol: float = 1e-3
-    history_m: int = 5
-    ridge_lambda: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.method not in ("anderson", "picard"):
@@ -40,10 +41,6 @@ class SolverConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.history_m < 1:
-            raise ConfigError(f"history_m must be >= 1, got {self.history_m}")
-        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0.0):
-            raise ConfigError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda}")
 
 
 def default_solver_config(eta: float) -> SolverConfig:
@@ -132,26 +129,17 @@ def _anderson_gamma(gram: np.ndarray, lam: float) -> np.ndarray | None:
     return gamma
 
 
-def _grown(ring: np.ndarray, rows: int, size: int) -> np.ndarray:
-    """A ring of ``size`` mirrored slots that starts with the first ``rows``
-    rows of ``ring``.  Their mirror slots are left empty: a mirror slot is
-    read only after the window has wrapped, and by then it was rewritten."""
-    out = np.empty((2 * size, ring.shape[1]))
-    out[:rows] = ring[:rows]
-    return out
-
-
 def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
     """Undamped Anderson-accelerated fixed-point iteration with ridge
     regularization.
 
-    Keeps the residuals and map outputs of the last min(m, n) iterations
-    (m = ``cfg.history_m``), solves the small ridge system for mixing
-    weights gamma, and proposes
+    Keeps the residuals and map outputs of the last min(``HISTORY_M``, n)
+    iterations, solves the small ridge system for mixing weights gamma, and
+    proposes
 
         x+ = sum_j gamma_j G_j.
 
-    The ridge weight is ``cfg.ridge_lambda`` times the newest residual's
+    The ridge weight is ``RIDGE_LAMBDA`` times the newest residual's
     squared norm (see ``_anderson_gamma``), so scaling the map's units by
     a power of two scales every iterate by it, bit for bit.  A failed
     weight solve falls back to the newest output (a plain Picard step) and
@@ -160,17 +148,14 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
     # History rings of the last m (output, residual) rows.  Each row is
-    # written twice, at slot and slot + size, so the newest k rows are
-    # always the contiguous, oldest-first slice [start, start + k).  A long
-    # window starts small and doubles as it fills, so memory follows the
-    # iterations actually run.
-    m = min(cfg.history_m, cfg.max_iters)
-    size = min(m, 16)
-    G, F = (np.empty((2 * size, x.size)) for _ in range(2))
+    # written twice, at slot and slot + m, so the newest k rows are always
+    # the contiguous, oldest-first slice [start, start + k).
+    m = min(HISTORY_M, cfg.max_iters)
+    G, F = (np.empty((2 * m, x.size)) for _ in range(2))
     # The window's Gram matrix F_w F_w^T, oldest row first.  Each iteration
     # adds one row and column with a single matvec, and the block slides up
     # by one once the window is full.
-    gram = np.empty((size, size))
+    gram = np.empty((m, m))
     stored = 0
     residuals: list[float] = []
     fallbacks = 0
@@ -184,23 +169,17 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
             x = g
             converged = True
             break
-        if stored == size < m:
-            # Nothing has wrapped yet: the history is rows [0, size) in order.
-            size = min(2 * size, m)
-            G, F = (_grown(ring, stored, size) for ring in (G, F))
-            gram, old = np.empty((size, size)), gram
-            gram[:stored, :stored] = old
-        slot = stored % size
+        slot = stored % m
         for ring, row in ((G, g.ravel()), (F, f)):
-            ring[slot] = ring[slot + size] = row
+            ring[slot] = ring[slot + m] = row
         stored += 1
-        k = min(stored, size)
-        start = (stored - k) % size
+        k = min(stored, m)
+        start = (stored - k) % m
         Gw = G[start:start + k]
-        if stored > size:
+        if stored > m:
             gram[:-1, :-1] = gram[1:, 1:]
         gram[k - 1, :k] = gram[:k, k - 1] = F[start:start + k] @ f
-        gamma = _anderson_gamma(gram[:k, :k], cfg.ridge_lambda)
+        gamma = _anderson_gamma(gram[:k, :k], RIDGE_LAMBDA)
         if gamma is None:
             fallbacks += 1
             nxt = Gw[-1].copy()
@@ -212,7 +191,7 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     else:
         # Budget exhausted: hand back the last map output rather than the
         # unmeasured extrapolation.
-        x = G[(stored - 1) % size].reshape(shape).copy()
+        x = G[(stored - 1) % m].reshape(shape).copy()
     return FixedPointResult(
         states=x,
         residuals=residuals,

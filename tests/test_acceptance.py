@@ -28,7 +28,7 @@ from parseq.invert import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_mlp
 from parseq.sampling import draw_noise_stack, draw_x_T, solve_stack
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
-from parseq.solvers import SolverConfig
+from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, SolverConfig
 from parseq.rng import stream
 
 
@@ -107,6 +107,8 @@ def test_criterion_2_picard_finite_convergence():
 
 
 def test_criterion_3_anderson_budget():
+    # Anderson runs with its fixed window of 5 and relative ridge of 1e-4.
+    assert (HISTORY_M, RIDGE_LAMBDA) == (5, 1e-4)
     t0 = time.perf_counter()
     iters_det, iters_sto = [], []
     for seed in range(5):
@@ -119,10 +121,7 @@ def test_criterion_3_anderson_budget():
             )
             x_T = draw_x_T(seed, 8)
             noise = draw_noise_stack(seed, 100, 8) if eta > 0 else None
-            cfg = SolverConfig(
-                method="anderson", max_iters=budget, tol=1e-3,
-                history_m=5, ridge_lambda=1e-4,
-            )
+            cfg = SolverConfig(method="anderson", max_iters=budget, tol=1e-3)
             result = solve_stack(Chain(schedule, subsequence, predictor, noise), x_T, cfg)
             assert result.converged and result.residuals[-1] <= 1e-3
             sink.append(result.iters)

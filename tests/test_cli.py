@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parseq import cli
-from parseq.chain import sequential_rollout
+from parseq.chain import Chain, sequential_rollout
+from parseq.invert import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_gaussian, save_mlp
 from parseq.rng import stream
 from parseq.sampling import draw_noise_stack, draw_x_T
@@ -245,30 +246,40 @@ class TestManifestRerun:
         assert "command" in res.stderr
 
     @pytest.mark.parametrize(
-        "edit",
+        "command, edit, named",
         [
-            lambda m: 5,
-            lambda m: [m],
-            lambda m: {**m, "args": [1, 2]},
-            lambda m: {**m, "command": ["sample"]},
-            lambda m: {**m, "args": {k: v for k, v in m["args"].items() if k != "eta"}},
-            lambda m: {**m, "args": {**m["args"], "colour": "red"}},
-            lambda m: {**m, "args": {**m["args"], "T": "abc"}},
-            lambda m: {**m, "args": {**m["args"], "eta": "0.5"}},
-            lambda m: {**m, "args": {**m["args"], "mode": "deq-newton"}},
-            lambda m: {**m, "args": {**m["args"], "save_stack": 1}},
-            lambda m: {**m, "args": {**m["args"], "mixing_beta": 1.0}},
+            ("sample", lambda m: 5, "manifest"),
+            ("sample", lambda m: [m], "manifest"),
+            ("sample", lambda m: {**m, "args": [1, 2]}, "args"),
+            ("sample", lambda m: {**m, "command": ["sample"]}, "command"),
+            ("sample", lambda m: {**m, "args": {k: v for k, v in m["args"].items()
+                                                if k != "eta"}}, "eta"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "colour": "red"}}, "colour"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "T": "abc"}}, "T"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "eta": "0.5"}}, "eta"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "mode": "deq-newton"}}, "mode"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "save_stack": 1}}, "save_stack"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "mixing_beta": 1.0}},
+             "mixing_beta"),
+            ("sample", lambda m: {**m, "args": {**m["args"], "history_m": 5}}, "history_m"),
+            ("invert", lambda m: {**m, "args": {**m["args"], "ridge_lambda": 1e-4}},
+             "ridge_lambda"),
+            ("invert", lambda m: {**m, "args": {**m["args"], "method": "deq-stochastic"}},
+             "method"),
         ],
         ids=["number", "list", "args-list", "command-list", "missing-key", "unknown-key",
-             "T-text", "eta-text", "mode-unknown", "save_stack-number", "retired-mixing-beta"],
+             "T-text", "eta-text", "mode-unknown", "save_stack-number", "retired-mixing-beta",
+             "retired-history-m", "retired-ridge-lambda", "retired-deq-stochastic"],
     )
-    def test_rerun_rejects_malformed_manifest(self, edit, tmp_path, capsys):
-        ns = cli.build_parser().parse_args(["sample", "--out", str(tmp_path / "run")])
+    def test_rerun_rejects_malformed_manifest(self, command, edit, named, tmp_path, capsys):
+        flags = ["--target", str(tmp_path / "target.stack")] if command == "invert" else []
+        ns = cli.build_parser().parse_args([command, *flags, "--out", str(tmp_path / "run")])
         args = {k: v for k, v in vars(ns).items() if k != "func"}
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(edit({"command": "sample", "args": args})))
+        path.write_text(json.dumps(edit({"command": command, "args": args})))
         assert cli.main(["rerun", str(path)]) == 4
-        assert "manifest" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "manifest" in err and named in err
         assert not (tmp_path / "run").exists()
 
 
@@ -328,15 +339,6 @@ class TestExitCodes:
                       "--subseq", "quadratic", "--out", tmp_path / "x")
         assert res.returncode == 2
         assert "--S" in res.stderr
-
-    def test_naive_invert_with_eta_is_usage_error(self, fixtures, tmp_path):
-        root = fixtures["root"]
-        res = run_cli("invert", "--target", root / "target.stack",
-                      "--method", "naive", "--eta", 0.5, "--T", 20,
-                      "--predictor", f"gaussian:{root / 'gauss.json'}",
-                      "--out", tmp_path / "x")
-        assert res.returncode == 2
-        assert "eta" in res.stderr
 
     def test_underflowing_schedule_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["sample", "--T", "100000", "--S", "10",
@@ -432,15 +434,12 @@ class TestExitCodes:
             ["--threads", -3],
             ["--threads", 0],
             ["--D", 0],
-            ["--history-m", 0],
             ["--solver-tol", "nan"],
-            ["--ridge-lambda", "nan"],
-            ["--ridge-lambda", "inf"],
             ["--eta", "nan"],
             ["--eta", "inf"],
         ],
-        ids=["threads-negative", "threads-zero", "D-zero", "history-m-zero", "solver-tol-nan",
-             "ridge-lambda-nan", "ridge-lambda-inf", "eta-nan", "eta-inf"],
+        ids=["threads-negative", "threads-zero", "D-zero", "solver-tol-nan", "eta-nan",
+             "eta-inf"],
     )
     def test_bad_flag_values_are_usage_errors(self, flags, tmp_path):
         res = run_cli("sample", "--mode", "deq-anderson", "--predictor", "gaussian",
@@ -451,10 +450,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [["--lr", "nan"], ["--lr", "inf"], ["--stop-loss", "nan"], ["--stop-loss", "inf"],
-         ["--ridge-lambda", "nan"], ["--ridge-lambda", "inf"], ["--solver-tol", "nan"],
-         ["--solver-max-iters", "0"]],
-        ids=["lr-nan", "lr-inf", "stop-loss-nan", "stop-loss-inf", "ridge-lambda-nan",
-             "ridge-lambda-inf", "solver-tol-nan", "solver-max-iters-zero"],
+         ["--solver-tol", "nan"], ["--solver-max-iters", "0"]],
+        ids=["lr-nan", "lr-inf", "stop-loss-nan", "stop-loss-inf", "solver-tol-nan",
+             "solver-max-iters-zero"],
     )
     def test_bad_invert_flag_values_are_usage_errors(self, flags, fixtures, tmp_path, capsys):
         code = cli.main(["invert", "--target", str(fixtures["root"] / "target.stack"),
@@ -727,7 +725,7 @@ class TestInvert:
         assert report["best_loss"] <= 1e-4
         assert report["epochs_run"] < 200
 
-    def test_exact_gradient_and_stochastic_method_run(self, fixtures, tmp_path):
+    def test_exact_gradient_and_noisy_chain_run(self, fixtures, tmp_path):
         root = fixtures["root"]
         res = run_cli("invert", "--target", root / "target.stack",
                       "--method", "deq", "--grad", "exact", "--lr", 0.001,
@@ -735,7 +733,7 @@ class TestInvert:
                       "--T", 20, "--S", 5, "--epochs", 10, "--out", tmp_path / "a")
         assert res.returncode == 0
         res = run_cli("invert", "--target", root / "target.stack",
-                      "--method", "deq-stochastic", "--eta", 0.5,
+                      "--method", "deq", "--eta", 0.5,
                       "--predictor", f"gaussian:{root / 'gauss.json'}",
                       "--T", 20, "--S", 5, "--epochs", 10, "--out", tmp_path / "b")
         assert res.returncode == 0
@@ -749,43 +747,40 @@ class TestInvert:
 #: grad, eta) of ``TestInvertBytes``, recorded when the sweep and the rollout
 #: became one prefix sum in scaled coordinates; ``naive`` was re-recorded
 #: when the rollout's backprop became the exact route's back-substitution.
-#: The deq run.json digests were re-recorded when run.json began to record
-#: the solver budget that ran (15, or 50 at eta > 0) in place of null.
+#: The deq rows at eta 1 were recorded as the method ``deq-stochastic``,
+#: which ``deq`` replaced with the same x_T_hat and loss bytes.  The run.json
+#: digests were re-recorded when the Anderson window and ridge left the
+#: recorded config, and the method ``deq-stochastic`` with them.
 INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
         "7afe17d5c631f3906a2e843b0bf892e5918d0087a7fca02a8824c363338ba18e",
         "ced2670c8b9693e3acec8101b2eb96ec607ae7dea448ff90da3845aabcfc7a5f",
-        "5754744ed96fb107b7135f091a50e6884339418b68d85c2cf5a853f9a7dc3412",
+        "e55c38fadf75469f7159ae10356d4b61730de7fc5f068cac6336efc7f0d2f5ca",
+    ),
+    ("naive", "phantom", "1"): (
+        "ae9ac2c776029d10a7d4090b4cf5cc748c336c289f8e9787201903a482dd66ac",
+        "ec32e093dd4562c4e6e5aefd63169433e67b51989312ac25d75453f12e7342f3",
+        "ad460eb30cd276263c16d1f18577b0441bd6dfd877c9ea4e415edbfe6a346e0e",
     ),
     ("deq", "phantom", "0"): (
         "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
         "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
-        "4cd58ffa2748247330c510a9e89fa04958c4c9bcc6b348484e7bfa9ec4ef7ef6",
+        "7a54379c39a13cb4a18f5e0e4d10c726794b2cbc3e234ec30400d3037d21b0ae",
     ),
     ("deq", "exact", "0"): (
         "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
         "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
-        "4ab92c9f71297c7a7cbc8e89124c3e4270159e00cf01b5bce867b5b1e35d38a4",
+        "f2f1c9e6e39b105986665b65b006ed97a3087cd42c4f9885310a8abeef849e2a",
     ),
-    ("deq-stochastic", "phantom", "0"): (
-        "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
-        "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
-        "a79d95f22d9f468d685d33870a16bc4ace784c3f1d8f904a274dca2f0cb2fa3c",
-    ),
-    ("deq-stochastic", "exact", "0"): (
-        "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
-        "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
-        "2fb3c17937197ce4a25392be83966ce22797a668aba25186d92da2af79460dfb",
-    ),
-    ("deq-stochastic", "phantom", "1"): (
+    ("deq", "phantom", "1"): (
         "fdc587c2db8389d26115094eadd44319457246812ded8c5d74b96e340d352f30",
         "d8baeb5dcd38a6d80999a5f580b4d13819a9bd7211115838904eb5d74b1b6aab",
-        "93da8657425ca082a8d6bd9a35573e23756f1e392b3aa47b0d3f202e585970c7",
+        "1ff395145699b3741a579f980755d93d68c84383bfb0b9aefbcc2a3ff39b754e",
     ),
-    ("deq-stochastic", "exact", "1"): (
+    ("deq", "exact", "1"): (
         "2b3f663693b99c59416a0e12d74b935562c2b4b5a0bf892070f04fbc870579c4",
         "75710a82748df66174ae11f53048de4dc3df736d9589d683050ce4e24566eaad",
-        "8ef0110cd2741a70c1c79c01bef6d41dcc87d315ea34ac6586a69f42b7e2a4d9",
+        "6df554f1559a1cb395296746f4f88a6e76252a1a65d76b5a2f4a6b4330515bdd",
     ),
 }
 
@@ -796,10 +791,12 @@ class TestInvertBytes:
     The Gaussian predictor acts elementwise and the paths are relative, so
     the bytes depend neither on BLAS nor on the temporary directory."""
 
+    MU, VAR, TARGET = np.array([0.5, -1.0, 0.25]), np.array([0.5, 2.0, 1.0]), [0.4, -1.2, 0.9]
+
     def _invert(self, tmp_path, monkeypatch, method, grad, eta):
         monkeypatch.chdir(tmp_path)
-        save_gaussian("g.json", np.array([0.5, -1.0, 0.25]), np.array([0.5, 2.0, 1.0]))
-        write_stack("target.stack", np.array([0.4, -1.2, 0.9]), 40, 0.0)
+        save_gaussian("g.json", self.MU, self.VAR)
+        write_stack("target.stack", np.array(self.TARGET), 40, 0.0)
         argv = ["invert", "--predictor", "gaussian:g.json", "--T", "40", "--S", "6",
                 "--eta", eta, "--seed", "5", "--threads", "1", "--target", "target.stack",
                 "--method", method, "--grad", grad, "--epochs", "30", "--lr", "0.1",
@@ -835,7 +832,7 @@ class TestInvertBytes:
         manifest_after.pop("timings_ms")
         assert manifest_after == manifest_before
 
-    @pytest.mark.parametrize("method", ["naive", "deq", "deq-stochastic"])
+    @pytest.mark.parametrize("method", ["naive", "deq"])
     def test_builds_the_chain_coefficients_once(self, tmp_path, monkeypatch, method):
         from parseq import chain, gradients, sampling
 
@@ -848,18 +845,30 @@ class TestInvertBytes:
         assert json.loads((out / "run.json").read_text())["epochs_run"] == 30
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("method", ["naive", "deq"])
     @pytest.mark.parametrize("eta", ["0", "1"])
-    def test_stochastic_method_pins_the_seeds_noise_stack(self, tmp_path, monkeypatch, eta):
+    def test_eta_pins_the_seeds_noise_stack(self, tmp_path, monkeypatch, method, eta):
         # At eta 0 every sigma is zero, so no noise is drawn and none is pinned.
         chains = []
         run = cli.invert
         monkeypatch.setattr(cli, "invert", lambda t, cfg, c: chains.append(c) or run(t, cfg, c))
-        self._invert(tmp_path, monkeypatch, "deq-stochastic", "phantom", eta)
+        self._invert(tmp_path, monkeypatch, method, "phantom", eta)
         (chain,) = chains
         if eta == "0":
             assert chain.noise is None and chain.scaled_noise is None
         else:
             assert chain.noise.tobytes() == draw_noise_stack(5, 6, 3).tobytes()
+
+    def test_naive_at_eta_one_is_the_librarys_rollout_inversion(self, tmp_path, monkeypatch):
+        out = self._invert(tmp_path, monkeypatch, "naive", "phantom", "1")
+        schedule = make_linear_beta_schedule(40, eta=1.0)
+        chain = Chain(schedule, select_subsequence(40, 6, "linear"),
+                      GaussianOptimalPredictor(self.MU, self.VAR, schedule),
+                      draw_noise_stack(5, 6, 3))
+        cfg = InversionConfig(epochs=30, lr=0.1, gradient_mode="rollout", seed=5)
+        run = invert(np.array(self.TARGET), cfg, chain)
+        x_T_hat, _, _ = read_stack(out / "x_T_hat.stack")
+        assert x_T_hat[-1].tobytes() == run.x_T_hat.tobytes()
 
 
 #: SHA-256 of x0.stack, stack.stack and (for a solve) residuals.csv.
@@ -939,16 +948,12 @@ def test_deq_inversion_converges_every_anderson_solve(tmp_path, monkeypatch, gra
     assert max(run["solver_iters"]) <= 15
 
 
-#: Solver flag values on both sides of their bounds.
-_SOLVER_FLAGS = dict(
-    tol=st.sampled_from(["1e-3", "0", "-1", "nan", "inf"]),
-    history_m=st.sampled_from(["-1", "0", "1", "5"]),
-    ridge=st.sampled_from(["-1", "0", "1e-4", "nan", "inf"]),
-)
+#: Solver tolerances on both sides of their bounds.
+_TOLS = st.sampled_from(["1e-3", "0", "-1", "nan", "inf"])
 
 
-def _bad_solver_flags(tol, history_m, ridge):
-    return tol in ("-1", "nan", "inf") or int(history_m) < 1 or ridge in ("-1", "nan", "inf")
+def _bad_tol(tol):
+    return tol in ("-1", "nan", "inf")
 
 
 def _exit_code(argv):
@@ -968,39 +973,35 @@ class TestArgvBoundary:
         seed=st.integers(-3, 3),
         D=st.integers(-2, 4),
         mode=st.sampled_from(["sequential", "deq-picard", "deq-anderson"]),
-        **_SOLVER_FLAGS,
+        tol=_TOLS,
     )
-    def test_exit_code_is_success_or_usage_error(self, threads, seed, D, mode, tol, history_m,
-                                                 ridge):
+    def test_exit_code_is_success_or_usage_error(self, threads, seed, D, mode, tol):
         argv = ["sample", "--predictor", "gaussian", "--T", "4", "--D", str(D),
-                "--seed", str(seed), "--mode", mode, "--solver-tol", tol,
-                "--history-m", history_m, "--ridge-lambda", ridge]
+                "--seed", str(seed), "--mode", mode, "--solver-tol", tol]
         if threads is not None:
             argv += ["--threads", str(threads)]
         with tempfile.TemporaryDirectory() as out:
             code = _exit_code(argv + ["--out", out])
         bad_threads = threads is not None and threads < 1
-        bad_solver = _bad_solver_flags(tol, history_m, ridge)
-        assert code == (2 if bad_threads or seed < 0 or D < 1 or bad_solver else 0)
+        assert code == (2 if bad_threads or seed < 0 or D < 1 or _bad_tol(tol) else 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
         command=st.sampled_from(["invert", "trace", "bench"]),
-        method=st.sampled_from(["naive", "deq", "deq-stochastic"]),
+        method=st.sampled_from(["naive", "deq"]),
         grad=st.sampled_from(["phantom", "exact"]),
         s_list=st.sampled_from(["2,4", "4", "", "0,2", "x"]),
         threads=st.integers(-1, 2),
         seed=st.integers(-3, 3),
         D=st.integers(-1, 3),
-        **_SOLVER_FLAGS,
+        tol=_TOLS,
     )
     def test_invert_trace_and_bench_exit_success_or_usage_error(
-        self, command, method, grad, s_list, threads, seed, D, tol, history_m, ridge
+        self, command, method, grad, s_list, threads, seed, D, tol
     ):
         argv = ["--predictor", "gaussian", "--T", "4", "--D", str(D), "--seed", str(seed),
-                "--threads", str(threads), "--solver-tol", tol, "--history-m", history_m,
-                "--ridge-lambda", ridge]
-        bad = threads < 1 or seed < 0 or D < 1 or _bad_solver_flags(tol, history_m, ridge)
+                "--threads", str(threads), "--solver-tol", tol]
+        bad = threads < 1 or seed < 0 or D < 1 or _bad_tol(tol)
         with tempfile.TemporaryDirectory() as tmp:
             if command == "invert":
                 target = os.path.join(tmp, "target.stack")
@@ -1090,11 +1091,10 @@ def _manifest_args(command, tmp):
 #: What a manifest may record for each flag, written from the CLI's
 #: documented flags: the JSON types (an int also serves a float flag), and
 #: the values of a flag with choices.
-_INT_FLAGS = {"T", "S", "D", "seed", "threads", "epochs", "runs", "history_m",
-              "solver_max_iters"}
-_FLOAT_FLAGS = {"eta", "solver_tol", "ridge_lambda", "tau", "lr", "stop_loss"}
+_INT_FLAGS = {"T", "S", "D", "seed", "threads", "epochs", "runs", "solver_max_iters"}
+_FLOAT_FLAGS = {"eta", "solver_tol", "tau", "lr", "stop_loss"}
 _CHOICES = {"subseq": {"linear", "quadratic"}, "init": {"x_T", "zero"},
-            "method": {"naive", "deq", "deq-stochastic"}, "grad": {"phantom", "exact"}}
+            "method": {"naive", "deq"}, "grad": {"phantom", "exact"}}
 _MODES = {"sample": {"sequential", "deq-anderson", "deq-picard"},
           "trace": {"deq-anderson", "deq-picard"}}
 _NULLABLE = {"S", "subseq", "noise_file", "solver_max_iters"}
@@ -1122,8 +1122,8 @@ _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
     st.sampled_from([-1.0, 0.0, 0.5, 2.0, float("nan"), float("inf")]),
     st.text(alphabet="0123456789,.-xT", max_size=4),
-    st.sampled_from(["linear", "zero", "deq", "exact", "deq-picard", "sequential", "sample",
-                     "gaussian", "mlp:w.json"]),
+    st.sampled_from(["linear", "zero", "deq", "deq-stochastic", "exact", "deq-picard",
+                     "sequential", "sample", "gaussian", "mlp:w.json"]),
 )
 _STRUCTURES = st.one_of(st.lists(st.integers(0, 2), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))

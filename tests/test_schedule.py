@@ -56,6 +56,12 @@ class TestLinearBetaSchedule:
             with pytest.raises(IndexError):
                 sched.alpha_bar(t)
 
+    def test_schedules_compare_and_hash_by_identity(self):
+        a, b = make_linear_beta_schedule(10), make_linear_beta_schedule(10)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
     def test_underflowing_product_is_named(self):
         # With the default betas the product reaches subnormals and stops
         # decreasing: alpha_bar(85547) rounds to alpha_bar(85546).
