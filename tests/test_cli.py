@@ -462,6 +462,30 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--history-m", "5"), ("--ridge-lambda", "1e-4")])
+    @pytest.mark.parametrize("command", ["sample", "trace", "invert", "bench"])
+    def test_retired_solver_flags_are_usage_errors(self, command, flag, value, fixtures,
+                                                   tmp_path, capsys):
+        # Anderson's window and ridge are fixed; a flag that sets them must
+        # be refused, not silently ignored.
+        extra = {"invert": ["--target", str(fixtures["root"] / "target.stack"), "--D", "3"],
+                 "bench": ["--S-list", "2,5"]}.get(command, [])
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--predictor", "gaussian", "--T", "10", *extra,
+                      flag, value, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_retired_stochastic_method_is_usage_error(self, fixtures, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["invert", "--target", str(fixtures["root"] / "target.stack"),
+                      "--predictor", "gaussian", "--D", "3", "--T", "10", "--eta", "1",
+                      "--method", "deq-stochastic", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'deq-stochastic'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_eta_above_one_stays_a_numeric_failure(self, capsys, tmp_path):
         code = cli.main(["sample", "--predictor", "gaussian", "--T", "10", "--eta", "1.5",
                          "--out", str(tmp_path / "x")])

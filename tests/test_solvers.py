@@ -46,6 +46,12 @@ def _overflowing(cfg):
     return (lambda x: 0.5 * x + 1e200), np.zeros((3, 1)), cfg
 
 
+def _translation(cfg):
+    # x + c: the residual never changes, so every residual difference is
+    # zero and only the ridge keeps the weight solve regular.
+    return (lambda x: x + np.array([[1.0], [-0.5], [0.25]])), np.zeros((3, 1)), cfg
+
+
 _overflow_warnings = pytest.mark.filterwarnings("ignore:overflow encountered",
                                                 "ignore:invalid value")
 
@@ -77,6 +83,13 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["history_m", "ridge_lambda"])
+    def test_window_and_ridge_are_not_settings(self, field):
+        # Anderson runs at HISTORY_M and RIDGE_LAMBDA; the config cannot
+        # carry another value for either.
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: 1})
 
 
 class TestPicard:
@@ -365,10 +378,12 @@ class TestAndersonHistory:
             lambda: _gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3)),
             lambda: _mlp_chain(SolverConfig(max_iters=30, tol=1e-10)),
             lambda: _mlp_chain(SolverConfig(max_iters=4, tol=1e-10)),
+            lambda: _mlp_chain(SolverConfig(max_iters=1, tol=1e-10)),
             lambda: _overflowing(SolverConfig(max_iters=9)),
+            lambda: _translation(SolverConfig(max_iters=9, tol=1e-12)),
         ],
         ids=["gauss-converges", "gauss-capped", "mlp-converges", "mlp-short-budget",
-             "overflow-fallback"],
+             "mlp-one-iteration", "overflow-fallback", "translation-ridge"],
     )
     @_overflow_warnings
     def test_matches_list_history_bitwise(self, case):
@@ -390,6 +405,8 @@ class TestAndersonHistory:
         assert not capped.converged
         moved = anderson_solve(*_overflowing(SolverConfig(max_iters=9)))
         assert moved.picard_fallbacks == 8
+        ridged = anderson_solve(*_translation(SolverConfig(max_iters=9, tol=1e-12)))
+        assert ridged.picard_fallbacks == 0
 
 
 @given(
