@@ -63,9 +63,7 @@ from .schedule import (
 from .solvers import (
     FixedPointResult,
     SolverConfig,
-    anderson_solve,
     default_solver_config,
-    picard_solve,
     solve,
 )
 from .stackio import read_stack, write_residual_csv, write_stack, write_trace_csv

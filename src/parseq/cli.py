@@ -36,10 +36,10 @@ from .chain import Chain, _rollout
 from .invert import InversionConfig, invert, run_report
 from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
-from .sampling import draw_noise_stack, draw_x_T, picard_budget, solve_stack
+from .sampling import draw_noise_stack, draw_x_T, solve_stack
 from .schedule import identity_subsequence, make_linear_beta_schedule, select_subsequence
 from .stackio import read_stack, write_residual_csv, write_stack, write_trace_csv
-from .solvers import SolverConfig, default_solver_config
+from .solvers import SolverConfig, default_solver_config, picard_budget
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
@@ -154,7 +154,7 @@ def _resolved_args(ns: argparse.Namespace) -> dict:
     if "solver_tol" in args:
         # Check the solver flags even where no solve runs (sequential
         # sampling), so that every command rejects them alike.
-        SolverConfig(**_solver_flags(args))
+        _solver_config(args, "anderson", 1)
     return args
 
 
@@ -188,24 +188,14 @@ def _build_chain(args: dict) -> Chain:
                  _load_noise(args, subsequence.S, predictor.dim))
 
 
-def _solver_flags(args: dict) -> dict:
-    """The SolverConfig fields the solver flags set."""
-    flags = dict(tol=args["solver_tol"])
-    if args["solver_max_iters"] is not None:
-        flags["max_iters"] = args["solver_max_iters"]
-    return flags
-
-
 def _solver_config(args: dict, method: str, S: int) -> SolverConfig:
     """The solve the flags ask for on an S-position chain.  Without
-    --solver-max-iters each method gets its default budget."""
-    flags = _solver_flags(args)
-    if "max_iters" not in flags:
-        if method == "picard":
-            flags["max_iters"] = picard_budget(S)
-        else:
-            flags["max_iters"] = default_solver_config(args["eta"]).max_iters
-    return SolverConfig(method=method, **flags)
+    --solver-max-iters each method gets its default budget from ``solvers``."""
+    max_iters = args["solver_max_iters"]
+    if max_iters is None:
+        max_iters = (picard_budget(S) if method == "picard"
+                     else default_solver_config(args["eta"]).max_iters)
+    return SolverConfig(method, max_iters, args["solver_tol"])
 
 
 def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:

@@ -17,6 +17,11 @@ onto x_T (``chain._x_T_step``):
   with its O(S D) forward stack kept: it is ``exact_ift_grad`` on the
   rollout's stack, so the two are equal bit for bit for every predictor.
 
+``_back_substitute`` is the one back-substitution: ``exact_ift_grad`` runs
+it on a denoised-row seed, and ``adjoint_solve`` on any stack seed.  The
+stack solves these routes differentiate at run in ``solvers.solve``, under
+the budgets of ``solvers``.
+
 All three return (loss, gradient) where loss is the value of the scalar
 function actually differentiated.  The first two take a ``Chain``;
 ``rollout_backprop_grad`` and ``adjoint_solve`` keep the older per-call
@@ -35,25 +40,23 @@ from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
 
 
+#: Adam's moment decay rates and the guard added to the update's denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam optimizer over a single parameter array.
 
     Moments start at zero and are bias-corrected; the update is
-    lr * m_hat / (sqrt(v_hat) + eps), so the very first step has magnitude
-    close to lr for any nonzero gradient.
+    lr * m_hat / (sqrt(v_hat) + ADAM_EPS), so the very first step has
+    magnitude close to lr for any nonzero gradient.  The decay rates are
+    ``ADAM_BETA1`` and ``ADAM_BETA2``.
     """
 
-    def __init__(
-        self,
-        lr: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, lr: float = 0.01):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.t = 0
@@ -67,11 +70,11 @@ class Adam:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return param - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
+        return param - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def loss_and_seed(x0_hat: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -109,6 +112,35 @@ def phantom_grad(
     return loss, tau * _x_T_step(chain, x_T, seed + 0.0)
 
 
+def _back_substitute(
+    chain: Chain, stack_star: np.ndarray, seed_stack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
+
+    The Jacobian is strictly triangular, so the solve is one
+    back-substitution from the x_0 row up.  Nothing reads x_0, so v_0 is
+    its seed; v_p = seed_p + c1_p / sqrt(A_{p-1}) vjp(x_p, tau_p, P_p)
+    needs only the prefix P_p = sum_{j < p} sqrt(A_j) v_j, one one-row vjp
+    per position.  Sums and products run in the order of ``h_tilde_vjp``,
+    so v is the fixed point of its stack cotangent bit for bit wherever a
+    one-row vjp matches the batched one.  Returns v and the full prefix
+    P_S, which ``_x_T_step`` pulls onto x_T.
+    """
+    coeffs, S = chain.coeffs, chain.S
+    # Python floats multiply an array faster than numpy scalars do.
+    sqrt_alpha, scaled_c1, taus = (a.tolist() for a in (coeffs.sqrt_alpha, coeffs.scaled_c1,
+                                                        coeffs.taus))
+    v = np.empty_like(seed_stack)
+    v_p = v[S - 1] = seed_stack[S - 1] + 0.0  # the sweep adds its +0.0 pullback here
+    prefix = 0.0
+    for p in range(1, S):
+        row = S - 1 - p
+        prefix = prefix + sqrt_alpha[p - 1] * v_p
+        pulled = chain.predictor.vjp(stack_star[row], taus[p], prefix)
+        v_p = np.add(seed_stack[row], scaled_c1[p] * pulled, out=v[row])
+    return v, prefix + sqrt_alpha[S - 1] * v_p
+
+
 def adjoint_solve(
     stack_star: np.ndarray,
     x_T: np.ndarray,
@@ -119,31 +151,15 @@ def adjoint_solve(
     tol: float = 1e-6,
     pool: object | None = None,
 ) -> tuple[np.ndarray, list[float]]:
-    """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
+    """The adjoint v of ``_back_substitute`` on a fresh chain.
 
-    The Jacobian is strictly triangular, so the solve is one
-    back-substitution from the x_0 row up.  Nothing reads x_0, so v_0 is
-    its seed; v_p = seed_p + c1_p / sqrt(A_{p-1}) vjp(x_p, tau_p, P_p)
-    needs only P_p = sum_{j < p} sqrt(A_j) v_j, one one-row vjp per
-    position.  Sums and products run in the order of ``h_tilde_vjp``, so v
-    is the fixed point of its stack cotangent bit for bit wherever a
-    one-row vjp matches the batched one.  Returns (v, []); the empty list
-    stands where per-sweep deltas used to be, and there is nothing to
-    iterate.  ``tol`` and ``pool`` are accepted for compatibility with
-    older callers and ignored.
+    Returns (v, []); the empty list stands where per-sweep deltas used to
+    be, and there is nothing to iterate.  ``tol`` and ``pool`` are
+    accepted for compatibility with older callers and ignored.
     """
     chain = Chain(schedule, subsequence, predictor)
-    coeffs, S = chain.coeffs, chain.S
-    stack_star, x_T = _check_stack(stack_star, x_T, S)
-    seed_stack = _check_cotangent(seed_stack, stack_star)
-    v = np.empty_like(seed_stack)
-    v[S - 1] = seed_stack[S - 1] + 0.0  # the sweep adds its +0.0 pullback here
-    prefix = 0.0
-    for p in range(1, S):
-        row = S - 1 - p
-        prefix = prefix + coeffs.sqrt_alpha[p - 1] * v[row + 1]
-        pulled = predictor.vjp(stack_star[row], int(coeffs.taus[p]), prefix)
-        v[row] = seed_stack[row] + coeffs.scaled_c1[p] * pulled
+    stack_star, x_T = _check_stack(stack_star, x_T, chain.S)
+    v, _ = _back_substitute(chain, stack_star, _check_cotangent(seed_stack, stack_star))
     if not np.isfinite(v).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
     return v, []
@@ -155,21 +171,19 @@ def exact_ift_grad(
     """Implicit-function gradient through the fixed point.
 
     Differentiating stack* = h_tilde(stack*; x_T) gives
-    dL/dx_T = v @ dh/dx_T with v the adjoint solution (``adjoint_solve``)
-    seeded by dL/dstack*, which lives entirely in the denoised row.  Only
-    v's running prefix P is needed: from P = dL/dx_0 the back-substitution
-    climbs the stack, P <- P + sqrt(A_p) (c1_p / sqrt(A_{p-1}))
-    vjp(x_p, tau_p, P), and ``_x_T_step`` pulls P onto x_T.  That is S
-    one-row vjp calls and no forward call.  On the rollout's stack this is
-    backprop through the sequential sampler (``rollout_backprop_grad``).
+    dL/dx_T = v @ dh/dx_T with v the adjoint solution seeded by
+    dL/dstack*, which lives entirely in the denoised row.  So this is
+    ``_back_substitute`` on that one-row seed, then ``_x_T_step`` of its
+    prefix P_S: S one-row vjp calls and no forward call.  On the rollout's
+    stack this is backprop through the sequential sampler
+    (``rollout_backprop_grad``).
     """
-    coeffs, predictor, S = chain.coeffs, chain.predictor, chain.S
+    S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
-    prefix = seed + 0.0  # the adjoint's running sum turns a -0.0 seed into +0.0
-    for p in range(1, S):
-        pulled = predictor.vjp(stack_star[S - 1 - p], int(coeffs.taus[p]), prefix)
-        prefix = prefix + coeffs.sqrt_alpha[p] * (coeffs.scaled_c1[p] * pulled)
+    seed_stack = np.zeros_like(stack_star)
+    seed_stack[S - 1] = seed
+    _, prefix = _back_substitute(chain, stack_star, seed_stack)
     grad = _x_T_step(chain, x_T, prefix)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")

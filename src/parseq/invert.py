@@ -6,11 +6,12 @@ picks how each epoch takes its gradient:
 * ``"rollout"`` differentiates the sequential sampler end to end, as
   ``exact_ift_grad`` on the rollout's stack.
 * ``"phantom"`` and ``"exact_ift"`` solve the joint system for the stack
-  and take a cheap phantom or exact implicit gradient at the fixed point.
-  With ``warm_start`` each epoch's solve starts from the last epoch's
-  stack.  Without ``InversionConfig.solver`` it is Picard with
-  ``sampling.picard_budget`` sweeps, which cannot stop short of its
-  tolerance.
+  with ``solvers.solve``, the one fixed-point loop, and take a cheap
+  phantom or an exact implicit gradient at the fixed point (the exact one
+  is the one back-substitution of ``gradients``).  With ``warm_start``
+  each epoch's solve starts from the last epoch's stack.  Without
+  ``InversionConfig.solver`` it is Picard with ``solvers.picard_budget``
+  sweeps, which cannot stop short of its tolerance.
 
 A noisy chain (eta > 0) is inverted with its per-transition noise stack
 pinned in the ``Chain``, which keeps the joint map deterministic within
@@ -30,8 +31,8 @@ import numpy as np
 from .chain import Chain, _rollout
 from .errors import ConfigError, DivergenceError
 from .gradients import Adam, exact_ift_grad, phantom_grad
-from .sampling import draw_x_T, picard_budget, solve_stack
-from .solvers import SolverConfig
+from .sampling import draw_x_T, solve_stack
+from .solvers import SolverConfig, picard_budget
 
 
 @dataclass
@@ -93,9 +94,7 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
     eta = chain.schedule.eta
     if eta != 0.0 and chain.noise is None:
         raise ConfigError(f"inverting a chain with eta={eta} needs its noise pinned")
-    solver_cfg = cfg.solver
-    if solver_cfg is None:
-        solver_cfg = SolverConfig(method="picard", max_iters=picard_budget(chain.S))
+    solver_cfg = cfg.solver or SolverConfig("picard", picard_budget(chain.S))
     x_T = draw_x_T(cfg.seed, target.size)
     adam = Adam(lr=cfg.lr)
     run = InversionRun(x_T_hat=x_T)

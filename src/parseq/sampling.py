@@ -1,4 +1,9 @@
-"""Run-level drivers: the terminal and noise draws, and the stack solve of a chain."""
+"""Run-level drivers: the terminal and noise draws, and the stack solve of a chain.
+
+``solve_stack`` hands a chain's sweep to ``solvers.solve``, the one
+fixed-point loop, under the ``SolverConfig`` its caller passes; the default
+budgets come from ``solvers`` (``default_solver_config``, ``picard_budget``).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import numpy as np
 
 from . import rng
 from .chain import Chain, _check_stack, _sweep, init_stack
-from .solvers import FixedPointResult, SolverConfig, default_solver_config, solve
+from .solvers import FixedPointResult, SolverConfig, solve
 
 
 def draw_x_T(seed: int, dim: int) -> np.ndarray:
@@ -19,18 +24,10 @@ def draw_noise_stack(seed: int, S: int, dim: int) -> np.ndarray:
     return rng.stream(seed, "noise_stack").standard_normal((S, dim))
 
 
-def picard_budget(S: int) -> int:
-    """Default sweep budget of a Picard solve over S positions.  The strictly
-    triangular map makes the S-th sweep exact and the next one confirms it
-    with a zero residual, so a solve with this budget cannot stop short of
-    its tolerance."""
-    return S + 1
-
-
 def solve_stack(
     chain: Chain,
     x_T: np.ndarray,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig,
     init: str | np.ndarray = "x_T",
 ) -> FixedPointResult:
     """Solve the joint system of ``chain`` for the whole stack below x_T.
@@ -39,8 +36,6 @@ def solve_stack(
     of an init_stack rule.  Every sweep of the solve reads the chain's
     coefficients, built once with the chain.
     """
-    if cfg is None:
-        cfg = default_solver_config(chain.schedule.eta)
     if isinstance(init, str):
         init = init_stack(x_T, chain.S, kind=init)
     init_states, x_T = _check_stack(init, x_T, chain.S)

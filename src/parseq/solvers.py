@@ -1,12 +1,17 @@
 """Fixed-point solvers over array-valued maps.
 
-Both solvers treat the map as a black box g = step_map(x) over an ndarray
-of any shape and record the residual ||g - x|| (flattened l2) once per
-iteration, 0-indexed.  ``picard_solve`` is plain repeated substitution; on
-the sampling chain its strictly triangular structure makes the S-th
-iterate exact.  ``anderson_solve`` mixes the map outputs of a sliding
-window of the last ``HISTORY_M`` iterations and typically needs far fewer
-evaluations than the spectral radius of the map would suggest.
+``solve`` is the one fixed-point loop.  It treats the map as a black box
+g = step_map(x) over an ndarray of any shape and records the residual
+||g - x|| (flattened l2) once per iteration, 0-indexed.  With
+``method="picard"`` each map output is the next iterate; on the sampling
+chain the map's strictly triangular structure makes the S-th iterate
+exact.  With ``method="anderson"`` the next iterate mixes the map outputs
+of a sliding window of the last ``HISTORY_M`` iterations, which typically
+needs far fewer evaluations than the spectral radius of the map would
+suggest.  Either way the returned states are the last map output.
+
+The default budgets live here and nowhere else: ``default_solver_config``
+gives Anderson's by eta and ``picard_budget`` Picard's by chain length.
 """
 
 from __future__ import annotations
@@ -49,6 +54,14 @@ def default_solver_config(eta: float) -> SolverConfig:
     return SolverConfig(max_iters=15 if eta == 0.0 else 50)
 
 
+def picard_budget(S: int) -> int:
+    """Default sweep budget of a Picard solve over S positions.  The strictly
+    triangular map makes the S-th sweep exact and the next one confirms it
+    with a zero residual, so a solve with this budget cannot stop short of
+    its tolerance."""
+    return S + 1
+
+
 @dataclass
 class FixedPointResult:
     states: np.ndarray
@@ -61,29 +74,17 @@ class FixedPointResult:
 StepMap = Callable[[np.ndarray], np.ndarray]
 
 
-def _checked_step(step_map: StepMap, x: np.ndarray, iteration: int) -> np.ndarray:
-    g = step_map(x)
-    if not np.isfinite(g).all():
-        raise DivergenceError(f"non-finite iterate at solver iteration {iteration}")
-    return g
-
-
-def picard_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
-    """Iterate x <- step_map(x) until the residual drops below cfg.tol."""
-    x = np.array(init, dtype=np.float64, copy=True)
-    residuals: list[float] = []
-    converged = False
-    for it in range(cfg.max_iters):
-        g = _checked_step(step_map, x, it)
-        r = float(np.linalg.norm(g - x))
-        residuals.append(r)
-        x = g
-        if r <= cfg.tol:
-            converged = True
-            break
-    return FixedPointResult(
-        states=x, residuals=residuals, iters=len(residuals), converged=converged
-    )
+def _residual_norm(f: np.ndarray) -> float:
+    """The l2 norm of a residual vector.  Where the sum of squares overflows,
+    the norm is taken again of f scaled by its largest entry, so a finite f
+    has a finite residual unless the norm itself exceeds the float range;
+    every norm that does not overflow keeps numpy's bits."""
+    r = float(np.linalg.norm(f))
+    if r == math.inf:
+        scale = float(np.abs(f).max())
+        if scale < math.inf:
+            r = scale * float(np.linalg.norm(f / scale))
+    return r
 
 
 def _anderson_gamma(gram: np.ndarray, lam: float) -> np.ndarray | None:
@@ -129,13 +130,14 @@ def _anderson_gamma(gram: np.ndarray, lam: float) -> np.ndarray | None:
     return gamma
 
 
-def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
-    """Undamped Anderson-accelerated fixed-point iteration with ridge
-    regularization.
+def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
+    """Iterate toward a fixed point of step_map until the residual drops to
+    cfg.tol or cfg.max_iters map evaluations are spent.
 
-    Keeps the residuals and map outputs of the last min(``HISTORY_M``, n)
-    iterations, solves the small ridge system for mixing weights gamma, and
-    proposes
+    Picard takes each map output as the next iterate.  Anderson, undamped
+    and ridge-regularized, keeps the residuals and map outputs of the last
+    min(``HISTORY_M``, n) iterations, solves the small ridge system for
+    mixing weights gamma, and proposes
 
         x+ = sum_j gamma_j G_j.
 
@@ -143,66 +145,56 @@ def anderson_solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> Fi
     squared norm (see ``_anderson_gamma``), so scaling the map's units by
     a power of two scales every iterate by it, bit for bit.  A failed
     weight solve falls back to the newest output (a plain Picard step) and
-    is counted in ``picard_fallbacks``.
+    is counted in ``picard_fallbacks``.  Both methods return the last map
+    output, also when the budget runs out: never an unmeasured
+    extrapolation.
     """
     x = np.array(init, dtype=np.float64, copy=True)
-    shape = x.shape
-    # History rings of the last m (output, residual) rows.  Each row is
-    # written twice, at slot and slot + m, so the newest k rows are always
-    # the contiguous, oldest-first slice [start, start + k).
-    m = min(HISTORY_M, cfg.max_iters)
-    G, F = (np.empty((2 * m, x.size)) for _ in range(2))
-    # The window's Gram matrix F_w F_w^T, oldest row first.  Each iteration
-    # adds one row and column with a single matvec, and the block slides up
-    # by one once the window is full.
-    gram = np.empty((m, m))
-    stored = 0
+    anderson = cfg.method == "anderson"
+    if anderson:
+        # History rings of the last m (output, residual) rows.  Each row is
+        # written twice, at slot and slot + m, so the newest k rows are
+        # always the contiguous, oldest-first slice [start, start + k).
+        m = min(HISTORY_M, cfg.max_iters)
+        G, F = (np.empty((2 * m, x.size)) for _ in range(2))
+        # The window's Gram matrix F_w F_w^T, oldest row first.  Each
+        # iteration adds one row and column with a single matvec, and the
+        # block slides up by one once the window is full.
+        gram = np.empty((m, m))
     residuals: list[float] = []
     fallbacks = 0
     converged = False
     for it in range(cfg.max_iters):
-        g = _checked_step(step_map, x, it)
+        g = step_map(x)
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite iterate at solver iteration {it}")
         f = (g - x).ravel()
-        r = float(np.linalg.norm(f))
-        residuals.append(r)
-        if r <= cfg.tol:
-            x = g
+        residuals.append(_residual_norm(f))
+        if residuals[-1] <= cfg.tol:
             converged = True
             break
-        slot = stored % m
+        x = g
+        if not anderson:
+            continue
+        slot = it % m
         for ring, row in ((G, g.ravel()), (F, f)):
             ring[slot] = ring[slot + m] = row
-        stored += 1
-        k = min(stored, m)
-        start = (stored - k) % m
-        Gw = G[start:start + k]
-        if stored > m:
+        k = min(it + 1, m)
+        start = (it + 1 - k) % m
+        if it >= m:
             gram[:-1, :-1] = gram[1:, 1:]
         gram[k - 1, :k] = gram[:k, k - 1] = F[start:start + k] @ f
         gamma = _anderson_gamma(gram[:k, :k], RIDGE_LAMBDA)
         if gamma is None:
             fallbacks += 1
-            nxt = Gw[-1].copy()
         else:
-            nxt = gamma @ Gw
-        x = nxt.reshape(shape)
-        if not np.isfinite(x).all():
-            raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
-    else:
-        # Budget exhausted: hand back the last map output rather than the
-        # unmeasured extrapolation.
-        x = G[(stored - 1) % m].reshape(shape).copy()
+            x = (gamma @ G[start:start + k]).reshape(g.shape)
+            if not np.isfinite(x).all():
+                raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
     return FixedPointResult(
-        states=x,
+        states=g,
         residuals=residuals,
         iters=len(residuals),
         converged=converged,
         picard_fallbacks=fallbacks,
     )
-
-
-def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
-    """Dispatch on cfg.method."""
-    if cfg.method == "picard":
-        return picard_solve(step_map, init, cfg)
-    return anderson_solve(step_map, init, cfg)

@@ -712,6 +712,28 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["deq-anderson", "deq-picard"])
+    def test_overflowing_residual_norms_are_recorded_finite(self, mode, tmp_path):
+        # Biases of 1e200 keep every state finite, but each residual's sum
+        # of squares overflows.  The recorded norms must stay finite, so the
+        # manifest is valid JSON.
+        path = tmp_path / "w.json"
+        path.write_text('{"widths": [3, 2], "weights": [[1.5, 0.9, 0.0, -0.7, 1.4, 0.0]], '
+                        '"biases": [[1e200, -1e200]], "time_embed": "scalar_append"}')
+        out = tmp_path / "out"
+        argv = ["sample", "--predictor", f"mlp:{path}", "--T", "1000", "--S", "100",
+                "--mode", mode, "--out", str(out)]
+        assert cli.main(argv) == 0
+
+        def refuse(name):
+            raise AssertionError(f"manifest holds {name}, which is not JSON")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        _, rows = read_trace(out / "residuals.csv")
+        residuals = [float(row[1]) for row in rows]
+        assert np.isfinite(residuals).all() and max(residuals) > 1e200
+        assert manifest["solver"]["final_residual"] == residuals[-1]
+
 
 class TestInvert:
     def test_deq_run_writes_report_trace_and_recovered_state(self, fixtures, tmp_path):
@@ -928,6 +950,16 @@ SAMPLE_DIGESTS = {
 }
 
 
+#: SHA-256 of trace.csv over 3 runs of the same chain, by (mode, eta); at
+#: eta 1 every run draws its own noise stack.
+TRACE_DIGESTS = {
+    ("deq-picard", "0"): "837cad8ee2d88272c0b3e8cf165221075a2170f99b985e233bfba01dc386a7a6",
+    ("deq-picard", "1"): "2fc1c37e3c1107a32f2c3079d61bdcf96578f27c7385ddb1ccff3e349f367c8c",
+    ("deq-anderson", "0"): "407eac6a25e90161b388e76b1d02f573429f7af843057de0b78eb12c1a2f622e",
+    ("deq-anderson", "1"): "e356e5967b85ec6670a9fd04780b987e374d7708c28358ad4a9d61676d440152",
+}
+
+
 class TestSampleBytes:
     """Every sample output on a Gaussian chain (T 1000, S 50, D 8), pinned to
     the bit, signed zeros included: the chain coefficients, the rollout and
@@ -945,6 +977,17 @@ class TestSampleBytes:
         got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                     for name in names)
         assert got == SAMPLE_DIGESTS[(mode, eta)]
+
+    @pytest.mark.parametrize("mode, eta", list(TRACE_DIGESTS),
+                             ids=["-".join(key) for key in TRACE_DIGESTS])
+    def test_trace_matches_recorded_digest(self, tmp_path, monkeypatch, mode, eta):
+        monkeypatch.chdir(tmp_path)
+        save_gaussian("g.json", np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8))
+        argv = ["trace", "--predictor", "gaussian:g.json", "--T", "1000", "--S", "50",
+                "--eta", eta, "--seed", "3", "--mode", mode, "--runs", "3", "--out", "out"]
+        assert cli.main(argv) == 0
+        got = hashlib.sha256((tmp_path / "out" / "trace.csv").read_bytes()).hexdigest()
+        assert got == TRACE_DIGESTS[(mode, eta)]
 
 
 @pytest.mark.parametrize("grad", ["phantom", "exact"])

@@ -29,6 +29,7 @@ from parseq import (
     write_gradcheck_report,
 )
 from parseq.chain import _rollout
+from parseq.gradients import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def solved_case(S, D, seed, eta=0.0, hidden=12, T=60):
@@ -83,6 +84,13 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Adam().step(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "eps"])
+    def test_only_the_learning_rate_is_a_setting(self, name):
+        # The decay rates and eps are module constants; Adam takes only lr.
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError, match=name):
+            Adam(**{name: 0.5})
 
 
 class TestLossAndSeed:
@@ -245,6 +253,10 @@ class TestAdjointSolve:
         sched, sub, _, x_T, _, stack, target = solved_case(5, 2, 6)
         with pytest.raises(DivergenceError, match="adjoint"):
             exact_ift_grad(Chain(sched, sub, BrokenVjp(2)), stack, x_T, target)
+        seed_stack = np.zeros_like(stack)
+        seed_stack[-1] = 1.0
+        with pytest.raises(DivergenceError, match="adjoint"):
+            adjoint_solve(stack, x_T, seed_stack, sched, sub, BrokenVjp(2))
 
 
 class TestExactIftGrad:

@@ -13,12 +13,10 @@ from parseq import (
     GaussianOptimalPredictor,
     SolverConfig,
     ZeroPredictor,
-    anderson_solve,
     default_solver_config,
     h_tilde,
     init_stack,
     make_linear_beta_schedule,
-    picard_solve,
     random_mlp,
     select_subsequence,
     sequential_rollout,
@@ -27,7 +25,7 @@ from parseq import (
 )
 from parseq.chain import _rollout
 from parseq.sampling import draw_noise_stack, draw_x_T
-from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, _anderson_gamma, _checked_step
+from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, _anderson_gamma, _residual_norm, picard_budget
 
 
 def affine_map(rho: float, dim: int, seed: int):
@@ -68,6 +66,7 @@ class TestSolverConfig:
     def test_eta_dependent_budget(self):
         assert default_solver_config(0.0).max_iters == 15
         assert default_solver_config(0.5).max_iters == 50
+        assert picard_budget(7) == 8  # the S-th sweep is exact, the next confirms it
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -95,7 +94,7 @@ class TestSolverConfig:
 class TestPicard:
     def test_constant_map_converges_first_iteration(self):
         target = np.array([1.0, 2.0])
-        res = picard_solve(lambda x: target, np.zeros(2), SolverConfig(method="picard"))
+        res = solve(lambda x: target, np.zeros(2), SolverConfig(method="picard"))
         assert res.converged
         assert res.iters == 2  # residual |target| first, then 0
         np.testing.assert_array_equal(res.states, target)
@@ -129,7 +128,7 @@ class TestPicard:
 
     def test_insufficient_budget_reports_not_converged(self):
         fn, _ = affine_map(0.9, 4, 1)
-        res = picard_solve(fn, np.zeros(4), SolverConfig(method="picard", max_iters=3, tol=1e-12))
+        res = solve(fn, np.zeros(4), SolverConfig(method="picard", max_iters=3, tol=1e-12))
         assert not res.converged
         assert res.iters == 3
         assert len(res.residuals) == 3
@@ -159,7 +158,7 @@ class TestPicard:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_raises(self):
         with pytest.raises(DivergenceError):
-            picard_solve(
+            solve(
                 lambda x: x**2,
                 np.ones(2) * 1e200,
                 SolverConfig(method="picard", max_iters=5, tol=0.0),
@@ -168,7 +167,7 @@ class TestPicard:
     def test_init_not_mutated(self):
         fn, _ = affine_map(0.5, 3, 2)
         init = np.ones(3)
-        picard_solve(fn, init, SolverConfig(method="picard", max_iters=10, tol=1e-6))
+        solve(fn, init, SolverConfig(method="picard", max_iters=10, tol=1e-6))
         np.testing.assert_array_equal(init, np.ones(3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -193,7 +192,7 @@ class TestPicard:
 class TestAnderson:
     def test_constant_map(self):
         target = np.array([[1.0, 2.0]])
-        res = anderson_solve(lambda x: target, np.zeros((1, 2)), SolverConfig())
+        res = solve(lambda x: target, np.zeros((1, 2)), SolverConfig())
         assert res.converged
         np.testing.assert_array_equal(res.states, target)
 
@@ -204,8 +203,8 @@ class TestAnderson:
         fn, fixed = affine_map(0.9, 4, seed)
         cfg = SolverConfig(max_iters=400, tol=1e-10)
         cfg_p = SolverConfig(method="picard", max_iters=400, tol=1e-10)
-        res_a = anderson_solve(fn, np.zeros(4), cfg)
-        res_p = picard_solve(fn, np.zeros(4), cfg_p)
+        res_a = solve(fn, np.zeros(4), cfg)
+        res_p = solve(fn, np.zeros(4), cfg_p)
         assert res_a.converged and res_p.converged
         assert res_a.iters < res_p.iters / 10
         np.testing.assert_allclose(res_a.states, fixed, rtol=0, atol=1e-8)
@@ -243,9 +242,15 @@ class TestAnderson:
         # plain step: the iterates are Picard's.  Exhausting the budget must
         # return the last map output, not the unmeasured extrapolation.
         fn, init, cfg = _overflowing(SolverConfig(max_iters=6, tol=1e-12))
-        res = anderson_solve(fn, init, cfg)
+        res = solve(fn, init, cfg)
         assert (res.converged, res.iters, res.picard_fallbacks) == (False, 6, 5)
-        assert res.states.tobytes() == picard_solve(fn, init, cfg).states.tobytes()
+        ref = solve(fn, init, dataclasses.replace(cfg, method="picard"))
+        assert res.states.tobytes() == ref.states.tobytes()
+        # Each residual's squares overflow (its entries reach 1e200), yet the
+        # residual vectors are finite, and so is every recorded norm.
+        for result in (res, ref):
+            assert np.isfinite(result.residuals).all()
+            assert result.residuals[0] == pytest.approx(np.sqrt(3.0) * 1e200)
 
     def test_first_step_is_picard(self):
         # The first step's window holds one row, whose only weight is 1, and
@@ -253,21 +258,21 @@ class TestAnderson:
         # the iterates are Picard's, bit for bit.
         fn, _ = affine_map(0.9, 3, 4)
         cfg = SolverConfig(max_iters=2, tol=1e-12)
-        res = anderson_solve(fn, np.ones(3), cfg)
-        ref = picard_solve(fn, np.ones(3), cfg)
+        res = solve(fn, np.ones(3), cfg)
+        ref = solve(fn, np.ones(3), dataclasses.replace(cfg, method="picard"))
         assert res.states.tobytes() == ref.states.tobytes()
         assert res.residuals == ref.residuals
 
     def test_init_not_mutated(self):
         fn, _ = affine_map(0.5, 3, 8)
         init = np.ones(3)
-        anderson_solve(fn, init, SolverConfig(max_iters=10, tol=1e-6))
+        solve(fn, init, SolverConfig(max_iters=10, tol=1e-6))
         np.testing.assert_array_equal(init, np.ones(3))
 
     def test_result_invariants(self):
         fn, _ = affine_map(0.6, 3, 6)
         cfg = SolverConfig(max_iters=40, tol=1e-9)
-        res = anderson_solve(fn, np.zeros(3), cfg)
+        res = solve(fn, np.zeros(3), cfg)
         assert isinstance(res, FixedPointResult)
         assert res.iters == len(res.residuals) <= cfg.max_iters
         assert res.converged
@@ -303,6 +308,19 @@ def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
             np.testing.assert_allclose(got, _kkt_gamma(F, lam), rtol=1e-7, atol=1e-9)
 
 
+@_overflow_warnings
+def test_residual_norm_rescales_only_an_overflowing_norm():
+    rng = np.random.default_rng(9)
+    for scale in (1e-300, 1e-6, 1.0, 1e6, 1e150):
+        f = scale * rng.standard_normal(50)
+        assert _residual_norm(f) == float(np.linalg.norm(f))  # same bits
+    f = 1e200 * rng.standard_normal(50)
+    assert float(np.linalg.norm(f)) == np.inf
+    assert _residual_norm(f) == pytest.approx(1e200 * np.linalg.norm(f / 1e200), rel=1e-15)
+    assert _residual_norm(np.array([1.0, np.inf])) == np.inf
+    assert _residual_norm(np.array([1.5e308, 1.5e308])) == np.inf  # the norm itself overflows
+
+
 def _list_history_anderson(step_map, init, cfg):
     """The list-and-stack Anderson loop the ring buffers replaced, kept as
     the bitwise reference for them.  Its window Gram gains one row and
@@ -315,9 +333,11 @@ def _list_history_anderson(step_map, init, cfg):
     fallbacks = 0
     converged = False
     for it in range(cfg.max_iters):
-        g = _checked_step(step_map, x, it)
+        g = step_map(x)
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite iterate at solver iteration {it}")
         f = (g - x).ravel()
-        r = float(np.linalg.norm(f))
+        r = _residual_norm(f)
         residuals.append(r)
         if r <= cfg.tol:
             x = g
@@ -389,7 +409,7 @@ class TestAndersonHistory:
     def test_matches_list_history_bitwise(self, case):
         step_map, init, cfg = case()
         ref = _list_history_anderson(step_map, init, cfg)
-        res = anderson_solve(step_map, init, cfg)
+        res = solve(step_map, init, cfg)
         assert res.states.shape == ref.states.shape
         assert res.states.tobytes() == ref.states.tobytes()
         assert np.array(res.residuals).tobytes() == np.array(ref.residuals).tobytes()
@@ -399,13 +419,13 @@ class TestAndersonHistory:
 
     @_overflow_warnings
     def test_cases_cover_wrap_cap_and_fallback(self):
-        gauss = anderson_solve(*_gauss_sampling_chain(SolverConfig(max_iters=100, tol=1e-3)))
+        gauss = solve(*_gauss_sampling_chain(SolverConfig(max_iters=100, tol=1e-3)))
         assert gauss.converged and gauss.iters > 2 * HISTORY_M
-        capped = anderson_solve(*_gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3)))
+        capped = solve(*_gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3)))
         assert not capped.converged
-        moved = anderson_solve(*_overflowing(SolverConfig(max_iters=9)))
+        moved = solve(*_overflowing(SolverConfig(max_iters=9)))
         assert moved.picard_fallbacks == 8
-        ridged = anderson_solve(*_translation(SolverConfig(max_iters=9, tol=1e-12)))
+        ridged = solve(*_translation(SolverConfig(max_iters=9, tol=1e-12)))
         assert ridged.picard_fallbacks == 0
 
 
@@ -426,8 +446,8 @@ def test_anderson_is_scale_equivariant(e, case):
     # iterate by c and leaves the iteration count and fallbacks alone.
     step_map, init, cfg = case()
     c = 2.0**e
-    ref = anderson_solve(step_map, init, cfg)
-    res = anderson_solve(
+    ref = solve(step_map, init, cfg)
+    res = solve(
         lambda x: c * step_map(x / c), c * init, dataclasses.replace(cfg, tol=c * cfg.tol)
     )
     assert res.states.tobytes() == (c * ref.states).tobytes()
@@ -462,6 +482,12 @@ class TestDispatch:
             res = solve(fn, np.zeros(2), SolverConfig(method=method, max_iters=100, tol=1e-10))
             assert res.converged
             np.testing.assert_allclose(res.states, fixed, rtol=0, atol=1e-8)
+
+    def test_solve_stack_needs_a_config(self):
+        # The caller picks the solve; the default budgets live in solvers.
+        chain = Chain(make_linear_beta_schedule(20, 1e-3, 0.05), None, ZeroPredictor(2))
+        with pytest.raises(TypeError, match="cfg"):
+            solve_stack(chain, np.ones(2))
 
     def test_solve_stack_named_inits(self):
         sched = make_linear_beta_schedule(20, 1e-3, 0.05)
