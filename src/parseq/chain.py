@@ -24,12 +24,15 @@ is solved by one back-substitution.
 
 A ``Chain`` holds everything these maps read: the schedule, the
 subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
-checked and built once.  The private kernels ``_sweep``, ``_rollout`` and
-``_x_T_step`` take a chain, and so do the solver and gradient routes built
-on them; ``_x_T_step`` is the one-row pullback onto x_T that every
-gradient route ends in.  ``sequential_rollout``, ``h_tilde`` and
-``h_tilde_vjp`` keep the older per-call form: each builds a fresh chain
-from its arguments.
+checked and built once.  Building it also hands the predictor the chain's
+timesteps once, through ``NoisePredictor.prepare``, so per-timestep terms
+are built once per chain rather than once per call; the kernels still make
+every predictor call, and get the same bits either way.  The private
+kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a chain, and so
+do the solver and gradient routes built on them; ``_x_T_step`` is the
+one-row pullback onto x_T that every gradient route ends in.
+``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the older
+per-call form: each builds a fresh chain from its arguments.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
@@ -109,6 +112,8 @@ class Chain:
     of per-transition draws, D being the predictor's dimension, held as a
     read-only view like the coefficient arrays.  ``scaled_noise`` holds row
     i - 1 times sigma_i / sqrt(A_{i-1}), or None when every sigma is zero.
+    ``timesteps`` is the read-only (S,) array tau_1..tau_S, the one the
+    predictor was prepared with and every batched call passes.
     """
 
     schedule: DiffusionSchedule
@@ -117,6 +122,7 @@ class Chain:
     noise: np.ndarray | None = None
     coeffs: ChainCoefficients = field(init=False, repr=False)
     scaled_noise: np.ndarray | None = field(init=False, repr=False)
+    timesteps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         subsequence = self.subsequence
@@ -141,6 +147,8 @@ class Chain:
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scaled_noise", scaled_noise)
+        object.__setattr__(self, "timesteps", coeffs.taus[1:])
+        self.predictor.prepare(self.timesteps)
 
     @property
     def S(self) -> int:
@@ -267,7 +275,7 @@ def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
     x_T / sqrt(A_S), u_S, .., u_1 are added strictly in order, as in _rollout."""
     coeffs = chain.coeffs
     S = coeffs.S
-    eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), coeffs.taus[1:])
+    eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), chain.timesteps)
     scan = np.empty((S + 1, x_T.size))
     np.divide(x_T, coeffs.sqrt_alpha[S], out=scan[0])
     np.multiply(coeffs.scaled_c1[:0:-1, None], eps_pred[::-1], out=scan[1:])
@@ -306,7 +314,7 @@ def h_tilde_vjp(
     # from the first term itself, so add that zero explicitly.
     weighted[0] += 0.0
     prefixes = np.cumsum(weighted, axis=0)
-    pulled = predictor.vjp(_stack_inputs(states, x_T, S), coeffs.taus[1:], prefixes)
+    pulled = predictor.vjp(_stack_inputs(states, x_T, S), chain.timesteps, prefixes)
     cot_states = np.zeros_like(states)
     cot_states[: S - 1] = (coeffs.scaled_c1[1:S, None] * pulled[: S - 1])[::-1]
     return cot_states, _x_T_step(chain, x_T, prefixes[S - 1])

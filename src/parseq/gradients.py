@@ -17,8 +17,8 @@ onto x_T (``chain._x_T_step``):
   with its O(S D) forward stack kept: it is ``exact_ift_grad`` on the
   rollout's stack, so the two are equal bit for bit for every predictor.
 
-``_back_substitute`` is the one back-substitution: ``exact_ift_grad`` runs
-it on a denoised-row seed, and ``adjoint_solve`` on any stack seed.  The
+``_back_substitute`` is the one back-substitution: ``exact_ift_grad`` hands
+it the denoised-row seed alone, and ``adjoint_solve`` any stack seed.  The
 stack solves these routes differentiate at run in ``solvers.solve``, under
 the budgets of ``solvers``.
 
@@ -98,46 +98,54 @@ def phantom_grad(
     """Damped one-step gradient with the solver output treated as constant.
 
     The loss reads the bottom row of y = tau * h_tilde(stack*; x_T)
-    + (1 - tau) * stack*, so x_T is the only differentiable input.  That
-    row reads x_T directly and through transition S alone, so the gradient
-    is tau times ``_x_T_step`` of the loss seed: one one-row vjp.
+    + (1 - tau) * stack*, so x_T is the only differentiable input, and
+    only that row of y is formed.  It reads x_T directly and through
+    transition S alone, so the gradient is tau times ``_x_T_step`` of the
+    loss seed: one one-row vjp.
     """
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
-    y = tau * _sweep(chain, stack_star, x_T) + (1.0 - tau) * stack_star
+    y = tau * _sweep(chain, stack_star, x_T)[S - 1] + (1.0 - tau) * stack_star[S - 1]
     if not np.isfinite(y).all():
         raise DivergenceError("non-finite stack after simultaneous update")
-    loss, seed = loss_and_seed(y[S - 1], target_x0)
+    loss, seed = loss_and_seed(y, target_x0)
     # + 0.0 turns a -0.0 seed into +0.0, as the running sum of h_tilde_vjp does.
     return loss, tau * _x_T_step(chain, x_T, seed + 0.0)
 
 
 def _back_substitute(
-    chain: Chain, stack_star: np.ndarray, seed_stack: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    chain: Chain, stack_star: np.ndarray, seed: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
 
-    The Jacobian is strictly triangular, so the solve is one
+    ``seed`` is the (S, D) seed stack, or only its x_0 row (D,) when every
+    other seed row is zero; then no row of v is kept and v is returned as
+    None.  The Jacobian is strictly triangular, so the solve is one
     back-substitution from the x_0 row up.  Nothing reads x_0, so v_0 is
     its seed; v_p = seed_p + c1_p / sqrt(A_{p-1}) vjp(x_p, tau_p, P_p)
     needs only the prefix P_p = sum_{j < p} sqrt(A_j) v_j, one one-row vjp
     per position.  Sums and products run in the order of ``h_tilde_vjp``,
     so v is the fixed point of its stack cotangent bit for bit wherever a
-    one-row vjp matches the batched one.  Returns v and the full prefix
-    P_S, which ``_x_T_step`` pulls onto x_T.
+    one-row vjp matches the batched one.  A zero seed row would only turn a
+    -0.0 in v_p into +0.0, which leaves every prefix, started from +0.0,
+    unchanged; so both seed forms give the same P_S.  Returns v and the
+    full prefix P_S, which ``_x_T_step`` pulls onto x_T.
     """
     coeffs, S = chain.coeffs, chain.S
     # Python floats multiply an array faster than numpy scalars do.
     sqrt_alpha, scaled_c1, taus = (a.tolist() for a in (coeffs.sqrt_alpha, coeffs.scaled_c1,
                                                         coeffs.taus))
-    v = np.empty_like(seed_stack)
-    v_p = v[S - 1] = seed_stack[S - 1] + 0.0  # the sweep adds its +0.0 pullback here
+    v = np.empty_like(seed) if seed.ndim == 2 else None
+    v_p = (seed[S - 1] if v is not None else seed) + 0.0  # the sweep's +0.0 pullback
+    if v is not None:
+        v[S - 1] = v_p
     prefix = 0.0
     for p in range(1, S):
         row = S - 1 - p
         prefix = prefix + sqrt_alpha[p - 1] * v_p
-        pulled = chain.predictor.vjp(stack_star[row], taus[p], prefix)
-        v_p = np.add(seed_stack[row], scaled_c1[p] * pulled, out=v[row])
+        v_p = scaled_c1[p] * chain.predictor.vjp(stack_star[row], taus[p], prefix)
+        if v is not None:
+            v_p = np.add(seed[row], v_p, out=v[row])
     return v, prefix + sqrt_alpha[S - 1] * v_p
 
 
@@ -181,9 +189,7 @@ def exact_ift_grad(
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
-    seed_stack = np.zeros_like(stack_star)
-    seed_stack[S - 1] = seed
-    _, prefix = _back_substitute(chain, stack_star, seed_stack)
+    _, prefix = _back_substitute(chain, stack_star, seed)
     grad = _x_T_step(chain, x_T, prefix)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")

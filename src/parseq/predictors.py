@@ -8,6 +8,12 @@ one per row.  A batch is what lets the joint update evaluate all S
 timesteps of a sweep in a single call; row i of a batched result is the
 single-row result at (x[i], t[i]), bit for bit for the elementwise
 predictors and up to matrix-product rounding for the MLP.
+
+A predictor may also be told, once, the timesteps a chain will query:
+``prepare(timesteps)`` lets it build per-timestep terms ahead of the calls.
+It is a hint and never a substitute for them: every ``predict`` and
+``vjp`` is still made and counted, and gives the same bits whether or not
+``prepare`` ran, for any timestep, prepared or not.
 """
 
 from __future__ import annotations
@@ -45,7 +51,14 @@ class NoisePredictor(ABC):
         self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray
     ) -> np.ndarray:
         """cotangent^T @ (d predict / d x) evaluated row by row at (x, t);
-        shape of x."""
+        cotangent and result have the shape of x."""
+
+    def prepare(self, timesteps: np.ndarray) -> None:
+        """Hint that the calls to come query these timesteps, the (S,) labels
+        of one chain, which ``Chain`` passes once when it is built.  The
+        default does nothing; an override may build per-timestep terms, but
+        must leave every later ``predict``/``vjp`` result bit for bit as it
+        would be without the hint."""
 
     def _check_state(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -58,6 +71,18 @@ class NoisePredictor(ABC):
             f"timesteps, got state {x.shape} and timesteps {np.shape(t)}"
         )
 
+    def _check_vjp(
+        self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The checked state and a cotangent of exactly its shape."""
+        x = self._check_state(x, t)
+        cotangent = np.asarray(cotangent, dtype=np.float64)
+        if cotangent.shape != x.shape:
+            raise ShapeError(
+                f"cotangent shape {cotangent.shape} does not match state {x.shape}"
+            )
+        return x, cotangent
+
 
 class ZeroPredictor(NoisePredictor):
     """Predicts zero noise everywhere; Jacobian is identically zero."""
@@ -69,7 +94,7 @@ class ZeroPredictor(NoisePredictor):
         return np.zeros(self._check_state(x, t).shape)
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        return np.zeros(self._check_state(x, t).shape)
+        return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
 
 
 class ConstantPredictor(NoisePredictor):
@@ -85,7 +110,7 @@ class ConstantPredictor(NoisePredictor):
         return np.broadcast_to(self.value, self._check_state(x, t).shape).copy()
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        return np.zeros(self._check_state(x, t).shape)
+        return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
 
 
 class GaussianOptimalPredictor(NoisePredictor):
@@ -100,6 +125,16 @@ class GaussianOptimalPredictor(NoisePredictor):
     elementwise, with a_t the schedule's signal product at t.  The Jacobian
     is diagonal and state-independent, which makes this the analytic anchor
     for solver and gradient checks.
+
+    Both calls read eps = gain * (x - shift) off two per-timestep terms,
+    gain = sqrt(1 - a_t) / (a_t var + 1 - a_t) and shift = sqrt(a_t) mu.
+    ``prepare`` builds them for a chain's timesteps as one array
+    expression, keeps that batch and files each row under its timestep; a
+    call with those timesteps, batched or one row at a time, reads them
+    back, and any other timestep is built on first use and filed.  Every
+    term is elementwise IEEE arithmetic on the same operands, so a filed
+    row has the bits of the one built for a single call.  At most T + 1
+    rows and one batch are kept.
     """
 
     def __init__(self, mu: np.ndarray, var: np.ndarray, schedule: DiffusionSchedule):
@@ -111,27 +146,67 @@ class GaussianOptimalPredictor(NoisePredictor):
             raise ShapeError("var entries must be >= 0")
         self.schedule = schedule
         self.dim = int(self.mu.size)
+        # (timesteps, gain, shift) of the last prepared batch, and the terms
+        # of single timesteps by label; one tuple, so a reader never sees a
+        # batch with another batch's terms.
+        self._batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _gain(self, t: int | np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        # The scalar path is the hot one for sequential sampling; only a
-        # batch of timesteps pays for the array lookup.
+    def _terms(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gain, shift) at one timestep, (D,) each, or at an (N,) batch of
+        them, (N, D) each."""
         if isinstance(t, np.ndarray):
             a = self.schedule.alpha_by_t[t][:, None]
         else:
             a = self.schedule.alpha_bar(t)
-        denom = a * self.var + (1.0 - a)
-        return a, np.sqrt(1.0 - a) / denom
+        return np.sqrt(1.0 - a) / (a * self.var + (1.0 - a)), np.sqrt(a) * self.mu
+
+    def _prepared(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The prepared batch if it is for timesteps t, else None."""
+        batch = self._batch
+        if batch is not None and (t is batch[0] or np.array_equal(t, batch[0])):
+            return batch
+        return None
+
+    def prepare(self, timesteps: np.ndarray) -> None:
+        timesteps = np.asarray(timesteps)
+        batch = self._prepared(timesteps)
+        if batch is not None:
+            if not timesteps.flags.writeable:
+                # Key the batch by the caller's array, so its calls hit on identity.
+                self._batch = (timesteps, *batch[1:])
+            return
+        if timesteps.ndim != 1 or timesteps.dtype.kind not in "iu":
+            raise ShapeError(
+                f"timesteps must be a 1-d integer array, got {timesteps.dtype} "
+                f"of shape {timesteps.shape}"
+            )
+        if timesteps.size and not 0 <= timesteps.min() <= timesteps.max() <= self.schedule.T:
+            raise ShapeError(f"timesteps must lie in 0..{self.schedule.T}")
+        if timesteps.flags.writeable:
+            timesteps = timesteps.copy()
+            timesteps.setflags(write=False)
+        gain, shift = self._terms(timesteps)
+        self._rows.update(zip(timesteps.tolist(), zip(gain, shift)))
+        self._batch = (timesteps, gain, shift)
+
+    def _lookup(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(t, np.ndarray):
+            batch = self._prepared(t)
+            return self._terms(t) if batch is None else batch[1:]
+        terms = self._rows.get(t)
+        if terms is None:
+            terms = self._rows[t] = self._terms(t)
+        return terms
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = self._check_state(x, t)
-        a, gain = self._gain(t)
-        return gain * (x - np.sqrt(a) * self.mu)
+        gain, shift = self._lookup(t)
+        return gain * (x - shift)
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        self._check_state(x, t)
-        cotangent = np.asarray(cotangent, dtype=np.float64)
-        _, gain = self._gain(t)
-        return gain * cotangent
+        _, cotangent = self._check_vjp(x, t, cotangent)
+        return self._lookup(t)[0] * cotangent
 
 
 class MlpPredictor(NoisePredictor):
@@ -198,9 +273,8 @@ class MlpPredictor(NoisePredictor):
         return self._forward(x, t)[-1]
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        x = self._check_state(x, t)
+        x, g = self._check_vjp(x, t, cotangent)
         acts = self._forward(x, t)
-        g = np.asarray(cotangent, dtype=np.float64)
         batch = x.ndim == 2
         last = len(self.weights) - 1
         for layer in range(last, -1, -1):

@@ -75,15 +75,17 @@ StepMap = Callable[[np.ndarray], np.ndarray]
 
 
 def _residual_norm(f: np.ndarray) -> float:
-    """The l2 norm of a residual vector.  Where the sum of squares overflows,
-    the norm is taken again of f scaled by its largest entry, so a finite f
-    has a finite residual unless the norm itself exceeds the float range;
-    every norm that does not overflow keeps numpy's bits."""
-    r = float(np.linalg.norm(f))
+    """The l2 norm of a 1-d residual vector, sqrt(f @ f): the dot product
+    and square root ``np.linalg.norm`` takes, so the same bits without its
+    dispatch.  Where the sum of squares overflows, the norm is taken again
+    of f scaled by its largest entry, so a finite f has a finite residual
+    unless the norm itself exceeds the float range."""
+    r = math.sqrt(f @ f)
     if r == math.inf:
         scale = float(np.abs(f).max())
         if scale < math.inf:
-            r = scale * float(np.linalg.norm(f / scale))
+            f = f / scale
+            r = scale * math.sqrt(f @ f)
     return r
 
 
@@ -114,19 +116,24 @@ def _anderson_gamma(gram: np.ndarray, lam: float) -> np.ndarray | None:
     if k == 1:
         return np.ones(1)
     c = gram[:-1, -1]
-    d = gram[-1, -1]
+    d = float(gram[-1, -1])
     s = lam * d
-    A = gram[:-1, :-1] - c - c[:, None] + (d + s)
+    # Built in place, in the order (M - c) - c^T + (d + s), then the diagonal.
+    A = np.subtract(gram[:-1, :-1], c)
+    A -= c[:, None]
+    A += d + s
     A.flat[::k] += s
     try:
         delta = np.linalg.solve(A, (d + s) - c)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(delta).all():
+    total = delta.sum()
+    # A finite sum has finite terms; only a non-finite one needs the scan.
+    if not math.isfinite(total) and not np.isfinite(delta).all():
         return None
     gamma = np.empty(k)
     gamma[:-1] = delta
-    gamma[-1] = 1.0 - delta.sum()
+    gamma[-1] = 1.0 - total
     return gamma
 
 
@@ -147,7 +154,8 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     weight solve falls back to the newest output (a plain Picard step) and
     is counted in ``picard_fallbacks``.  Both methods return the last map
     output, also when the budget runs out: never an unmeasured
-    extrapolation.
+    extrapolation, so Anderson makes no weight solve and no mix on the
+    budget's last iteration.
     """
     x = np.array(init, dtype=np.float64, copy=True)
     anderson = cfg.method == "anderson"
@@ -164,6 +172,7 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     residuals: list[float] = []
     fallbacks = 0
     converged = False
+    last = cfg.max_iters - 1
     for it in range(cfg.max_iters):
         g = step_map(x)
         if not np.isfinite(g).all():
@@ -174,7 +183,8 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
             converged = True
             break
         x = g
-        if not anderson:
+        if not anderson or it == last:
+            # The budget's last output is returned as it is; nothing mixes it.
             continue
         slot = it % m
         for ring, row in ((G, g.ravel()), (F, f)):

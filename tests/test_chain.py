@@ -630,6 +630,95 @@ class TestChain:
             Chain(short, select_subsequence(100, 4, "linear"), gaussian)
 
 
+class DelegatingCounter:
+    """A counting proxy that is no NoisePredictor: it counts predict calls
+    and hands every other attribute, ``prepare`` included, to the wrapped
+    predictor, as a tracing wrapper does."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.predict_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def predict(self, x, t):
+        self.predict_calls += 1
+        return self._inner.predict(x, t)
+
+
+def _gaussian_chain(sched, S, seed, noise=False):
+    rng = np.random.default_rng(seed)
+    pred = GaussianOptimalPredictor(rng.standard_normal(5), rng.uniform(0.3, 2.0, 5), sched)
+    sub = select_subsequence(sched.T, S, "linear")
+    stack = rng.standard_normal((S, 5)) if noise else None
+    return Chain(sched, sub, pred, stack), rng.standard_normal(5)
+
+
+class TestPreparedPredictor:
+    """A chain prepares its predictor once; the terms change no bits."""
+
+    def test_chain_prepares_once_and_a_proxy_still_sees_every_sweep(self, monkeypatch):
+        sched = make_linear_beta_schedule(100, 1e-4, 0.05, eta=1.0)
+        gauss, x_T = _gaussian_chain(sched, 12, 1, noise=True)
+        prepared = []
+        monkeypatch.setattr(GaussianOptimalPredictor, "prepare",
+                            lambda self, timesteps: prepared.append(timesteps))
+        proxy = DelegatingCounter(gauss.predictor)
+        chain_ = Chain(sched, gauss.subsequence, proxy, gauss.noise)
+        assert len(prepared) == 1 and prepared[0] is chain_.timesteps
+        assert chain_.timesteps.tolist() == chain_.coeffs.taus[1:].tolist()
+        assert not chain_.timesteps.flags.writeable
+        res = sampling.solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
+        assert res.converged and proxy.predict_calls == res.iters
+        assert len(prepared) == 1
+
+    def test_shared_predictor_serves_two_chains_bitwise(self):
+        # One predictor prepared by two chains in turn must give each chain
+        # the bits an unshared predictor gives it, sweep after sweep.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.05, eta=1.0)
+        rng = np.random.default_rng(2)
+        mu, var, x_T = rng.standard_normal(5), rng.uniform(0.3, 2.0, 5), rng.standard_normal(5)
+        shared = GaussianOptimalPredictor(mu, var, sched)
+        pairs = []
+        for S in (10, 7):
+            sub, noise = select_subsequence(100, S, "linear"), rng.standard_normal((S, 5))
+            pairs.append((Chain(sched, sub, shared, noise),
+                          Chain(sched, sub, GaussianOptimalPredictor(mu, var, sched), noise)))
+        target = np.linspace(-1.0, 1.0, 5)
+        for _ in range(2):
+            for mine, ref in pairs:
+                stack = chain._rollout(ref, x_T)
+                assert chain._rollout(mine, x_T).tobytes() == stack.tobytes()
+                assert (chain._sweep(mine, stack, x_T).tobytes()
+                        == chain._sweep(ref, stack, x_T).tobytes())
+                got = gradients.exact_ift_grad(mine, stack, x_T, target)
+                want = gradients.exact_ift_grad(ref, stack, x_T, target)
+                assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+    def test_built_chain_computes_no_gaussian_terms(self, monkeypatch):
+        # The cost count behind the per-chain terms: once the chain is
+        # built, a full Anderson solve, its exact and phantom gradients and
+        # a naive rollout gradient build no gain or shift at all.
+        sched = make_linear_beta_schedule(1000, eta=1.0)
+        gauss, x_T = _gaussian_chain(sched, 100, 3, noise=True)
+        builds = []
+        terms = GaussianOptimalPredictor._terms
+        monkeypatch.setattr(GaussianOptimalPredictor, "_terms",
+                            lambda self, t: builds.append(t) or terms(self, t))
+        res = sampling.solve_stack(gauss, x_T, SolverConfig(method="anderson", max_iters=50))
+        assert res.converged and res.iters > 10
+        target = np.zeros(5)
+        gradients.exact_ift_grad(gauss, res.states, x_T, target)
+        gradients.phantom_grad(gauss, res.states, x_T, target)
+        gradients.exact_ift_grad(gauss, chain._rollout(gauss, x_T), x_T, target)
+        assert builds == []
+        Chain(sched, gauss.subsequence, gauss.predictor, gauss.noise)  # the same timesteps
+        assert builds == []
+        Chain(sched, select_subsequence(1000, 50, "linear"), gauss.predictor)
+        assert len(builds) == 1
+
+
 class TestInitStack:
     def test_x_T_broadcast(self):
         x_T = np.array([1.0, 2.0])

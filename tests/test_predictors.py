@@ -24,6 +24,7 @@ from parseq import (
     random_mlp,
     save_gaussian,
     save_mlp,
+    select_subsequence,
 )
 
 
@@ -89,6 +90,125 @@ class TestBatchedContract:
                 np.testing.assert_allclose(batched, per_row, rtol=1e-12, atol=1e-15)
             else:
                 np.testing.assert_array_equal(batched, per_row)
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
+def test_vjp_refuses_a_cotangent_of_another_shape(sched, kind):
+    # A (D,) cotangent must not broadcast over an (N, D) batch, nor be
+    # ignored; every mismatch is a ShapeError, never a bare ValueError.
+    rng = np.random.default_rng(31)
+    p = make_predictor(kind, sched, rng)
+    x, t = rng.standard_normal((3, 4)), np.array([5, 9, 40])
+    for state, steps, cotangent in [
+        (x, t, np.ones(4)),
+        (x, t, np.ones((3, 5))),
+        (x, t, np.ones((2, 4))),
+        (x[0], 5, np.ones(5)),
+        (x[0], 5, np.ones((1, 4))),
+        (x[0], 5, np.ones(())),
+    ]:
+        with pytest.raises(ShapeError, match="cotangent shape"):
+            p.vjp(state, steps, cotangent)
+    assert p.vjp(x, t, np.ones((3, 4))).shape == (3, 4)
+    assert p.vjp(x[0], 5, [1.0, 2.0, 3.0, 4.0]).shape == (4,)
+
+
+def _gaussian_as_written(p, x, t):
+    """The posterior-mean noise and its gain, computed from scratch for
+    every call as the predictor did before it kept per-timestep terms."""
+    if isinstance(t, np.ndarray):
+        a = p.schedule.alpha_by_t[t][:, None]
+    else:
+        a = p.schedule.alpha_bar(t)
+    gain = np.sqrt(1.0 - a) / (a * p.var + (1.0 - a))
+    return gain * (x - np.sqrt(a) * p.mu), gain
+
+
+class TestPreparedGaussianTerms:
+    """``prepare`` changes when the gain and shift are built, never their bits."""
+
+    @staticmethod
+    def predictor(eta):
+        sched = make_linear_beta_schedule(100, 1e-4, 0.05, eta=eta)
+        rng = np.random.default_rng(41)
+        return GaussianOptimalPredictor(rng.standard_normal(6), rng.uniform(0.0, 2.0, 6), sched)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_prepared_calls_keep_the_bits(self, eta):
+        p = self.predictor(eta)
+        taus = np.array([3, 17, 40, 41, 77, 100])
+        p.prepare(taus)
+        rng = np.random.default_rng(42)
+        x, u = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
+        outside = np.array([1, 17, 99, 50, 0, 100])  # 1, 99, 50 and 0 were not prepared
+        for t in (taus, taus.copy(), outside):
+            eps, gain = _gaussian_as_written(p, x, t)
+            assert p.predict(x, t).tobytes() == eps.tobytes()
+            assert p.vjp(x, t, u).tobytes() == (gain * u).tobytes()
+            for i in range(6):
+                eps, gain = _gaussian_as_written(p, x[i], int(t[i]))
+                assert p.predict(x[i], int(t[i])).tobytes() == eps.tobytes()
+                assert p.vjp(x[i], t[i], u[i]).tobytes() == (gain * u[i]).tobytes()
+
+    def test_unprepared_calls_build_and_file_their_terms(self, monkeypatch):
+        p = self.predictor(1.0)
+        builds = []
+        terms = p._terms
+        monkeypatch.setattr(p, "_terms", lambda t: builds.append(t) or terms(t))
+        x = np.ones(6)
+        for _ in range(3):
+            p.predict(x, 12)
+            p.vjp(x, 12, x)
+        assert builds == [12]
+        p.predict(np.ones((2, 6)), np.array([12, 13]))  # an unprepared batch is built per call
+        p.predict(np.ones((2, 6)), np.array([12, 13]))
+        assert len(builds) == 3
+
+    def test_repeated_prepare_builds_nothing(self, monkeypatch):
+        p = self.predictor(0.0)
+        taus = np.arange(1, 101, 9)
+        p.prepare(taus)
+        builds = []
+        monkeypatch.setattr(p, "_terms", lambda t: builds.append(t))
+        same = taus.copy()
+        same.setflags(write=False)
+        p.prepare(same)
+        p.prepare(taus.tolist())
+        assert builds == []
+        # The caller's read-only array now keys the batch, so its calls hit
+        # on identity; a writable one is copied, so it cannot change the key.
+        assert p._batch[0] is same
+        p.predict(np.ones((taus.size, 6)), same)
+        p.vjp(np.ones(6), int(taus[3]), np.ones(6))
+        assert builds == []
+
+    def test_memo_holds_at_most_T_plus_one_rows_and_one_batch(self):
+        p = self.predictor(1.0)
+        T = p.schedule.T
+        for S in (1, 7, 25, 60, 100):
+            p.prepare(np.array(select_subsequence(T, S, "linear").indices))
+        for t in range(T + 1):
+            p.predict(np.ones(6), t)
+        assert len(p._rows) == T + 1
+        assert p._batch[0].tolist() == list(range(1, T + 1))
+        assert p._batch[1].shape == p._batch[2].shape == (100, 6)
+
+    def test_prepare_refuses_timesteps_the_schedule_lacks(self):
+        p = self.predictor(0.0)
+        for bad in (np.array([0, 101]), np.array([-1, 5]), np.array([[1, 2]]),
+                    np.array([1.0, 2.0])):
+            with pytest.raises(ShapeError):
+                p.prepare(bad)
+        assert p._batch is None and p._rows == {}
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "mlp"])
+    def test_prepare_is_a_no_op_elsewhere(self, sched, kind):
+        rng = np.random.default_rng(43)
+        p = make_predictor(kind, sched, rng)
+        x, t = rng.standard_normal((3, 4)), np.array([5, 9, 40])
+        before = p.predict(x, t).tobytes()
+        assert p.prepare(t) is None
+        assert p.predict(x, t).tobytes() == before
 
 
 class TestGaussianOptimalPredictor:

@@ -25,6 +25,7 @@ from parseq import (
 )
 from parseq.chain import _rollout
 from parseq.sampling import draw_noise_stack, draw_x_T
+from parseq import solvers
 from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, _anderson_gamma, _residual_norm, picard_budget
 
 
@@ -240,10 +241,11 @@ class TestAnderson:
         # Residuals near 1e200 overflow the window's Gram matrix, so every
         # weight solve past the first is non-finite and falls back to a
         # plain step: the iterates are Picard's.  Exhausting the budget must
-        # return the last map output, not the unmeasured extrapolation.
+        # return the last map output, not the unmeasured extrapolation, and
+        # the last iteration makes no weight solve: 4 fallbacks, not 5.
         fn, init, cfg = _overflowing(SolverConfig(max_iters=6, tol=1e-12))
         res = solve(fn, init, cfg)
-        assert (res.converged, res.iters, res.picard_fallbacks) == (False, 6, 5)
+        assert (res.converged, res.iters, res.picard_fallbacks) == (False, 6, 4)
         ref = solve(fn, init, dataclasses.replace(cfg, method="picard"))
         assert res.states.tobytes() == ref.states.tobytes()
         # Each residual's squares overflow (its entries reach 1e200), yet the
@@ -251,6 +253,27 @@ class TestAnderson:
         for result in (res, ref):
             assert np.isfinite(result.residuals).all()
             assert result.residuals[0] == pytest.approx(np.sqrt(3.0) * 1e200)
+
+    def test_last_iteration_makes_no_weight_solve(self, monkeypatch):
+        # A weight solve on the budget's last iteration could only make an
+        # iterate that is never returned: a mix that overflows there must
+        # not turn finite returned states into a DivergenceError.
+        fn, _ = affine_map(0.9, 3, 4)
+        cfg = SolverConfig(max_iters=4, tol=1e-12)
+        ref = solve(fn, np.ones(3), cfg)
+        calls = []
+
+        def blow_up_on_the_last(gram, lam):
+            calls.append(len(gram))
+            gamma = _anderson_gamma(gram, lam)
+            return gamma if len(calls) < cfg.max_iters else np.full(len(gram), 1e308)
+
+        monkeypatch.setattr(solvers, "_anderson_gamma", blow_up_on_the_last)
+        res = solve(fn, np.ones(3), cfg)
+        assert calls == [1, 2, 3]
+        assert not res.converged and np.isfinite(res.states).all()
+        assert res.states.tobytes() == ref.states.tobytes()
+        assert res.residuals == ref.residuals
 
     def test_first_step_is_picard(self):
         # The first step's window holds one row, whose only weight is 1, and
@@ -308,12 +331,69 @@ def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
             np.testing.assert_allclose(got, _kkt_gamma(F, lam), rtol=1e-7, atol=1e-9)
 
 
+def _reference_anderson_gamma(gram, lam):
+    """The weight solve as written before it was built in place with
+    Python-float scalars, kept as the bitwise reference for it."""
+    k = gram.shape[0]
+    if k == 1:
+        return np.ones(1)
+    c = gram[:-1, -1]
+    d = gram[-1, -1]
+    s = lam * d
+    A = gram[:-1, :-1] - c - c[:, None] + (d + s)
+    A.flat[::k] += s
+    try:
+        delta = np.linalg.solve(A, (d + s) - c)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(delta).all():
+        return None
+    gamma = np.empty(k)
+    gamma[:-1] = delta
+    gamma[-1] = 1.0 - delta.sum()
+    return gamma
+
+
+@_overflow_warnings
+def test_anderson_gamma_keeps_the_reference_bits():
+    # Random windows of every size the solver uses, over sixteen decades of
+    # residual scale, plus windows whose solve fails (a singular system, a
+    # NaN or overflowing Gram): the same bytes and the same Nones.
+    rng = np.random.default_rng(10)
+    windows = []
+    for k in range(1, 6):
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for _ in range(4):
+                F = scale * rng.standard_normal((k, 30))
+                windows += [(F @ F.T, lam) for lam in (0.0, RIDGE_LAMBDA, 1.0)]
+        repeated = np.ones((k, 30))
+        windows.append((repeated @ repeated.T, 0.0))  # singular when k > 1
+        nan = np.eye(k)
+        nan[0, 0] = np.nan
+        windows.append((nan, RIDGE_LAMBDA))
+        windows.append((np.full((k, k), 1e308) + 1e307 * np.eye(k), RIDGE_LAMBDA))
+    nones = 0
+    for gram, lam in windows:
+        ref = _reference_anderson_gamma(gram.copy(), lam)
+        got = _anderson_gamma(gram.copy(), lam)
+        assert (got is None) == (ref is None)
+        if ref is None:
+            nones += 1
+        else:
+            assert got.tobytes() == ref.tobytes()
+    assert nones >= 8
+
+
 @_overflow_warnings
 def test_residual_norm_rescales_only_an_overflowing_norm():
     rng = np.random.default_rng(9)
     for scale in (1e-300, 1e-6, 1.0, 1e6, 1e150):
         f = scale * rng.standard_normal(50)
         assert _residual_norm(f) == float(np.linalg.norm(f))  # same bits
+    for f in (np.array([1.0, np.nan]), np.array([np.nan, np.inf]), np.zeros(7),
+              np.full(7, -0.0), np.array([-0.0]), np.zeros(0)):
+        got = np.float64(_residual_norm(f))
+        assert got.tobytes() == np.float64(np.linalg.norm(f)).tobytes()
     f = 1e200 * rng.standard_normal(50)
     assert float(np.linalg.norm(f)) == np.inf
     assert _residual_norm(f) == pytest.approx(1e200 * np.linalg.norm(f / 1e200), rel=1e-15)
@@ -343,6 +423,9 @@ def _list_history_anderson(step_map, init, cfg):
             x = g
             converged = True
             break
+        if it == cfg.max_iters - 1:
+            x = g  # the budget's last output is returned unmixed
+            break
         G.append(g.ravel().copy())
         F.append(f.copy())
         if len(G) > HISTORY_M:
@@ -363,8 +446,6 @@ def _list_history_anderson(step_map, init, cfg):
         x = nxt.reshape(shape)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
-    else:
-        x = G[-1].reshape(shape) if G else x
     return FixedPointResult(
         states=x, residuals=residuals, iters=len(residuals),
         converged=converged, picard_fallbacks=fallbacks,
@@ -424,7 +505,7 @@ class TestAndersonHistory:
         capped = solve(*_gauss_sampling_chain(SolverConfig(max_iters=12, tol=1e-3)))
         assert not capped.converged
         moved = solve(*_overflowing(SolverConfig(max_iters=9)))
-        assert moved.picard_fallbacks == 8
+        assert moved.picard_fallbacks == 7
         ridged = solve(*_translation(SolverConfig(max_iters=9, tol=1e-12)))
         assert ridged.picard_fallbacks == 0
 
