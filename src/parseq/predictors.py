@@ -9,16 +9,19 @@ timesteps of a sweep in a single call; row i of a batched result is the
 single-row result at (x[i], t[i]), bit for bit for the elementwise
 predictors and up to matrix-product rounding for the MLP.
 
-A predictor may also be told, once, the timesteps a chain will query:
-``prepare(timesteps)`` lets it build per-timestep terms ahead of the calls.
-It is a hint and never a substitute for them: every ``predict`` and
-``vjp`` is still made and counted, and gives the same bits whether or not
-``prepare`` ran, for any timestep, prepared or not.
+A predictor may also be told the timesteps a chain will query:
+``prepare(timesteps)``, made once per chain, lets it build per-timestep
+terms ahead of the calls.  It is a hint and never a substitute for them:
+every ``predict`` and ``vjp`` is still made and counted, and gives the
+same bits whether or not ``prepare`` ran, for any timestep, prepared or
+not.
+
+Predictor files are parsed once per content: a load whose file holds the
+bytes its path held last time reuses the parsed, read-only arrays.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import threading
@@ -128,13 +131,14 @@ class GaussianOptimalPredictor(NoisePredictor):
 
     Both calls read eps = gain * (x - shift) off two per-timestep terms,
     gain = sqrt(1 - a_t) / (a_t var + 1 - a_t) and shift = sqrt(a_t) mu.
-    ``prepare`` builds them for a chain's timesteps as one array
-    expression, keeps that batch and files each row under its timestep; a
-    call with those timesteps, batched or one row at a time, reads them
-    back, and any other timestep is built on first use and filed.  Every
-    term is elementwise IEEE arithmetic on the same operands, so a filed
-    row has the bits of the one built for a single call.  At most T + 1
-    rows and one batch are kept.
+    ``prepare`` builds them for one chain's timesteps as one array
+    expression and keeps only that chain's: the batch, found again by the
+    identity of the read-only timesteps array the chain passes (a writable
+    one is copied, so only its rows are found), and its rows by label.
+    Each ``prepare`` replaces what the last one kept.  Any other call builds
+    its terms and does not keep them.  Every term is elementwise IEEE
+    arithmetic on the same operands, so a kept row has the bits of the one
+    built for a single call.
     """
 
     def __init__(self, mu: np.ndarray, var: np.ndarray, schedule: DiffusionSchedule):
@@ -146,9 +150,9 @@ class GaussianOptimalPredictor(NoisePredictor):
             raise ShapeError("var entries must be >= 0")
         self.schedule = schedule
         self.dim = int(self.mu.size)
-        # (timesteps, gain, shift) of the last prepared batch, and the terms
-        # of single timesteps by label; one tuple, so a reader never sees a
-        # batch with another batch's terms.
+        # (timesteps, gain, shift) of the prepared chain, one tuple so a
+        # reader never sees a batch with another batch's terms, and the
+        # same chain's terms by label.
         self._batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -161,43 +165,33 @@ class GaussianOptimalPredictor(NoisePredictor):
             a = self.schedule.alpha_bar(t)
         return np.sqrt(1.0 - a) / (a * self.var + (1.0 - a)), np.sqrt(a) * self.mu
 
-    def _prepared(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The prepared batch if it is for timesteps t, else None."""
-        batch = self._batch
-        if batch is not None and (t is batch[0] or np.array_equal(t, batch[0])):
-            return batch
-        return None
+    def _check_labels(self, t: np.ndarray) -> None:
+        if t.ndim != 1 or t.dtype.kind not in "iu":
+            raise ShapeError(
+                f"timesteps must be a 1-d integer array, got {t.dtype} of shape {t.shape}"
+            )
+        if t.size and not 0 <= t.min() <= t.max() <= self.schedule.T:
+            raise ShapeError(f"timesteps must lie in 0..{self.schedule.T}")
 
     def prepare(self, timesteps: np.ndarray) -> None:
         timesteps = np.asarray(timesteps)
-        batch = self._prepared(timesteps)
-        if batch is not None:
-            if not timesteps.flags.writeable:
-                # Key the batch by the caller's array, so its calls hit on identity.
-                self._batch = (timesteps, *batch[1:])
-            return
-        if timesteps.ndim != 1 or timesteps.dtype.kind not in "iu":
-            raise ShapeError(
-                f"timesteps must be a 1-d integer array, got {timesteps.dtype} "
-                f"of shape {timesteps.shape}"
-            )
-        if timesteps.size and not 0 <= timesteps.min() <= timesteps.max() <= self.schedule.T:
-            raise ShapeError(f"timesteps must lie in 0..{self.schedule.T}")
+        self._check_labels(timesteps)
         if timesteps.flags.writeable:
             timesteps = timesteps.copy()
             timesteps.setflags(write=False)
         gain, shift = self._terms(timesteps)
-        self._rows.update(zip(timesteps.tolist(), zip(gain, shift)))
+        self._rows = dict(zip(timesteps.tolist(), zip(gain, shift)))
         self._batch = (timesteps, gain, shift)
 
     def _lookup(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(t, np.ndarray):
-            batch = self._prepared(t)
-            return self._terms(t) if batch is None else batch[1:]
-        terms = self._rows.get(t)
-        if terms is None:
-            terms = self._rows[t] = self._terms(t)
-        return terms
+        if not isinstance(t, np.ndarray):
+            terms = self._rows.get(t)
+            return self._terms(t) if terms is None else terms
+        batch = self._batch
+        if batch is not None and t is batch[0]:
+            return batch[1:]
+        self._check_labels(t)
+        return self._terms(t)
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = self._check_state(x, t)
@@ -254,17 +248,16 @@ class MlpPredictor(NoisePredictor):
         self.dim = widths[-1]
 
     def _forward(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
-        # A batch holds one state per row, so its layers multiply from the
-        # right; a single state keeps the matrix-vector product.
-        batch = x.ndim == 2
-        if batch:
+        # States sit along the last axis, one per row of a batch, so every
+        # layer multiplies from the right.  Only the time slot differs.
+        if x.ndim == 2:
             a = np.concatenate([x, (t / self.t_max)[:, None]], axis=1)
         else:
             a = np.concatenate([x, [t / self.t_max]])
         acts = [a]
         last = len(self.weights) - 1
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = (acts[-1] @ w.T if batch else w @ acts[-1]) + b
+            z = acts[-1] @ w.T + b
             acts.append(z if layer == last else np.tanh(z))
         return acts
 
@@ -275,14 +268,12 @@ class MlpPredictor(NoisePredictor):
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         x, g = self._check_vjp(x, t, cotangent)
         acts = self._forward(x, t)
-        batch = x.ndim == 2
         last = len(self.weights) - 1
         for layer in range(last, -1, -1):
             if layer != last:
                 # acts[layer + 1] is tanh(z); tanh' = 1 - tanh^2.
                 g = g * (1.0 - acts[layer + 1] ** 2)
-            w = self.weights[layer]
-            g = g @ w if batch else w.T @ g
+            g = g @ self.weights[layer]
         return g[..., :-1]
 
 
@@ -315,12 +306,12 @@ def save_mlp(path: str, predictor: MlpPredictor) -> None:
         json.dump(payload, fh)
 
 
-#: Parsed predictor files, at most one entry per path: the loader, the
-#: SHA-256 digest of the bytes it parsed, and the checked content with its
-#: arrays read-only.  A hit needs the same loader and digest, so a file
-#: rewritten in place is parsed again whatever its size or mtime; the
-#: bytes themselves are not kept.  A process that loads one predictor per
-#: command parses each file once per content.
+#: Parsed predictor files, at most one entry per path and ``_MEMO_ENTRIES``
+#: in all: the loader, the bytes it parsed, and the checked content with
+#: its arrays read-only.  A hit needs the same loader and the same bytes,
+#: so a file rewritten in place is parsed again whatever its size or
+#: mtime.  A process that loads one predictor per command parses each
+#: file once per content.
 _MEMO: OrderedDict[str, tuple[str, bytes, tuple]] = OrderedDict()
 _MEMO_ENTRIES = 4
 _MEMO_LOCK = threading.Lock()
@@ -332,10 +323,9 @@ def _memoised(path: str, what: str, parse: Callable[[dict], tuple]) -> tuple:
     arrays read-only; one that raises leaves the memo untouched."""
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).digest()
     with _MEMO_LOCK:
         entry = _MEMO.get(path)
-        if entry is not None and entry[:2] == (what, digest):
+        if entry is not None and entry[:2] == (what, data):
             _MEMO.move_to_end(path)
             return entry[2]
     try:
@@ -351,7 +341,7 @@ def _memoised(path: str, what: str, parse: Callable[[dict], tuple]) -> tuple:
     except ParseError as exc:
         raise type(exc)(f"{what} {path}: {exc}") from None
     with _MEMO_LOCK:
-        _MEMO[path] = (what, digest, content)
+        _MEMO[path] = (what, data, content)
         _MEMO.move_to_end(path)
         if len(_MEMO) > _MEMO_ENTRIES:
             _MEMO.popitem(last=False)

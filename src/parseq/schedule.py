@@ -69,38 +69,37 @@ def c1_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndar
 class DiffusionSchedule:
     """Immutable variance schedule plus the run's noise scale eta.
 
-    Schedules compare and hash by identity: the generated field-wise
-    ``==`` would compare arrays and raise."""
+    Only ``betas`` and ``eta`` are inputs.  ``alpha_bars``, the running
+    products of (1 - beta), and ``alpha_by_t`` are derived from the betas
+    once, read-only.  Schedules compare and hash by identity: the
+    generated field-wise ``==`` would compare arrays and raise."""
 
     betas: np.ndarray
-    alpha_bars: np.ndarray
     eta: float = 0.0
+    alpha_bars: np.ndarray = field(init=False, repr=False)
     alpha_by_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         betas = np.asarray(self.betas, dtype=np.float64)
-        alpha_bars = np.asarray(self.alpha_bars, dtype=np.float64)
         if betas.ndim != 1 or betas.size == 0:
             raise ConfigError("betas must be a non-empty 1-d array")
-        if alpha_bars.shape != betas.shape:
-            raise ConfigError("alpha_bars must match betas in length")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ConfigError("every beta must lie in (0, 1)")
+        alpha_bars = np.cumprod(1.0 - betas)
         if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
             raise ConfigError("every alpha_bar must lie in (0, 1)")
         stalls = np.flatnonzero(np.diff(alpha_bars) >= 0.0)
         if stalls.size:
-            t = int(stalls[0]) + 2  # with valid betas, only an underflowed product stalls
+            # A product stalls wherever rounding swallows its step: a beta
+            # near or below 1e-16 (so 1 - beta rounds to 1), or a product
+            # that has underflowed to the subnormals.
+            t = int(stalls[0]) + 2
             underflow = alpha_bars[t - 2] < np.finfo(np.float64).tiny
             raise ConfigError(
                 f"alpha_bars must be strictly decreasing, but alpha_bar({t}) does not "
                 f"fall below alpha_bar({t - 1})"
                 + ("; the signal product underflows float64" if underflow else "")
             )
-        # Cross-check the cumulative product against betas to 1e-12 relative.
-        rebuilt = np.cumprod(1.0 - betas)
-        if not np.allclose(alpha_bars, rebuilt, rtol=1e-12, atol=0.0):
-            raise ConfigError("alpha_bars disagree with cumprod(1 - betas)")
         if not (np.isfinite(self.eta) and self.eta >= 0.0):
             raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
         arrays = dict(betas=betas, alpha_bars=alpha_bars,
@@ -136,9 +135,7 @@ def make_linear_beta_schedule(
         )
     if beta_end >= 1.0:
         raise ConfigError(f"beta_end must be < 1, got {beta_end}")
-    betas = np.linspace(beta_start, beta_end, T)
-    alpha_bars = np.cumprod(1.0 - betas)
-    return DiffusionSchedule(betas=betas, alpha_bars=alpha_bars, eta=float(eta))
+    return DiffusionSchedule(np.linspace(beta_start, beta_end, T), float(eta))
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,11 @@ stated runtime budget assert the measured wall clock as well.
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-import parseq
 from parseq.chain import Chain, h_tilde, sequential_rollout
 from parseq.gradients import (
     central_difference_grad,
@@ -30,6 +26,8 @@ from parseq.sampling import draw_noise_stack, draw_x_T, solve_stack
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, SolverConfig
 from parseq.rng import stream
+
+from cli_runner import run_cli
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -290,19 +288,6 @@ def test_criterion_7_x_T_init_beats_zero_init():
         "x_T initialization converges in <= iterations of zero init (5-seed mean)",
         mean_x_T <= mean_zero,
         f"x_T mean {mean_x_T:.1f} vs zero mean {mean_zero:.1f}",
-    )
-
-
-def run_cli(*args):
-    env = os.environ.copy()
-    # The child imports the parseq this process imported, installed or not.
-    src = os.path.dirname(os.path.dirname(parseq.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "parseq", *[str(a) for a in args]],
-        capture_output=True,
-        text=True,
-        env=env,
     )
 
 

@@ -11,8 +11,6 @@ import io
 import json
 import os
 import struct
-import subprocess
-import sys
 import tempfile
 from collections import OrderedDict
 
@@ -30,6 +28,8 @@ from parseq.sampling import draw_noise_stack, draw_x_T
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.stackio import read_stack, write_stack
 
+from cli_runner import run_cli
+
 
 def write_raw_stack(path, rows, T, eta):
     """A PSDQ1 stack file written byte by byte, so that its payload may hold
@@ -37,19 +37,6 @@ def write_raw_stack(path, rows, T, eta):
     rows = np.asarray(rows, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<5sIIId", b"PSDQ1", *rows.shape, T, eta) + rows.tobytes())
-
-
-def run_cli(*args):
-    env = os.environ.copy()
-    # The child imports the parseq this process imported, installed or not.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "parseq", *[str(a) for a in args]],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 @pytest.fixture(scope="module")

@@ -150,48 +150,44 @@ class TestPreparedGaussianTerms:
                 assert p.predict(x[i], int(t[i])).tobytes() == eps.tobytes()
                 assert p.vjp(x[i], t[i], u[i]).tobytes() == (gain * u[i]).tobytes()
 
-    def test_unprepared_calls_build_and_file_their_terms(self, monkeypatch):
+    def test_only_the_last_prepared_chain_is_kept(self, monkeypatch):
+        # The predictor holds the last prepared chain's batch and rows, and
+        # each prepare replaces them.  Any other call, a value-equal batch
+        # included, keeps its bits but builds its terms and stores nothing.
         p = self.predictor(1.0)
+        first = np.array(select_subsequence(100, 25, "linear").indices)
+        second = np.arange(1, 101, 9)
+        for taus in (first, second):
+            taus.setflags(write=False)
+            p.prepare(taus)
+        assert p._batch[0] is second
+        assert p._batch[1].shape == p._batch[2].shape == (second.size, 6)
+        assert list(p._rows) == second.tolist()
+        batch, rows = p._batch, p._rows
         builds = []
         terms = p._terms
         monkeypatch.setattr(p, "_terms", lambda t: builds.append(t) or terms(t))
-        x = np.ones(6)
-        for _ in range(3):
-            p.predict(x, 12)
-            p.vjp(x, 12, x)
-        assert builds == [12]
-        p.predict(np.ones((2, 6)), np.array([12, 13]))  # an unprepared batch is built per call
-        p.predict(np.ones((2, 6)), np.array([12, 13]))
-        assert len(builds) == 3
-
-    def test_repeated_prepare_builds_nothing(self, monkeypatch):
-        p = self.predictor(0.0)
-        taus = np.arange(1, 101, 9)
-        p.prepare(taus)
-        builds = []
-        monkeypatch.setattr(p, "_terms", lambda t: builds.append(t))
-        same = taus.copy()
-        same.setflags(write=False)
-        p.prepare(same)
-        p.prepare(taus.tolist())
+        x = np.random.default_rng(44).standard_normal((first.size, 6))
+        y = x[: second.size]
+        p.predict(y, second)
+        p.vjp(y, second, y)
+        for i, t in enumerate(second.tolist()):
+            p.predict(y[i], t)
+            p.vjp(y[i], t, y[i])
         assert builds == []
-        # The caller's read-only array now keys the batch, so its calls hit
-        # on identity; a writable one is copied, so it cannot change the key.
-        assert p._batch[0] is same
-        p.predict(np.ones((taus.size, 6)), same)
-        p.vjp(np.ones(6), int(taus[3]), np.ones(6))
-        assert builds == []
-
-    def test_memo_holds_at_most_T_plus_one_rows_and_one_batch(self):
-        p = self.predictor(1.0)
-        T = p.schedule.T
-        for S in (1, 7, 25, 60, 100):
-            p.prepare(np.array(select_subsequence(T, S, "linear").indices))
-        for t in range(T + 1):
-            p.predict(np.ones(6), t)
-        assert len(p._rows) == T + 1
-        assert p._batch[0].tolist() == list(range(1, T + 1))
-        assert p._batch[1].shape == p._batch[2].shape == (100, 6)
+        for t in (first, second.copy(), np.array([0, 2, 50])):
+            xt = x[: t.size]
+            eps, gain = _gaussian_as_written(p, xt, t)
+            assert p.predict(xt, t).tobytes() == eps.tobytes()
+            assert p.vjp(xt, t, xt).tobytes() == (gain * xt).tobytes()
+        for t in (2, 50):
+            eps, gain = _gaussian_as_written(p, x[0], t)
+            assert p.predict(x[0], t).tobytes() == eps.tobytes()
+            assert p.vjp(x[0], t, x[0]).tobytes() == (gain * x[0]).tobytes()
+        assert len(builds) == 10
+        assert p._batch is batch and p._rows is rows and list(rows) == second.tolist()
+        p.prepare(second)
+        assert len(builds) == 11 and p._batch[0] is second
 
     def test_prepare_refuses_timesteps_the_schedule_lacks(self):
         p = self.predictor(0.0)
@@ -200,6 +196,16 @@ class TestPreparedGaussianTerms:
             with pytest.raises(ShapeError):
                 p.prepare(bad)
         assert p._batch is None and p._rows == {}
+
+    @pytest.mark.parametrize("labels", [[-1], [5, -3], [5, 101]])
+    def test_unprepared_batch_refuses_labels_outside_the_schedule(self, labels):
+        # A negative label would otherwise index the products from the end.
+        p = self.predictor(0.0)
+        x, t = np.ones((len(labels), 6)), np.array(labels)
+        with pytest.raises(ShapeError, match=r"timesteps must lie in 0\.\.100"):
+            p.predict(x, t)
+        with pytest.raises(ShapeError, match=r"timesteps must lie in 0\.\.100"):
+            p.vjp(x, t, x)
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "mlp"])
     def test_prepare_is_a_no_op_elsewhere(self, sched, kind):
@@ -285,6 +291,27 @@ class TestMlpPredictor:
 
         fd = central_difference_grad(scalar, x, step=1e-5)
         np.testing.assert_allclose(p.vjp(x, 37, u), fd, rtol=1e-4, atol=1e-9)
+
+    @pytest.mark.parametrize("dim, hidden, scale", [(64, [128, 128], 1.0), (16, [64, 64], 0.5)])
+    def test_one_row_calls_keep_the_matrix_vector_bits(self, dim, hidden, scale):
+        # One state goes through the same ``a @ w.T`` / ``g @ w`` products
+        # as a batch; its bits must stay those of the matrix-vector form.
+        rng = np.random.default_rng(12)
+        p = random_mlp(dim, hidden, rng, t_max=1000, scale=scale)
+        last = len(p.weights) - 1
+        for t in (1, 500, 1000):
+            x, u = rng.standard_normal(dim), rng.standard_normal(dim)
+            acts = [np.concatenate([x, [t / p.t_max]])]
+            for layer, (w, b) in enumerate(zip(p.weights, p.biases)):
+                z = w @ acts[-1] + b
+                acts.append(z if layer == last else np.tanh(z))
+            g = u
+            for layer in range(last, -1, -1):
+                if layer != last:
+                    g = g * (1.0 - acts[layer + 1] ** 2)
+                g = p.weights[layer].T @ g
+            assert p.predict(x, t).tobytes() == acts[-1].tobytes()
+            assert p.vjp(x, t, u).tobytes() == g[:-1].tobytes()
 
     def test_time_slot_changes_output(self):
         p = random_mlp(3, [8], np.random.default_rng(1), t_max=100)

@@ -70,9 +70,21 @@ class TestLinearBetaSchedule:
             make_linear_beta_schedule(100_000)
 
     def test_non_decreasing_products_without_underflow(self):
+        # 1 - 1e-17 rounds to 1, so alpha_bar(2) equals alpha_bar(1) = 0.9.
         with pytest.raises(ConfigError, match=r"alpha_bar\(2\) does not fall below "
                            r"alpha_bar\(1\)$"):
-            DiffusionSchedule(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
+            DiffusionSchedule(np.array([0.1, 1e-17]))
+
+    def test_products_are_derived_from_betas_alone(self):
+        betas = np.linspace(1e-4, 0.02, 50)
+        sched = DiffusionSchedule(betas, 0.5)
+        assert sched.eta == 0.5
+        assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - betas).tobytes()
+        assert sched.alpha_by_t[1:].tobytes() == sched.alpha_bars.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            sched.alpha_bars[0] = 0.5
+        with pytest.raises(TypeError):
+            DiffusionSchedule(betas, alpha_bars=np.cumprod(1.0 - betas))
 
     @pytest.mark.parametrize(
         "kwargs",
