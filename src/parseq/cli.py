@@ -339,11 +339,11 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     for j in range(args["runs"]):
         seed = args["seed"] + j
         x_T = draw_x_T(seed, D)
-        run_chain = chain
-        if args["eta"] > 0.0 and not args["noise_file"]:
-            # Without a noise file each run draws its own noise.
-            run_chain = dataclasses.replace(chain, noise=draw_noise_stack(seed, chain.S, D))
-        traces.append(solve_stack(run_chain, x_T, solver_cfg, args["init"]).residuals)
+        if j and args["eta"] > 0.0 and not args["noise_file"]:
+            # Without a noise file each run draws its own noise; the built
+            # chain already holds run 0's draw.
+            chain = dataclasses.replace(chain, noise=draw_noise_stack(seed, chain.S, D))
+        traces.append(solve_stack(chain, x_T, solver_cfg, args["init"]).residuals)
     os.makedirs(args["out"], exist_ok=True)
     write_trace_csv(os.path.join(args["out"], "trace.csv"), traces)
     timings = {"total": (time.perf_counter() - t0) * 1000.0}

@@ -16,6 +16,15 @@ every ``predict`` and ``vjp`` is still made and counted, and gives the
 same bits whether or not ``prepare`` ran, for any timestep, prepared or
 not.
 
+The MLP reuses forward work under the same rule.  Once it has been asked
+for a one-row ``vjp``, i.e. once it is being differentiated, it keeps per
+label the hidden activations of its last one-row ``predict``, with the
+bytes of that input row; a one-row ``vjp`` on the same bytes at the same
+label runs only the backward pass.  So naive backprop, whose S vjps come
+at the rollout's states, runs S forward passes instead of 2S from its
+second call on, while sampling keeps nothing.  ``prepare`` empties what
+is kept.  Every call is still made, and every result keeps its bits.
+
 Predictor files are parsed once per content: a load whose file holds the
 bytes its path held last time reuses the parsed, read-only arrays.
 """
@@ -59,9 +68,10 @@ class NoisePredictor(ABC):
     def prepare(self, timesteps: np.ndarray) -> None:
         """Hint that the calls to come query these timesteps, the (S,) labels
         of one chain, which ``Chain`` passes once when it is built.  The
-        default does nothing; an override may build per-timestep terms, but
-        must leave every later ``predict``/``vjp`` result bit for bit as it
-        would be without the hint."""
+        default does nothing; an override may build per-timestep terms or
+        drop what it kept for the last chain, but must leave every later
+        ``predict``/``vjp`` result bit for bit as it would be without the
+        hint."""
 
     def _check_state(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -210,6 +220,16 @@ class MlpPredictor(NoisePredictor):
     ``widths[0] == dim + 1`` and ``widths[-1] == dim``.  ``t_max`` is a
     runtime parameter (normally the chain length T), not part of the
     serialized weights.
+
+    The backward pass reads only the hidden activations, so a ``vjp``
+    stops its own forward pass before the head layer.  After the first
+    one-row ``vjp``, each one-row ``predict`` at an integer label keeps its
+    hidden activations, one entry per label, with the bytes of its input
+    row (state and time slot); a one-row ``vjp`` at that label on an input
+    with those bytes reuses them.  Batched calls neither keep nor reuse,
+    and ``prepare`` empties the entries, so at most one chain's labels are
+    held.  The weights are read as fixed: changing them in place leaves
+    the entries stale until the next ``prepare``.
     """
 
     def __init__(
@@ -246,34 +266,54 @@ class MlpPredictor(NoisePredictor):
         self.widths = widths
         self.t_max = int(t_max)
         self.dim = widths[-1]
+        # None until the first one-row vjp; then label -> (input row bytes,
+        # hidden activations) of the last one-row predict at that label.
+        self._kept: dict[int, tuple[bytes, list[np.ndarray]]] | None = None
 
-    def _forward(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
+    def prepare(self, timesteps: np.ndarray) -> None:
+        if self._kept is not None:
+            self._kept = {}
+
+    def _input(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         # States sit along the last axis, one per row of a batch, so every
         # layer multiplies from the right.  Only the time slot differs.
         if x.ndim == 2:
-            a = np.concatenate([x, (t / self.t_max)[:, None]], axis=1)
-        else:
-            a = np.concatenate([x, [t / self.t_max]])
-        acts = [a]
-        last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w.T + b
-            acts.append(z if layer == last else np.tanh(z))
-        return acts
+            return np.concatenate([x, (t / self.t_max)[:, None]], axis=1)
+        return np.concatenate([x, [t / self.t_max]])
+
+    def _hidden(self, a: np.ndarray) -> list[np.ndarray]:
+        """The tanh activations of every hidden layer for the input a."""
+        hidden = []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            a = np.tanh(a @ w.T + b)
+            hidden.append(a)
+        return hidden
+
+    @staticmethod
+    def _label(x: np.ndarray, t: int | np.ndarray) -> int | None:
+        """The entry key of a one-row call at an integer label, else None."""
+        return int(t) if x.ndim == 1 and isinstance(t, (int, np.integer)) else None
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = self._check_state(x, t)
-        return self._forward(x, t)[-1]
+        a = self._input(x, t)
+        hidden = self._hidden(a)
+        if self._kept is not None and (label := self._label(x, t)) is not None:
+            self._kept[label] = (a.tobytes(), hidden)
+        return (hidden[-1] if hidden else a) @ self.weights[-1].T + self.biases[-1]
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         x, g = self._check_vjp(x, t, cotangent)
-        acts = self._forward(x, t)
-        last = len(self.weights) - 1
-        for layer in range(last, -1, -1):
-            if layer != last:
-                # acts[layer + 1] is tanh(z); tanh' = 1 - tanh^2.
-                g = g * (1.0 - acts[layer + 1] ** 2)
-            g = g @ self.weights[layer]
+        a = self._input(x, t)
+        label = self._label(x, t)
+        if x.ndim == 1 and self._kept is None:
+            self._kept = {}  # differentiated: one-row predicts keep from now on
+        entry = None if label is None else self._kept.get(label)
+        hidden = entry[1] if entry is not None and entry[0] == a.tobytes() else self._hidden(a)
+        g = g @ self.weights[-1]
+        for w, h in zip(self.weights[-2::-1], hidden[::-1]):
+            # h is tanh(z); tanh' = 1 - tanh^2.
+            g = (g * (1.0 - h**2)) @ w
         return g[..., :-1]
 
 

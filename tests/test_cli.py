@@ -553,6 +553,20 @@ class TestTrace:
         assert "noise file holds shape (20, 3)" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    def test_noisy_runs_build_one_chain_each(self, tmp_path, monkeypatch):
+        # Run 0 solves the chain built from the flags, whose noise is run
+        # 0's draw; each later run swaps in its own.  So the Gaussian terms
+        # of the 100 timesteps are built once per run and never for a
+        # chain that is not solved.
+        builds = []
+        terms = GaussianOptimalPredictor._terms
+        monkeypatch.setattr(GaussianOptimalPredictor, "_terms",
+                            lambda self, t: builds.append(np.shape(t)) or terms(self, t))
+        argv = ["trace", "--predictor", "gaussian", "--D", "64", "--T", "1000", "--S", "100",
+                "--eta", "1", "--runs", "5", "--out", str(tmp_path / "tr")]
+        assert cli.main(argv) == 0
+        assert builds == [(100,)] * 5
+
 
 class TestBench:
     def test_report_covers_every_combination(self, fixtures, tmp_path):

@@ -9,6 +9,8 @@ from parseq import (
     ConstantPredictor,
     DivergenceError,
     GaussianOptimalPredictor,
+    InversionConfig,
+    MlpPredictor,
     NoisePredictor,
     ShapeError,
     SolverConfig,
@@ -18,6 +20,7 @@ from parseq import (
     exact_ift_grad,
     h_tilde,
     h_tilde_vjp,
+    invert,
     loss_and_seed,
     make_linear_beta_schedule,
     phantom_grad,
@@ -419,12 +422,12 @@ class TestRolloutBackpropIsTheBackSubstitution:
         assert grad_n.tobytes() == grad_e.tobytes()
 
 
-class _CountingGaussian(GaussianOptimalPredictor):
+class _Counting:
     """Records the rows of every predict and vjp call: 0 for one state, N
     for an (N, D) batch."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.calls = {"predict": [], "vjp": []}
 
     def predict(self, x, t):
@@ -436,15 +439,89 @@ class _CountingGaussian(GaussianOptimalPredictor):
         return super().vjp(x, t, cotangent)
 
 
+class _CountingGaussian(_Counting, GaussianOptimalPredictor):
+    pass
+
+
+class _CountingMlp(_Counting, MlpPredictor):
+    pass
+
+
+def _forward_passes(monkeypatch, mlp):
+    """The inputs of every forward pass the MLP runs from now on."""
+    passes = []
+    hidden = mlp._hidden
+    monkeypatch.setattr(mlp, "_hidden", lambda a: passes.append(a) or hidden(a))
+    return passes
+
+
 @pytest.mark.parametrize("S", [1, 2, 10])
-def test_rollout_backprop_makes_S_one_row_forward_and_vjp_calls(S):
+@pytest.mark.parametrize("kind", ["gaussian", "mlp"])
+def test_rollout_backprop_makes_S_one_row_forward_and_vjp_calls(kind, S, monkeypatch):
     # The cost contract of the naive route: the rollout's S one-row
-    # forward calls and S one-row vjp calls, no batched call.
+    # forward calls and S one-row vjp calls, no batched call, on every
+    # call.  Once the MLP has been differentiated, its vjps reuse the
+    # rollout's activations, so a call runs S forward passes, not 2S.
     sched = make_linear_beta_schedule(100)
-    pred = _CountingGaussian(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
+    if kind == "gaussian":
+        pred = _CountingGaussian(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
+    else:
+        mlp = random_mlp(2, [8, 8], np.random.default_rng(S), t_max=100)
+        pred = _CountingMlp(mlp.widths, mlp.weights, mlp.biases, t_max=100)
+        passes = _forward_passes(monkeypatch, pred)
     sub = select_subsequence(100, S, "linear")
-    rollout_backprop_grad(np.array([0.4, -1.1]), np.array([0.1, 0.2]), sched, sub, pred)
-    assert pred.calls == {"predict": [0] * S, "vjp": [0] * S}
+    for call in range(3):
+        pred.calls = {"predict": [], "vjp": []}
+        rollout_backprop_grad(np.array([0.4, -1.1]) + call, np.array([0.1, 0.2]), sched, sub,
+                              pred)
+        assert pred.calls == {"predict": [0] * S, "vjp": [0] * S}
+    if kind == "mlp":
+        assert len(passes) == 2 * S + S + S
+
+
+class _Unkept(NoisePredictor):
+    """An MLP whose every call runs on a fresh copy, so no call reuses the
+    work of another: the reference for the kept activations."""
+
+    def __init__(self, mlp):
+        self.mlp, self.dim = mlp, mlp.dim
+
+    def _fresh(self):
+        return MlpPredictor(self.mlp.widths, self.mlp.weights, self.mlp.biases,
+                            t_max=self.mlp.t_max)
+
+    def predict(self, x, t):
+        return self._fresh().predict(x, t)
+
+    def vjp(self, x, t, cotangent):
+        return self._fresh().vjp(x, t, cotangent)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("S", [1, 2, 10])
+def test_kept_activations_keep_the_naive_bits(S, eta, monkeypatch):
+    # Naive gradients and a naive inversion on a differentiated MLP, whose
+    # vjps reuse the rollout's activations, against the same calls made
+    # with no reuse at all.
+    sched = make_linear_beta_schedule(1000, eta=eta)
+    sub = select_subsequence(1000, S, "linear")
+    rng = np.random.default_rng(60 + S)
+    mlp = random_mlp(5, [16, 16], rng, t_max=1000, scale=0.5)
+    noise = rng.standard_normal((S, 5)) if eta > 0 else None
+    for _ in range(3):
+        x_T, target = rng.standard_normal(5), rng.standard_normal(5)
+        loss, grad = rollout_backprop_grad(x_T, target, sched, sub, mlp, noise)
+        want_loss, want_grad = rollout_backprop_grad(x_T, target, sched, sub, _Unkept(mlp),
+                                                     noise)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+    passes = _forward_passes(monkeypatch, mlp)
+    cfg = InversionConfig(epochs=25, lr=0.1, gradient_mode="rollout")
+    run = invert(target, cfg, Chain(sched, sub, mlp, noise))
+    want = invert(target, cfg, Chain(sched, sub, _Unkept(mlp), noise))
+    assert run.x_T_hat.tobytes() == want.x_T_hat.tobytes()
+    assert np.array(run.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
+    assert len(passes) == run.epochs_run * S
 
 
 @pytest.mark.parametrize("S", [1, 2, 10])

@@ -10,12 +10,14 @@ import pytest
 
 from parseq import predictors
 from parseq import (
+    Chain,
     ConstantPredictor,
     GaussianOptimalPredictor,
     MlpPredictor,
     ParseError,
     SchemaError,
     ShapeError,
+    SolverConfig,
     ZeroPredictor,
     central_difference_grad,
     load_gaussian_params,
@@ -25,7 +27,9 @@ from parseq import (
     save_gaussian,
     save_mlp,
     select_subsequence,
+    solve_stack,
 )
+from parseq.chain import _rollout
 
 
 @pytest.fixture
@@ -292,7 +296,8 @@ class TestMlpPredictor:
         fd = central_difference_grad(scalar, x, step=1e-5)
         np.testing.assert_allclose(p.vjp(x, 37, u), fd, rtol=1e-4, atol=1e-9)
 
-    @pytest.mark.parametrize("dim, hidden, scale", [(64, [128, 128], 1.0), (16, [64, 64], 0.5)])
+    @pytest.mark.parametrize("dim, hidden, scale",
+                             [(64, [128, 128], 1.0), (16, [64, 64], 0.5), (8, [], 1.0)])
     def test_one_row_calls_keep_the_matrix_vector_bits(self, dim, hidden, scale):
         # One state goes through the same ``a @ w.T`` / ``g @ w`` products
         # as a batch; its bits must stay those of the matrix-vector form.
@@ -373,6 +378,84 @@ class TestMlpPredictor:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_mlp(str(path))
+
+
+class TestMlpKeptActivations:
+    """Once asked for a one-row vjp, the MLP keeps each label's hidden
+    activations from its last one-row predict, and a one-row vjp on the same
+    input row runs only the backward pass; every other call computes."""
+
+    @staticmethod
+    def passes(monkeypatch, p):
+        """The input rows of the forward passes ``p`` runs from now on."""
+        rows = []
+        hidden = p._hidden
+        monkeypatch.setattr(p, "_hidden", lambda a: rows.append(a.tobytes()) or hidden(a))
+        return rows
+
+    @staticmethod
+    def fresh(p):
+        return MlpPredictor(p.widths, p.weights, p.biases, t_max=p.t_max)
+
+    def test_only_the_same_input_row_reuses(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        p = random_mlp(6, [16, 16], rng, t_max=100)
+        x, u = rng.standard_normal(6), rng.standard_normal(6)
+        p.vjp(x, 3, u)  # differentiated from here on
+        p.predict(x, 40)
+        rows = self.passes(monkeypatch, p)
+        assert p.vjp(x, 40, u).tobytes() == self.fresh(p).vjp(x, 40, u).tobytes()
+        assert rows == []
+        nudged = x.copy()
+        nudged[2] = np.nextafter(x[2], np.inf)  # one ulp away
+        for state, t in ((nudged, 40), (x, 41), (x, 39)):
+            assert p.vjp(state, t, u).tobytes() == self.fresh(p).vjp(state, t, u).tobytes()
+        assert len(rows) == 3
+        # Batched calls neither keep nor reuse.
+        p.predict(x[None], np.array([41]))
+        p.vjp(x[None], np.array([40]), u[None])
+        p.vjp(x, 41, u)
+        assert len(rows) == 6 and sorted(p._kept) == [40]
+
+    def test_sampling_keeps_nothing(self, monkeypatch):
+        # A rollout and a stack solve never differentiate, so a fresh
+        # predictor keeps nothing through them, and a vjp at a rollout
+        # state afterwards runs its own forward pass.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.05)
+        rng = np.random.default_rng(52)
+        p = random_mlp(4, [16, 8], rng, t_max=100)
+        chain = Chain(sched, select_subsequence(100, 10, "linear"), p)
+        x_T = rng.standard_normal(4)
+        stack = _rollout(chain, x_T)
+        solve_stack(chain, x_T, SolverConfig("picard", 20))
+        assert p._kept is None
+        rows = self.passes(monkeypatch, p)
+        t = int(chain.timesteps[0])  # transition 1 reads stack[-2]
+        pulled = p.vjp(stack[-2], t, x_T)
+        assert len(rows) == 1
+        assert pulled.tobytes() == self.fresh(p).vjp(stack[-2], t, x_T).tobytes()
+
+    def test_prepare_empties_and_each_label_keeps_its_last_row(self, monkeypatch):
+        sched = make_linear_beta_schedule(100, 1e-4, 0.05)
+        rng = np.random.default_rng(53)
+        p = random_mlp(4, [16, 8], rng, t_max=100)
+        sub = select_subsequence(100, 10, "linear")
+        chain = Chain(sched, sub, p)
+        p.vjp(np.zeros(4), 100, np.ones(4))
+        for _ in range(3):
+            x_T = rng.standard_normal(4)
+            stack = _rollout(chain, x_T)
+        inputs = np.concatenate([stack[::-1][1:], x_T[None]])  # transitions 1..S
+        assert sorted(p._kept) == chain.timesteps.tolist()
+        for x, t in zip(inputs, chain.timesteps.tolist()):
+            assert p._kept[t][0] == np.concatenate([x, [t / 100]]).tobytes()
+        Chain(sched, sub, p)
+        assert p._kept == {}
+        rows = self.passes(monkeypatch, p)
+        p.vjp(x_T, 100, np.ones(4))
+        assert len(rows) == 1
+        _rollout(chain, x_T)
+        assert len(p._kept) == 10
 
 
 class TestGaussianParamsFile:
