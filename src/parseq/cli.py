@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage/config error, 3 numeric divergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -38,7 +37,7 @@ from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
 from .sampling import draw_noise_stack, draw_x_T, solve_stack
 from .schedule import identity_subsequence, make_linear_beta_schedule, select_subsequence
-from .stackio import read_stack, write_residual_csv, write_stack, write_trace_csv
+from .stackio import read_stack, write_csv, write_residual_csv, write_stack, write_trace_csv
 from .solvers import SolverConfig, default_solver_config, picard_budget
 
 
@@ -209,11 +208,25 @@ def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
     return draw_noise_stack(args["seed"], S, D) if args["eta"] > 0.0 else None
 
 
-def _write_manifest(out_dir: str, command: str, args: dict,
-                    outputs: list[str], timings_ms: dict,
-                    solver: dict | None = None) -> None:
+def _deq_solver(args: dict, S: int) -> SolverConfig:
+    """The solve a ``deq-*`` --mode asks for, its budget recorded in ``args``."""
+    cfg = _solver_config(args, "picard" if args["mode"] == "deq-picard" else "anderson", S)
+    args["solver_max_iters"] = cfg.max_iters
+    return cfg
+
+
+def _json_text(obj: object) -> str:
+    """The one JSON form of every file the CLI writes, and of eval-w2's stdout."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_manifest(args: dict, t0: float, outputs: list[str],
+                    solver: dict | None = None, **phases_ms: float) -> None:
+    """Write ``args["out"]``/manifest.json for ``args["command"]``; the
+    ``total`` timing runs from the command's start ``t0``."""
+    timings_ms = dict(phases_ms, total=(time.perf_counter() - t0) * 1000.0)
     manifest = {
-        "command": command,
+        "command": args["command"],
         "args": args,
         "seed": args.get("seed"),
         "versions": {
@@ -226,9 +239,8 @@ def _write_manifest(out_dir: str, command: str, args: dict,
     }
     if solver is not None:
         manifest["solver"] = solver
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.path.join(args["out"], "manifest.json"), "w") as fh:
+        fh.write(_json_text(manifest))
 
 
 def cmd_sample(ns: argparse.Namespace) -> int:
@@ -236,9 +248,6 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     chain = _build_chain(args)
     x_T = draw_x_T(args["seed"], chain.predictor.dim)
-    os.makedirs(args["out"], exist_ok=True)
-    outputs = ["x0.stack"]
-    timings = {}
 
     t1 = time.perf_counter()
     solver = None
@@ -246,10 +255,7 @@ def cmd_sample(ns: argparse.Namespace) -> int:
         states = _rollout(chain, x_T)
         residuals = None
     else:
-        method = "picard" if args["mode"] == "deq-picard" else "anderson"
-        cfg = _solver_config(args, method, chain.S)
-        args["solver_max_iters"] = cfg.max_iters
-        result = solve_stack(chain, x_T, cfg, args["init"])
+        result = solve_stack(chain, x_T, _deq_solver(args, chain.S), args["init"])
         states = result.states
         residuals = result.residuals
         # An unconverged solve still exits 0; this record is how a caller
@@ -260,8 +266,10 @@ def cmd_sample(ns: argparse.Namespace) -> int:
             "final_residual": residuals[-1],
             "picard_fallbacks": result.picard_fallbacks,
         }
-    timings["solve"] = (time.perf_counter() - t1) * 1000.0
+    solve_ms = (time.perf_counter() - t1) * 1000.0
 
+    os.makedirs(args["out"], exist_ok=True)
+    outputs = ["x0.stack"]
     write_stack(os.path.join(args["out"], "x0.stack"), states[-1], args["T"], args["eta"])
     if args["save_stack"]:
         write_stack(os.path.join(args["out"], "stack.stack"), states, args["T"], args["eta"])
@@ -269,8 +277,7 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     if residuals is not None:
         write_residual_csv(os.path.join(args["out"], "residuals.csv"), residuals)
         outputs.append("residuals.csv")
-    timings["total"] = (time.perf_counter() - t0) * 1000.0
-    _write_manifest(args["out"], "sample", args, outputs, timings, solver)
+    _write_manifest(args, t0, outputs, solver, solve=solve_ms)
     return 0
 
 
@@ -307,21 +314,14 @@ def cmd_invert(ns: argparse.Namespace) -> int:
     )
     run = invert(target, cfg, chain)
 
-    os.makedirs(args["out"], exist_ok=True)
-    write_stack(os.path.join(args["out"], "x_T_hat.stack"), run.x_T_hat,
-                args["T"], args["eta"])
-    with open(os.path.join(args["out"], "loss_trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(run.loss_trace):
-            writer.writerow([epoch, repr(float(loss))])
-    report = run_report(run, args, "x_T_hat.stack")
-    with open(os.path.join(args["out"], "run.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    timings = {"total": (time.perf_counter() - t0) * 1000.0}
-    _write_manifest(args["out"], "invert", args,
-                    ["x_T_hat.stack", "loss_trace.csv", "run.json"], timings)
+    out = args["out"]
+    os.makedirs(out, exist_ok=True)
+    write_stack(os.path.join(out, "x_T_hat.stack"), run.x_T_hat, args["T"], args["eta"])
+    write_csv(os.path.join(out, "loss_trace.csv"), ["epoch", "loss"],
+              enumerate(run.loss_trace))
+    with open(os.path.join(out, "run.json"), "w") as fh:
+        fh.write(_json_text(run_report(run, args, "x_T_hat.stack")))
+    _write_manifest(args, t0, ["x_T_hat.stack", "loss_trace.csv", "run.json"])
     return 0
 
 
@@ -332,9 +332,7 @@ def cmd_trace(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--runs must be >= 1, got {args['runs']}")
     chain = _build_chain(args)
     D = chain.predictor.dim
-    method = "picard" if args["mode"] == "deq-picard" else "anderson"
-    solver_cfg = _solver_config(args, method, chain.S)
-    args["solver_max_iters"] = solver_cfg.max_iters
+    solver_cfg = _deq_solver(args, chain.S)
     traces = []
     for j in range(args["runs"]):
         seed = args["seed"] + j
@@ -346,14 +344,17 @@ def cmd_trace(ns: argparse.Namespace) -> int:
         traces.append(solve_stack(chain, x_T, solver_cfg, args["init"]).residuals)
     os.makedirs(args["out"], exist_ok=True)
     write_trace_csv(os.path.join(args["out"], "trace.csv"), traces)
-    timings = {"total": (time.perf_counter() - t0) * 1000.0}
-    _write_manifest(args["out"], "trace", args, ["trace.csv"], timings)
+    _write_manifest(args, t0, ["trace.csv"])
     return 0
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     args = _resolved_args(ns)
     t0 = time.perf_counter()
+    if args["S"] is not None:
+        # The flag stays in the parser so that manifests holding "S": null
+        # replay; a value would be recorded but never run.
+        raise ConfigError("bench takes its subsequence lengths from --S-list, not --S")
     try:
         s_values = [int(v) for v in str(args["S_list"]).split(",") if v]
     except ValueError:
@@ -379,13 +380,9 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     args["solver_max_iters"] = cfg.max_iters  # Anderson's default depends only on eta
 
     os.makedirs(args["out"], exist_ok=True)
-    with open(os.path.join(args["out"], "bench.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "S", "wall_ms", "iters"])
-        for mode, S, wall, iters in rows:
-            writer.writerow([mode, S, f"{wall:.3f}", iters])
-    timings = {"total": (time.perf_counter() - t0) * 1000.0}
-    _write_manifest(args["out"], "bench", args, ["bench.csv"], timings)
+    write_csv(os.path.join(args["out"], "bench.csv"), ["mode", "S", "wall_ms", "iters"],
+              ([mode, S, f"{wall:.3f}", iters] for mode, S, wall, iters in rows))
+    _write_manifest(args, t0, ["bench.csv"])
     return 0
 
 
@@ -402,35 +399,18 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ShapeError(
             f"samples have dimension {moments.mean.size}, target has {mu.size}"
         )
-    result = {
+    payload = _json_text({
         "moments": moments.to_dict(),
         "target": {"mu": mu.tolist(), "var": var.tolist()},
         "w2": gaussian_w2(moments.mean, moments.var_diag, mu, var),
-    }
-    payload = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    })
     sys.stdout.write(payload)
     if args["out"]:
         os.makedirs(args["out"], exist_ok=True)
         with open(os.path.join(args["out"], "eval.json"), "w") as fh:
             fh.write(payload)
-        timings = {"total": (time.perf_counter() - t0) * 1000.0}
-        _write_manifest(args["out"], "eval-w2", args, ["eval.json"], timings)
+        _write_manifest(args, t0, ["eval.json"])
     return 0
-
-
-_COMMANDS = {
-    "sample": cmd_sample,
-    "invert": cmd_invert,
-    "trace": cmd_trace,
-    "bench": cmd_bench,
-    "eval-w2": cmd_eval,
-}
-
-
-def _command_actions(command: str) -> dict[str, argparse.Action]:
-    """The flags of ``command`` by the argument name a manifest records."""
-    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
 
 
 def _fits(action: argparse.Action, value: object) -> bool:
@@ -457,12 +437,15 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
         if field not in manifest:
             raise ParseError(f"manifest missing field '{field}'")
     command = manifest["command"]
-    if not isinstance(command, str) or command not in _COMMANDS:
+    # Any subcommand but rerun itself, whose replay could recurse.
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {name: p for name, p in sub.choices.items() if name != "rerun"}
+    if not isinstance(command, str) or command not in commands:
         raise ParseError(f"manifest names unknown command {command!r}")
     args = manifest["args"]
     if not isinstance(args, dict):
         raise ParseError("manifest field 'args' must be a JSON object")
-    actions = _command_actions(command)
+    actions = {a.dest: a for a in commands[command]._actions if a.dest != "help"}
     expected = actions.keys() | {"command"}
     missing, unknown = sorted(expected - args.keys()), sorted(args.keys() - expected)
     if missing or unknown:
@@ -478,7 +461,7 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
     args = dict(args)
     if ns.out is not None:
         args["out"] = ns.out
-    return _COMMANDS[command](argparse.Namespace(**args))
+    return commands[command].get_default("func")(argparse.Namespace(**args))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,14 +30,13 @@ form and build a fresh chain from their arguments.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .chain import Chain, _check_cotangent, _check_stack, _rollout, _sweep, _x_T_step
 from .errors import DivergenceError, ShapeError
 from .predictors import NoisePredictor
 from .schedule import DiffusionSchedule, TimestepSubsequence
+from .stackio import write_csv
 
 
 #: Adam's moment decay rates and the guard added to the update's denominator.
@@ -236,16 +235,6 @@ def write_gradcheck_report(path: str, rows: list[dict]) -> None:
 
     Each row needs mode, S, D, rtol_measured, and a boolean verdict.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "S", "D", "rtol_measured", "pass"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["mode"],
-                    row["S"],
-                    row["D"],
-                    repr(float(row["rtol_measured"])),
-                    "true" if row["pass"] else "false",
-                ]
-            )
+    write_csv(path, ["mode", "S", "D", "rtol_measured", "pass"],
+              ([row["mode"], row["S"], row["D"], float(row["rtol_measured"]),
+                "true" if row["pass"] else "false"] for row in rows))

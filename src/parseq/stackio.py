@@ -9,7 +9,8 @@ Binary stack layout (little-endian throughout):
     float64     eta noise scale
     S*D float64 row-major payload, finite
 
-Residual traces are ``iter,residual_l2`` with 0-indexed iterations.
+Residual traces are ``iter,residual_l2`` with 0-indexed iterations.  Every
+CSV file parseq writes goes through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -61,12 +62,21 @@ def read_stack(path: str) -> tuple[np.ndarray, int, float]:
     return payload.reshape(S, D).astype(np.float64), int(T), float(eta)
 
 
-def write_residual_csv(path: str, residuals: list[float]) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
+    """The one CSV format: a header row, then ``rows`` in the ``csv``
+    module's default dialect.  Float cells (numpy's too) are written with
+    ``repr``, so they parse back to the same bits; other cells as given."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "residual_l2"])
-        for it, r in enumerate(residuals):
-            writer.writerow([it, repr(float(r))])
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row]
+            for row in rows
+        )
+
+
+def write_residual_csv(path: str, residuals: list[float]) -> None:
+    write_csv(path, ["iter", "residual_l2"], enumerate(residuals))
 
 
 def write_trace_csv(path: str, traces: list[list[float]]) -> None:
@@ -78,16 +88,10 @@ def write_trace_csv(path: str, traces: list[list[float]]) -> None:
     if not traces:
         raise ShapeError("need at least one trace")
     depth = max(len(t) for t in traces)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iter"]
-            + [f"run{j}" for j in range(len(traces))]
-            + ["res_min", "res_max"]
-        )
-        for it in range(depth):
-            present = [t[it] for t in traces if it < len(t)]
-            cells = [repr(float(t[it])) if it < len(t) else "" for t in traces]
-            writer.writerow(
-                [it] + cells + [repr(float(min(present))), repr(float(max(present)))]
-            )
+    header = ["iter"] + [f"run{j}" for j in range(len(traces))] + ["res_min", "res_max"]
+    rows = []
+    for it in range(depth):
+        present = [t[it] for t in traces if it < len(t)]
+        cells = [t[it] if it < len(t) else "" for t in traces]
+        rows.append([it, *cells, min(present), max(present)])
+    write_csv(path, header, rows)

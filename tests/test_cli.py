@@ -253,16 +253,21 @@ class TestManifestRerun:
              "ridge_lambda"),
             ("invert", lambda m: {**m, "args": {**m["args"], "method": "deq-stochastic"}},
              "method"),
+            # rerun's own flags, replaying this very manifest: only leaving
+            # rerun out of the replayable commands stops the recursion.
+            ("rerun", lambda m: m, "rerun"),
         ],
         ids=["number", "list", "args-list", "command-list", "missing-key", "unknown-key",
              "T-text", "eta-text", "mode-unknown", "save_stack-number", "retired-mixing-beta",
-             "retired-history-m", "retired-ridge-lambda", "retired-deq-stochastic"],
+             "retired-history-m", "retired-ridge-lambda", "retired-deq-stochastic",
+             "rerun-named"],
     )
     def test_rerun_rejects_malformed_manifest(self, command, edit, named, tmp_path, capsys):
-        flags = ["--target", str(tmp_path / "target.stack")] if command == "invert" else []
+        path = tmp_path / "manifest.json"
+        flags = {"invert": ["--target", str(tmp_path / "target.stack")],
+                 "rerun": [str(path)]}.get(command, [])
         ns = cli.build_parser().parse_args([command, *flags, "--out", str(tmp_path / "run")])
         args = {k: v for k, v in vars(ns).items() if k != "func"}
-        path = tmp_path / "manifest.json"
         path.write_text(json.dumps(edit({"command": command, "args": args})))
         assert cli.main(["rerun", str(path)]) == 4
         err = capsys.readouterr().err
@@ -500,6 +505,17 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "numeric failure" in res.stderr
 
+    def test_failed_sample_leaves_no_output_directory(self, tmp_path, capsys):
+        # --out is made only once the rollout has finished, as invert,
+        # trace and bench make theirs only after computing.
+        weights = tmp_path / "huge.json"
+        save_mlp(weights, random_mlp(3, [8], np.random.default_rng(0), t_max=20, scale=1e200))
+        code = cli.main(["sample", "--predictor", f"mlp:{weights}", "--T", "20", "--S", "5",
+                         "--mode", "sequential", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.rstrip().endswith("after the step from t=16")
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrace:
     def test_picard_reaches_tol_within_S_rows(self, tmp_path):
@@ -588,6 +604,24 @@ class TestBench:
                 assert int(r[3]) <= 15
             else:
                 assert int(r[3]) == int(r[1])
+
+    def test_S_flag_is_usage_error(self, tmp_path, capsys):
+        # bench runs the --S-list lengths; an --S would be recorded in the
+        # manifest but never run.
+        argv = ["bench", "--predictor", "gaussian", "--D", "3", "--T", "10", "--S-list", "5"]
+        assert cli.main([*argv, "--S", "3", "--out", str(tmp_path / "b")]) == 2
+        assert "--S-list" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+        # A manifest that set it does not replay either; with "S": null it does.
+        assert cli.main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+        assert manifest["args"]["S"] is None
+        assert cli.main(["rerun", str(tmp_path / "ok" / "manifest.json"),
+                         "--out", str(tmp_path / "null")]) == 0
+        manifest["args"]["S"] = 3
+        (tmp_path / "set.json").write_text(json.dumps(manifest))
+        assert cli.main(["rerun", str(tmp_path / "set.json"), "--out", str(tmp_path / "c")]) == 2
+        assert not (tmp_path / "c").exists()
 
 
 class TestEvalW2:
