@@ -25,9 +25,7 @@ is solved by one back-substitution.
 A ``Chain`` holds everything these maps read: the schedule, the
 subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
 checked and built once.  Building it also hands the predictor the chain's
-timesteps once, through ``NoisePredictor.prepare``, so per-timestep terms
-are built once per chain rather than once per call; the kernels still make
-every predictor call, and get the same bits either way.  The private
+timesteps once, through ``NoisePredictor.prepare``.  The private
 kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a chain, and so
 do the solver and gradient routes built on them; ``_x_T_step`` is the
 one-row pullback onto x_T that every gradient route ends in.

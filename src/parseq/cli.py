@@ -6,8 +6,8 @@ arguments, versions, output names, and per-phase timings; `rerun` replays
 a manifest and must reproduce the primary outputs byte for byte (timings
 are the one excluded field).
 
-Exit codes: 0 success, 2 usage/config error, 3 numeric divergence,
-4 I/O or parse error.
+Exit codes: 0 success, 2 usage/config error (sizes that do not fit in
+memory included), 3 numeric divergence, 4 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ from .invert import InversionConfig, invert, run_report
 from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
 from .sampling import draw_noise_stack, draw_x_T, solve_stack
-from .schedule import identity_subsequence, make_linear_beta_schedule, select_subsequence
+from .schedule import (
+    MAX_FLOAT64_LENGTH, identity_subsequence, make_linear_beta_schedule, select_subsequence,
+)
 from .stackio import read_stack, write_csv, write_residual_csv, write_stack, write_trace_csv
 from .solvers import SolverConfig, default_solver_config, picard_budget
 
@@ -158,10 +160,14 @@ def _resolved_args(ns: argparse.Namespace) -> dict:
 
 
 def _build_chain(args: dict) -> Chain:
+    """The chain the flags name.  The dimension that runs, which a predictor
+    file sets, is recorded as ``args["D"]``."""
     if args["subseq"] is not None and args["S"] is None:
         raise ConfigError("--subseq requires --S")
     if args["D"] < 1:
         raise ConfigError(f"--D must be >= 1, got {args['D']}")
+    if args["D"] > MAX_FLOAT64_LENGTH:
+        raise ConfigError(f"--D {args['D']} is too large for a float64 vector")
     schedule = make_linear_beta_schedule(args["T"], eta=args["eta"])
     if args["S"] is not None:
         subsequence = select_subsequence(args["T"], args["S"], args["subseq"] or "linear")
@@ -169,13 +175,12 @@ def _build_chain(args: dict) -> Chain:
         subsequence = identity_subsequence(args["T"])
     kind, _, path = args["predictor"].partition(":")
     if kind == "zero":
+        if path:
+            raise ConfigError("the zero predictor takes no file; its dimension is --D")
         predictor = ZeroPredictor(args["D"])
-    elif kind == "gaussian" and not path:
-        predictor = GaussianOptimalPredictor(
-            np.zeros(args["D"]), np.ones(args["D"]), schedule
-        )
     elif kind == "gaussian":
-        mu, var = load_gaussian_params(path)
+        D = args["D"]
+        mu, var = load_gaussian_params(path) if path else (np.zeros(D), np.ones(D))
         predictor = GaussianOptimalPredictor(mu, var, schedule)
     elif kind == "mlp":
         if not path:
@@ -183,6 +188,7 @@ def _build_chain(args: dict) -> Chain:
         predictor = load_mlp(path, t_max=args["T"])
     else:
         raise ConfigError(f"unknown predictor '{args['predictor']}'")
+    args["D"] = predictor.dim
     return Chain(schedule, subsequence, predictor,
                  _load_noise(args, subsequence.S, predictor.dim))
 
@@ -378,6 +384,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         result = solve_stack(chain, x_T, cfg, args["init"])
         rows.append(["deq-anderson", S, (time.perf_counter() - t1) * 1000.0, result.iters])
     args["solver_max_iters"] = cfg.max_iters  # Anderson's default depends only on eta
+    args["D"] = chain.predictor.dim
 
     os.makedirs(args["out"], exist_ok=True)
     write_csv(os.path.join(args["out"], "bench.csv"), ["mode", "S", "wall_ms", "iters"],
@@ -479,6 +486,10 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (ConfigError, ShapeError) as exc:
         print(f"parseq: usage error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"parseq: usage error: the sizes asked for do not fit in memory: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -9,21 +9,9 @@ timesteps of a sweep in a single call; row i of a batched result is the
 single-row result at (x[i], t[i]), bit for bit for the elementwise
 predictors and up to matrix-product rounding for the MLP.
 
-A predictor may also be told the timesteps a chain will query:
-``prepare(timesteps)``, made once per chain, lets it build per-timestep
-terms ahead of the calls.  It is a hint and never a substitute for them:
-every ``predict`` and ``vjp`` is still made and counted, and gives the
-same bits whether or not ``prepare`` ran, for any timestep, prepared or
-not.
-
-The MLP reuses forward work under the same rule.  Once it has been asked
-for a one-row ``vjp``, i.e. once it is being differentiated, it keeps per
-label the hidden activations of its last one-row ``predict``, with the
-bytes of that input row; a one-row ``vjp`` on the same bytes at the same
-label runs only the backward pass.  So naive backprop, whose S vjps come
-at the rollout's states, runs S forward passes instead of 2S from its
-second call on, while sampling keeps nothing.  ``prepare`` empties what
-is kept.  Every call is still made, and every result keeps its bits.
+A predictor may also be told the timesteps a chain will query, through
+``prepare``; what a predictor keeps between calls, and when it lets it
+go, is stated once, in its own class.
 
 Predictor files are parsed once per content: a load whose file holds the
 bytes its path held last time reuses the parsed, read-only arrays.
@@ -68,10 +56,10 @@ class NoisePredictor(ABC):
     def prepare(self, timesteps: np.ndarray) -> None:
         """Hint that the calls to come query these timesteps, the (S,) labels
         of one chain, which ``Chain`` passes once when it is built.  The
-        default does nothing; an override may build per-timestep terms or
-        drop what it kept for the last chain, but must leave every later
-        ``predict``/``vjp`` result bit for bit as it would be without the
-        hint."""
+        default does nothing.  An override may build terms ahead of the
+        calls or drop what it kept, but it never replaces a call: every
+        ``predict`` and ``vjp`` is still made, and gives the same bits
+        whether or not ``prepare`` ran, for any timestep."""
 
     def _check_state(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -97,19 +85,6 @@ class NoisePredictor(ABC):
         return x, cotangent
 
 
-class ZeroPredictor(NoisePredictor):
-    """Predicts zero noise everywhere; Jacobian is identically zero."""
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
-        return np.zeros(self._check_state(x, t).shape)
-
-    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
-
-
 class ConstantPredictor(NoisePredictor):
     """Predicts a fixed vector regardless of input; zero Jacobian."""
 
@@ -124,6 +99,13 @@ class ConstantPredictor(NoisePredictor):
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
+
+
+class ZeroPredictor(ConstantPredictor):
+    """The constant predictor at zero: +0.0 noise everywhere, zero Jacobian."""
+
+    def __init__(self, dim: int):
+        super().__init__(np.zeros(int(dim)))
 
 
 class GaussianOptimalPredictor(NoisePredictor):
@@ -141,14 +123,15 @@ class GaussianOptimalPredictor(NoisePredictor):
 
     Both calls read eps = gain * (x - shift) off two per-timestep terms,
     gain = sqrt(1 - a_t) / (a_t var + 1 - a_t) and shift = sqrt(a_t) mu.
-    ``prepare`` builds them for one chain's timesteps as one array
-    expression and keeps only that chain's: the batch, found again by the
-    identity of the read-only timesteps array the chain passes (a writable
-    one is copied, so only its rows are found), and its rows by label.
-    Each ``prepare`` replaces what the last one kept.  Any other call builds
-    its terms and does not keep them.  Every term is elementwise IEEE
-    arithmetic on the same operands, so a kept row has the bits of the one
-    built for a single call.
+    One rule checks every label, one int or an (N,) integer array alike:
+    each must lie in 0..T, or the call is a ``ShapeError``.  ``prepare``
+    takes a 1-d integer array and builds its terms as one array expression.
+    It keeps that chain's rows by label and, when the timesteps array is
+    read-only (as ``Chain.timesteps`` is), the batch, found again by that
+    array's identity.  Each ``prepare`` replaces what the last one kept;
+    any other call builds its terms and keeps nothing.  Every term is
+    elementwise IEEE arithmetic on the same operands, so a kept row has
+    the bits of the one built for a single call.
     """
 
     def __init__(self, mu: np.ndarray, var: np.ndarray, schedule: DiffusionSchedule):
@@ -167,31 +150,27 @@ class GaussianOptimalPredictor(NoisePredictor):
         self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _terms(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gain, shift) at one timestep, (D,) each, or at an (N,) batch of
-        them, (N, D) each."""
-        if isinstance(t, np.ndarray):
-            a = self.schedule.alpha_by_t[t][:, None]
-        else:
-            a = self.schedule.alpha_bar(t)
-        return np.sqrt(1.0 - a) / (a * self.var + (1.0 - a)), np.sqrt(a) * self.mu
-
-    def _check_labels(self, t: np.ndarray) -> None:
-        if t.ndim != 1 or t.dtype.kind not in "iu":
+        """(gain, shift) at one int timestep, (D,) each, or at an (N,) array
+        of them, (N, D) each: the one place labels are checked."""
+        batch = isinstance(t, np.ndarray)
+        labels = np.asarray(t)
+        if labels.ndim != (1 if batch else 0) or labels.dtype.kind not in "iu":
             raise ShapeError(
-                f"timesteps must be a 1-d integer array, got {t.dtype} of shape {t.shape}"
+                f"timesteps must be an integer or a 1-d integer array, got "
+                f"{labels.dtype} of shape {labels.shape}"
             )
-        if t.size and not 0 <= t.min() <= t.max() <= self.schedule.T:
+        if labels.size and not 0 <= labels.min() <= labels.max() <= self.schedule.T:
             raise ShapeError(f"timesteps must lie in 0..{self.schedule.T}")
+        a = self.schedule.alpha_by_t[labels]
+        if batch:
+            a = a[:, None]
+        return np.sqrt(1.0 - a) / (a * self.var + (1.0 - a)), np.sqrt(a) * self.mu
 
     def prepare(self, timesteps: np.ndarray) -> None:
         timesteps = np.asarray(timesteps)
-        self._check_labels(timesteps)
-        if timesteps.flags.writeable:
-            timesteps = timesteps.copy()
-            timesteps.setflags(write=False)
         gain, shift = self._terms(timesteps)
         self._rows = dict(zip(timesteps.tolist(), zip(gain, shift)))
-        self._batch = (timesteps, gain, shift)
+        self._batch = None if timesteps.flags.writeable else (timesteps, gain, shift)
 
     def _lookup(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(t, np.ndarray):
@@ -200,7 +179,6 @@ class GaussianOptimalPredictor(NoisePredictor):
         batch = self._batch
         if batch is not None and t is batch[0]:
             return batch[1:]
-        self._check_labels(t)
         return self._terms(t)
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
@@ -226,10 +204,12 @@ class MlpPredictor(NoisePredictor):
     one-row ``vjp``, each one-row ``predict`` at an integer label keeps its
     hidden activations, one entry per label, with the bytes of its input
     row (state and time slot); a one-row ``vjp`` at that label on an input
-    with those bytes reuses them.  Batched calls neither keep nor reuse,
-    and ``prepare`` empties the entries, so at most one chain's labels are
-    held.  The weights are read as fixed: changing them in place leaves
-    the entries stale until the next ``prepare``.
+    with those bytes reuses them.  So rollout backprop, whose S one-row
+    vjps come at the rollout's states, runs S forward passes instead of 2S
+    from its second call on, while sampling keeps nothing.  Batched calls
+    neither keep nor reuse, and ``prepare`` empties the entries, so at most
+    one chain's labels are held.  The weights are read as fixed: changing
+    them in place leaves the entries stale until the next ``prepare``.
     """
 
     def __init__(

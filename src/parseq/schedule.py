@@ -5,9 +5,9 @@ Conventions used throughout the package:
 * Natural timesteps run t = 1..T and map to array index t - 1.  The
   virtual index t = 0 sits below the last transition and carries
   signal product 1, so the final step lands on a fully denoised state.
-* ``alpha_bars[t-1]`` is the running product of (1 - beta_s) for s <= t.
-  ``alpha_by_t[t]``, derived once per schedule and read-only, is the one
-  table every lookup reads: the products by timestep, t = 0 included.
+* ``alpha_by_t[t]``, derived once per schedule and read-only, is the one
+  table of running products of (1 - beta_s) for s <= t, t = 0 included;
+  ``alpha_bars`` is its view from t = 1, so ``alpha_bars[t-1]`` is entry t.
 * A transition from t to its predecessor t_prev mixes the current state,
   the predicted noise, and an optional fresh draw:
 
@@ -36,6 +36,10 @@ ALPHA_BAR_ZERO = 1.0
 # value is provably >= 0, so only a tiny negative from cancellation is
 # forgiven here.  A genuinely negative radicand (eta > 1) still raises.
 _RADICAND_SLACK = 1e-12
+
+#: The longest float64 array numpy can describe, its byte count being an
+#: intp; no array of a greater length can be built at all.
+MAX_FLOAT64_LENGTH = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def sigma_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndarray,
@@ -69,10 +73,10 @@ def c1_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndar
 class DiffusionSchedule:
     """Immutable variance schedule plus the run's noise scale eta.
 
-    Only ``betas`` and ``eta`` are inputs.  ``alpha_bars``, the running
-    products of (1 - beta), and ``alpha_by_t`` are derived from the betas
-    once, read-only.  Schedules compare and hash by identity: the
-    generated field-wise ``==`` would compare arrays and raise."""
+    Only ``betas`` and ``eta`` are inputs.  ``alpha_by_t`` and its view
+    ``alpha_bars`` (see above) are derived from the betas once, read-only.
+    Schedules compare and hash by identity: the generated field-wise
+    ``==`` would compare arrays and raise."""
 
     betas: np.ndarray
     eta: float = 0.0
@@ -85,7 +89,8 @@ class DiffusionSchedule:
             raise ConfigError("betas must be a non-empty 1-d array")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ConfigError("every beta must lie in (0, 1)")
-        alpha_bars = np.cumprod(1.0 - betas)
+        alpha_by_t = np.concatenate([[ALPHA_BAR_ZERO], np.cumprod(1.0 - betas)])
+        alpha_bars = alpha_by_t[1:]
         if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
             raise ConfigError("every alpha_bar must lie in (0, 1)")
         stalls = np.flatnonzero(np.diff(alpha_bars) >= 0.0)
@@ -102,9 +107,7 @@ class DiffusionSchedule:
             )
         if not (np.isfinite(self.eta) and self.eta >= 0.0):
             raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
-        arrays = dict(betas=betas, alpha_bars=alpha_bars,
-                      alpha_by_t=np.concatenate([[ALPHA_BAR_ZERO], alpha_bars]))
-        for name, arr in arrays.items():
+        for name, arr in dict(betas=betas, alpha_by_t=alpha_by_t, alpha_bars=alpha_bars).items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -135,6 +138,8 @@ def make_linear_beta_schedule(
         )
     if beta_end >= 1.0:
         raise ConfigError(f"beta_end must be < 1, got {beta_end}")
+    if T > MAX_FLOAT64_LENGTH:
+        raise ConfigError(f"T={T} is too large for a float64 array")
     return DiffusionSchedule(np.linspace(beta_start, beta_end, T), float(eta))
 
 

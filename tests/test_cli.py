@@ -339,6 +339,23 @@ class TestExitCodes:
         assert err.startswith("parseq: usage error: ")
         assert "alpha_bar(85547)" in err and "underflows float64" in err
 
+    @pytest.mark.parametrize("flag", ["--D", "--T"])
+    @pytest.mark.parametrize("size", [2**59, 2**62, 10**30])
+    def test_impossible_size_is_usage_error(self, tmp_path, flag, size):
+        # 2**59 float64 entries take 4 EiB, which no allocation gets; the
+        # larger sizes are beyond what a numpy array can hold at all.
+        res = run_cli("sample", "--predictor", "zero", flag, size, "--out", tmp_path / "o")
+        assert res.returncode == 2
+        assert res.stderr.startswith("parseq: usage error: ") and "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_predictor_with_a_file_is_usage_error(self, tmp_path, capsys):
+        # The path used to be ignored and recorded in the manifest.
+        argv = ["sample", "--predictor", "zero:g.json", "--D", "4"]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "zero predictor takes no file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_predictor_is_usage_error(self, tmp_path):
         res = run_cli("sample", "--predictor", "resnet", "--out", tmp_path / "x")
         assert res.returncode == 2
@@ -582,6 +599,35 @@ class TestTrace:
                 "--eta", "1", "--runs", "5", "--out", str(tmp_path / "tr")]
         assert cli.main(argv) == 0
         assert builds == [(100,)] * 5
+
+
+class TestResolvedDimension:
+    """A file predictor sets D; the manifest records that D, not --D."""
+
+    @pytest.mark.parametrize("predictor, D", [("gaussian:g3.json", 3), ("mlp:m4.json", 4)])
+    @pytest.mark.parametrize("command", [
+        ["sample", "--mode", "sequential"], ["sample", "--mode", "deq-picard"],
+        ["trace", "--mode", "deq-picard", "--runs", "2"], ["bench", "--S-list", "2,3"],
+        ["invert", "--target", "target.stack", "--epochs", "2"],
+    ], ids=["sample-sequential", "sample-picard", "trace", "bench", "invert"])
+    def test_manifest_records_the_dimension_that_ran(self, tmp_path, monkeypatch,
+                                                     predictor, D, command):
+        monkeypatch.chdir(tmp_path)
+        save_gaussian("g3.json", np.zeros(3), np.ones(3))
+        save_mlp("m4.json", random_mlp(4, [5], np.random.default_rng(0), t_max=12))
+        write_stack("target.stack", np.full(D, 0.5), 12, 0.0)
+        assert cli.main([*command, "--predictor", predictor, "--T", "12", "--out", "out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["args"]["D"] == D
+        if command[0] == "invert":
+            assert json.loads((tmp_path / "out" / "run.json").read_text())["config"]["D"] == D
+        # run.json records --out, so the rerun writes where the first run did.
+        outputs = {name: (tmp_path / "out" / name).read_bytes()
+                   for name in manifest["outputs"] if name != "bench.csv"}  # wall_ms
+        for name in outputs:
+            (tmp_path / "out" / name).unlink()
+        assert cli.main(["rerun", "out/manifest.json"]) == 0
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in outputs} == outputs
 
 
 class TestBench:
@@ -836,32 +882,32 @@ INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
         "7afe17d5c631f3906a2e843b0bf892e5918d0087a7fca02a8824c363338ba18e",
         "ced2670c8b9693e3acec8101b2eb96ec607ae7dea448ff90da3845aabcfc7a5f",
-        "e55c38fadf75469f7159ae10356d4b61730de7fc5f068cac6336efc7f0d2f5ca",
+        "8ce026f6f6a499e1694dffb567845d542cc9433c319619c77a8be5e1558e1993",
     ),
     ("naive", "phantom", "1"): (
         "ae9ac2c776029d10a7d4090b4cf5cc748c336c289f8e9787201903a482dd66ac",
         "ec32e093dd4562c4e6e5aefd63169433e67b51989312ac25d75453f12e7342f3",
-        "ad460eb30cd276263c16d1f18577b0441bd6dfd877c9ea4e415edbfe6a346e0e",
+        "b11f4177fd170fbc54d51c938a7543110246cdd864b80b4b530814e859db1427",
     ),
     ("deq", "phantom", "0"): (
         "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
         "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
-        "7a54379c39a13cb4a18f5e0e4d10c726794b2cbc3e234ec30400d3037d21b0ae",
+        "672880175a871a28564349c2969f7d7dab903fdabb26236be84740c60eaa95b4",
     ),
     ("deq", "exact", "0"): (
         "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
         "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
-        "f2f1c9e6e39b105986665b65b006ed97a3087cd42c4f9885310a8abeef849e2a",
+        "9da87fa728a8cb805512ff9bfdd4e2ced24e8840c839507c047cc2b78106a213",
     ),
     ("deq", "phantom", "1"): (
         "fdc587c2db8389d26115094eadd44319457246812ded8c5d74b96e340d352f30",
         "d8baeb5dcd38a6d80999a5f580b4d13819a9bd7211115838904eb5d74b1b6aab",
-        "1ff395145699b3741a579f980755d93d68c84383bfb0b9aefbcc2a3ff39b754e",
+        "d4a4698006e7c1a85221d05572a2d78f1c3686e17a4986677c90ecaeb9d68e2e",
     ),
     ("deq", "exact", "1"): (
         "2b3f663693b99c59416a0e12d74b935562c2b4b5a0bf892070f04fbc870579c4",
         "75710a82748df66174ae11f53048de4dc3df736d9589d683050ce4e24566eaad",
-        "6df554f1559a1cb395296746f4f88a6e76252a1a65d76b5a2f4a6b4330515bdd",
+        "f3566d0dea6bdb8c6c934bacc8b1b7094b4203f70861c82ee254c5485f77c925",
     ),
 }
 
@@ -1086,6 +1132,21 @@ class TestArgvBoundary:
             code = _exit_code(argv + ["--out", out])
         bad_threads = threads is not None and threads < 1
         assert code == (2 if bad_threads or seed < 0 or D < 1 or _bad_tol(tol) else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 73_253 is the shortest default schedule whose product underflows;
+        # the huge sizes are past any allocation (2**59 float64 is 4 EiB).
+        T=st.one_of(st.integers(1, 50), st.sampled_from([73_253, 2**59, 2**62, 10**30])),
+        D=st.one_of(st.integers(1, 8), st.sampled_from([2**59, 2**62, 10**30])),
+        predictor=st.sampled_from(["zero", "gaussian", "zero:x.json"]),
+    )
+    def test_sizes_exit_success_or_usage_error(self, T, D, predictor):
+        argv = ["sample", "--mode", "sequential", "--predictor", predictor,
+                "--T", str(T), "--D", str(D)]
+        with tempfile.TemporaryDirectory() as out:
+            code = cli.main(argv + ["--out", out])
+        assert code == (0 if T <= 50 and D <= 8 and predictor != "zero:x.json" else 2)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,6 +6,7 @@ import pytest
 from parseq import (
     Chain,
     ConfigError,
+    DivergenceError,
     GaussianOptimalPredictor,
     InversionConfig,
     SolverConfig,
@@ -273,6 +274,57 @@ class TestInvertDeq:
         fast = run("phantom", 0.01)
         assert fast.best_loss <= 1e-4
         assert fast.epochs_run < phantom.epochs_run
+
+
+class PoisonedGaussian(GaussianOptimalPredictor):
+    """The Gaussian predictor, except that the first batched ``predict``
+    made after ``after_vjps`` vjp calls returns inf.  A phantom-gradient
+    epoch ends in one vjp, so ``after_vjps=k`` poisons the first sweep of
+    epoch k's solve; None poisons nothing."""
+
+    def __init__(self, mu, var, schedule, after_vjps):
+        super().__init__(mu, var, schedule)
+        self.after_vjps, self.vjps, self.poisoned = after_vjps, 0, False
+
+    def predict(self, x, t):
+        if np.ndim(x) == 2 and self.vjps == self.after_vjps and not self.poisoned:
+            self.poisoned = True
+            return np.full(np.shape(x), np.inf)
+        return super().predict(x, t)
+
+    def vjp(self, x, t, cotangent):
+        self.vjps += 1
+        return super().vjp(x, t, cotangent)
+
+
+class TestInvertErrorPaths:
+    MU, VAR, TARGET = np.array([0.3, -0.2]), np.array([0.7, 1.4]), np.array([0.5, -0.4])
+
+    def _run(self, after_vjps):
+        # Exact Picard: S + 1 sweeps at tol 0 reach the fixed point from any init.
+        sched, sub = small_chain()
+        pred = PoisonedGaussian(self.MU, self.VAR, sched, after_vjps)
+        cfg = InversionConfig(epochs=5, lr=0.05, seed=2,
+                              solver=SolverConfig("picard", sub.S + 1, 0.0))
+        return invert(self.TARGET, cfg, Chain(sched, sub, pred)), pred
+
+    def test_diverged_warm_start_retries_from_the_stock_init(self):
+        clean, _ = self._run(None)
+        run, pred = self._run(1)
+        assert pred.poisoned
+        assert run.epochs_run == clean.epochs_run == 5
+        assert run.x_T_hat.tobytes() == clean.x_T_hat.tobytes()
+        assert run.loss_trace == clean.loss_trace
+
+    def test_divergence_at_epoch_zero_is_raised(self):
+        with pytest.raises(DivergenceError, match=r"^stack solve diverged at inversion epoch 0$"):
+            self._run(0)
+
+    def test_target_must_be_one_state(self):
+        sched, sub = small_chain()
+        chain = Chain(sched, sub, ZeroPredictor(2))
+        with pytest.raises(ConfigError, match="single state vector"):
+            invert(np.zeros((1, 2)), InversionConfig(epochs=1), chain)
 
 
 class TestInvertDeqStochastic:

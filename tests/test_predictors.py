@@ -50,6 +50,15 @@ class TestTrivialPredictors:
         assert p.predict(np.array([9.0, 9.0]), 7).tolist() == [1.5, -0.5]
         assert p.vjp(np.zeros(2), 1, np.ones(2)).tolist() == [0.0, 0.0]
 
+    def test_zero_is_the_constant_predictor_at_zero(self):
+        # One implementation: both calls give +0.0, never -0.0, for a row or a batch.
+        p = ZeroPredictor(3)
+        assert isinstance(p, ConstantPredictor) and p.dim == 3
+        assert "predict" not in vars(ZeroPredictor) and "vjp" not in vars(ZeroPredictor)
+        x, t = -np.ones((2, 3)), np.array([1, 2])
+        for out in (p.predict(x, t), p.vjp(x, t, x), p.predict(x[0], 1), p.vjp(x[0], 1, x[0])):
+            assert out.tobytes() == np.zeros(out.shape).tobytes()
+
     def test_shape_mismatch(self):
         p = ZeroPredictor(3)
         with pytest.raises(ShapeError):
@@ -210,6 +219,28 @@ class TestPreparedGaussianTerms:
             p.predict(x, t)
         with pytest.raises(ShapeError, match=r"timesteps must lie in 0\.\.100"):
             p.vjp(x, t, x)
+
+    @pytest.mark.parametrize("label", [-1, 101, 10**30, 2.5])
+    def test_unprepared_row_refuses_labels_outside_the_schedule(self, label):
+        # One label rule for a row and a batch: a ShapeError, not an IndexError.
+        p = self.predictor(0.0)
+        p.prepare(np.array([1, 2]))
+        x = np.ones(6)
+        with pytest.raises(ShapeError, match="timesteps must"):
+            p.predict(x, label)
+        with pytest.raises(ShapeError, match="timesteps must"):
+            p.vjp(x, label, x)
+
+    def test_prepare_keeps_the_batch_of_read_only_timesteps_only(self):
+        # No caller holds a copy of a writable array, so its batch could
+        # never be found again; its rows still are.
+        p = self.predictor(0.0)
+        taus = np.array([3, 17, 40])
+        p.prepare(taus)
+        assert p._batch is None and list(p._rows) == [3, 17, 40]
+        taus.setflags(write=False)
+        p.prepare(taus)
+        assert p._batch[0] is taus and list(p._rows) == [3, 17, 40]
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "mlp"])
     def test_prepare_is_a_no_op_elsewhere(self, sched, kind):

@@ -86,6 +86,15 @@ class TestLinearBetaSchedule:
         with pytest.raises(TypeError):
             DiffusionSchedule(betas, alpha_bars=np.cumprod(1.0 - betas))
 
+    def test_alpha_bars_is_a_view_of_the_one_table(self):
+        sched = make_linear_beta_schedule(50)
+        assert sched.alpha_bars.base is sched.alpha_by_t
+
+    @pytest.mark.parametrize("T", [2**62, 10**30])
+    def test_length_beyond_any_float64_array_is_refused(self, T):
+        with pytest.raises(ConfigError, match="too large for a float64 array"):
+            make_linear_beta_schedule(T)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
