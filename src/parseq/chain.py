@@ -222,22 +222,30 @@ def sequential_rollout(
     return _rollout(Chain(schedule, subsequence, predictor, noise), x_T)
 
 
-def _rollout(chain: Chain, x_T: np.ndarray) -> np.ndarray:
+def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
+    """The rollout's (S, D) stack; with ``keep``, also the predictor's vjp
+    state at each position p, in slot p - 1, from the forward pass of its
+    prediction, which the rollout's gradient reads."""
     coeffs, predictor, noise = chain.coeffs, chain.predictor, chain.scaled_noise
     S = coeffs.S
     x = np.asarray(x_T, dtype=np.float64)
     y = x / coeffs.sqrt_alpha[S]
     states = np.empty((S, x.size))
+    kept = [None] * S if keep else None
     for p in range(S, 0, -1):
         t = int(coeffs.taus[p])
-        u = coeffs.scaled_c1[p] * predictor.predict(x, t)
+        if kept is None:
+            eps = predictor.predict(x, t)
+        else:
+            eps, kept[p - 1] = predictor.predict_and_state(x, t)
+        u = coeffs.scaled_c1[p] * eps
         if noise is not None:
             u += noise[p - 1]
         y = y + u
         x = states[S - p] = coeffs.sqrt_alpha[p - 1] * y
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite state after the step from t={t}")
-    return states
+    return states if kept is None else (states, kept)
 
 
 def h_tilde(
@@ -327,11 +335,16 @@ def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
     return cotangent
 
 
-def _x_T_step(chain: Chain, x_T: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+def _x_T_step(
+    chain: Chain, x_T: np.ndarray, prefix: np.ndarray, state: list | None = None
+) -> np.ndarray:
     """The x_T cotangent of the prefix P_S = sum_{j < S} sqrt(A_j) v_j:
     x_T's direct weight 1 / sqrt(A_S) plus transition S's term, from one
-    one-row vjp.  Every gradient route ends here."""
-    coeffs = chain.coeffs
+    one-row vjp, which reads ``state``, the vjp state at x_T, when given.
+    Every gradient route ends here."""
+    coeffs, predictor = chain.coeffs, chain.predictor
     S = coeffs.S
-    pulled = chain.predictor.vjp(x_T, int(coeffs.taus[S]), prefix)
+    t = int(coeffs.taus[S])
+    pulled = (predictor.vjp(x_T, t, prefix) if state is None
+              else predictor.vjp_from(state, x_T, t, prefix))
     return prefix / coeffs.sqrt_alpha[S] + coeffs.scaled_c1[S] * pulled

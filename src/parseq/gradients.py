@@ -11,16 +11,19 @@ onto x_T (``chain._x_T_step``):
 * ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
   fixed point.  The Jacobian J of ``h_tilde`` is strictly triangular, so
   the system is solved exactly by one back-substitution from the x_0 row
-  up, one one-row predictor vjp per position; the x_T step adds the
-  last, S in all.
+  up: one batched forward pass builds the predictor's vjp state at the
+  S - 1 stack rows it reads, and each position then runs only a one-row
+  backward pass; the x_T step adds one one-row vjp.
 * ``rollout_backprop_grad`` backpropagates through the sequential sampler
-  with its O(S D) forward stack kept: it is ``exact_ift_grad`` on the
-  rollout's stack, so the two are equal bit for bit for every predictor.
+  with its O(S D) forward stack kept: it is the same back-substitution on
+  the rollout's stack, reading the vjp states of the rollout's own one-row
+  forward passes, so it runs S forward passes in all.
 
 ``_back_substitute`` is the one back-substitution: ``exact_ift_grad`` hands
-it the denoised-row seed alone, and ``adjoint_solve`` any stack seed.  The
-stack solves these routes differentiate at run in ``solvers.solve``, under
-the budgets of ``solvers``.
+it the denoised-row seed alone, ``adjoint_solve`` any stack seed, and the
+rollout gradient its own states.  The stack solves these routes
+differentiate at run in ``solvers.solve``, under the budgets of
+``solvers``.
 
 All three return (loss, gradient) where loss is the value of the scalar
 function actually differentiated.  The first two take a ``Chain``;
@@ -113,7 +116,7 @@ def phantom_grad(
 
 
 def _back_substitute(
-    chain: Chain, stack_star: np.ndarray, seed: np.ndarray
+    chain: Chain, stack_star: np.ndarray, seed: np.ndarray, states: list | None = None
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
 
@@ -122,15 +125,21 @@ def _back_substitute(
     None.  The Jacobian is strictly triangular, so the solve is one
     back-substitution from the x_0 row up.  Nothing reads x_0, so v_0 is
     its seed; v_p = seed_p + c1_p / sqrt(A_{p-1}) vjp(x_p, tau_p, P_p)
-    needs only the prefix P_p = sum_{j < p} sqrt(A_j) v_j, one one-row vjp
-    per position.  Sums and products run in the order of ``h_tilde_vjp``,
-    so v is the fixed point of its stack cotangent bit for bit wherever a
-    one-row vjp matches the batched one.  A zero seed row would only turn a
-    -0.0 in v_p into +0.0, which leaves every prefix, started from +0.0,
-    unchanged; so both seed forms give the same P_S.  Returns v and the
-    full prefix P_S, which ``_x_T_step`` pulls onto x_T.
+    needs only the prefix P_p = sum_{j < p} sqrt(A_j) v_j, one one-row
+    backward pass per position.  ``states[p - 1]`` is the predictor's vjp
+    state at position p; without them, one batched ``vjp_state`` over the
+    S - 1 stack rows read builds them, so ``exact_ift_grad`` and
+    ``adjoint_solve`` see the same bits.  Sums and products run in the order of
+    ``h_tilde_vjp``, so v is the fixed point of its stack cotangent up to
+    the rounding of the predictor's batched forward pass.  A zero seed row
+    would only turn a -0.0 in v_p into +0.0, which leaves every prefix,
+    started from +0.0, unchanged; so both seed forms give the same P_S.
+    Returns v and the full prefix P_S, which ``_x_T_step`` pulls onto x_T.
     """
-    coeffs, S = chain.coeffs, chain.S
+    coeffs, S, predictor = chain.coeffs, chain.S, chain.predictor
+    if states is None and S > 1:
+        batch = predictor.vjp_state(stack_star[S - 2::-1], chain.timesteps[: S - 1])
+        states = [None if batch is None else [s[i] for s in batch] for i in range(S - 1)]
     # Python floats multiply an array faster than numpy scalars do.
     sqrt_alpha, scaled_c1, taus = (a.tolist() for a in (coeffs.sqrt_alpha, coeffs.scaled_c1,
                                                         coeffs.taus))
@@ -142,7 +151,7 @@ def _back_substitute(
     for p in range(1, S):
         row = S - 1 - p
         prefix = prefix + sqrt_alpha[p - 1] * v_p
-        v_p = scaled_c1[p] * chain.predictor.vjp(stack_star[row], taus[p], prefix)
+        v_p = scaled_c1[p] * predictor.vjp_from(states[p - 1], stack_star[row], taus[p], prefix)
         if v is not None:
             v_p = np.add(seed[row], v_p, out=v[row])
     return v, prefix + sqrt_alpha[S - 1] * v_p
@@ -173,7 +182,11 @@ def adjoint_solve(
 
 
 def exact_ift_grad(
-    chain: Chain, stack_star: np.ndarray, x_T: np.ndarray, target_x0: np.ndarray
+    chain: Chain,
+    stack_star: np.ndarray,
+    x_T: np.ndarray,
+    target_x0: np.ndarray,
+    states: list | None = None,
 ) -> tuple[float, np.ndarray]:
     """Implicit-function gradient through the fixed point.
 
@@ -181,18 +194,29 @@ def exact_ift_grad(
     dL/dx_T = v @ dh/dx_T with v the adjoint solution seeded by
     dL/dstack*, which lives entirely in the denoised row.  So this is
     ``_back_substitute`` on that one-row seed, then ``_x_T_step`` of its
-    prefix P_S: S one-row vjp calls and no forward call.  On the rollout's
-    stack this is backprop through the sequential sampler
-    (``rollout_backprop_grad``).
+    prefix P_S: one batched forward pass of S - 1 rows, S - 1 one-row
+    backward passes and one one-row vjp, and no ``predict`` call.
+    ``states``, the predictor's vjp states at positions 1..S as
+    ``_rollout`` keeps them, replace both forward passes.
     """
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
-    _, prefix = _back_substitute(chain, stack_star, seed)
-    grad = _x_T_step(chain, x_T, prefix)
+    _, prefix = _back_substitute(chain, stack_star, seed, states)
+    grad = _x_T_step(chain, x_T, prefix, None if states is None else states[S - 1])
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
     return loss, grad
+
+
+def _rollout_grad(
+    chain: Chain, x_T: np.ndarray, target_x0: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Backprop through the sequential sampler: the rollout is the fixed
+    point, so this is the implicit gradient on the rollout's stack, with
+    the vjp states of the rollout's own forward passes."""
+    stack, states = _rollout(chain, x_T, keep=True)
+    return exact_ift_grad(chain, stack, x_T, target_x0, states)
 
 
 def rollout_backprop_grad(
@@ -205,13 +229,13 @@ def rollout_backprop_grad(
 ) -> tuple[float, np.ndarray]:
     """Differentiate the sequential sampler by reverse sweep over its steps.
 
-    Keeps the rollout's O(S D) stack and runs ``exact_ift_grad`` on it:
-    the rollout is the fixed point, so backprop through the chain and the
-    implicit gradient are one computation.  S one-row forward calls and S
-    one-row vjp calls.
+    Keeps the rollout's O(S D) stack and the predictor's vjp state at each
+    of its S one-row forward calls, then runs the back-substitution of
+    ``exact_ift_grad`` on them: the rollout is the fixed point, so backprop
+    through the chain and the implicit gradient are one computation.  S
+    one-row forward passes and S one-row backward passes.
     """
-    chain = Chain(schedule, subsequence, predictor, noise)
-    return exact_ift_grad(chain, _rollout(chain, x_T), x_T, target_x0)
+    return _rollout_grad(Chain(schedule, subsequence, predictor, noise), x_T, target_x0)
 
 
 def central_difference_grad(

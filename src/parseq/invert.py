@@ -4,7 +4,8 @@
 picks how each epoch takes its gradient:
 
 * ``"rollout"`` differentiates the sequential sampler end to end, as
-  ``exact_ift_grad`` on the rollout's stack.
+  ``rollout_backprop_grad`` does: the back-substitution of
+  ``exact_ift_grad`` on the rollout's stack and its forward states.
 * ``"phantom"`` and ``"exact_ift"`` solve the joint system for the stack
   with ``solvers.solve``, the one fixed-point loop, and take a cheap
   phantom or an exact implicit gradient at the fixed point (the exact one
@@ -28,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, _rollout
+from .chain import Chain
 from .errors import ConfigError, DivergenceError
-from .gradients import Adam, exact_ift_grad, phantom_grad
+from .gradients import Adam, _rollout_grad, exact_ift_grad, phantom_grad
 from .sampling import draw_x_T, solve_stack
 from .solvers import SolverConfig, picard_budget
 
@@ -101,7 +102,7 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
     warm: np.ndarray | None = None
     for epoch in range(cfg.epochs):
         if cfg.gradient_mode == "rollout":
-            loss, grad = exact_ift_grad(chain, _rollout(chain, x_T), x_T, target)
+            loss, grad = _rollout_grad(chain, x_T, target)
         else:
             try:
                 result = solve_stack(chain, x_T, solver_cfg, cfg.init if warm is None else warm)

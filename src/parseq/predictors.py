@@ -9,9 +9,12 @@ timesteps of a sweep in a single call; row i of a batched result is the
 single-row result at (x[i], t[i]), bit for bit for the elementwise
 predictors and up to matrix-product rounding for the MLP.
 
-A predictor may also be told the timesteps a chain will query, through
-``prepare``; what a predictor keeps between calls, and when it lets it
-go, is stated once, in its own class.
+The forward state a vjp reads is held by the caller, in the style of
+``jax.vjp``: ``vjp_state`` and ``predict_and_state`` return it and
+``vjp_from`` runs only the backward pass on it, so one forward pass, batched
+or one-row, can serve many backward passes.  A predictor keeps nothing
+between calls, except what ``prepare`` lets the Gaussian one build for the
+timesteps a chain will query.
 
 Predictor files are parsed once per content: a load whose file holds the
 bytes its path held last time reuses the parsed, read-only arrays.
@@ -53,23 +56,41 @@ class NoisePredictor(ABC):
         """cotangent^T @ (d predict / d x) evaluated row by row at (x, t);
         cotangent and result have the shape of x."""
 
+    def vjp_state(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray] | None:
+        """What ``vjp_from`` reads of the forward pass at (x, t): None, the
+        default, for a predictor whose vjp reads none of it; else a list of
+        arrays whose leading axis runs over a batch's rows, row i's state
+        being ``[s[i] for s in state]``."""
+        return None
+
+    def predict_and_state(self, x: np.ndarray, t: int | np.ndarray):
+        """``predict(x, t)`` and ``vjp_state(x, t)``, from one forward pass
+        where the predictor can share it."""
+        return self.predict(x, t), self.vjp_state(x, t)
+
+    def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
+        """``vjp(x, t, cotangent)`` given ``state``, the ``vjp_state`` at
+        (x, t) or a row of a batch's; only the backward pass runs.  The
+        default is ``vjp`` itself."""
+        return self.vjp(x, t, cotangent)
+
     def prepare(self, timesteps: np.ndarray) -> None:
         """Hint that the calls to come query these timesteps, the (S,) labels
         of one chain, which ``Chain`` passes once when it is built.  The
         default does nothing.  An override may build terms ahead of the
-        calls or drop what it kept, but it never replaces a call: every
-        ``predict`` and ``vjp`` is still made, and gives the same bits
-        whether or not ``prepare`` ran, for any timestep."""
+        calls, but it never replaces a call: every call is still made, and
+        gives the same bits whether or not ``prepare`` ran, for any
+        timestep."""
 
     def _check_state(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape == (self.dim,):
+        if x.shape == (self.dim,) and not isinstance(t, np.ndarray):
             return x
         if x.ndim == 2 and x.shape[1] == self.dim and np.shape(t) == x.shape[:1]:
             return x
         raise ShapeError(
-            f"expected a state ({self.dim},) or a batch (N, {self.dim}) with (N,) "
-            f"timesteps, got state {x.shape} and timesteps {np.shape(t)}"
+            f"expected a state ({self.dim},) with one timestep or a batch (N, {self.dim}) "
+            f"with (N,) timesteps, got state {x.shape} and timesteps {np.shape(t)}"
         )
 
     def _check_vjp(
@@ -199,17 +220,9 @@ class MlpPredictor(NoisePredictor):
     runtime parameter (normally the chain length T), not part of the
     serialized weights.
 
-    The backward pass reads only the hidden activations, so a ``vjp``
-    stops its own forward pass before the head layer.  After the first
-    one-row ``vjp``, each one-row ``predict`` at an integer label keeps its
-    hidden activations, one entry per label, with the bytes of its input
-    row (state and time slot); a one-row ``vjp`` at that label on an input
-    with those bytes reuses them.  So rollout backprop, whose S one-row
-    vjps come at the rollout's states, runs S forward passes instead of 2S
-    from its second call on, while sampling keeps nothing.  Batched calls
-    neither keep nor reuse, and ``prepare`` empties the entries, so at most
-    one chain's labels are held.  The weights are read as fixed: changing
-    them in place leaves the entries stale until the next ``prepare``.
+    The backward pass reads only the tanh' factors 1 - h**2 of the hidden
+    layers, so they are the forward state: built elementwise, once per
+    forward pass, batched or one-row.
     """
 
     def __init__(
@@ -246,55 +259,36 @@ class MlpPredictor(NoisePredictor):
         self.widths = widths
         self.t_max = int(t_max)
         self.dim = widths[-1]
-        # None until the first one-row vjp; then label -> (input row bytes,
-        # hidden activations) of the last one-row predict at that label.
-        self._kept: dict[int, tuple[bytes, list[np.ndarray]]] | None = None
 
-    def prepare(self, timesteps: np.ndarray) -> None:
-        if self._kept is not None:
-            self._kept = {}
-
-    def _input(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
-        # States sit along the last axis, one per row of a batch, so every
-        # layer multiplies from the right.  Only the time slot differs.
-        if x.ndim == 2:
-            return np.concatenate([x, (t / self.t_max)[:, None]], axis=1)
-        return np.concatenate([x, [t / self.t_max]])
-
-    def _hidden(self, a: np.ndarray) -> list[np.ndarray]:
-        """The tanh activations of every hidden layer for the input a."""
-        hidden = []
+    def _layers(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
+        """The input with its time slot, then every hidden layer's tanh
+        activations.  States sit along the last axis, one per row of a
+        batch, so every layer multiplies from the right."""
+        x = self._check_state(x, t)
+        slot = (t / self.t_max)[:, None] if x.ndim == 2 else [t / self.t_max]
+        layers = [np.concatenate([x, slot], axis=-1)]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ w.T + b)
-            hidden.append(a)
-        return hidden
-
-    @staticmethod
-    def _label(x: np.ndarray, t: int | np.ndarray) -> int | None:
-        """The entry key of a one-row call at an integer label, else None."""
-        return int(t) if x.ndim == 1 and isinstance(t, (int, np.integer)) else None
+            layers.append(np.tanh(layers[-1] @ w.T + b))
+        return layers
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
-        x = self._check_state(x, t)
-        a = self._input(x, t)
-        hidden = self._hidden(a)
-        if self._kept is not None and (label := self._label(x, t)) is not None:
-            self._kept[label] = (a.tobytes(), hidden)
-        return (hidden[-1] if hidden else a) @ self.weights[-1].T + self.biases[-1]
+        return self._layers(x, t)[-1] @ self.weights[-1].T + self.biases[-1]
+
+    def predict_and_state(self, x: np.ndarray, t: int | np.ndarray):
+        layers = self._layers(x, t)
+        return layers[-1] @ self.weights[-1].T + self.biases[-1], [1.0 - h**2 for h in layers[1:]]
+
+    def vjp_state(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
+        return [1.0 - h**2 for h in self._layers(x, t)[1:]]  # tanh' = 1 - tanh^2
+
+    def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
+        g = self._check_vjp(x, t, cotangent)[1] @ self.weights[-1]
+        for w, factor in zip(self.weights[-2::-1], state[::-1]):
+            g = (g * factor) @ w
+        return g[..., :-1]
 
     def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        x, g = self._check_vjp(x, t, cotangent)
-        a = self._input(x, t)
-        label = self._label(x, t)
-        if x.ndim == 1 and self._kept is None:
-            self._kept = {}  # differentiated: one-row predicts keep from now on
-        entry = None if label is None else self._kept.get(label)
-        hidden = entry[1] if entry is not None and entry[0] == a.tobytes() else self._hidden(a)
-        g = g @ self.weights[-1]
-        for w, h in zip(self.weights[-2::-1], hidden[::-1]):
-            # h is tanh(z); tanh' = 1 - tanh^2.
-            g = (g * (1.0 - h**2)) @ w
-        return g[..., :-1]
+        return self.vjp_from(self.vjp_state(x, t), x, t, cotangent)
 
 
 def random_mlp(

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,10 @@ ALPHA_BAR_ZERO = 1.0
 # value is provably >= 0, so only a tiny negative from cancellation is
 # forgiven here.  A genuinely negative radicand (eta > 1) still raises.
 _RADICAND_SLACK = 1e-12
+
+#: -ln of the smallest positive float64, 5e-324: a signal product whose
+#: betas sum past it lies below every positive float64.
+_LN_SMALLEST_SUBNORMAL = -math.log(5e-324)
 
 #: The longest float64 array numpy can describe, its byte count being an
 #: intp; no array of a greater length can be built at all.
@@ -140,6 +145,15 @@ def make_linear_beta_schedule(
         raise ConfigError(f"beta_end must be < 1, got {beta_end}")
     if T > MAX_FLOAT64_LENGTH:
         raise ConfigError(f"T={T} is too large for a float64 array")
+    # -ln(1 - beta) >= beta, so alpha_bar(T) <= exp(-sum of the betas): past
+    # this bound the product underflows float64 for certain, and the
+    # schedule is refused before any array of length T is built.
+    beta_sum = T * (beta_start + beta_end) / 2.0
+    if beta_sum > _LN_SMALLEST_SUBNORMAL:
+        raise ConfigError(
+            f"the {T} betas from {beta_start} to {beta_end} sum to {beta_sum:.6g}, past "
+            f"-ln(5e-324) = {_LN_SMALLEST_SUBNORMAL:.6g}; the signal product underflows float64"
+        )
     return DiffusionSchedule(np.linspace(beta_start, beta_end, T), float(eta))
 
 

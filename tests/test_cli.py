@@ -337,7 +337,7 @@ class TestExitCodes:
                          "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parseq: usage error: ")
-        assert "alpha_bar(85547)" in err and "underflows float64" in err
+        assert "sum to 1005, past -ln(5e-324)" in err and "underflows float64" in err
 
     @pytest.mark.parametrize("flag", ["--D", "--T"])
     @pytest.mark.parametrize("size", [2**59, 2**62, 10**30])

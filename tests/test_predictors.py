@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import sys
 import threading
 import time
@@ -17,7 +18,6 @@ from parseq import (
     ParseError,
     SchemaError,
     ShapeError,
-    SolverConfig,
     ZeroPredictor,
     central_difference_grad,
     load_gaussian_params,
@@ -27,7 +27,6 @@ from parseq import (
     save_gaussian,
     save_mlp,
     select_subsequence,
-    solve_stack,
 )
 from parseq.chain import _rollout
 
@@ -67,6 +66,19 @@ class TestTrivialPredictors:
             p.predict(np.zeros((2, 3)), 1)
         with pytest.raises(ShapeError):
             p.predict(np.zeros((2, 3)), np.array([1, 2, 3]))
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
+def test_one_state_with_an_array_of_labels_is_a_shape_error(sched, kind):
+    # One (D,) state takes one label; an array of them used to give an
+    # (N, D) result, a (D,) one or numpy's ValueError, by predictor.
+    p = make_predictor(kind, sched, np.random.default_rng(57))
+    x = np.ones(4)
+    for labels in (np.array([1, 2, 3]), np.array([5])):
+        for call in (lambda: p.predict(x, labels), lambda: p.vjp(x, labels, x),
+                     lambda: p.predict_and_state(x, labels)):
+            with pytest.raises(ShapeError, match="a state \\(4,\\) with one timestep"):
+                call()
 
 
 def make_predictor(kind, sched, rng):
@@ -411,82 +423,60 @@ class TestMlpPredictor:
             load_mlp(str(path))
 
 
-class TestMlpKeptActivations:
-    """Once asked for a one-row vjp, the MLP keeps each label's hidden
-    activations from its last one-row predict, and a one-row vjp on the same
-    input row runs only the backward pass; every other call computes."""
+class TestForwardState:
+    """The caller holds the forward state a vjp reads: ``vjp_state`` and
+    ``predict_and_state`` return it, ``vjp_from`` reads it, and the
+    predictor itself keeps nothing from one call to the next."""
 
-    @staticmethod
-    def passes(monkeypatch, p):
-        """The input rows of the forward passes ``p`` runs from now on."""
-        rows = []
-        hidden = p._hidden
-        monkeypatch.setattr(p, "_hidden", lambda a: rows.append(a.tobytes()) or hidden(a))
-        return rows
+    @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp", "mlp-linear"])
+    def test_state_calls_give_the_bits_of_predict_and_vjp(self, sched, kind):
+        rng = np.random.default_rng(54)
+        p = (random_mlp(4, [], rng, t_max=100) if kind == "mlp-linear"
+             else make_predictor(kind, sched, rng))
+        x, u, t = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), np.array(
+            [1, 7, 7, 60, 100])
+        for xs, ts, us in [(x, t, u), (x[2], 7, u[2])]:
+            eps, state = p.predict_and_state(xs, ts)
+            assert eps.tobytes() == p.predict(xs, ts).tobytes()
+            if kind.startswith("mlp"):
+                assert [s.tobytes() for s in state] == [s.tobytes() for s in p.vjp_state(xs, ts)]
+            else:
+                assert state is None and p.vjp_state(xs, ts) is None
+            assert p.vjp_from(state, xs, ts, us).tobytes() == p.vjp(xs, ts, us).tobytes()
 
-    @staticmethod
-    def fresh(p):
-        return MlpPredictor(p.widths, p.weights, p.biases, t_max=p.t_max)
+    @pytest.mark.parametrize("kind", ["mlp", "mlp-linear"])
+    def test_a_row_of_a_batch_state_is_that_row_state(self, sched, kind):
+        # The factors are elementwise in the hidden activations, so a row of
+        # a batch's state differs from a one-row build only by the rounding
+        # of the batched matrix products.
+        rng = np.random.default_rng(55)
+        p = random_mlp(4, [16, 8] if kind == "mlp" else [], rng, t_max=100)
+        x, u, t = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), np.array(
+            [1, 7, 7, 60, 100])
+        batch = p.vjp_state(x, t)
+        assert [s.shape for s in batch] == [(5, w) for w in p.widths[1:-1]]
+        for i in range(5):
+            row = [s[i] for s in batch]
+            np.testing.assert_allclose(p.vjp_from(row, x[i], int(t[i]), u[i]),
+                                       p.vjp(x[i], int(t[i]), u[i]), rtol=1e-12, atol=1e-15)
 
-    def test_only_the_same_input_row_reuses(self, monkeypatch):
-        rng = np.random.default_rng(51)
-        p = random_mlp(6, [16, 16], rng, t_max=100)
-        x, u = rng.standard_normal(6), rng.standard_normal(6)
-        p.vjp(x, 3, u)  # differentiated from here on
-        p.predict(x, 40)
-        rows = self.passes(monkeypatch, p)
-        assert p.vjp(x, 40, u).tobytes() == self.fresh(p).vjp(x, 40, u).tobytes()
-        assert rows == []
-        nudged = x.copy()
-        nudged[2] = np.nextafter(x[2], np.inf)  # one ulp away
-        for state, t in ((nudged, 40), (x, 41), (x, 39)):
-            assert p.vjp(state, t, u).tobytes() == self.fresh(p).vjp(state, t, u).tobytes()
-        assert len(rows) == 3
-        # Batched calls neither keep nor reuse.
-        p.predict(x[None], np.array([41]))
-        p.vjp(x[None], np.array([40]), u[None])
-        p.vjp(x, 41, u)
-        assert len(rows) == 6 and sorted(p._kept) == [40]
-
-    def test_sampling_keeps_nothing(self, monkeypatch):
-        # A rollout and a stack solve never differentiate, so a fresh
-        # predictor keeps nothing through them, and a vjp at a rollout
-        # state afterwards runs its own forward pass.
-        sched = make_linear_beta_schedule(100, 1e-4, 0.05)
-        rng = np.random.default_rng(52)
-        p = random_mlp(4, [16, 8], rng, t_max=100)
-        chain = Chain(sched, select_subsequence(100, 10, "linear"), p)
-        x_T = rng.standard_normal(4)
-        stack = _rollout(chain, x_T)
-        solve_stack(chain, x_T, SolverConfig("picard", 20))
-        assert p._kept is None
-        rows = self.passes(monkeypatch, p)
-        t = int(chain.timesteps[0])  # transition 1 reads stack[-2]
-        pulled = p.vjp(stack[-2], t, x_T)
-        assert len(rows) == 1
-        assert pulled.tobytes() == self.fresh(p).vjp(stack[-2], t, x_T).tobytes()
-
-    def test_prepare_empties_and_each_label_keeps_its_last_row(self, monkeypatch):
-        sched = make_linear_beta_schedule(100, 1e-4, 0.05)
-        rng = np.random.default_rng(53)
-        p = random_mlp(4, [16, 8], rng, t_max=100)
-        sub = select_subsequence(100, 10, "linear")
-        chain = Chain(sched, sub, p)
-        p.vjp(np.zeros(4), 100, np.ones(4))
-        for _ in range(3):
-            x_T = rng.standard_normal(4)
-            stack = _rollout(chain, x_T)
-        inputs = np.concatenate([stack[::-1][1:], x_T[None]])  # transitions 1..S
-        assert sorted(p._kept) == chain.timesteps.tolist()
-        for x, t in zip(inputs, chain.timesteps.tolist()):
-            assert p._kept[t][0] == np.concatenate([x, [t / 100]]).tobytes()
-        Chain(sched, sub, p)
-        assert p._kept == {}
-        rows = self.passes(monkeypatch, p)
-        p.vjp(x_T, 100, np.ones(4))
-        assert len(rows) == 1
-        _rollout(chain, x_T)
-        assert len(p._kept) == 10
+    @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
+    def test_no_call_changes_the_predictor(self, sched, kind):
+        # Only the Gaussian prepare, which a Chain calls once, keeps
+        # anything; no forward or backward call adds to or changes it.
+        rng = np.random.default_rng(56)
+        p = make_predictor(kind, sched, rng)
+        chain = Chain(sched, select_subsequence(100, 5, "linear"), p)
+        before = pickle.dumps(vars(p))
+        x, u, t = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), chain.timesteps
+        for xs, ts, us in [(x, t, u), (x, t.copy(), u), (x[0], 3, u[0]), (x[1], int(t[1]), u[1])]:
+            p.predict(xs, ts)
+            p.vjp(xs, ts, us)
+            _, state = p.predict_and_state(xs, ts)
+            p.vjp_from(p.vjp_state(xs, ts), xs, ts, us)
+            p.vjp_from(state, xs, ts, us)
+        _rollout(chain, x[0], keep=True)
+        assert pickle.dumps(vars(p)) == before
 
 
 class TestGaussianParamsFile:

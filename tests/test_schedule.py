@@ -67,7 +67,25 @@ class TestLinearBetaSchedule:
         # decreasing: alpha_bar(85547) rounds to alpha_bar(85546).
         with pytest.raises(ConfigError, match=r"alpha_bar\(85547\) does not fall below "
                            r"alpha_bar\(85546\); the signal product underflows float64"):
-            make_linear_beta_schedule(100_000)
+            DiffusionSchedule(np.linspace(1e-4, 0.02, 100_000))
+
+    @pytest.mark.parametrize("T, beta_start, beta_end", [
+        (74_074, 1e-4, 0.02), (100_000, 1e-4, 0.02), (2**59, 1e-4, 0.02), (1490, 0.5, 0.5)])
+    def test_certain_underflow_is_refused_before_any_array(self, T, beta_start, beta_end,
+                                                           monkeypatch):
+        # The betas sum past -ln(5e-324), so the product underflows whatever
+        # the rounding; no array of length T is built to find that out.
+        monkeypatch.setattr(np, "linspace", None)
+        with pytest.raises(ConfigError, match=r"sum to .* past -ln\(5e-324\) = 744\.44; "
+                           r"the signal product underflows float64$"):
+            make_linear_beta_schedule(T, beta_start, beta_end)
+
+    def test_schedules_below_the_bound_are_built_and_checked(self):
+        # The bound is sound, not tight: 73_252 steps are the longest
+        # default schedule that holds, and 74_073 is left to the stall check.
+        assert make_linear_beta_schedule(73_252).alpha_bars[-1] > 0.0
+        with pytest.raises(ConfigError, match="does not fall below"):
+            make_linear_beta_schedule(74_073)
 
     def test_non_decreasing_products_without_underflow(self):
         # 1 - 1e-17 rounds to 1, so alpha_bar(2) equals alpha_bar(1) = 0.9.
