@@ -6,6 +6,10 @@ arguments, versions, output names, and per-phase timings; `rerun` replays
 a manifest and must reproduce the primary outputs byte for byte (timings
 are the one excluded field).
 
+One runner, ``_run_mode``, makes the run each --mode names.  It and
+``invert --method deq`` record a solve's budget through ``_recorded_solver``
+alone.
+
 Exit codes: 0 success, 2 usage/config error (sizes that do not fit in
 memory included), 3 numeric divergence, 4 I/O or parse error.
 """
@@ -40,7 +44,7 @@ from .schedule import (
     MAX_FLOAT64_LENGTH, identity_subsequence, make_linear_beta_schedule, select_subsequence,
 )
 from .stackio import read_stack, write_csv, write_residual_csv, write_stack, write_trace_csv
-from .solvers import SolverConfig, default_solver_config, picard_budget
+from .solvers import FixedPointResult, SolverConfig, default_solver_config, picard_budget
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
@@ -64,7 +68,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-max-iters", type=int, default=None,
                    help="iteration budget (default: S + 1 for Picard, at which the "
                         "triangular solve is exact; 15 for Anderson, or 50 when eta > 0)")
-    p.add_argument("--solver-tol", type=float, default=1e-3)
+    p.add_argument("--solver-tol", type=float, default=SolverConfig.tol)
     p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
                    help="stack initialization for the fixed-point solve")
 
@@ -97,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "solves the joint system.  At eta > 0 both pin the seed's "
                         "noise stack")
     p.add_argument("--grad", choices=["phantom", "exact"], default="phantom")
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--stop-loss", type=float, default=0.0)
+    p.add_argument("--tau", type=float, default=InversionConfig.tau)
+    p.add_argument("--epochs", type=int, default=InversionConfig.epochs)
+    p.add_argument("--lr", type=float, default=InversionConfig.lr)
+    p.add_argument("--stop-loss", type=float, default=InversionConfig.stop_loss)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_invert)
 
@@ -214,11 +218,23 @@ def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
     return draw_noise_stack(args["seed"], S, D) if args["eta"] > 0.0 else None
 
 
-def _deq_solver(args: dict, S: int) -> SolverConfig:
-    """The solve a ``deq-*`` --mode asks for, its budget recorded in ``args``."""
-    cfg = _solver_config(args, "picard" if args["mode"] == "deq-picard" else "anderson", S)
+def _recorded_solver(args: dict, method: str, S: int) -> SolverConfig:
+    """``_solver_config``, its budget recorded in ``args``: the one place a
+    run's ``solver_max_iters`` is written."""
+    cfg = _solver_config(args, method, S)
     args["solver_max_iters"] = cfg.max_iters
     return cfg
+
+
+def _run_mode(args: dict, chain: Chain, x_T: np.ndarray,
+              mode: str) -> tuple[np.ndarray, FixedPointResult | None]:
+    """The stack a --mode makes below x_T, and its solve (None for the
+    sequential rollout, which records no budget)."""
+    if mode == "sequential":
+        return _rollout(chain, x_T), None
+    cfg = _recorded_solver(args, "picard" if mode == "deq-picard" else "anderson", chain.S)
+    result = solve_stack(chain, x_T, cfg, args["init"])
+    return result.states, result
 
 
 def _json_text(obj: object) -> str:
@@ -256,23 +272,16 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     x_T = draw_x_T(args["seed"], chain.predictor.dim)
 
     t1 = time.perf_counter()
-    solver = None
-    if args["mode"] == "sequential":
-        states = _rollout(chain, x_T)
-        residuals = None
-    else:
-        result = solve_stack(chain, x_T, _deq_solver(args, chain.S), args["init"])
-        states = result.states
-        residuals = result.residuals
-        # An unconverged solve still exits 0; this record is how a caller
-        # tells it apart from a converged one.
-        solver = {
-            "converged": result.converged,
-            "iters": result.iters,
-            "final_residual": residuals[-1],
-            "picard_fallbacks": result.picard_fallbacks,
-        }
+    states, result = _run_mode(args, chain, x_T, args["mode"])
     solve_ms = (time.perf_counter() - t1) * 1000.0
+    # An unconverged solve still exits 0; this record is how a caller
+    # tells it apart from a converged one.
+    solver = None if result is None else {
+        "converged": result.converged,
+        "iters": result.iters,
+        "final_residual": result.residuals[-1],
+        "picard_fallbacks": result.picard_fallbacks,
+    }
 
     os.makedirs(args["out"], exist_ok=True)
     outputs = ["x0.stack"]
@@ -280,8 +289,8 @@ def cmd_sample(ns: argparse.Namespace) -> int:
     if args["save_stack"]:
         write_stack(os.path.join(args["out"], "stack.stack"), states, args["T"], args["eta"])
         outputs.append("stack.stack")
-    if residuals is not None:
-        write_residual_csv(os.path.join(args["out"], "residuals.csv"), residuals)
+    if result is not None:
+        write_residual_csv(os.path.join(args["out"], "residuals.csv"), result.residuals)
         outputs.append("residuals.csv")
     _write_manifest(args, t0, outputs, solver, solve=solve_ms)
     return 0
@@ -294,20 +303,14 @@ def cmd_invert(ns: argparse.Namespace) -> int:
     target_states, _, _ = read_stack(args["target"])
     if len(target_states) == 0:
         raise ParseError(f"target stack {args['target']} holds no rows")
-    target = target_states[-1]
-    if target.size != chain.predictor.dim:
-        raise ShapeError(
-            f"target dimension {target.size} != predictor dimension {chain.predictor.dim}"
-        )
     # Unlike the library's default, a deq inversion here still solves with
     # Anderson: perfbench's traced run rebuilds this path bit for bit.  Naive
-    # never solves: it ignores the config and records the budget as given.
-    solver = _solver_config(args, "anderson", chain.S)
+    # never solves: it takes no solver and records the budget as given.
     if args["method"] == "naive":
-        gradient_mode = "rollout"
+        gradient_mode, solver = "rollout", None
     else:
         gradient_mode = "exact_ift" if args["grad"] == "exact" else "phantom"
-        args["solver_max_iters"] = solver.max_iters
+        solver = _recorded_solver(args, "anderson", chain.S)
     cfg = InversionConfig(
         epochs=args["epochs"],
         lr=args["lr"],
@@ -318,7 +321,7 @@ def cmd_invert(ns: argparse.Namespace) -> int:
         seed=args["seed"],
         init=args["init"],
     )
-    run = invert(target, cfg, chain)
+    run = invert(target_states[-1], cfg, chain)
 
     out = args["out"]
     os.makedirs(out, exist_ok=True)
@@ -338,7 +341,6 @@ def cmd_trace(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--runs must be >= 1, got {args['runs']}")
     chain = _build_chain(args)
     D = chain.predictor.dim
-    solver_cfg = _deq_solver(args, chain.S)
     traces = []
     for j in range(args["runs"]):
         seed = args["seed"] + j
@@ -347,7 +349,7 @@ def cmd_trace(ns: argparse.Namespace) -> int:
             # Without a noise file each run draws its own noise; the built
             # chain already holds run 0's draw.
             chain = dataclasses.replace(chain, noise=draw_noise_stack(seed, chain.S, D))
-        traces.append(solve_stack(chain, x_T, solver_cfg, args["init"]).residuals)
+        traces.append(_run_mode(args, chain, x_T, args["mode"])[1].residuals)
     os.makedirs(args["out"], exist_ok=True)
     write_trace_csv(os.path.join(args["out"], "trace.csv"), traces)
     _write_manifest(args, t0, ["trace.csv"])
@@ -371,19 +373,14 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         raise ConfigError("--S-list must name at least one subsequence length")
     rows = []
     for S in s_values:
-        run_args = dict(args, S=S, subseq=args["subseq"] or "linear")
-        chain = _build_chain(run_args)
+        chain = _build_chain(dict(args, S=S))
         x_T = draw_x_T(args["seed"], chain.predictor.dim)
-
-        t1 = time.perf_counter()
-        _rollout(chain, x_T)
-        rows.append(["sequential", S, (time.perf_counter() - t1) * 1000.0, chain.S])
-
-        t1 = time.perf_counter()
-        cfg = _solver_config(run_args, "anderson", chain.S)
-        result = solve_stack(chain, x_T, cfg, args["init"])
-        rows.append(["deq-anderson", S, (time.perf_counter() - t1) * 1000.0, result.iters])
-    args["solver_max_iters"] = cfg.max_iters  # Anderson's default depends only on eta
+        # Anderson's default budget depends only on eta: every S records it alike.
+        for mode in ("sequential", "deq-anderson"):
+            t1 = time.perf_counter()
+            _, result = _run_mode(args, chain, x_T, mode)
+            wall_ms = (time.perf_counter() - t1) * 1000.0
+            rows.append([mode, S, wall_ms, chain.S if result is None else result.iters])
     args["D"] = chain.predictor.dim
 
     os.makedirs(args["out"], exist_ok=True)

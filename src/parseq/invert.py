@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Chain
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .gradients import Adam, _rollout_grad, exact_ift_grad, phantom_grad
 from .sampling import draw_x_T, solve_stack
 from .solvers import SolverConfig, picard_budget
@@ -88,10 +88,15 @@ def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
 
 def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> InversionRun:
     """Adam on x_T against the squared distance of the chain's x_0 to the
-    target, with the gradient of ``cfg.gradient_mode`` each epoch."""
+    target, with the gradient of ``cfg.gradient_mode`` each epoch.  The
+    target is one state of the predictor's dimension, or a ``ShapeError``."""
     target = np.asarray(x0_target, dtype=np.float64)
     if target.ndim != 1:
         raise ConfigError(f"target must be a single state vector, got {target.shape}")
+    if target.size != chain.predictor.dim:
+        raise ShapeError(
+            f"target dimension {target.size} != predictor dimension {chain.predictor.dim}"
+        )
     eta = chain.schedule.eta
     if eta != 0.0 and chain.noise is None:
         raise ConfigError(f"inverting a chain with eta={eta} needs its noise pinned")

@@ -111,8 +111,8 @@ class ConstantPredictor(NoisePredictor):
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
-        if self.value.ndim != 1:
-            raise ShapeError("constant value must be 1-d")
+        if self.value.ndim != 1 or self.value.size == 0:
+            raise ShapeError("constant value must be a non-empty 1-d array")
         self.dim = int(self.value.size)
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
@@ -158,8 +158,8 @@ class GaussianOptimalPredictor(NoisePredictor):
     def __init__(self, mu: np.ndarray, var: np.ndarray, schedule: DiffusionSchedule):
         self.mu = np.asarray(mu, dtype=np.float64)
         self.var = np.asarray(var, dtype=np.float64)
-        if self.mu.ndim != 1 or self.var.shape != self.mu.shape:
-            raise ShapeError("mu and var must be 1-d arrays of equal length")
+        if self.mu.ndim != 1 or self.mu.size == 0 or self.var.shape != self.mu.shape:
+            raise ShapeError("mu and var must be non-empty 1-d arrays of equal length")
         if np.any(self.var < 0.0):
             raise ShapeError("var entries must be >= 0")
         self.schedule = schedule
@@ -212,6 +212,18 @@ class GaussianOptimalPredictor(NoisePredictor):
         return self._lookup(t)[0] * cotangent
 
 
+def _checked_widths(widths) -> list[int]:
+    """Layer widths as positive ints: every layer, the state's included,
+    holds at least one unit."""
+    try:
+        widths = [int(w) for w in widths]
+    except (TypeError, ValueError):
+        raise SchemaError("mlp widths must be a list of integers") from None
+    if any(w < 1 for w in widths):
+        raise SchemaError(f"mlp widths must be positive, got {widths}")
+    return widths
+
+
 class MlpPredictor(NoisePredictor):
     """Small dense network with tanh hidden layers and a linear head.
 
@@ -232,7 +244,7 @@ class MlpPredictor(NoisePredictor):
         biases: list[np.ndarray],
         t_max: int = 1000,
     ):
-        widths = [int(w) for w in widths]
+        widths = _checked_widths(widths)
         if len(widths) < 2:
             raise SchemaError("widths must list at least input and output layers")
         if widths[0] != widths[-1] + 1:
@@ -390,12 +402,7 @@ def _parse_mlp(payload: dict) -> tuple:
     for field in ("widths", "weights", "biases"):
         if not isinstance(payload[field], list):
             raise SchemaError(f"field '{field}' must be a list")
-    try:
-        widths = [int(w) for w in payload["widths"]]
-    except (TypeError, ValueError):
-        raise SchemaError("mlp widths must be a list of integers") from None
-    if any(w < 1 for w in widths):
-        raise SchemaError(f"mlp widths must be positive, got {widths}")
+    widths = _checked_widths(payload["widths"])
     if len(payload["weights"]) != len(widths) - 1:
         raise SchemaError("number of weight matrices does not match widths")
     weights = []

@@ -730,3 +730,25 @@ class TestInitStack:
     def test_zero_init(self):
         stack = init_stack(np.ones(2), 3, kind="zero")
         np.testing.assert_array_equal(stack, np.zeros((3, 2)))
+
+    def test_unknown_kind_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^unknown init kind 'ones'$"):
+            init_stack(np.ones(2), 3, kind="ones")
+
+
+class TestStackChecks:
+    """The shape checks every public stack function shares."""
+
+    def test_x_T_must_be_one_state(self, gaussian):
+        chain_ = Chain(gaussian.schedule, select_subsequence(100, 3, "linear"), gaussian)
+        with pytest.raises(ShapeError, match=r"^x_T must be 1-d, got shape \(1, 3\)$"):
+            sampling.solve_stack(chain_, np.zeros((1, 3)), SolverConfig(), np.zeros((3, 3)))
+
+    def test_cotangent_must_have_the_stacks_shape(self, gaussian):
+        sched, sub = gaussian.schedule, select_subsequence(100, 3, "linear")
+        states, x_T, wrong = np.zeros((3, 3)), np.ones(3), np.ones((1, 3))
+        message = r"^cotangent shape \(1, 3\) does not match stack \(3, 3\)$"
+        with pytest.raises(ShapeError, match=message):
+            h_tilde_vjp(states, x_T, sched, sub, gaussian, wrong)
+        with pytest.raises(ShapeError, match=message):
+            gradients.adjoint_solve(states, x_T, wrong, sched, sub, gaussian)

@@ -406,6 +406,24 @@ class TestExitCodes:
         assert code == 4
         assert capsys.readouterr().err.startswith("parseq: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"time_embed": "sinusoid"},
+         "unsupported time_embed 'sinusoid'; expected 'scalar_append'"),
+        ({"widths": [3, 0, 2], "weights": [[], []], "biases": [[], [0, 0]]},
+         "mlp widths must be positive, got [3, 0, 2]"),
+        ({"weights": []}, "number of weight matrices does not match widths"),
+    ], ids=["time-embed", "zero-width", "weight-count"])
+    def test_mlp_file_rules_exit_4_naming_the_rule(self, edit, message, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"widths": [3, 2], "weights": [[0.0] * 6],
+                                    "biases": [[0.0, 0.0]], "time_embed": "scalar_append",
+                                    **edit}))
+        code = cli.main(["sample", "--predictor", f"mlp:{path}", "--T", "10",
+                         "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert capsys.readouterr().err == f"parseq: mlp weight file {path}: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_file_is_io_error(self, fixtures, tmp_path):
         res = run_cli("invert", "--target", tmp_path / "nope.stack",
                       "--T", 20, "--predictor", "zero", "--out", tmp_path / "x")
@@ -417,6 +435,16 @@ class TestExitCodes:
                          "--predictor", "gaussian", "--D", "3", "--out", str(tmp_path / "x")])
         assert code == 4
         assert "holds no rows" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("method", ["naive", "deq"])
+    def test_wrong_size_target_is_usage_error(self, method, tmp_path, capsys):
+        write_stack(tmp_path / "t.stack", np.zeros(3), 20, 0.0)
+        code = cli.main(["invert", "--target", str(tmp_path / "t.stack"), "--T", "20",
+                         "--method", method, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "parseq: usage error: target dimension 3 != predictor dimension 2\n")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["sample", "trace", "invert", "bench"])
@@ -628,6 +656,48 @@ class TestResolvedDimension:
             (tmp_path / "out" / name).unlink()
         assert cli.main(["rerun", "out/manifest.json"]) == 0
         assert {name: (tmp_path / "out" / name).read_bytes() for name in outputs} == outputs
+
+
+# (command and flags, recorded budget) on an S = 8 chain: a solve records
+# the budget it ran (Anderson's 15, or 50 at eta > 0; Picard's S + 1) and a
+# run that solves nothing records the flag as given.
+_RECORDED_BUDGETS = {
+    "sample-sequential": (["sample", "--mode", "sequential"], None),
+    "sample-sequential-flag": (["sample", "--mode", "sequential", "--solver-max-iters", "7"], 7),
+    "sample-anderson": (["sample", "--mode", "deq-anderson"], 15),
+    "sample-anderson-eta": (["sample", "--mode", "deq-anderson", "--eta", "0.5"], 50),
+    "sample-anderson-flag": (["sample", "--mode", "deq-anderson", "--solver-max-iters", "7"], 7),
+    "sample-picard": (["sample", "--mode", "deq-picard"], 9),
+    "sample-picard-eta": (["sample", "--mode", "deq-picard", "--eta", "0.5"], 9),
+    "trace-anderson": (["trace", "--mode", "deq-anderson", "--runs", "2"], 15),
+    "trace-anderson-eta": (["trace", "--mode", "deq-anderson", "--runs", "2", "--eta", "0.5"],
+                           50),
+    "trace-picard": (["trace", "--mode", "deq-picard", "--runs", "2"], 9),
+    "bench": (["bench", "--S-list", "3,8"], 15),
+    "bench-eta": (["bench", "--S-list", "3,8", "--eta", "0.5"], 50),
+    "invert-naive": (["invert", "--method", "naive"], None),
+    "invert-naive-flag": (["invert", "--method", "naive", "--solver-max-iters", "7"], 7),
+    "invert-deq": (["invert", "--method", "deq"], 15),
+    "invert-deq-eta": (["invert", "--method", "deq", "--eta", "0.5"], 50),
+    "invert-deq-exact": (["invert", "--method", "deq", "--grad", "exact"], 15),
+}
+
+
+@pytest.mark.parametrize("argv, budget", list(_RECORDED_BUDGETS.values()),
+                         ids=list(_RECORDED_BUDGETS))
+def test_manifest_records_the_budget_each_command_ran(argv, budget, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--predictor", "zero", "--T", "20", "--seed", "1"]
+    if argv[0] != "bench":
+        flags += ["--S", "8"]
+    if argv[0] == "invert":
+        write_stack("target.stack", np.array([0.1, -0.2]), 20, 0.0)
+        flags += ["--target", "target.stack", "--epochs", "2"]
+    assert cli.main([*argv, *flags, "--out", "out"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["args"]["solver_max_iters"] == budget
+    if argv[0] == "invert":
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["config"] == manifest["args"]
 
 
 class TestBench:

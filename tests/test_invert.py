@@ -9,6 +9,7 @@ from parseq import (
     DivergenceError,
     GaussianOptimalPredictor,
     InversionConfig,
+    ShapeError,
     SolverConfig,
     ZeroPredictor,
     draw_noise_stack,
@@ -325,6 +326,15 @@ class TestInvertErrorPaths:
         chain = Chain(sched, sub, ZeroPredictor(2))
         with pytest.raises(ConfigError, match="single state vector"):
             invert(np.zeros((1, 2)), InversionConfig(epochs=1), chain)
+
+    @pytest.mark.parametrize("mode", ["rollout", "phantom", "exact_ift"])
+    def test_target_must_have_the_predictors_dimension(self, mode):
+        sched, sub = small_chain()
+        chain = Chain(sched, sub, ZeroPredictor(2))
+        cfg = InversionConfig(epochs=1, gradient_mode=mode)
+        with pytest.raises(ShapeError,
+                           match=r"^target dimension 3 != predictor dimension 2$"):
+            invert(np.zeros(3), cfg, chain)
 
 
 class TestInvertDeqStochastic:

@@ -58,6 +58,11 @@ class TestTrivialPredictors:
         for out in (p.predict(x, t), p.vjp(x, t, x), p.predict(x[0], 1), p.vjp(x[0], 1, x[0])):
             assert out.tobytes() == np.zeros(out.shape).tobytes()
 
+    def test_empty_state_is_a_shape_error(self):
+        for build in (lambda: ConstantPredictor(np.zeros(0)), lambda: ZeroPredictor(0)):
+            with pytest.raises(ShapeError, match="non-empty"):
+                build()
+
     def test_shape_mismatch(self):
         p = ZeroPredictor(3)
         with pytest.raises(ShapeError):
@@ -265,6 +270,10 @@ class TestPreparedGaussianTerms:
 
 
 class TestGaussianOptimalPredictor:
+    def test_empty_state_is_a_shape_error(self, sched):
+        with pytest.raises(ShapeError, match="non-empty"):
+            GaussianOptimalPredictor(np.zeros(0), np.zeros(0), sched)
+
     def test_worked_value(self):
         # mu=[2], var=[4], alpha_bar=0.5, x=[3]:
         # sqrt(0.5) * (3 - sqrt(0.5)*2) / (0.5*4 + 0.5).
@@ -365,6 +374,10 @@ class TestMlpPredictor:
         p = random_mlp(3, [8], np.random.default_rng(1), t_max=100)
         x = np.zeros(3)
         assert not np.allclose(p.predict(x, 1), p.predict(x, 99))
+
+    def test_empty_state_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=r"^mlp widths must be positive, got \[1, 3, 0\]$"):
+            random_mlp(0, [3], np.random.default_rng(0))
 
     def test_widths_must_account_for_time_slot(self):
         with pytest.raises(SchemaError):

@@ -275,6 +275,14 @@ class TestAnderson:
         assert res.states.tobytes() == ref.states.tobytes()
         assert res.residuals == ref.residuals
 
+    def test_non_finite_extrapolation_is_divergence(self, monkeypatch):
+        # Finite weights that mix finite map outputs past the float range:
+        # the overflowing iterate is refused before the map ever sees it.
+        monkeypatch.setattr(solvers, "_anderson_gamma", lambda gram, lam: np.full(len(gram), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match=r"^non-finite extrapolation at solver iteration 0$"):
+            solve(lambda x: 0.5 * x + 10.0, np.ones(3), SolverConfig(max_iters=4, tol=1e-12))
+
     def test_first_step_is_picard(self):
         # The first step's window holds one row, whose only weight is 1, and
         # an exhausted budget returns the last map output: on a budget of two
