@@ -39,6 +39,7 @@ Noise layout: ``noise[i - 1]`` is the draw injected by transition i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,25 +226,36 @@ def sequential_rollout(
 def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
     """The rollout's (S, D) stack; with ``keep``, also the predictor's vjp
     state at each position p, in slot p - 1, from the forward pass of its
-    prediction, which the rollout's gradient reads."""
+    prediction, which the rollout's gradient reads.
+
+    Each step carries y in place and writes its state straight into the
+    stack row the next prediction reads.  A state is tested for finiteness
+    by its squared norm and scanned only when that is not finite, which a
+    huge but finite state also makes; so the predictor never sees a
+    non-finite state, and the first one names its step.  The bits are
+    those of the plain loop y = y + (c1 eps + noise), x = sqrt(A) y."""
     coeffs, predictor, noise = chain.coeffs, chain.predictor, chain.scaled_noise
     S = coeffs.S
+    # Python floats multiply an array faster than numpy scalars do.
+    sqrt_alpha, scaled_c1, taus = (a.tolist() for a in (coeffs.sqrt_alpha, coeffs.scaled_c1,
+                                                        coeffs.taus))
     x = np.asarray(x_T, dtype=np.float64)
-    y = x / coeffs.sqrt_alpha[S]
+    y = x / sqrt_alpha[S]
+    u = np.empty_like(y)
     states = np.empty((S, x.size))
     kept = [None] * S if keep else None
     for p in range(S, 0, -1):
-        t = int(coeffs.taus[p])
+        t = taus[p]
         if kept is None:
             eps = predictor.predict(x, t)
         else:
             eps, kept[p - 1] = predictor.predict_and_state(x, t)
-        u = coeffs.scaled_c1[p] * eps
+        np.multiply(scaled_c1[p], eps, out=u)
         if noise is not None:
             u += noise[p - 1]
-        y = y + u
-        x = states[S - p] = coeffs.sqrt_alpha[p - 1] * y
-        if not np.isfinite(x).all():
+        y += u
+        x = np.multiply(sqrt_alpha[p - 1], y, out=states[S - p])
+        if not math.isfinite(x @ x) and not np.isfinite(x).all():
             raise DivergenceError(f"non-finite state after the step from t={t}")
     return states if kept is None else (states, kept)
 
@@ -277,8 +289,10 @@ def h_tilde(
 
 def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
     """``h_tilde`` on checked float64 inputs; the caller checks the output
-    for finiteness (the solvers check every iterate).  The scan rows
-    x_T / sqrt(A_S), u_S, .., u_1 are added strictly in order, as in _rollout."""
+    for finiteness (``solvers.solve`` through each residual).  The scan
+    rows x_T / sqrt(A_S), u_S, .., u_1 are added strictly in order, as in
+    _rollout, by one in-place ``np.add.accumulate``: the ufunc behind
+    ``np.cumsum``, with its bits and without its wrapper."""
     coeffs = chain.coeffs
     S = coeffs.S
     eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), chain.timesteps)
@@ -287,7 +301,7 @@ def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
     np.multiply(coeffs.scaled_c1[:0:-1, None], eps_pred[::-1], out=scan[1:])
     if chain.scaled_noise is not None:
         scan[1:] += chain.scaled_noise[::-1]
-    np.cumsum(scan, axis=0, out=scan)
+    np.add.accumulate(scan, axis=0, out=scan)
     return coeffs.sqrt_alpha[-2::-1, None] * scan[1:]
 
 
@@ -316,10 +330,10 @@ def h_tilde_vjp(
     coeffs, S = chain.coeffs, chain.S
     states, x_T = _check_stack(states, x_T, S)
     weighted = coeffs.sqrt_alpha[:-1, None] * _check_cotangent(cotangent, states)[::-1]
-    # A running sum from zero turns a leading -0.0 into +0.0; cumsum starts
-    # from the first term itself, so add that zero explicitly.
+    # A running sum from zero turns a leading -0.0 into +0.0; an accumulate
+    # starts from the first term itself, so add that zero explicitly.
     weighted[0] += 0.0
-    prefixes = np.cumsum(weighted, axis=0)
+    prefixes = np.add.accumulate(weighted, axis=0, out=weighted)
     pulled = predictor.vjp(_stack_inputs(states, x_T, S), chain.timesteps, prefixes)
     cot_states = np.zeros_like(states)
     cot_states[: S - 1] = (coeffs.scaled_c1[1:S, None] * pulled[: S - 1])[::-1]

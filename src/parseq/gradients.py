@@ -72,8 +72,12 @@ class Adam:
             self.m = np.zeros_like(param)
             self.v = np.zeros_like(param)
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        # The moments update in place, in the operation order of
+        # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g.
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
         m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
         v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
         return param - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -214,11 +214,16 @@ class GaussianOptimalPredictor(NoisePredictor):
 
 def _checked_widths(widths) -> list[int]:
     """Layer widths as positive ints: every layer, the state's included,
-    holds at least one unit."""
+    holds at least one unit.  Each width must be an integer, Python's or
+    numpy's; a float, a string or a bool is refused, not converted."""
+    rule = "mlp widths must be a list of integers"
     try:
-        widths = [int(w) for w in widths]
-    except (TypeError, ValueError):
-        raise SchemaError("mlp widths must be a list of integers") from None
+        widths = list(widths)
+    except TypeError:
+        raise SchemaError(rule) from None
+    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in widths):
+        raise SchemaError(rule)
+    widths = [int(w) for w in widths]
     if any(w < 1 for w in widths):
         raise SchemaError(f"mlp widths must be positive, got {widths}")
     return widths
@@ -277,18 +282,27 @@ class MlpPredictor(NoisePredictor):
         activations.  States sit along the last axis, one per row of a
         batch, so every layer multiplies from the right."""
         x = self._check_state(x, t)
-        slot = (t / self.t_max)[:, None] if x.ndim == 2 else [t / self.t_max]
-        layers = [np.concatenate([x, slot], axis=-1)]
+        inputs = np.empty((*x.shape[:-1], self.dim + 1))
+        inputs[..., :-1] = x
+        inputs[..., -1] = t / self.t_max
+        layers = [inputs]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            layers.append(np.tanh(layers[-1] @ w.T + b))
+            h = layers[-1] @ w.T
+            h += b
+            layers.append(np.tanh(h, out=h))
         return layers
 
+    def _head(self, h: np.ndarray) -> np.ndarray:
+        out = h @ self.weights[-1].T
+        out += self.biases[-1]
+        return out
+
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
-        return self._layers(x, t)[-1] @ self.weights[-1].T + self.biases[-1]
+        return self._head(self._layers(x, t)[-1])
 
     def predict_and_state(self, x: np.ndarray, t: int | np.ndarray):
         layers = self._layers(x, t)
-        return layers[-1] @ self.weights[-1].T + self.biases[-1], [1.0 - h**2 for h in layers[1:]]
+        return self._head(layers[-1]), [1.0 - h**2 for h in layers[1:]]
 
     def vjp_state(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
         return [1.0 - h**2 for h in self._layers(x, t)[1:]]  # tanh' = 1 - tanh^2

@@ -156,6 +156,13 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     output, also when the budget runs out: never an unmeasured
     extrapolation, so Anderson makes no weight solve and no mix on the
     budget's last iteration.
+
+    Finiteness is checked where it costs nothing extra: a map output is
+    scanned only when its residual is not finite, and a mix only when its
+    squared norm is not, so a finite iterate whose squares overflow is
+    still accepted.  A non-finite map output raises at the iteration that
+    made it, a non-finite mix at the iteration that mixed it, with the
+    bits and iteration numbers of a full scan of each.
     """
     x = np.array(init, dtype=np.float64, copy=True)
     anderson = cfg.method == "anderson"
@@ -175,11 +182,13 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     last = cfg.max_iters - 1
     for it in range(cfg.max_iters):
         g = step_map(x)
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite iterate at solver iteration {it}")
         f = (g - x).ravel()
-        residuals.append(_residual_norm(f))
-        if residuals[-1] <= cfg.tol:
+        r = _residual_norm(f)
+        # A non-finite g makes a non-finite residual; only then is g scanned.
+        if not math.isfinite(r) and not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite iterate at solver iteration {it}")
+        residuals.append(r)
+        if r <= cfg.tol:
             converged = True
             break
         x = g
@@ -198,9 +207,10 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
         if gamma is None:
             fallbacks += 1
         else:
-            x = (gamma @ G[start:start + k]).reshape(g.shape)
-            if not np.isfinite(x).all():
+            mixed = gamma @ G[start:start + k]
+            if not math.isfinite(mixed @ mixed) and not np.isfinite(mixed).all():
                 raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
+            x = mixed.reshape(g.shape)
     return FixedPointResult(
         states=g,
         residuals=residuals,

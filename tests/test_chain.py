@@ -752,3 +752,97 @@ class TestStackChecks:
             h_tilde_vjp(states, x_T, sched, sub, gaussian, wrong)
         with pytest.raises(ShapeError, match=message):
             gradients.adjoint_solve(states, x_T, wrong, sched, sub, gaussian)
+
+
+def _rollout_reference(chain_, x_T, keep=False):
+    """The per-step rollout loop as it stood before its steps were made
+    lean, kept verbatim as the bitwise reference for ``chain._rollout``:
+    numpy scalar coefficients read per step, a fresh y and state per step,
+    and a full finiteness scan of every state."""
+    coeffs, predictor, noise = chain_.coeffs, chain_.predictor, chain_.scaled_noise
+    S = coeffs.S
+    x = np.asarray(x_T, dtype=np.float64)
+    y = x / coeffs.sqrt_alpha[S]
+    states = np.empty((S, x.size))
+    kept = [None] * S if keep else None
+    for p in range(S, 0, -1):
+        t = int(coeffs.taus[p])
+        if kept is None:
+            eps = predictor.predict(x, t)
+        else:
+            eps, kept[p - 1] = predictor.predict_and_state(x, t)
+        u = coeffs.scaled_c1[p] * eps
+        if noise is not None:
+            u += noise[p - 1]
+        y = y + u
+        x = states[S - p] = coeffs.sqrt_alpha[p - 1] * y
+        if not np.isfinite(x).all():
+            raise DivergenceError(f"non-finite state after the step from t={t}")
+    return states if kept is None else (states, kept)
+
+
+def _state_bytes(kept):
+    return [None if s is None else [a.tobytes() for a in s] for s in kept]
+
+
+class TestRolloutBits:
+    """``_rollout`` keeps the bits of the reference loop, states and kept
+    vjp states alike, and names the first step that leaves the floats."""
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("S", [1, 2, 10])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["zero", "gaussian", "mlp"])
+    def test_matches_the_reference_loop_bytewise(self, kind, eta, S, keep):
+        sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=eta)
+        rng = np.random.default_rng(17)
+        D = 4
+        predictor = {
+            "zero": lambda: ZeroPredictor(D),
+            "gaussian": lambda: GaussianOptimalPredictor(
+                rng.normal(size=D), rng.uniform(0.3, 2.0, D), sched),
+            "mlp": lambda: random_mlp(D, [8, 8], rng, t_max=100),
+        }[kind]()
+        chain_ = Chain(sched, select_subsequence(100, S, "linear"), predictor,
+                       rng.standard_normal((S, D)))
+        x_T = rng.standard_normal(D)
+        got, want = chain._rollout(chain_, x_T, keep), _rollout_reference(chain_, x_T, keep)
+        if keep:
+            (got, got_kept), (want, want_kept) = got, want
+            assert len(got_kept) == S
+            assert _state_bytes(got_kept) == _state_bytes(want_kept)
+        assert got.shape == (S, D) and got.tobytes() == want.tobytes()
+        assert sequential_rollout(x_T, sched, chain_.subsequence, predictor,
+                                  chain_.noise).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_huge_finite_states_do_not_raise(self, sched, keep):
+        # Every state's squared norm overflows, yet every state is finite.
+        chain_ = Chain(sched, select_subsequence(100, 10, "linear"),
+                       ConstantPredictor(np.array([1e200, -3e200, 2e200])))
+        x_T = np.array([1e180, 0.0, -1e180])
+        got, want = chain._rollout(chain_, x_T, keep), _rollout_reference(chain_, x_T, keep)
+        if keep:
+            got, want = got[0], want[0]
+        assert np.abs(got).min(axis=1).min() > 1e154 and np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_divergence_names_the_first_non_finite_step(self, sched, bad):
+        # The predictor breaks down at t = 50, mid-chain; the steps above it
+        # are finite, and the error names that step's label and no other.
+        class BreaksAtFifty(ZeroPredictor):
+            def predict(self, x, t):
+                out = super().predict(x, t)
+                if t == 50:
+                    out[1] = bad
+                return out
+
+        sub = select_subsequence(100, 10, "linear")
+        message = r"^non-finite state after the step from t=50$"
+        with pytest.raises(DivergenceError, match=message):
+            sequential_rollout(np.ones(3), sched, sub, BreaksAtFifty(3))
+        for keep in (False, True):
+            with pytest.raises(DivergenceError, match=message):
+                chain._rollout(Chain(sched, sub, BreaksAtFifty(3)), np.ones(3), keep=keep)

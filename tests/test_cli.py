@@ -412,7 +412,11 @@ class TestExitCodes:
         ({"widths": [3, 0, 2], "weights": [[], []], "biases": [[], [0, 0]]},
          "mlp widths must be positive, got [3, 0, 2]"),
         ({"weights": []}, "number of weight matrices does not match widths"),
-    ], ids=["time-embed", "zero-width", "weight-count"])
+        ({"widths": [3.9, 2.2]}, "mlp widths must be a list of integers"),
+        ({"widths": [2, True]}, "mlp widths must be a list of integers"),
+        ({"widths": ["3", "2"]}, "mlp widths must be a list of integers"),
+    ], ids=["time-embed", "zero-width", "weight-count", "float-widths", "bool-width",
+            "text-widths"])
     def test_mlp_file_rules_exit_4_naming_the_rule(self, edit, message, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"widths": [3, 2], "weights": [[0.0] * 6],

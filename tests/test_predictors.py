@@ -379,6 +379,16 @@ class TestMlpPredictor:
         with pytest.raises(SchemaError, match=r"^mlp widths must be positive, got \[1, 3, 0\]$"):
             random_mlp(0, [3], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("widths", [np.array([3, 2]), [np.int32(3), np.uint8(2)]])
+    def test_numpy_integer_widths_load_as_ints(self, widths):
+        p = MlpPredictor(widths, [np.zeros((2, 3))], [np.zeros(2)])
+        assert p.widths == [3, 2] and all(type(w) is int for w in p.widths)
+
+    @pytest.mark.parametrize("widths", [[3, np.float64(2.0)], [np.bool_(True), 2]])
+    def test_numpy_float_and_bool_widths_are_a_schema_error(self, widths):
+        with pytest.raises(SchemaError, match=r"^mlp widths must be a list of integers$"):
+            MlpPredictor(widths, [np.zeros((2, 3))], [np.zeros(2)])
+
     def test_widths_must_account_for_time_slot(self):
         with pytest.raises(SchemaError):
             MlpPredictor([3, 8, 3], [np.zeros((8, 3)), np.zeros((3, 8))],

@@ -595,3 +595,53 @@ class TestDispatch:
             cfg=SolverConfig(method="picard", max_iters=6, tol=1e-12),
         )
         assert res.converged
+
+
+class TestDivergenceContract:
+    """Which iterates raise, with which message and iteration number, and
+    which finite ones that overflow a squared norm do not."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["picard", "anderson"])
+    def test_non_finite_map_output_names_its_iteration(self, method, bad):
+        calls = []
+
+        def breaks_on_the_third_call(x):
+            g = 0.5 * x + 1.0
+            if len(calls) == 2:
+                g[1, 0] = bad
+            calls.append(None)
+            return g
+
+        with pytest.raises(DivergenceError, match=r"^non-finite iterate at solver iteration 2$"):
+            solve(breaks_on_the_third_call, np.zeros((3, 2)),
+                  SolverConfig(method=method, max_iters=10, tol=1e-12))
+        assert len(calls) == 3
+
+    @_overflow_warnings
+    @pytest.mark.parametrize("method", ["picard", "anderson"])
+    def test_overflowing_finite_residual_is_recorded_not_raised(self, method):
+        # g = -x flips a state near the float limit: every map output is
+        # finite, but g - x overflows, so each recorded residual is infinite.
+        res = solve(lambda x: -x, np.array([1e308, -1e308, 1.0]),
+                    SolverConfig(method=method, max_iters=3, tol=1e-3))
+        assert res.residuals == [np.inf] * 3
+        assert not res.converged and np.isfinite(res.states).all()
+
+    @_overflow_warnings
+    def test_finite_mix_beyond_the_squared_norm_range_does_not_raise(self):
+        # A contraction onto a point near 1e160: residuals stay small enough
+        # for the weight solve, so Anderson mixes, and every mixed iterate's
+        # squared norm overflows although its entries are finite.
+        target = 1e160 * np.array([1.0, 2.0, 3.0])
+        mixed = []
+
+        def contraction(x):
+            mixed.append(x.copy())
+            return 0.5 * x + 0.5 * target
+
+        res = solve(contraction, target + 1e150 * np.array([1.0, -1.0, 2.0]),
+                    SolverConfig(method="anderson", max_iters=6, tol=1e-3))
+        assert res.picard_fallbacks == 0 and res.iters >= 3
+        assert all(np.abs(x).max() > 1e154 for x in mixed)
+        assert np.isfinite(res.states).all() and np.isfinite(res.residuals).all()
