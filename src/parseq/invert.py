@@ -3,10 +3,10 @@
 ``invert`` runs one Adam loop over x_T; ``InversionConfig.gradient_mode``
 picks how each epoch takes its gradient:
 
-* ``"rollout"`` differentiates the sequential sampler end to end, as
+* ``"naive"`` differentiates the sequential sampler end to end, as
   ``rollout_backprop_grad`` does: the back-substitution of
   ``exact_ift_grad`` on the rollout's stack and its forward states.
-* ``"phantom"`` and ``"exact_ift"`` solve the joint system for the stack
+* ``"phantom"`` and ``"exact"`` solve the joint system for the stack
   with ``solvers.solve``, the one fixed-point loop, and take a cheap
   phantom or an exact implicit gradient at the fixed point (the exact one
   is the one back-substitution of ``gradients``).  With ``warm_start``
@@ -17,6 +17,9 @@ picks how each epoch takes its gradient:
 A noisy chain (eta > 0) is inverted with its per-transition noise stack
 pinned in the ``Chain``, which keeps the joint map deterministic within
 the run.  At eta = 0 every sigma vanishes and the chain needs no noise.
+
+The three names are the CLI's: ``invert --method naive``, and ``--method
+deq`` with ``--grad phantom`` or ``--grad exact``.
 
 Peak retained state is one stack plus optimizer moments, independent of
 the epoch count.
@@ -53,7 +56,7 @@ class InversionConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.gradient_mode not in ("phantom", "exact_ift", "rollout"):
+        if self.gradient_mode not in ("phantom", "exact", "naive"):
             raise ConfigError(f"unknown gradient mode '{self.gradient_mode}'")
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
@@ -106,7 +109,7 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
     run = InversionRun(x_T_hat=x_T)
     warm: np.ndarray | None = None
     for epoch in range(cfg.epochs):
-        if cfg.gradient_mode == "rollout":
+        if cfg.gradient_mode == "naive":
             loss, grad = _rollout_grad(chain, x_T, target)
         else:
             try:

@@ -54,7 +54,10 @@ def gaussian_w2(
     var1 = np.asarray(var1, dtype=np.float64)
     var2 = np.asarray(var2, dtype=np.float64)
     if not (mu1.shape == mu2.shape == var1.shape == var2.shape):
-        raise ShapeError("all four parameter vectors must share one shape")
+        raise ShapeError(
+            f"dimension mismatch: mu1 {mu1.shape}, var1 {var1.shape}, mu2 {mu2.shape}, "
+            f"var2 {var2.shape}; all four parameter vectors must share one shape"
+        )
     if np.any(var1 < 0.0) or np.any(var2 < 0.0):
         raise NumericDomainError("variances must be >= 0")
     gap = mu1 - mu2

@@ -249,7 +249,7 @@ def test_criterion_6_self_inversion():
         )
         chain = Chain(schedule, subsequence, predictor)
         run_deq = invert(target, cfg, chain)
-        run_naive = invert(target, dataclasses.replace(cfg, gradient_mode="rollout"), chain)
+        run_naive = invert(target, dataclasses.replace(cfg, gradient_mode="naive"), chain)
         ok &= run_deq.best_loss <= 1e-3 and run_deq.epochs_run <= 400
         ok &= run_naive.epochs_run >= run_deq.epochs_run
         details.append(

@@ -155,6 +155,14 @@ class TestDdimStep:
         with pytest.raises(ConfigError, match=f"t_prev={t_prev} is not below t=50"):
             ddim_step(np.array([1.0]), 50, sched, ZeroPredictor(1), t_prev=t_prev)
 
+    def test_non_finite_prediction_is_a_divergence(self, sched):
+        class ExplodingPredictor(ZeroPredictor):
+            def predict(self, x, t):
+                return np.full(np.shape(x), np.inf)
+
+        with pytest.raises(DivergenceError, match=r"^non-finite state after the step from t=50$"):
+            ddim_step(np.ones(2), 50, sched, ExplodingPredictor(2))
+
     def test_noise_term_enters_linearly(self):
         sched = make_linear_beta_schedule(10, 0.01, 0.2, eta=1.0)
         x = np.array([0.5])

@@ -356,6 +356,25 @@ class TestExitCodes:
         assert "zero predictor takes no file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--subseq", "linear"], "--subseq requires --S"),
+        (["sample", "--predictor", "mlp"],
+         "mlp predictor needs a weights file: mlp:weights.json"),
+        (["sample", "--predictor", "mlp:"],
+         "mlp predictor needs a weights file: mlp:weights.json"),
+        (["sample", "--predictor", "foo"], "unknown predictor 'foo'"),
+        (["sample", "--predictor", "zero:"],
+         "the zero predictor takes no file; its dimension is --D"),
+        (["sample", "--predictor", "gaussian:"],
+         "gaussian predictor names no file: write gaussian or gaussian:params.json"),
+        (["trace", "--runs", "0"], "--runs must be >= 1, got 0"),
+    ], ids=["subseq-without-S", "mlp-without-file", "mlp-colon", "unknown-kind",
+            "zero-colon", "gaussian-colon", "runs-zero"])
+    def test_cli_rules_exit_2_naming_the_rule(self, argv, message, tmp_path, capsys):
+        assert cli.main([*argv, "--T", "10", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"parseq: usage error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_predictor_is_usage_error(self, tmp_path):
         res = run_cli("sample", "--predictor", "resnet", "--out", tmp_path / "x")
         assert res.returncode == 2
@@ -415,8 +434,12 @@ class TestExitCodes:
         ({"widths": [3.9, 2.2]}, "mlp widths must be a list of integers"),
         ({"widths": [2, True]}, "mlp widths must be a list of integers"),
         ({"widths": ["3", "2"]}, "mlp widths must be a list of integers"),
+        ({"widths": [3], "weights": [], "biases": []},
+         "widths must list at least input and output layers"),
+        ({"biases": []}, "need one weight matrix and bias per layer transition"),
+        ({"biases": [[0.0]]}, "layer 0 bias shape (1,) is wrong"),
     ], ids=["time-embed", "zero-width", "weight-count", "float-widths", "bool-width",
-            "text-widths"])
+            "text-widths", "one-width", "missing-bias", "short-bias"])
     def test_mlp_file_rules_exit_4_naming_the_rule(self, edit, message, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"widths": [3, 2], "weights": [[0.0] * 6],
@@ -615,7 +638,7 @@ class TestTrace:
         assert cli.main(base + ["--out", str(tmp_path / "ok")]) == 0
         assert len(reads) == 1
         assert cli.main(base + ["--D", "2", "--out", str(tmp_path / "bad")]) == 2
-        assert "noise file holds shape (20, 3)" in capsys.readouterr().err
+        assert "noise shape (20, 3) does not match (S=20, D=2)" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
     def test_noisy_runs_build_one_chain_each(self, tmp_path, monkeypatch):
@@ -773,6 +796,18 @@ class TestEvalW2:
                       "--target", f"gaussian:{root / 'gauss.json'}")
         assert res.returncode == 2
         assert "dimension" in res.stderr
+
+    def test_dimension_mismatch_names_both_shapes(self, tmp_path, capsys):
+        save_gaussian(tmp_path / "g2.json", np.zeros(2), np.ones(2))
+        write_stack(tmp_path / "d3.stack", np.zeros((5, 3)), 0, 0.0)
+        code = cli.main(["eval-w2", "--samples", str(tmp_path / "d3.stack"),
+                         "--target", f"gaussian:{tmp_path / 'g2.json'}",
+                         "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "parseq: usage error: dimension mismatch: mu1 (3,), var1 (3,), mu2 (2,), "
+            "var2 (2,); all four parameter vectors must share one shape\n")
+        assert not (tmp_path / "ev").exists()
 
 
 class TestNonFiniteInputs:
@@ -1066,7 +1101,7 @@ class TestInvertBytes:
         chain = Chain(schedule, select_subsequence(40, 6, "linear"),
                       GaussianOptimalPredictor(self.MU, self.VAR, schedule),
                       draw_noise_stack(5, 6, 3))
-        cfg = InversionConfig(epochs=30, lr=0.1, gradient_mode="rollout", seed=5)
+        cfg = InversionConfig(epochs=30, lr=0.1, gradient_mode="naive", seed=5)
         run = invert(np.array(self.TARGET), cfg, chain)
         x_T_hat, _, _ = read_stack(out / "x_T_hat.stack")
         assert x_T_hat[-1].tobytes() == run.x_T_hat.tobytes()
@@ -1213,14 +1248,14 @@ class TestArgvBoundary:
         # the huge sizes are past any allocation (2**59 float64 is 4 EiB).
         T=st.one_of(st.integers(1, 50), st.sampled_from([73_253, 2**59, 2**62, 10**30])),
         D=st.one_of(st.integers(1, 8), st.sampled_from([2**59, 2**62, 10**30])),
-        predictor=st.sampled_from(["zero", "gaussian", "zero:x.json"]),
+        predictor=st.sampled_from(["zero", "gaussian", "zero:x.json", "zero:", "gaussian:"]),
     )
     def test_sizes_exit_success_or_usage_error(self, T, D, predictor):
         argv = ["sample", "--mode", "sequential", "--predictor", predictor,
                 "--T", str(T), "--D", str(D)]
         with tempfile.TemporaryDirectory() as out:
             code = cli.main(argv + ["--out", out])
-        assert code == (0 if T <= 50 and D <= 8 and predictor != "zero:x.json" else 2)
+        assert code == (0 if T <= 50 and D <= 8 and ":" not in predictor else 2)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -530,7 +530,7 @@ def test_rollout_states_keep_the_naive_bits(S, eta, monkeypatch):
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
     passes = _forward_passes(monkeypatch, mlp)
-    cfg = InversionConfig(epochs=25, lr=0.1, gradient_mode="rollout")
+    cfg = InversionConfig(epochs=25, lr=0.1, gradient_mode="naive")
     run = invert(target, cfg, Chain(sched, sub, mlp, noise))
     want = invert(target, cfg, Chain(sched, sub, _Stateless(mlp), noise))
     assert run.x_T_hat.tobytes() == want.x_T_hat.tobytes()

@@ -63,6 +63,9 @@ class TestConfig:
             dict(lr=float("inf")),
             dict(stop_loss=float("nan")),
             dict(stop_loss=float("inf")),
+            # naive and exact have one name each, the CLI's
+            dict(gradient_mode="rollout"),
+            dict(gradient_mode="exact_ift"),
         ],
     )
     def test_validation(self, kwargs):
@@ -77,7 +80,7 @@ class TestInvertNaive:
         target = sequential_rollout(x_T_true, sched, sub, ZeroPredictor(2))[-1]
         run = invert(
             target,
-            InversionConfig(epochs=200, lr=0.01, seed=2, gradient_mode="rollout"),
+            InversionConfig(epochs=200, lr=0.01, seed=2, gradient_mode="naive"),
             Chain(sched, sub, ZeroPredictor(2)),
         )
         assert np.linalg.norm(run.x_T_hat - x_T_true) <= 1e-3
@@ -90,7 +93,7 @@ class TestInvertNaive:
         target = sequential_rollout(x_T_true, sched, sub, pred)[-1]
         run = invert(
             target,
-            InversionConfig(epochs=150, lr=0.01, seed=4, gradient_mode="rollout"),
+            InversionConfig(epochs=150, lr=0.01, seed=4, gradient_mode="naive"),
             Chain(sched, sub, pred),
         )
         windows = np.array(run.loss_trace).reshape(15, 10).mean(axis=1)
@@ -102,14 +105,14 @@ class TestInvertNaive:
         sched, sub = small_chain()
         noisy = dataclasses.replace(sched, eta=0.5)
         with pytest.raises(ConfigError, match="eta"):
-            invert(np.zeros(2), InversionConfig(gradient_mode="rollout"),
+            invert(np.zeros(2), InversionConfig(gradient_mode="naive"),
                    Chain(noisy, sub, ZeroPredictor(2)))
 
     def test_trace_bookkeeping(self):
         sched, sub = small_chain()
         run = invert(
             np.array([0.3, 0.1]),
-            InversionConfig(epochs=7, lr=0.01, seed=0, gradient_mode="rollout"),
+            InversionConfig(epochs=7, lr=0.01, seed=0, gradient_mode="naive"),
             Chain(sched, sub, ZeroPredictor(2)),
         )
         assert run.epochs_run == 7
@@ -124,7 +127,7 @@ class TestInvertNaive:
         # must stop at epoch 1 with the estimate untouched.
         run = invert(
             target,
-            InversionConfig(epochs=50, lr=0.01, seed=5, stop_loss=1e-12, gradient_mode="rollout"),
+            InversionConfig(epochs=50, lr=0.01, seed=5, stop_loss=1e-12, gradient_mode="naive"),
             Chain(sched, sub, ZeroPredictor(2)),
         )
         assert run.epochs_run == 1
@@ -150,7 +153,7 @@ class TestInvertDeq:
         target = sequential_rollout(x_T_true, sched, sub, pred)[-1]
         kwargs = dict(epochs=600, lr=0.01, seed=2, stop_loss=1e-4)
         chain = Chain(sched, sub, pred)
-        run_naive = invert(target, InversionConfig(gradient_mode="rollout", **kwargs), chain)
+        run_naive = invert(target, InversionConfig(gradient_mode="naive", **kwargs), chain)
         run_deq = invert(target, InversionConfig(solver=PICARD, **kwargs), chain)
         assert run_naive.best_loss <= 1e-4
         assert run_deq.best_loss <= 1e-4
@@ -210,7 +213,7 @@ class TestInvertDeq:
         assert run.solver_converged == [True] * 5
         assert 15 < run.solver_iters[0] <= 101
 
-    @pytest.mark.parametrize("mode", ["phantom", "exact_ift"])
+    @pytest.mark.parametrize("mode", ["phantom", "exact"])
     def test_benchmark_shaped_gaussian_inversion_converges_every_solve(self, mode):
         # The default Picard solve gets S + 1 sweeps, at which it is exact.
         # A warm-started Anderson solve with its 15-iteration budget, as the
@@ -243,15 +246,15 @@ class TestInvertDeq:
         target = sequential_rollout(stream(123, "x_T").standard_normal(2), sched, sub, pred)[-1]
         solver = SolverConfig(method="picard", max_iters=7, tol=1e-10)
         runs = {}
-        for mode in ("exact_ift", "phantom"):
+        for mode in ("exact", "phantom"):
             cfg = InversionConfig(
                 epochs=3000, lr=0.001, gradient_mode=mode, tau=0.1,
                 stop_loss=1e-4, seed=9, solver=solver,
             )
             runs[mode] = invert(target, cfg, Chain(sched, sub, pred))
-        assert runs["exact_ift"].best_loss <= 1e-4
+        assert runs["exact"].best_loss <= 1e-4
         assert runs["phantom"].best_loss <= 1e-4
-        assert runs["exact_ift"].epochs_run <= runs["phantom"].epochs_run
+        assert runs["exact"].epochs_run <= runs["phantom"].epochs_run
 
     def test_exact_mode_faster_on_nonlinear_chain_and_phantom_stable(self):
         sched = make_linear_beta_schedule(50, 1e-4, 0.04)
@@ -267,7 +270,7 @@ class TestInvertDeq:
             )
             return invert(target, cfg, Chain(sched, sub, pred))
 
-        exact = run("exact_ift", 0.001)
+        exact = run("exact", 0.001)
         phantom = run("phantom", 0.001)
         assert exact.best_loss <= 1e-4 and phantom.best_loss <= 1e-4
         assert exact.epochs_run <= phantom.epochs_run
@@ -327,7 +330,7 @@ class TestInvertErrorPaths:
         with pytest.raises(ConfigError, match="single state vector"):
             invert(np.zeros((1, 2)), InversionConfig(epochs=1), chain)
 
-    @pytest.mark.parametrize("mode", ["rollout", "phantom", "exact_ift"])
+    @pytest.mark.parametrize("mode", ["naive", "phantom", "exact"])
     def test_target_must_have_the_predictors_dimension(self, mode):
         sched, sub = small_chain()
         chain = Chain(sched, sub, ZeroPredictor(2))
@@ -386,7 +389,7 @@ class TestRunReport:
         sched, sub = small_chain()
         run = invert(
             np.array([0.2, 0.2]),
-            InversionConfig(epochs=3, lr=0.01, seed=0, gradient_mode="rollout"),
+            InversionConfig(epochs=3, lr=0.01, seed=0, gradient_mode="naive"),
             Chain(sched, sub, ZeroPredictor(2)),
         )
         report = run_report(run, {"method": "naive"}, "x_T_hat.stack")

@@ -274,6 +274,10 @@ class TestGaussianOptimalPredictor:
         with pytest.raises(ShapeError, match="non-empty"):
             GaussianOptimalPredictor(np.zeros(0), np.zeros(0), sched)
 
+    def test_negative_var_is_a_shape_error(self, sched):
+        with pytest.raises(ShapeError, match=r"^var entries must be >= 0$"):
+            GaussianOptimalPredictor(np.zeros(2), np.array([1.0, -0.5]), sched)
+
     def test_worked_value(self):
         # mu=[2], var=[4], alpha_bar=0.5, x=[3]:
         # sqrt(0.5) * (3 - sqrt(0.5)*2) / (0.5*4 + 0.5).
@@ -384,10 +388,15 @@ class TestMlpPredictor:
         p = MlpPredictor(widths, [np.zeros((2, 3))], [np.zeros(2)])
         assert p.widths == [3, 2] and all(type(w) is int for w in p.widths)
 
-    @pytest.mark.parametrize("widths", [[3, np.float64(2.0)], [np.bool_(True), 2]])
+    @pytest.mark.parametrize("widths", [[3, np.float64(2.0)], [np.bool_(True), 2], 5])
     def test_numpy_float_and_bool_widths_are_a_schema_error(self, widths):
         with pytest.raises(SchemaError, match=r"^mlp widths must be a list of integers$"):
             MlpPredictor(widths, [np.zeros((2, 3))], [np.zeros(2)])
+
+    def test_misshapen_weight_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match=r"^layer 0 weight shape \(3, 2\) does not match "
+                                              r"widths \(2, 3\)$"):
+            MlpPredictor([3, 2], [np.zeros((3, 2))], [np.zeros(2)])
 
     def test_widths_must_account_for_time_slot(self):
         with pytest.raises(SchemaError):

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from parseq import ConfigError
 from parseq.rng import stream
 
 
@@ -13,3 +15,8 @@ def test_stream_draws_are_pinned():
     ss = np.random.SeedSequence([3, 0, 0])
     assert np.random.default_rng(ss).standard_normal() == 2.0409191213851825
 
+
+
+def test_unknown_purpose_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"^unknown rng purpose 'weights'; known: \["):
+        stream(0, "weights")

@@ -12,7 +12,7 @@ from parseq import (
     make_linear_beta_schedule,
     select_subsequence,
 )
-from parseq.schedule import c1_for_pair, sigma_for_pair
+from parseq.schedule import TimestepSubsequence, c1_for_pair, sigma_for_pair
 
 
 class TestLinearBetaSchedule:
@@ -130,6 +130,17 @@ class TestLinearBetaSchedule:
         with pytest.raises(ConfigError):
             make_linear_beta_schedule(**kwargs)
 
+    @pytest.mark.parametrize("betas, message", [
+        ([], "betas must be a non-empty 1-d array"),
+        ([0.1, 1.0], r"every beta must lie in \(0, 1\)"),
+        ([0.1, 0.0], r"every beta must lie in \(0, 1\)"),
+        # 0.001**200 = 1e-600 underflows to 0
+        ([0.999] * 200, r"every alpha_bar must lie in \(0, 1\)"),
+    ], ids=["empty", "one", "zero", "underflow"])
+    def test_bad_betas_rejected(self, betas, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            DiffusionSchedule(np.array(betas))
+
     @given(
         T=st.integers(min_value=1, max_value=200),
         b0=st.floats(min_value=1e-5, max_value=0.05),
@@ -227,6 +238,16 @@ class TestSubsequence:
             select_subsequence(10, 11, "linear")
         with pytest.raises(ConfigError):
             select_subsequence(10, 0, "linear")
+
+    @pytest.mark.parametrize("indices, message", [
+        ((), "subsequence must select at least one timestep"),
+        ((0, 5), "subsequence indices must be >= 1"),
+        ((2, 5, 5), "subsequence indices must be strictly increasing"),
+        ((3, 2), "subsequence indices must be strictly increasing"),
+    ], ids=["empty", "from-zero", "repeat", "decreasing"])
+    def test_bad_indices_rejected(self, indices, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TimestepSubsequence(indices)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
