@@ -2,7 +2,7 @@
 
 The sequential sampler is recast as a joint system over all intermediate
 states; its strictly triangular structure lets Picard iteration terminate
-in at most S steps and Anderson acceleration typically far earlier.  Each
+in at most S steps, and Anderson acceleration sometimes earlier.  Each
 sweep evaluates the noise model at every timestep in one batched call.
 Inversion recovers the terminal state by cheap gradients taken at the
 fixed point.
@@ -17,6 +17,7 @@ from .chain import (
     h_tilde_vjp,
     init_stack,
     sequential_rollout,
+    solve_stack,
 )
 from .errors import (
     ConfigError,
@@ -51,8 +52,7 @@ from .predictors import (
     save_gaussian,
     save_mlp,
 )
-from .rng import stream
-from .sampling import draw_noise_stack, draw_x_T, solve_stack
+from .rng import draw_noise_stack, draw_x_T, stream
 from .schedule import (
     DiffusionSchedule,
     TimestepSubsequence,

@@ -27,8 +27,9 @@ subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
 checked and built once.  Building it also hands the predictor the chain's
 timesteps once, through ``NoisePredictor.prepare``.  The private
 kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a chain, and so
-do the solver and gradient routes built on them; ``_x_T_step`` is the
-one-row pullback onto x_T that every gradient route ends in.
+do ``solve_stack``, which hands ``_sweep`` to ``solvers.solve``, and the
+gradient routes; ``_x_T_step`` is the one-row pullback onto x_T that
+every gradient route ends in.
 ``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the older
 per-call form: each builds a fresh chain from its arguments.
 
@@ -53,6 +54,10 @@ from .schedule import (
     identity_subsequence,
     sigma_for_pair,
 )
+from .solvers import FixedPointResult, SolverConfig, solve
+
+#: The ``init_stack`` rules, by name: every row copies x_T, or all zeros.
+INIT_KINDS = ("x_T", "zero")
 
 
 @dataclass(frozen=True)
@@ -156,12 +161,12 @@ class Chain:
 
 def init_stack(x_T: np.ndarray, S: int, kind: str = "x_T") -> np.ndarray:
     """Initial stack estimate: every row copies x_T, or all zeros."""
+    if kind not in INIT_KINDS:
+        raise ConfigError(f"unknown init kind '{kind}'")
     x_T = np.asarray(x_T, dtype=np.float64)
     if kind == "x_T":
         return np.tile(x_T, (S, 1))
-    if kind == "zero":
-        return np.zeros((S, x_T.size))
-    raise ShapeError(f"unknown init kind '{kind}'")
+    return np.zeros((S, x_T.size))
 
 
 def _check_stack(states: np.ndarray, x_T: np.ndarray, S: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +281,7 @@ def h_tilde(
     sums are one prefix sum in the scaled coordinates, keeping the whole
     update one predictor call and O(S D) arithmetic instead of the O(S^2)
     literal double sum.  Each call builds a fresh ``Chain``;
-    ``sampling.solve_stack`` and the gradient routes take one and call the
+    ``solve_stack`` and the gradient routes take one and call the
     ``_sweep`` kernel instead.  ``pool`` is accepted for compatibility with
     older callers and ignored.
     """
@@ -303,6 +308,25 @@ def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
         scan[1:] += chain.scaled_noise[::-1]
     np.add.accumulate(scan, axis=0, out=scan)
     return coeffs.sqrt_alpha[-2::-1, None] * scan[1:]
+
+
+def solve_stack(
+    chain: Chain,
+    x_T: np.ndarray,
+    cfg: SolverConfig,
+    init: str | np.ndarray = "x_T",
+) -> FixedPointResult:
+    """Solve the joint system of ``chain`` for the whole stack below x_T.
+
+    ``init`` is either a ready (S, D) array (e.g. a warm start) or the name
+    of an init_stack rule.  ``solvers.solve``, the one fixed-point loop,
+    runs the ``_sweep`` kernel under the caller's ``cfg``; every sweep reads
+    the coefficients built once with the chain.
+    """
+    if isinstance(init, str):
+        init = init_stack(x_T, chain.S, kind=init)
+    init_states, x_T = _check_stack(init, x_T, chain.S)
+    return solve(lambda states: _sweep(chain, states, x_T), init_states, cfg)
 
 
 def h_tilde_vjp(

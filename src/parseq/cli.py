@@ -35,11 +35,11 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .chain import Chain, _rollout
+from .chain import INIT_KINDS, Chain, _rollout, solve_stack
 from .invert import InversionConfig, invert, run_report
 from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
-from .sampling import draw_noise_stack, draw_x_T, solve_stack
+from .rng import draw_noise_stack, draw_x_T
 from .schedule import (
     MAX_FLOAT64_LENGTH, identity_subsequence, make_linear_beta_schedule, select_subsequence,
 )
@@ -69,7 +69,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration budget (default: S + 1 for Picard, at which the "
                         "triangular solve is exact; 15 for Anderson, or 50 when eta > 0)")
     p.add_argument("--solver-tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--init", choices=["x_T", "zero"], default="x_T",
+    p.add_argument("--init", choices=INIT_KINDS, default="x_T",
                    help="stack initialization for the fixed-point solve")
 
 

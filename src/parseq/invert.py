@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain
+from .chain import INIT_KINDS, Chain, solve_stack
 from .errors import ConfigError, DivergenceError, ShapeError
 from .gradients import Adam, _rollout_grad, exact_ift_grad, phantom_grad
-from .sampling import draw_x_T, solve_stack
+from .rng import draw_x_T
 from .solvers import SolverConfig, picard_budget
 
 
@@ -62,6 +62,8 @@ class InversionConfig:
             raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
         if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0.0):
             raise ConfigError(f"stop_loss must be finite and >= 0, got {self.stop_loss}")
+        if self.init not in INIT_KINDS:
+            raise ConfigError(f"unknown init kind '{self.init}'")
 
 
 @dataclass

@@ -1,9 +1,10 @@
-"""Deterministic per-purpose random streams.
+"""Deterministic per-purpose random streams, and the seeded draws of a run.
 
 A single top-level seed expands into independent generators keyed by a
 purpose label.  Each consumer owns its stream, so adding a new draw site
 (or skipping one, e.g. the noise stack at eta = 0) never shifts the
-values seen by the others.
+values seen by the others.  ``draw_x_T`` and ``draw_noise_stack`` are the
+draws of the ``"x_T"`` and ``"noise_stack"`` streams.
 """
 
 from __future__ import annotations
@@ -37,3 +38,13 @@ def stream(seed: int, purpose: str) -> np.random.Generator:
     # recorded outputs were drawn from.
     ss = np.random.SeedSequence([int(seed), _PURPOSES[purpose], 0])
     return np.random.default_rng(ss)
+
+
+def draw_x_T(seed: int, dim: int) -> np.ndarray:
+    """Standard normal terminal state from the x_T stream."""
+    return stream(seed, "x_T").standard_normal(dim)
+
+
+def draw_noise_stack(seed: int, S: int, dim: int) -> np.ndarray:
+    """Per-transition standard normal draws from the noise stream."""
+    return stream(seed, "noise_stack").standard_normal((S, dim))

@@ -6,9 +6,10 @@ g = step_map(x) over an ndarray of any shape and records the residual
 ``method="picard"`` each map output is the next iterate; on the sampling
 chain the map's strictly triangular structure makes the S-th iterate
 exact.  With ``method="anderson"`` the next iterate mixes the map outputs
-of a sliding window of the last ``HISTORY_M`` iterations, which typically
-needs far fewer evaluations than the spectral radius of the map would
-suggest.  Either way the returned states are the last map output.
+of a sliding window of the last ``HISTORY_M`` iterations, which sometimes
+needs fewer: on the measured chains it took fewer iterations than Picard
+on the Gaussian ones at S >= 100, and as many or one more on the MLP
+ones.  Either way the returned states are the last map output.
 
 The default budgets live here and nowhere else: ``default_solver_config``
 gives Anderson's by eta and ``picard_budget`` Picard's by chain length.
@@ -49,9 +50,9 @@ class SolverConfig:
 
 
 def default_solver_config(eta: float) -> SolverConfig:
-    """Stock Anderson settings: 15 iterations suffice for deterministic
-    chains, stochastic ones get 50."""
-    return SolverConfig(max_iters=15 if eta == 0.0 else 50)
+    """Stock Anderson settings: ``SolverConfig``'s own budget suffices for
+    deterministic chains, stochastic ones get 50 iterations."""
+    return SolverConfig() if eta == 0.0 else SolverConfig(max_iters=50)
 
 
 def picard_budget(S: int) -> int:

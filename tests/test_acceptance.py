@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from parseq.chain import Chain, h_tilde, sequential_rollout
+from parseq.chain import Chain, h_tilde, sequential_rollout, solve_stack
 from parseq.gradients import (
     central_difference_grad,
     exact_ift_grad,
@@ -22,10 +22,9 @@ from parseq.gradients import (
 )
 from parseq.invert import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_mlp
-from parseq.sampling import draw_noise_stack, draw_x_T, solve_stack
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, SolverConfig
-from parseq.rng import stream
+from parseq.rng import draw_noise_stack, draw_x_T, stream
 
 from cli_runner import run_cli
 

@@ -24,8 +24,9 @@ from parseq import (
     random_mlp,
     select_subsequence,
     sequential_rollout,
+    solve_stack,
 )
-from parseq import chain, gradients, sampling
+from parseq import chain, gradients
 from parseq.schedule import c1_for_pair, sigma_for_pair
 
 
@@ -381,8 +382,8 @@ class TestHTilde:
 
         sub = select_subsequence(100, 3, "linear")
         with pytest.raises(DivergenceError):
-            sampling.solve_stack(Chain(sched, sub, ExplodingPredictor(2)), np.ones(2),
-                                 cfg=SolverConfig(method=method))
+            solve_stack(Chain(sched, sub, ExplodingPredictor(2)), np.ones(2),
+                        cfg=SolverConfig(method=method))
 
 
 class TestHTildeVjp:
@@ -582,7 +583,7 @@ class TestChainCoefficients:
             calls.append(1)
             return chain_coefficients(*args, **kwargs)
 
-        for module in (chain, sampling, gradients):
+        for module in (chain, gradients):
             monkeypatch.setattr(module, "chain_coefficients", counting, raising=False)
         sched = make_linear_beta_schedule(100, 1e-4, 0.03)
         sub = select_subsequence(100, 8, "linear")
@@ -592,7 +593,7 @@ class TestChainCoefficients:
         cfg = SolverConfig(method=method, max_iters=max_iters, tol=0.0)
         pinned = Chain(sched, sub, pred)
         assert len(calls) == 1
-        result = sampling.solve_stack(pinned, x_T, cfg)
+        result = solve_stack(pinned, x_T, cfg)
         assert result.iters == max_iters
         target = rng.standard_normal(3)
         for grad in (gradients.exact_ift_grad, gradients.phantom_grad):
@@ -677,7 +678,7 @@ class TestPreparedPredictor:
         assert len(prepared) == 1 and prepared[0] is chain_.timesteps
         assert chain_.timesteps.tolist() == chain_.coeffs.taus[1:].tolist()
         assert not chain_.timesteps.flags.writeable
-        res = sampling.solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
+        res = solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
         assert res.converged and proxy.predict_calls == res.iters
         assert len(prepared) == 1
 
@@ -714,7 +715,7 @@ class TestPreparedPredictor:
         terms = GaussianOptimalPredictor._terms
         monkeypatch.setattr(GaussianOptimalPredictor, "_terms",
                             lambda self, t: builds.append(t) or terms(self, t))
-        res = sampling.solve_stack(gauss, x_T, SolverConfig(method="anderson", max_iters=50))
+        res = solve_stack(gauss, x_T, SolverConfig(method="anderson", max_iters=50))
         assert res.converged and res.iters > 10
         target = np.zeros(5)
         gradients.exact_ift_grad(gauss, res.states, x_T, target)
@@ -739,8 +740,8 @@ class TestInitStack:
         stack = init_stack(np.ones(2), 3, kind="zero")
         np.testing.assert_array_equal(stack, np.zeros((3, 2)))
 
-    def test_unknown_kind_is_a_shape_error(self):
-        with pytest.raises(ShapeError, match=r"^unknown init kind 'ones'$"):
+    def test_unknown_kind_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^unknown init kind 'ones'$"):
             init_stack(np.ones(2), 3, kind="ones")
 
 
@@ -750,7 +751,7 @@ class TestStackChecks:
     def test_x_T_must_be_one_state(self, gaussian):
         chain_ = Chain(gaussian.schedule, select_subsequence(100, 3, "linear"), gaussian)
         with pytest.raises(ShapeError, match=r"^x_T must be 1-d, got shape \(1, 3\)$"):
-            sampling.solve_stack(chain_, np.zeros((1, 3)), SolverConfig(), np.zeros((3, 3)))
+            solve_stack(chain_, np.zeros((1, 3)), SolverConfig(), np.zeros((3, 3)))
 
     def test_cotangent_must_have_the_stacks_shape(self, gaussian):
         sched, sub = gaussian.schedule, select_subsequence(100, 3, "linear")

@@ -23,8 +23,7 @@ from parseq import cli
 from parseq.chain import Chain, sequential_rollout
 from parseq.invert import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_gaussian, save_mlp
-from parseq.rng import stream
-from parseq.sampling import draw_noise_stack, draw_x_T
+from parseq.rng import draw_noise_stack, draw_x_T, stream
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.stackio import read_stack, write_stack
 
@@ -1070,11 +1069,11 @@ class TestInvertBytes:
 
     @pytest.mark.parametrize("method", ["naive", "deq"])
     def test_builds_the_chain_coefficients_once(self, tmp_path, monkeypatch, method):
-        from parseq import chain, gradients, sampling
+        from parseq import chain, gradients
 
         builds = []
         build = chain.chain_coefficients
-        for module in (chain, sampling, gradients):
+        for module in (chain, gradients):
             monkeypatch.setattr(module, "chain_coefficients",
                                 lambda *a: builds.append(1) or build(*a), raising=False)
         out = self._invert(tmp_path, monkeypatch, method, "exact", "0")

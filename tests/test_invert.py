@@ -66,6 +66,7 @@ class TestConfig:
             # naive and exact have one name each, the CLI's
             dict(gradient_mode="rollout"),
             dict(gradient_mode="exact_ift"),
+            dict(init="ones"),
         ],
     )
     def test_validation(self, kwargs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parseq import ConfigError
-from parseq.rng import stream
+from parseq.rng import draw_noise_stack, draw_x_T, stream
 
 
 def test_stream_draws_are_pinned():
@@ -12,6 +12,8 @@ def test_stream_draws_are_pinned():
         2.0409191213851825, -2.5556650313141818
     ]
     assert stream(3, "noise_stack").standard_normal() == 0.01755360346943547
+    assert draw_x_T(3, 2).tolist() == [2.0409191213851825, -2.5556650313141818]
+    assert draw_noise_stack(3, 1, 1).tolist() == [[0.01755360346943547]]
     ss = np.random.SeedSequence([3, 0, 0])
     assert np.random.default_rng(ss).standard_normal() == 2.0409191213851825
 

@@ -24,7 +24,7 @@ from parseq import (
     solve_stack,
 )
 from parseq.chain import _rollout
-from parseq.sampling import draw_noise_stack, draw_x_T
+from parseq.rng import draw_noise_stack, draw_x_T
 from parseq import solvers
 from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, _anderson_gamma, _residual_norm, picard_budget
 
