@@ -30,15 +30,18 @@ from .errors import (
 )
 from .gradients import (
     Adam,
+    InversionConfig,
+    InversionRun,
     adjoint_solve,
     central_difference_grad,
     exact_ift_grad,
+    invert,
     loss_and_seed,
     phantom_grad,
     rollout_backprop_grad,
+    run_report,
     write_gradcheck_report,
 )
-from .invert import InversionConfig, InversionRun, invert, run_report
 from .metrics import MomentSummary, gaussian_w2, sample_moments
 from .predictors import (
     ConstantPredictor,

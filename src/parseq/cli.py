@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
 )
 from .chain import INIT_KINDS, Chain, _rollout, solve_stack
-from .invert import InversionConfig, invert, run_report
+from .gradients import InversionConfig, invert, run_report
 from .metrics import gaussian_w2, sample_moments
 from .predictors import GaussianOptimalPredictor, ZeroPredictor, load_gaussian_params, load_mlp
 from .rng import draw_noise_stack, draw_x_T

@@ -1,44 +1,63 @@
-"""Gradients of the reconstruction loss with respect to the terminal state.
+"""Inversion: Adam on the terminal state, with gradients at the fixed point.
 
-Three routes, cheapest first, all ending in the same one-row pullback
+The loss is the squared distance of the chain's x_0 to a target
+(``loss_and_seed``).  ``invert`` runs one Adam loop over x_T, and
+``InversionConfig.gradient_mode`` picks the route each epoch takes its
+gradient by.  The three names are the CLI's: ``invert --method naive``,
+and ``--method deq`` with ``--grad phantom`` or ``--grad exact``.  Every
+route returns (loss, gradient), the loss being the value of the scalar
+function actually differentiated, and ends in the same one-row pullback
 onto x_T (``chain._x_T_step``):
 
-* ``phantom_grad`` backpropagates through a single damped application of
-  the joint update on top of the (detached) solver output:
+* ``"naive"``, ``rollout_backprop_grad``, backpropagates through the
+  sequential sampler with its O(S D) forward stack kept.  The rollout is
+  the fixed point, so this is the back-substitution of ``exact_ift_grad``
+  on the rollout's stack, reading the vjp states of the rollout's own
+  one-row forward passes: S forward passes in all.
+* ``"phantom"``, ``phantom_grad``, backpropagates through a single damped
+  application of the joint update on top of the (detached) solver output:
   y = tau * h_tilde(stack*) + (1 - tau) * stack*.  The loss row reads x_T
   only directly and through transition S, so the gradient is one one-row
   vjp.
-* ``exact_ift_grad`` solves the adjoint system v = v J + dL/dstack* at the
-  fixed point.  The Jacobian J of ``h_tilde`` is strictly triangular, so
-  the system is solved exactly by one back-substitution from the x_0 row
-  up: one batched forward pass builds the predictor's vjp state at the
-  S - 1 stack rows it reads, and each position then runs only a one-row
-  backward pass; the x_T step adds one one-row vjp.
-* ``rollout_backprop_grad`` backpropagates through the sequential sampler
-  with its O(S D) forward stack kept: it is the same back-substitution on
-  the rollout's stack, reading the vjp states of the rollout's own one-row
-  forward passes, so it runs S forward passes in all.
+* ``"exact"``, ``exact_ift_grad``, solves the adjoint system
+  v = v J + dL/dstack* at the fixed point.  The Jacobian J of ``h_tilde``
+  is strictly triangular, so ``_back_substitute`` solves it exactly from
+  the x_0 row up: one batched forward pass builds the predictor's vjp
+  state at the S - 1 stack rows it reads, and each position then runs
+  only a one-row backward pass.  ``adjoint_solve`` is the same solve for
+  any stack seed.
 
-``_back_substitute`` is the one back-substitution: ``exact_ift_grad`` hands
-it the denoised-row seed alone, ``adjoint_solve`` any stack seed, and the
-rollout gradient its own states.  The stack solves these routes
-differentiate at run in ``solvers.solve``, under the budgets of
-``solvers``.
+Phantom and exact first solve the joint system for the stack with
+``chain.solve_stack``, which runs ``solvers.solve``, the one fixed-point
+loop.  With ``warm_start`` each epoch's solve starts from the last
+epoch's stack.  Without ``InversionConfig.solver`` it is Picard with
+``solvers.picard_budget`` sweeps, which cannot stop short of its
+tolerance.  A noisy chain (eta > 0) is inverted with its per-transition
+noise stack pinned in the ``Chain``, which keeps the joint map
+deterministic within the run; at eta = 0 every sigma vanishes and the
+chain needs no noise.  Peak retained state is one stack plus the Adam
+moments, independent of the epoch count.
 
-All three return (loss, gradient) where loss is the value of the scalar
-function actually differentiated.  The first two take a ``Chain``;
-``rollout_backprop_grad`` and ``adjoint_solve`` keep the older per-call
-form and build a fresh chain from their arguments.
+The routes take a ``Chain``; ``rollout_backprop_grad`` and
+``adjoint_solve`` keep the older per-call form and build a fresh chain
+from their arguments.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .chain import Chain, _check_cotangent, _check_stack, _rollout, _sweep, _x_T_step
-from .errors import DivergenceError, ShapeError
+from .chain import (
+    INIT_KINDS, Chain, _check_cotangent, _check_stack, _rollout, _sweep, _x_T_step, solve_stack,
+)
+from .errors import ConfigError, DivergenceError, ShapeError, require_integer
 from .predictors import NoisePredictor
+from .rng import draw_x_T
 from .schedule import DiffusionSchedule, TimestepSubsequence
+from .solvers import SolverConfig, picard_budget
 from .stackio import write_csv
 
 
@@ -240,6 +259,111 @@ def rollout_backprop_grad(
     one-row forward passes and S one-row backward passes.
     """
     return _rollout_grad(Chain(schedule, subsequence, predictor, noise), x_T, target_x0)
+
+
+@dataclass
+class InversionConfig:
+    epochs: int = 400
+    lr: float = 0.01
+    gradient_mode: str = "phantom"
+    tau: float = 0.1
+    solver: SolverConfig | None = None
+    stop_loss: float = 0.0
+    seed: int = 0
+    warm_start: bool = True
+    init: str = "x_T"
+
+    def __post_init__(self) -> None:
+        require_integer("epochs", self.epochs)
+        require_integer("seed", self.seed)
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if self.gradient_mode not in ("phantom", "exact", "naive"):
+            raise ConfigError(f"unknown gradient mode '{self.gradient_mode}'")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
+        if not (math.isfinite(self.stop_loss) and self.stop_loss >= 0.0):
+            raise ConfigError(f"stop_loss must be finite and >= 0, got {self.stop_loss}")
+        if self.init not in INIT_KINDS:
+            raise ConfigError(f"unknown init kind '{self.init}'")
+
+
+@dataclass
+class InversionRun:
+    x_T_hat: np.ndarray
+    loss_trace: list[float] = field(default_factory=list)
+    best_loss: float = float("inf")
+    epochs_run: int = 0
+    solver_iters: list[int] = field(default_factory=list)
+    #: Whether each epoch's stack solve reached its tolerance; a solve that
+    #: stops at its budget still yields a gradient and the run goes on.
+    solver_converged: list[bool] = field(default_factory=list)
+
+
+def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
+    """JSON-ready run artifact."""
+    return {
+        "config": config,
+        "loss_trace": [float(v) for v in run.loss_trace],
+        "best_loss": float(run.best_loss),
+        "epochs_run": run.epochs_run,
+        "solver_iters": list(run.solver_iters),
+        "solver_converged": list(run.solver_converged),
+        "x_T_hat_file": x_T_hat_file,
+    }
+
+
+def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> InversionRun:
+    """Adam on x_T against the squared distance of the chain's x_0 to the
+    target, with the gradient of ``cfg.gradient_mode`` each epoch.  The
+    target is one state of the predictor's dimension, or a ``ShapeError``."""
+    target = np.asarray(x0_target, dtype=np.float64)
+    if target.ndim != 1:
+        raise ConfigError(f"target must be a single state vector, got {target.shape}")
+    if target.size != chain.predictor.dim:
+        raise ShapeError(
+            f"target dimension {target.size} != predictor dimension {chain.predictor.dim}"
+        )
+    eta = chain.schedule.eta
+    if eta != 0.0 and chain.noise is None:
+        raise ConfigError(f"inverting a chain with eta={eta} needs its noise pinned")
+    solver_cfg = cfg.solver or SolverConfig("picard", picard_budget(chain.S))
+    x_T = draw_x_T(cfg.seed, target.size)
+    adam = Adam(lr=cfg.lr)
+    run = InversionRun(x_T_hat=x_T)
+    warm: np.ndarray | None = None
+    for epoch in range(cfg.epochs):
+        if cfg.gradient_mode == "naive":
+            loss, grad = _rollout_grad(chain, x_T, target)
+        else:
+            try:
+                result = solve_stack(chain, x_T, solver_cfg, cfg.init if warm is None else warm)
+            except DivergenceError:
+                if warm is None:
+                    raise DivergenceError(
+                        f"stack solve diverged at inversion epoch {epoch}"
+                    ) from None
+                # A stale warm start can blow up after a large parameter
+                # move; retry once from the stock initialization.
+                result = solve_stack(chain, x_T, solver_cfg, cfg.init)
+            if cfg.warm_start:
+                warm = result.states
+            if cfg.gradient_mode == "phantom":
+                loss, grad = phantom_grad(chain, result.states, x_T, target, tau=cfg.tau)
+            else:
+                loss, grad = exact_ift_grad(chain, result.states, x_T, target)
+            run.solver_iters.append(result.iters)
+            run.solver_converged.append(result.converged)
+        run.loss_trace.append(loss)
+        run.best_loss = min(run.best_loss, loss)
+        run.epochs_run += 1
+        if loss <= cfg.stop_loss:
+            break
+        x_T = adam.step(x_T, grad)
+        run.x_T_hat = x_T
+    return run
 
 
 def central_difference_grad(

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ShapeError
+from .errors import ParseError, SchemaError, ShapeError, is_integer
 from .schedule import DiffusionSchedule
 
 
@@ -221,7 +221,7 @@ def _checked_widths(widths) -> list[int]:
         widths = list(widths)
     except TypeError:
         raise SchemaError(rule) from None
-    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in widths):
+    if not all(map(is_integer, widths)):
         raise SchemaError(rule)
     widths = [int(w) for w in widths]
     if any(w < 1 for w in widths):

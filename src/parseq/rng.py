@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integer
 
 # Registry of stream labels. New purposes are appended and retired ones
 # leave a gap, never a renumbering, so existing streams stay stable.
@@ -27,10 +27,11 @@ def stream(seed: int, purpose: str) -> np.random.Generator:
     """Return the generator for (seed, purpose).
 
     The pair is fed to a SeedSequence, so streams for distinct purposes
-    are statistically independent and reproducible.  A negative seed is a
-    configuration error.
+    are statistically independent and reproducible.  A seed that is not
+    an integer, or is negative, is a configuration error.
     """
-    if int(seed) < 0:
+    require_integer("seed", seed)
+    if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if purpose not in _PURPOSES:
         raise ConfigError(f"unknown rng purpose '{purpose}'; known: {sorted(_PURPOSES)}")

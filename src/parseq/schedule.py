@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericDomainError
+from .errors import ConfigError, NumericDomainError, is_integer, require_integer
 
 #: Signal product assigned to the virtual timestep t = 0.
 ALPHA_BAR_ZERO = 1.0
@@ -134,6 +134,7 @@ def make_linear_beta_schedule(
     eta: float = 0.0,
 ) -> DiffusionSchedule:
     """Build a schedule whose betas interpolate linearly, endpoints included."""
+    require_integer("T", T)
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
     if not 0.0 < beta_start <= beta_end:
@@ -170,6 +171,8 @@ class TimestepSubsequence:
     def __post_init__(self) -> None:
         if len(self.indices) == 0:
             raise ConfigError("subsequence must select at least one timestep")
+        if not all(map(is_integer, self.indices)):
+            raise ConfigError(f"subsequence indices must be integers, got {self.indices!r}")
         if self.indices[0] < 1:
             raise ConfigError("subsequence indices must be >= 1")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
@@ -188,6 +191,8 @@ def select_subsequence(T: int, S: int, kind: str = "linear") -> TimestepSubseque
     Duplicates produced by the quadratic rule at small i are dropped, so the
     result may be shorter than S.
     """
+    require_integer("T", T)
+    require_integer("S", S)
     if not 1 <= S <= T:
         raise ConfigError(f"need 1 <= S <= T, got S={S}, T={T}")
     if kind == "linear":
@@ -201,4 +206,5 @@ def select_subsequence(T: int, S: int, kind: str = "linear") -> TimestepSubseque
 
 def identity_subsequence(T: int) -> TimestepSubsequence:
     """The full chain 1..T as a subsequence."""
+    require_integer("T", T)
     return TimestepSubsequence(indices=tuple(range(1, T + 1)))

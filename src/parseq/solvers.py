@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, require_integer
 
 #: Anderson's window: the map outputs of at most this many iterations mix.
 HISTORY_M = 5
@@ -43,6 +43,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in ("anderson", "picard"):
             raise ConfigError(f"unknown solver method '{self.method}'")
+        require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):

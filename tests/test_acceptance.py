@@ -14,13 +14,14 @@ import pytest
 
 from parseq.chain import Chain, h_tilde, sequential_rollout, solve_stack
 from parseq.gradients import (
+    InversionConfig,
     central_difference_grad,
     exact_ift_grad,
+    invert,
     phantom_grad,
     rollout_backprop_grad,
     write_gradcheck_report,
 )
-from parseq.invert import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_mlp
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
 from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, SolverConfig

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from parseq import cli
 from parseq.chain import Chain, sequential_rollout
-from parseq.invert import InversionConfig, invert
+from parseq.gradients import InversionConfig, invert
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_gaussian, save_mlp
 from parseq.rng import draw_noise_stack, draw_x_T, stream
 from parseq.schedule import make_linear_beta_schedule, select_subsequence

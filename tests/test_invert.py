@@ -1,18 +1,28 @@
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import parseq
 from parseq import (
     Chain,
     ConfigError,
+    ConstantPredictor,
     DivergenceError,
     GaussianOptimalPredictor,
     InversionConfig,
     ShapeError,
     SolverConfig,
+    TimestepSubsequence,
     ZeroPredictor,
     draw_noise_stack,
+    draw_x_T,
+    identity_subsequence,
     invert,
     loss_and_seed,
     make_linear_beta_schedule,
@@ -438,3 +448,80 @@ class TestRunReport:
             "x_T_hat", "loss_trace", "best_loss", "epochs_run", "solver_iters",
             "solver_converged",
         }
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    # ``import parseq.<name> as m`` must bind the module, never a function
+    # of the same name re-exported by the package.  Importing ``__main__``
+    # would run the CLI, so it is left out.
+    for info in pkgutil.iter_modules(parseq.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"parseq.{info.name}")
+        assert inspect.ismodule(module), info.name
+        assert getattr(parseq, info.name, module) is module, info.name
+
+
+#: Every library entry point that takes a count, a size or a seed, each fed
+#: one value in 1..12 where the rest of its arguments stay valid.
+INTEGER_ENTRY_POINTS = {
+    "stream seed": lambda n: stream(n, "x_T"),
+    "draw_x_T seed": lambda n: draw_x_T(n, 2),
+    "InversionConfig.epochs": lambda n: InversionConfig(epochs=n),
+    "InversionConfig.seed": lambda n: InversionConfig(seed=n),
+    "SolverConfig.max_iters": lambda n: SolverConfig("picard", n),
+    "make_linear_beta_schedule T": lambda n: make_linear_beta_schedule(n),
+    "select_subsequence T": lambda n: select_subsequence(n, 1),
+    "select_subsequence S": lambda n: select_subsequence(12, n),
+    "identity_subsequence T": lambda n: identity_subsequence(n),
+    "TimestepSubsequence.indices": lambda n: TimestepSubsequence((n,)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12))
+def test_counts_and_seeds_must_be_integers(n):
+    # Python's and numpy's integers are accepted.  A bool is refused although
+    # Python counts it as an int, and a float is refused however integral:
+    # neither is converted, so neither can truncate or crash mid-run.
+    for site, call in INTEGER_ENTRY_POINTS.items():
+        for value in (n, np.int64(n)):
+            call(value)
+        for value in (True, np.True_, float(n), np.float64(n), n + 0.5):
+            with pytest.raises(ConfigError):
+                call(value)
+                pytest.fail(f"{site} accepted {value!r}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    S=st.integers(1, 12),
+    eta=st.sampled_from([0.0, 0.5, 1.0]),
+    kind=st.sampled_from(["zero", "constant", "gaussian"]),
+    seed=st.integers(0, 2**16),
+)
+def test_naive_and_exact_inversion_are_one_computation_on_elementwise_chains(S, eta, kind, seed):
+    # On a chain whose predictor acts row by row, the Picard solve with S + 1
+    # sweeps is the rollout bit for bit and a batched forward pass gives the
+    # one-row vjp states, so exact inversion is naive inversion.  (An MLP's
+    # batched and one-row products round differently, so it is left out.)
+    D = 3
+    rng = np.random.default_rng(seed)
+    sched = make_linear_beta_schedule(40, 1e-3, 0.05, eta=eta)
+    pred = {
+        "zero": lambda: ZeroPredictor(D),
+        "constant": lambda: ConstantPredictor(rng.standard_normal(D)),
+        "gaussian": lambda: GaussianOptimalPredictor(
+            rng.standard_normal(D), rng.uniform(0.5, 2.0, D), sched),
+    }[kind]()
+    chain = Chain(sched, select_subsequence(40, S), pred, draw_noise_stack(seed, S, D))
+    target = rng.standard_normal(D)
+    runs = {
+        mode: invert(target, InversionConfig(
+            epochs=5, lr=0.1, gradient_mode=mode, seed=seed,
+            solver=SolverConfig("picard", S + 1, 0.0)), chain)
+        for mode in ("naive", "exact")
+    }
+    assert runs["naive"].x_T_hat.tobytes() == runs["exact"].x_T_hat.tobytes()
+    assert runs["naive"].loss_trace == runs["exact"].loss_trace
+    assert runs["exact"].solver_converged == [True] * runs["exact"].epochs_run
