@@ -24,12 +24,12 @@ is solved by one back-substitution.
 
 A ``Chain`` holds everything these maps read: the schedule, the
 subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
-checked and built once.  Building it also hands the predictor the chain's
-timesteps once, through ``NoisePredictor.prepare``.  The private
-kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a chain, and so
-do ``solve_stack``, which hands ``_sweep`` to ``solvers.solve``, and the
-gradient routes; ``_x_T_step`` is the one-row pullback onto x_T that
-every gradient route ends in.
+checked and built once, and the labels ``NoisePredictor.prepare`` gives
+its timesteps, which every predictor call of the chain passes by position.
+The private kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a
+chain, and so do ``solve_stack``, which hands ``_sweep`` to
+``solvers.solve``, and the gradient routes; ``_x_T_step`` is the one-row
+pullback onto x_T that every gradient route ends in.
 ``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the older
 per-call form: each builds a fresh chain from its arguments.
 
@@ -116,8 +116,8 @@ class Chain:
     of per-transition draws, D being the predictor's dimension, held as a
     read-only view like the coefficient arrays.  ``scaled_noise`` holds row
     i - 1 times sigma_i / sqrt(A_{i-1}), or None when every sigma is zero.
-    ``timesteps`` is the read-only (S,) array tau_1..tau_S, the one the
-    predictor was prepared with and every batched call passes.
+    ``timesteps`` is the read-only (S,) array tau_1..tau_S, and ``labels``
+    the (batch, rows) labels ``predictor.prepare`` gives them.
     """
 
     schedule: DiffusionSchedule
@@ -127,6 +127,7 @@ class Chain:
     coeffs: ChainCoefficients = field(init=False, repr=False)
     scaled_noise: np.ndarray | None = field(init=False, repr=False)
     timesteps: np.ndarray = field(init=False, repr=False)
+    labels: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         subsequence = self.subsequence
@@ -152,7 +153,7 @@ class Chain:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scaled_noise", scaled_noise)
         object.__setattr__(self, "timesteps", coeffs.taus[1:])
-        self.predictor.prepare(self.timesteps)
+        object.__setattr__(self, "labels", self.predictor.prepare(self.timesteps))
 
     @property
     def S(self) -> int:
@@ -242,15 +243,13 @@ def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
     coeffs, predictor, noise = chain.coeffs, chain.predictor, chain.scaled_noise
     S = coeffs.S
     # Python floats multiply an array faster than numpy scalars do.
-    sqrt_alpha, scaled_c1, taus = (a.tolist() for a in (coeffs.sqrt_alpha, coeffs.scaled_c1,
-                                                        coeffs.taus))
+    sqrt_alpha, scaled_c1 = coeffs.sqrt_alpha.tolist(), coeffs.scaled_c1.tolist()
     x = np.asarray(x_T, dtype=np.float64)
     y = x / sqrt_alpha[S]
     u = np.empty_like(y)
     states = np.empty((S, x.size))
     kept = [None] * S if keep else None
-    for p in range(S, 0, -1):
-        t = taus[p]
+    for p, t in zip(range(S, 0, -1), chain.labels[1][::-1]):
         if kept is None:
             eps = predictor.predict(x, t)
         else:
@@ -261,7 +260,7 @@ def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
         y += u
         x = np.multiply(sqrt_alpha[p - 1], y, out=states[S - p])
         if not math.isfinite(x @ x) and not np.isfinite(x).all():
-            raise DivergenceError(f"non-finite state after the step from t={t}")
+            raise DivergenceError(f"non-finite state after the step from t={coeffs.taus[p]}")
     return states if kept is None else (states, kept)
 
 
@@ -300,7 +299,7 @@ def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
     ``np.cumsum``, with its bits and without its wrapper."""
     coeffs = chain.coeffs
     S = coeffs.S
-    eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), chain.timesteps)
+    eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), chain.labels[0])
     scan = np.empty((S + 1, x_T.size))
     np.divide(x_T, coeffs.sqrt_alpha[S], out=scan[0])
     np.multiply(coeffs.scaled_c1[:0:-1, None], eps_pred[::-1], out=scan[1:])
@@ -358,7 +357,7 @@ def h_tilde_vjp(
     # starts from the first term itself, so add that zero explicitly.
     weighted[0] += 0.0
     prefixes = np.add.accumulate(weighted, axis=0, out=weighted)
-    pulled = predictor.vjp(_stack_inputs(states, x_T, S), chain.timesteps, prefixes)
+    pulled = predictor.vjp(_stack_inputs(states, x_T, S), chain.labels[0], prefixes)
     cot_states = np.zeros_like(states)
     cot_states[: S - 1] = (coeffs.scaled_c1[1:S, None] * pulled[: S - 1])[::-1]
     return cot_states, _x_T_step(chain, x_T, prefixes[S - 1])
@@ -380,9 +379,7 @@ def _x_T_step(
     x_T's direct weight 1 / sqrt(A_S) plus transition S's term, from one
     one-row vjp, which reads ``state``, the vjp state at x_T, when given.
     Every gradient route ends here."""
-    coeffs, predictor = chain.coeffs, chain.predictor
-    S = coeffs.S
-    t = int(coeffs.taus[S])
+    coeffs, predictor, t = chain.coeffs, chain.predictor, chain.labels[1][-1]
     pulled = (predictor.vjp(x_T, t, prefix) if state is None
               else predictor.vjp_from(state, x_T, t, prefix))
-    return prefix / coeffs.sqrt_alpha[S] + coeffs.scaled_c1[S] * pulled
+    return prefix / coeffs.sqrt_alpha[-1] + coeffs.scaled_c1[-1] * pulled

@@ -161,20 +161,19 @@ def _back_substitute(
     """
     coeffs, S, predictor = chain.coeffs, chain.S, chain.predictor
     if states is None and S > 1:
-        batch = predictor.vjp_state(stack_star[S - 2::-1], chain.timesteps[: S - 1])
+        batch = predictor.vjp_state(stack_star[S - 2::-1], chain.labels[0][: S - 1])
         states = [None if batch is None else [s[i] for s in batch] for i in range(S - 1)]
     # Python floats multiply an array faster than numpy scalars do.
-    sqrt_alpha, scaled_c1, taus = (a.tolist() for a in (coeffs.sqrt_alpha, coeffs.scaled_c1,
-                                                        coeffs.taus))
+    sqrt_alpha, scaled_c1 = coeffs.sqrt_alpha.tolist(), coeffs.scaled_c1.tolist()
     v = np.empty_like(seed) if seed.ndim == 2 else None
     v_p = (seed[S - 1] if v is not None else seed) + 0.0  # the sweep's +0.0 pullback
     if v is not None:
         v[S - 1] = v_p
     prefix = 0.0
-    for p in range(1, S):
+    for p, t in zip(range(1, S), chain.labels[1]):
         row = S - 1 - p
         prefix = prefix + sqrt_alpha[p - 1] * v_p
-        v_p = scaled_c1[p] * predictor.vjp_from(states[p - 1], stack_star[row], taus[p], prefix)
+        v_p = scaled_c1[p] * predictor.vjp_from(states[p - 1], stack_star[row], t, prefix)
         if v is not None:
             v_p = np.add(seed[row], v_p, out=v[row])
     return v, prefix + sqrt_alpha[S - 1] * v_p

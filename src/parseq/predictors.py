@@ -13,8 +13,8 @@ The forward state a vjp reads is held by the caller, in the style of
 ``jax.vjp``: ``vjp_state`` and ``predict_and_state`` return it and
 ``vjp_from`` runs only the backward pass on it, so one forward pass, batched
 or one-row, can serve many backward passes.  A predictor keeps nothing
-between calls, except what ``prepare`` lets the Gaussian one build for the
-timesteps a chain will query.
+after it is built: the labels ``prepare`` makes for a chain's timesteps
+carry whatever terms it builds ahead of the calls.
 
 Predictor files are parsed once per content: a load whose file holds the
 bytes its path held last time reuses the parsed, read-only arrays.
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ShapeError, is_integer
+from .errors import ParseError, SchemaError, ShapeError, is_integer, require_integer
 from .schedule import DiffusionSchedule
 
 
@@ -74,13 +74,12 @@ class NoisePredictor(ABC):
         default is ``vjp`` itself."""
         return self.vjp(x, t, cotangent)
 
-    def prepare(self, timesteps: np.ndarray) -> None:
-        """Hint that the calls to come query these timesteps, the (S,) labels
-        of one chain, which ``Chain`` passes once when it is built.  The
-        default does nothing.  An override may build terms ahead of the
-        calls, but it never replaces a call: every call is still made, and
-        gives the same bits whether or not ``prepare`` ran, for any
-        timestep."""
+    def prepare(self, timesteps: np.ndarray) -> tuple:
+        """The labels ``Chain`` passes as ``t`` for its (S,) timesteps: a batch
+        label, sliced by position for fewer rows, and a list of the S row
+        labels.  The default is the timesteps, as the array and its ints; an
+        override's labels may carry terms, with the bits plain labels give."""
+        return timesteps, timesteps.tolist()
 
     def _check_state(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -126,7 +125,23 @@ class ZeroPredictor(ConstantPredictor):
     """The constant predictor at zero: +0.0 noise everywhere, zero Jacobian."""
 
     def __init__(self, dim: int):
-        super().__init__(np.zeros(int(dim)))
+        require_integer("dim", dim)
+        super().__init__(np.zeros(dim))
+
+
+class _TermLabels(np.ndarray):
+    """(N,) timestep labels carrying their rows' Gaussian (gain, shift) as
+    ``terms``, which indexing indexes alike; other derived arrays carry none."""
+
+    def __getitem__(self, key):
+        out, terms = super().__getitem__(key), getattr(self, "terms", None)
+        if terms is not None and isinstance(out, _TermLabels):
+            out.terms = tuple(a[key] for a in terms)
+        return out
+
+
+class _RowTerms(tuple):
+    """A one-row label from the Gaussian ``prepare``: (gain, shift)."""
 
 
 class GaussianOptimalPredictor(NoisePredictor):
@@ -146,13 +161,10 @@ class GaussianOptimalPredictor(NoisePredictor):
     gain = sqrt(1 - a_t) / (a_t var + 1 - a_t) and shift = sqrt(a_t) mu.
     One rule checks every label, one int or an (N,) integer array alike:
     each must lie in 0..T, or the call is a ``ShapeError``.  ``prepare``
-    takes a 1-d integer array and builds its terms as one array expression.
-    It keeps that chain's rows by label and, when the timesteps array is
-    read-only (as ``Chain.timesteps`` is), the batch, found again by that
-    array's identity.  Each ``prepare`` replaces what the last one kept;
-    any other call builds its terms and keeps nothing.  Every term is
-    elementwise IEEE arithmetic on the same operands, so a kept row has
-    the bits of the one built for a single call.
+    builds a 1-d integer array's terms as one array expression, carried by
+    the labels it returns; any other label builds its own.  Every term is
+    elementwise IEEE arithmetic on the same operands, so a carried row has
+    the bits of one built for a single call.
     """
 
     def __init__(self, mu: np.ndarray, var: np.ndarray, schedule: DiffusionSchedule):
@@ -164,11 +176,6 @@ class GaussianOptimalPredictor(NoisePredictor):
             raise ShapeError("var entries must be >= 0")
         self.schedule = schedule
         self.dim = int(self.mu.size)
-        # (timesteps, gain, shift) of the prepared chain, one tuple so a
-        # reader never sees a batch with another batch's terms, and the
-        # same chain's terms by label.
-        self._batch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _terms(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gain, shift) at one int timestep, (D,) each, or at an (N,) array
@@ -187,20 +194,13 @@ class GaussianOptimalPredictor(NoisePredictor):
             a = a[:, None]
         return np.sqrt(1.0 - a) / (a * self.var + (1.0 - a)), np.sqrt(a) * self.mu
 
-    def prepare(self, timesteps: np.ndarray) -> None:
-        timesteps = np.asarray(timesteps)
-        gain, shift = self._terms(timesteps)
-        self._rows = dict(zip(timesteps.tolist(), zip(gain, shift)))
-        self._batch = None if timesteps.flags.writeable else (timesteps, gain, shift)
+    def prepare(self, timesteps: np.ndarray) -> tuple:
+        batch = np.asarray(timesteps).view(_TermLabels)
+        batch.terms = self._terms(batch)
+        return batch, list(map(_RowTerms, zip(*batch.terms)))
 
-    def _lookup(self, t: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not isinstance(t, np.ndarray):
-            terms = self._rows.get(t)
-            return self._terms(t) if terms is None else terms
-        batch = self._batch
-        if batch is not None and t is batch[0]:
-            return batch[1:]
-        return self._terms(t)
+    def _lookup(self, t) -> tuple[np.ndarray, np.ndarray]:
+        return t if isinstance(t, _RowTerms) else getattr(t, "terms", None) or self._terms(t)
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         x = self._check_state(x, t)
@@ -273,6 +273,7 @@ class MlpPredictor(NoisePredictor):
                 raise SchemaError(f"layer {layer} bias shape {b.shape} is wrong")
             self.weights.append(w)
             self.biases.append(b)
+        require_integer("t_max", t_max)
         self.widths = widths
         self.t_max = int(t_max)
         self.dim = widths[-1]

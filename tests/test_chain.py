@@ -10,6 +10,7 @@ from parseq import (
     DiffusionSchedule,
     DivergenceError,
     GaussianOptimalPredictor,
+    InversionConfig,
     ShapeError,
     SolverConfig,
     ZeroPredictor,
@@ -20,6 +21,7 @@ from parseq import (
     h_tilde_vjp,
     identity_subsequence,
     init_stack,
+    invert,
     make_linear_beta_schedule,
     random_mlp,
     select_subsequence,
@@ -665,26 +667,45 @@ def _gaussian_chain(sched, S, seed, noise=False):
 
 
 class TestPreparedPredictor:
-    """A chain prepares its predictor once; the terms change no bits."""
+    """A chain holds the labels its predictor prepared; they change no bits,
+    and no predictor keeps anything."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        terms = GaussianOptimalPredictor._terms
+        monkeypatch.setattr(GaussianOptimalPredictor, "_terms",
+                            lambda self, t: builds.append(t) or terms(self, t))
+        return builds
 
     def test_chain_prepares_once_and_a_proxy_still_sees_every_sweep(self, monkeypatch):
+        # The proxy forwards prepare and passes t through untouched, so the
+        # chain's labels reach the predictor and every sweep is counted.
         sched = make_linear_beta_schedule(100, 1e-4, 0.05, eta=1.0)
         gauss, x_T = _gaussian_chain(sched, 12, 1, noise=True)
         prepared = []
-        monkeypatch.setattr(GaussianOptimalPredictor, "prepare",
-                            lambda self, timesteps: prepared.append(timesteps))
+        prepare = GaussianOptimalPredictor.prepare
+
+        def recording(self, timesteps):
+            prepared.append((timesteps, prepare(self, timesteps)))
+            return prepared[-1][1]
+
+        monkeypatch.setattr(GaussianOptimalPredictor, "prepare", recording)
+        builds = self.count_builds(monkeypatch)
         proxy = DelegatingCounter(gauss.predictor)
         chain_ = Chain(sched, gauss.subsequence, proxy, gauss.noise)
-        assert len(prepared) == 1 and prepared[0] is chain_.timesteps
+        assert len(prepared) == 1 and prepared[0][0] is chain_.timesteps
+        assert chain_.labels is prepared[0][1]
         assert chain_.timesteps.tolist() == chain_.coeffs.taus[1:].tolist()
         assert not chain_.timesteps.flags.writeable
+        assert len(builds) == 1
         res = solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
         assert res.converged and proxy.predict_calls == res.iters
-        assert len(prepared) == 1
+        assert len(prepared) == 1 and len(builds) == 1
 
     def test_shared_predictor_serves_two_chains_bitwise(self):
-        # One predictor prepared by two chains in turn must give each chain
-        # the bits an unshared predictor gives it, sweep after sweep.
+        # One predictor shared by two chains must give each chain the bits
+        # an unshared predictor gives it, sweep after sweep.
         sched = make_linear_beta_schedule(100, 1e-4, 0.05, eta=1.0)
         rng = np.random.default_rng(2)
         mu, var, x_T = rng.standard_normal(5), rng.uniform(0.3, 2.0, 5), rng.standard_normal(5)
@@ -707,25 +728,87 @@ class TestPreparedPredictor:
 
     def test_built_chain_computes_no_gaussian_terms(self, monkeypatch):
         # The cost count behind the per-chain terms: once the chain is
-        # built, a full Anderson solve, its exact and phantom gradients and
-        # a naive rollout gradient build no gain or shift at all.
+        # built, a full Anderson solve, its exact and phantom gradients, a
+        # rollout, a naive rollout gradient and a few inversion epochs build
+        # no gain or shift at all, even after other chains were built on
+        # the same predictor.
         sched = make_linear_beta_schedule(1000, eta=1.0)
         gauss, x_T = _gaussian_chain(sched, 100, 3, noise=True)
-        builds = []
-        terms = GaussianOptimalPredictor._terms
-        monkeypatch.setattr(GaussianOptimalPredictor, "_terms",
-                            lambda self, t: builds.append(t) or terms(self, t))
+        pred = gauss.predictor
+        Chain(sched, select_subsequence(1000, 50, "linear"), pred)
+        Chain(sched, gauss.subsequence, pred, gauss.noise)  # the same timesteps
+        sequential_rollout(x_T, sched, gauss.subsequence, pred, gauss.noise)
+        builds = self.count_builds(monkeypatch)
         res = solve_stack(gauss, x_T, SolverConfig(method="anderson", max_iters=50))
         assert res.converged and res.iters > 10
         target = np.zeros(5)
         gradients.exact_ift_grad(gauss, res.states, x_T, target)
         gradients.phantom_grad(gauss, res.states, x_T, target)
         gradients.exact_ift_grad(gauss, chain._rollout(gauss, x_T), x_T, target)
+        gradients._rollout_grad(gauss, x_T, target)
+        for mode in ("naive", "phantom", "exact"):
+            run = invert(target, InversionConfig(epochs=3, gradient_mode=mode), gauss)
+            assert run.epochs_run == 3
         assert builds == []
-        Chain(sched, gauss.subsequence, gauss.predictor, gauss.noise)  # the same timesteps
+        Chain(sched, gauss.subsequence, pred, gauss.noise)
         assert len(builds) == 1  # every chain builds its own terms once
-        Chain(sched, select_subsequence(1000, 50, "linear"), gauss.predictor)
+        Chain(sched, select_subsequence(1000, 50, "linear"), pred)
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
+    def test_no_predictor_keeps_state(self, kind):
+        # Building a chain and running a solve, both gradients and a rollout
+        # on it leave every attribute of the predictor the object it was.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.05, eta=1.0)
+        rng = np.random.default_rng(5)
+        pred = {
+            "zero": lambda: ZeroPredictor(3),
+            "constant": lambda: ConstantPredictor(rng.standard_normal(3)),
+            "gaussian": lambda: GaussianOptimalPredictor(
+                rng.standard_normal(3), rng.uniform(0.3, 2.0, 3), sched),
+            "mlp": lambda: random_mlp(3, [8], rng, t_max=100, scale=0.5),
+        }[kind]()
+        before = dict(vars(pred))
+        chain_ = Chain(sched, select_subsequence(100, 9, "linear"), pred,
+                       rng.standard_normal((9, 3)))
+        x_T, target = rng.standard_normal(3), rng.standard_normal(3)
+        res = solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
+        gradients.exact_ift_grad(chain_, res.states, x_T, target)
+        gradients.phantom_grad(chain_, res.states, x_T, target)
+        gradients._rollout_grad(chain_, x_T, target)
+        chain._rollout(chain_, x_T)
+        after = vars(pred)
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before)
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian"])
+    def test_positional_slices_give_the_full_batch_rows(self, kind, monkeypatch):
+        # ROADMAP item 4's half-window gate in bits: a slice of the chain's
+        # batch label gives the full batch's rows for predict and vjp, and
+        # builds no terms; so does each row label for its row.
+        sched = make_linear_beta_schedule(1000, eta=1.0)
+        rng = np.random.default_rng(6)
+        pred = {
+            "zero": lambda: ZeroPredictor(5),
+            "constant": lambda: ConstantPredictor(rng.standard_normal(5)),
+            "gaussian": lambda: GaussianOptimalPredictor(
+                rng.standard_normal(5), rng.uniform(0.3, 2.0, 5), sched),
+        }[kind]()
+        S = 40
+        chain_ = Chain(sched, select_subsequence(1000, S, "linear"), pred)
+        batch, rows = chain_.labels
+        x, u = rng.standard_normal((S, 5)), rng.standard_normal((S, 5))
+        builds = self.count_builds(monkeypatch)
+        eps, pulled = pred.predict(x, batch), pred.vjp(x, batch, u)
+        for part in (slice(0, S // 2), slice(S // 2, S), slice(7, 31), slice(None, None, -1),
+                     slice(3, 4)):
+            assert pred.predict(x[part], batch[part]).tobytes() == eps[part].tobytes()
+            assert pred.vjp(x[part], batch[part], u[part]).tobytes() == pulled[part].tobytes()
+            assert batch[part].tolist() == chain_.timesteps[part].tolist()
+        for i in range(S):
+            assert pred.predict(x[i], rows[i]).tobytes() == eps[i].tobytes()
+            assert pred.vjp(x[i], rows[i], u[i]).tobytes() == pulled[i].tobytes()
+        assert builds == []
 
 
 class TestInitStack:

@@ -1,7 +1,9 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from parseq import (
     DivergenceError,
     GaussianOptimalPredictor,
     InversionConfig,
+    MlpPredictor,
     ShapeError,
     SolverConfig,
     TimestepSubsequence,
@@ -24,10 +27,12 @@ from parseq import (
     draw_x_T,
     identity_subsequence,
     invert,
+    load_mlp,
     loss_and_seed,
     make_linear_beta_schedule,
     random_mlp,
     run_report,
+    save_mlp,
     select_subsequence,
     sequential_rollout,
     solve_stack,
@@ -464,9 +469,23 @@ def test_no_package_attribute_shadows_a_submodule():
 
 #: Every library entry point that takes a count, a size or a seed, each fed
 #: one value in 1..12 where the rest of its arguments stay valid.
+def _load_mlp_with_t_max(t_max):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mlp.json")
+        save_mlp(path, random_mlp(2, [3], np.random.default_rng(0)))
+        return load_mlp(path, t_max=t_max)
+
+
 INTEGER_ENTRY_POINTS = {
     "stream seed": lambda n: stream(n, "x_T"),
     "draw_x_T seed": lambda n: draw_x_T(n, 2),
+    "draw_x_T dim": lambda n: draw_x_T(0, n),
+    "draw_noise_stack S": lambda n: draw_noise_stack(0, n, 2),
+    "draw_noise_stack dim": lambda n: draw_noise_stack(0, 2, n),
+    "ZeroPredictor dim": lambda n: ZeroPredictor(n),
+    "MlpPredictor t_max": lambda n: MlpPredictor([3, 2], [np.zeros((2, 3))], [np.zeros(2)], n),
+    "random_mlp t_max": lambda n: random_mlp(2, [3], np.random.default_rng(0), t_max=n),
+    "load_mlp t_max": _load_mlp_with_t_max,
     "InversionConfig.epochs": lambda n: InversionConfig(epochs=n),
     "InversionConfig.seed": lambda n: InversionConfig(seed=n),
     "SolverConfig.max_iters": lambda n: SolverConfig("picard", n),

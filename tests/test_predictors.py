@@ -154,8 +154,14 @@ def _gaussian_as_written(p, x, t):
     return gain * (x - np.sqrt(a) * p.mu), gain
 
 
+def _same_vars(p, before):
+    """Whether ``vars(p)`` still holds exactly the objects of ``before``."""
+    after = vars(p)
+    return after.keys() == before.keys() and all(after[k] is before[k] for k in before)
+
+
 class TestPreparedGaussianTerms:
-    """``prepare`` changes when the gain and shift are built, never their bits."""
+    """``prepare`` returns labels that carry their terms; the bits never move."""
 
     @staticmethod
     def predictor(eta):
@@ -163,69 +169,75 @@ class TestPreparedGaussianTerms:
         rng = np.random.default_rng(41)
         return GaussianOptimalPredictor(rng.standard_normal(6), rng.uniform(0.0, 2.0, 6), sched)
 
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The labels of every gain-and-shift build from now on."""
+        builds = []
+        terms = GaussianOptimalPredictor._terms
+        monkeypatch.setattr(GaussianOptimalPredictor, "_terms",
+                            lambda self, t: builds.append(t) or terms(self, t))
+        return builds
+
+    @staticmethod
+    def assert_as_written(p, x, t, label, u):
+        """Both calls on ``label`` give the from-scratch bits at the plain
+        timesteps ``t``."""
+        eps, gain = _gaussian_as_written(p, x, t)
+        assert p.predict(x, label).tobytes() == eps.tobytes()
+        assert p.vjp(x, label, u).tobytes() == (gain * u).tobytes()
+
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_prepared_calls_keep_the_bits(self, eta):
         p = self.predictor(eta)
         taus = np.array([3, 17, 40, 41, 77, 100])
-        p.prepare(taus)
+        batch, rows = p.prepare(taus)
         rng = np.random.default_rng(42)
         x, u = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
         outside = np.array([1, 17, 99, 50, 0, 100])  # 1, 99, 50 and 0 were not prepared
+        self.assert_as_written(p, x, taus, batch, u)
         for t in (taus, taus.copy(), outside):
-            eps, gain = _gaussian_as_written(p, x, t)
-            assert p.predict(x, t).tobytes() == eps.tobytes()
-            assert p.vjp(x, t, u).tobytes() == (gain * u).tobytes()
+            self.assert_as_written(p, x, t, t, u)
             for i in range(6):
-                eps, gain = _gaussian_as_written(p, x[i], int(t[i]))
-                assert p.predict(x[i], int(t[i])).tobytes() == eps.tobytes()
-                assert p.vjp(x[i], t[i], u[i]).tobytes() == (gain * u[i]).tobytes()
+                self.assert_as_written(p, x[i], int(t[i]), int(t[i]), u[i])
+                self.assert_as_written(p, x[i], int(t[i]), t[i], u[i])
+        for i in range(6):
+            self.assert_as_written(p, x[i], int(taus[i]), rows[i], u[i])
 
-    def test_only_the_last_prepared_chain_is_kept(self, monkeypatch):
-        # The predictor holds the last prepared chain's batch and rows, and
-        # each prepare replaces them.  Any other call, a value-equal batch
-        # included, keeps its bits but builds its terms and stores nothing.
+    def test_labels_carry_their_own_terms_and_the_predictor_keeps_none(self, monkeypatch):
+        # Each prepare builds its terms once, into the labels it returns, and
+        # stores nothing: labels prepared earlier still give their own rows.
+        # Any other label, a value-equal copy included, keeps its bits but
+        # builds its terms.
         p = self.predictor(1.0)
+        before = dict(vars(p))
+        builds = self.count_builds(monkeypatch)
         first = np.array(select_subsequence(100, 25, "linear").indices)
         second = np.arange(1, 101, 9)
-        for taus in (first, second):
-            taus.setflags(write=False)
-            p.prepare(taus)
-        assert p._batch[0] is second
-        assert p._batch[1].shape == p._batch[2].shape == (second.size, 6)
-        assert list(p._rows) == second.tolist()
-        batch, rows = p._batch, p._rows
-        builds = []
-        terms = p._terms
-        monkeypatch.setattr(p, "_terms", lambda t: builds.append(t) or terms(t))
+        prepared = [(taus, *p.prepare(taus)) for taus in (first, second)]
+        assert len(builds) == 2 and _same_vars(p, before)
         x = np.random.default_rng(44).standard_normal((first.size, 6))
-        y = x[: second.size]
-        p.predict(y, second)
-        p.vjp(y, second, y)
-        for i, t in enumerate(second.tolist()):
-            p.predict(y[i], t)
-            p.vjp(y[i], t, y[i])
-        assert builds == []
+        for taus, batch, rows in prepared + prepared[::-1]:
+            assert batch.tolist() == taus.tolist() and len(rows) == taus.size
+            xt = x[: taus.size]
+            self.assert_as_written(p, xt, taus, batch, xt)
+            for i, t in enumerate(taus.tolist()):
+                self.assert_as_written(p, xt[i], t, rows[i], xt[i])
+        assert len(builds) == 2
         for t in (first, second.copy(), np.array([0, 2, 50])):
-            xt = x[: t.size]
-            eps, gain = _gaussian_as_written(p, xt, t)
-            assert p.predict(xt, t).tobytes() == eps.tobytes()
-            assert p.vjp(xt, t, xt).tobytes() == (gain * xt).tobytes()
+            self.assert_as_written(p, x[: t.size], t, t, x[: t.size])
         for t in (2, 50):
-            eps, gain = _gaussian_as_written(p, x[0], t)
-            assert p.predict(x[0], t).tobytes() == eps.tobytes()
-            assert p.vjp(x[0], t, x[0]).tobytes() == (gain * x[0]).tobytes()
-        assert len(builds) == 10
-        assert p._batch is batch and p._rows is rows and list(rows) == second.tolist()
-        p.prepare(second)
-        assert len(builds) == 11 and p._batch[0] is second
+            self.assert_as_written(p, x[0], t, t, x[0])
+        assert len(builds) == 2 + 2 * 5
+        assert _same_vars(p, before)
 
     def test_prepare_refuses_timesteps_the_schedule_lacks(self):
         p = self.predictor(0.0)
+        before = dict(vars(p))
         for bad in (np.array([0, 101]), np.array([-1, 5]), np.array([[1, 2]]),
                     np.array([1.0, 2.0])):
             with pytest.raises(ShapeError):
                 p.prepare(bad)
-        assert p._batch is None and p._rows == {}
+        assert _same_vars(p, before)
 
     @pytest.mark.parametrize("labels", [[-1], [5, -3], [5, 101]])
     def test_unprepared_batch_refuses_labels_outside_the_schedule(self, labels):
@@ -237,9 +249,10 @@ class TestPreparedGaussianTerms:
         with pytest.raises(ShapeError, match=r"timesteps must lie in 0\.\.100"):
             p.vjp(x, t, x)
 
-    @pytest.mark.parametrize("label", [-1, 101, 10**30, 2.5])
+    @pytest.mark.parametrize("label", [-1, 101, 10**30, 2.5, (3, 4)])
     def test_unprepared_row_refuses_labels_outside_the_schedule(self, label):
         # One label rule for a row and a batch: a ShapeError, not an IndexError.
+        # A plain tuple is no prepared row label either.
         p = self.predictor(0.0)
         p.prepare(np.array([1, 2]))
         x = np.ones(6)
@@ -248,25 +261,34 @@ class TestPreparedGaussianTerms:
         with pytest.raises(ShapeError, match="timesteps must"):
             p.vjp(x, label, x)
 
-    def test_prepare_keeps_the_batch_of_read_only_timesteps_only(self):
-        # No caller holds a copy of a writable array, so its batch could
-        # never be found again; its rows still are.
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_writable_and_read_only_timesteps_prepare_alike(self, writable, monkeypatch):
+        # Labels carry their terms whatever the flags of the array they came
+        # from; none is kept or found again by identity.
         p = self.predictor(0.0)
         taus = np.array([3, 17, 40])
-        p.prepare(taus)
-        assert p._batch is None and list(p._rows) == [3, 17, 40]
-        taus.setflags(write=False)
-        p.prepare(taus)
-        assert p._batch[0] is taus and list(p._rows) == [3, 17, 40]
+        taus.setflags(write=writable)
+        batch, rows = p.prepare(taus)
+        builds = self.count_builds(monkeypatch)
+        x = np.random.default_rng(45).standard_normal((3, 6))
+        self.assert_as_written(p, x, taus.copy(), batch, x)
+        for i in range(3):
+            self.assert_as_written(p, x[i], int(taus[i]), rows[i], x[i])
+        assert builds == []
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "mlp"])
-    def test_prepare_is_a_no_op_elsewhere(self, sched, kind):
+    def test_default_prepare_returns_the_timesteps(self, sched, kind):
+        # The labels every other predictor sees are the plain ones: the
+        # timesteps array itself and its Python ints.
         rng = np.random.default_rng(43)
         p = make_predictor(kind, sched, rng)
+        before = dict(vars(p))
         x, t = rng.standard_normal((3, 4)), np.array([5, 9, 40])
-        before = p.predict(x, t).tobytes()
-        assert p.prepare(t) is None
-        assert p.predict(x, t).tobytes() == before
+        want = p.predict(x, t).tobytes()
+        batch, rows = p.prepare(t)
+        assert batch is t and rows == [5, 9, 40] and all(type(r) is int for r in rows)
+        assert p.predict(x, batch).tobytes() == want
+        assert _same_vars(p, before)
 
 
 class TestGaussianOptimalPredictor:
@@ -494,14 +516,17 @@ class TestForwardState:
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp"])
     def test_no_call_changes_the_predictor(self, sched, kind):
-        # Only the Gaussian prepare, which a Chain calls once, keeps
-        # anything; no forward or backward call adds to or changes it.
+        # No predictor keeps anything: neither building a Chain, which
+        # calls prepare, nor any forward or backward call, on the chain's
+        # labels or plain ones, adds to or changes it.
         rng = np.random.default_rng(56)
         p = make_predictor(kind, sched, rng)
-        chain = Chain(sched, select_subsequence(100, 5, "linear"), p)
         before = pickle.dumps(vars(p))
+        chain = Chain(sched, select_subsequence(100, 5, "linear"), p)
         x, u, t = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), chain.timesteps
-        for xs, ts, us in [(x, t, u), (x, t.copy(), u), (x[0], 3, u[0]), (x[1], int(t[1]), u[1])]:
+        batch, rows = chain.labels
+        for xs, ts, us in [(x, t, u), (x, t.copy(), u), (x, batch, u), (x[:2], batch[:2], u[:2]),
+                           (x[0], 3, u[0]), (x[1], int(t[1]), u[1]), (x[1], rows[1], u[1])]:
             p.predict(xs, ts)
             p.vjp(xs, ts, us)
             _, state = p.predict_and_state(xs, ts)
