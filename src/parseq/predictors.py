@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ShapeError, is_integer, require_integer
+from .errors import ConfigError, ParseError, SchemaError, ShapeError, is_integer, require_integer
 from .schedule import DiffusionSchedule
 
 
@@ -126,6 +126,8 @@ class ZeroPredictor(ConstantPredictor):
 
     def __init__(self, dim: int):
         require_integer("dim", dim)
+        if dim < 0:
+            raise ConfigError(f"dim must be >= 0, got {dim}")
         super().__init__(np.zeros(dim))
 
 
@@ -234,8 +236,8 @@ class MlpPredictor(NoisePredictor):
 
     The input is the state with the scalar t / t_max appended, so
     ``widths[0] == dim + 1`` and ``widths[-1] == dim``.  ``t_max`` is a
-    runtime parameter (normally the chain length T), not part of the
-    serialized weights.
+    runtime parameter, an integer >= 1 (normally the chain length T), not
+    part of the serialized weights.
 
     The backward pass reads only the tanh' factors 1 - h**2 of the hidden
     layers, so they are the forward state: built elementwise, once per
@@ -274,6 +276,8 @@ class MlpPredictor(NoisePredictor):
             self.weights.append(w)
             self.biases.append(b)
         require_integer("t_max", t_max)
+        if t_max < 1:
+            raise ConfigError(f"t_max must be >= 1, got {t_max}")
         self.widths = widths
         self.t_max = int(t_max)
         self.dim = widths[-1]

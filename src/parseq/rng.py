@@ -44,11 +44,17 @@ def stream(seed: int, purpose: str) -> np.random.Generator:
 def draw_x_T(seed: int, dim: int) -> np.ndarray:
     """Standard normal terminal state from the x_T stream."""
     require_integer("dim", dim)
+    if dim < 0:
+        raise ConfigError(f"dim must be >= 0, got {dim}")
     return stream(seed, "x_T").standard_normal(dim)
 
 
 def draw_noise_stack(seed: int, S: int, dim: int) -> np.ndarray:
     """Per-transition standard normal draws from the noise stream."""
     require_integer("S", S)
+    if S < 0:
+        raise ConfigError(f"S must be >= 0, got {S}")
     require_integer("dim", dim)
+    if dim < 0:
+        raise ConfigError(f"dim must be >= 0, got {dim}")
     return stream(seed, "noise_stack").standard_normal((S, dim))

@@ -6,7 +6,7 @@ g = step_map(x) over an ndarray of any shape and records the residual
 ``method="picard"`` each map output is the next iterate; on the sampling
 chain the map's strictly triangular structure makes the S-th iterate
 exact.  With ``method="anderson"`` the next iterate mixes the map outputs
-of a sliding window of the last ``HISTORY_M`` iterations, which sometimes
+of the last ``HISTORY_M`` iterations, held in a ring, which sometimes
 needs fewer: on the measured chains it took fewer iterations than Picard
 on the Gaussian ones at S >= 100, and as many or one more on the MLP
 ones.  Either way the returned states are the last map output.
@@ -91,52 +91,38 @@ def _residual_norm(f: np.ndarray) -> float:
     return r
 
 
-def _anderson_gamma(gram: np.ndarray, lam: float) -> np.ndarray | None:
-    """Combination weights of a window of k residuals F (oldest first,
-    newest f_last), given only its Gram matrix F F^T.  They minimize
+def _anderson_gamma(gram: np.ndarray, lam: float, newest: int) -> np.ndarray | None:
+    """Combination weights of a window of k residuals F, in any row order,
+    given only its Gram matrix M = F F^T and the index of the newest row
+    f_new.  They minimize
 
-        ||gamma @ F||^2 + lam ||f_last||^2 ||gamma||^2
+        ||gamma @ F||^2 + lam ||f_new||^2 ||gamma||^2
 
     subject to sum(gamma) = 1.  Scaling the ridge by the newest squared
     residual keeps it in proportion to the fit as the residuals shrink, so
-    the weights do not depend on the units of the iterate.
+    the weights do not depend on the units of the iterate.  The minimum's
+    Lagrange condition makes gamma the normalised solution of one ridge
+    system,
 
-    The constraint is eliminated by writing the last weight as one minus
-    the rest, which turns the problem into an unconstrained ridge system in
-    delta = gamma[:-1]:
+        (M + s I) y = 1,  gamma = y / sum(y),  s = lam M[newest, newest].
 
-        (D D^T + s (I + 1 1^T)) delta = -D f_last + s 1,
-        D_j = F_j - f_last,  s = lam ||f_last||^2,
-
-    whose entries are Gram entries: with M = F F^T and l the newest row,
-    (D D^T)_ij = M_ij - M_il - M_jl + M_ll and (D f_last)_i = M_il - M_ll.
-
-    Returns None when the normal system cannot be solved, signalling the
-    caller to fall back to a plain step.
+    Returns None when the system cannot be solved, signalling the caller to
+    fall back to a plain step.
     """
     k = gram.shape[0]
     if k == 1:
         return np.ones(1)
-    c = gram[:-1, -1]
-    d = float(gram[-1, -1])
-    s = lam * d
-    # Built in place, in the order (M - c) - c^T + (d + s), then the diagonal.
-    A = np.subtract(gram[:-1, :-1], c)
-    A -= c[:, None]
-    A += d + s
-    A.flat[::k] += s
+    A = gram.copy()
+    A.flat[::k + 1] += lam * float(gram[newest, newest])
     try:
-        delta = np.linalg.solve(A, (d + s) - c)
+        y = np.linalg.solve(A, np.ones(k))
     except np.linalg.LinAlgError:
         return None
-    total = delta.sum()
-    # A finite sum has finite terms; only a non-finite one needs the scan.
-    if not math.isfinite(total) and not np.isfinite(delta).all():
+    total = y.sum()
+    # A finite sum has finite terms, so only the sum needs checking.
+    if not math.isfinite(total):
         return None
-    gamma = np.empty(k)
-    gamma[:-1] = delta
-    gamma[-1] = 1.0 - total
-    return gamma
+    return y / total
 
 
 def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointResult:
@@ -144,11 +130,14 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     cfg.tol or cfg.max_iters map evaluations are spent.
 
     Picard takes each map output as the next iterate.  Anderson, undamped
-    and ridge-regularized, keeps the residuals and map outputs of the last
-    min(``HISTORY_M``, n) iterations, solves the small ridge system for
-    mixing weights gamma, and proposes
+    and ridge-regularized, keeps the map outputs G and residuals F of the
+    last min(``HISTORY_M``, n) iterations in two rings, iteration n at
+    slot n mod ``HISTORY_M``, solves one small ridge system over the
+    residual ring's Gram matrix for mixing weights gamma, and proposes
 
-        x+ = sum_j gamma_j G_j.
+        x+ = sum_j gamma_j G_j,
+
+    summed in slot order.
 
     The ridge weight is ``RIDGE_LAMBDA`` times the newest residual's
     squared norm (see ``_anderson_gamma``), so scaling the map's units by
@@ -169,15 +158,12 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     x = np.array(init, dtype=np.float64, copy=True)
     anderson = cfg.method == "anderson"
     if anderson:
-        # History rings of the last m (output, residual) rows.  Each row is
-        # written twice, at slot and slot + m, so the newest k rows are
-        # always the contiguous, oldest-first slice [start, start + k).
+        # Rings of the last m map outputs and residuals, the newest at slot
+        # it % m, and the residual ring's Gram matrix in the same slot
+        # order: each iteration writes one row of each ring, and one row
+        # and column of the Gram matrix with a single matvec.
         m = min(HISTORY_M, cfg.max_iters)
-        G, F = (np.empty((2 * m, x.size)) for _ in range(2))
-        # The window's Gram matrix F_w F_w^T, oldest row first.  Each
-        # iteration adds one row and column with a single matvec, and the
-        # block slides up by one once the window is full.
-        gram = np.empty((m, m))
+        G, F, gram = np.empty((m, x.size)), np.empty((m, x.size)), np.empty((m, m))
     residuals: list[float] = []
     fallbacks = 0
     converged = False
@@ -197,19 +183,14 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
         if not anderson or it == last:
             # The budget's last output is returned as it is; nothing mixes it.
             continue
-        slot = it % m
-        for ring, row in ((G, g.ravel()), (F, f)):
-            ring[slot] = ring[slot + m] = row
-        k = min(it + 1, m)
-        start = (it + 1 - k) % m
-        if it >= m:
-            gram[:-1, :-1] = gram[1:, 1:]
-        gram[k - 1, :k] = gram[:k, k - 1] = F[start:start + k] @ f
-        gamma = _anderson_gamma(gram[:k, :k], RIDGE_LAMBDA)
+        slot, k = it % m, min(it + 1, m)
+        G[slot], F[slot] = g.ravel(), f
+        gram[slot, :k] = gram[:k, slot] = F[:k] @ f
+        gamma = _anderson_gamma(gram[:k, :k], RIDGE_LAMBDA, slot)
         if gamma is None:
             fallbacks += 1
         else:
-            mixed = gamma @ G[start:start + k]
+            mixed = gamma @ G[:k]
             if not math.isfinite(mixed @ mixed) and not np.isfinite(mixed).all():
                 raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
             x = mixed.reshape(g.shape)

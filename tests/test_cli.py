@@ -985,7 +985,9 @@ class TestInvert:
 #: The deq rows at eta 1 were recorded as the method ``deq-stochastic``,
 #: which ``deq`` replaced with the same x_T_hat and loss bytes.  The run.json
 #: digests were re-recorded when the Anderson window and ridge left the
-#: recorded config, and the method ``deq-stochastic`` with them.
+#: recorded config, and the method ``deq-stochastic`` with them.  The deq
+#: rows were re-recorded when Anderson's history became one ring of
+#: ``HISTORY_M`` rows with one ridge solve for its weights.
 INVERT_DIGESTS = {
     ("naive", "phantom", "0"): (
         "7afe17d5c631f3906a2e843b0bf892e5918d0087a7fca02a8824c363338ba18e",
@@ -999,23 +1001,23 @@ INVERT_DIGESTS = {
     ),
     ("deq", "phantom", "0"): (
         "d6bb6fa2541529a9016e77a463b2932113ace662ec9bd17ab4f0ed78b64097d7",
-        "892248c6d757a57974b484a47ac5f6d5e94276e2c99ee8022d1233b61d88558e",
-        "672880175a871a28564349c2969f7d7dab903fdabb26236be84740c60eaa95b4",
+        "7df52501d1388766207441c58af090b4783884480363b72559f50cafb1c3f8ab",
+        "990c78b8d98782e52ae8f7bcdd39ff96aa8352282c23dad59828d2aaf9140c30",
     ),
     ("deq", "exact", "0"): (
-        "4068c6f1be6ac2340f880e805f50d4ed7c458263b243ea8d62d2f1f77a8cdc9c",
-        "f67468484af57c6000beafb116082578cfc088e50295a1d7100460f82697942a",
-        "9da87fa728a8cb805512ff9bfdd4e2ced24e8840c839507c047cc2b78106a213",
+        "950928b5d9b0978d9740b9cf70a8f956df122aeb59241cd86f446e26859aa1f0",
+        "bd96f5a8ba062c9abdcd9042de98816a0201bddd0e398228927aa165dcb90141",
+        "da24443d33432d0236f85f2a18a7198c6ba50f6baa60b69fc74eb383b6efd66a",
     ),
     ("deq", "phantom", "1"): (
         "fdc587c2db8389d26115094eadd44319457246812ded8c5d74b96e340d352f30",
-        "d8baeb5dcd38a6d80999a5f580b4d13819a9bd7211115838904eb5d74b1b6aab",
-        "d4a4698006e7c1a85221d05572a2d78f1c3686e17a4986677c90ecaeb9d68e2e",
+        "0638254907a89033101b6fa33e0f06175a5ac9995a4a22408c6e81df1384645d",
+        "255dbe845c9c1ae39ed21c3f2c23bc1bf7de38abcb9dcf97d3fa368cf5022db6",
     ),
     ("deq", "exact", "1"): (
         "2b3f663693b99c59416a0e12d74b935562c2b4b5a0bf892070f04fbc870579c4",
-        "75710a82748df66174ae11f53048de4dc3df736d9589d683050ce4e24566eaad",
-        "f3566d0dea6bdb8c6c934bacc8b1b7094b4203f70861c82ee254c5485f77c925",
+        "9ca9810bfa71748998634b69b17fcc0f75ee11220f44a5075486f1a4590ab363",
+        "6ec79984a521361cbb2408b757250682a466ae8fbd9dd83faf193bdbab2fbe01",
     ),
 }
 
@@ -1106,7 +1108,10 @@ class TestInvertBytes:
         assert x_T_hat[-1].tobytes() == run.x_T_hat.tobytes()
 
 
-#: SHA-256 of x0.stack, stack.stack and (for a solve) residuals.csv.
+#: SHA-256 of x0.stack, stack.stack and (for a solve) residuals.csv.  The
+#: deq-anderson rows, and their ``TRACE_DIGESTS``, were re-recorded when
+#: Anderson's history became one ring of ``HISTORY_M`` rows with one ridge
+#: solve for its weights.
 SAMPLE_DIGESTS = {
     ("sequential", "0"): (
         "8a36d77e9c07f6acf4b064d1c3c2e2faec059f270a97ccee83d7e2eef043f2ad",
@@ -1127,14 +1132,14 @@ SAMPLE_DIGESTS = {
         "254bef31ff7dbc4304490ad452d1b0e91a73134a3e76dde4ce958e3eea002bc1",
     ),
     ("deq-anderson", "0"): (
-        "0c31e66191d45120cc463ce06489443b902ace60bf9a287644428028fce6580c",
-        "4599ed394c81b33f1ed705da7a01a05f1303092428c7946abcac20c4d7119177",
-        "3126c9bdaf86567854d4861158b9514f757880d621ee7d079801785d2a6cbb1a",
+        "4a3b47b3a5c7c0c2ea4e01fcd38397ce96ccd6804c0bd927c202bc4a4ec609c9",
+        "b51a5f7ceeb31c9db222e3bc62d585e500bfaf418cb8f7d6cfd7654e35311236",
+        "fc9890114ede26054a419f37d56f745b92acd423b81f49c3c16d5e5c1a2cb0fb",
     ),
     ("deq-anderson", "1"): (
-        "8ecd0ad7669b3133af8d1b2a78de5f463bc84fecc0c6693722a59710e5af153c",
-        "6251a7576d900546ac2e05538514a9152367b246f37bc0e4dcf0e1d53fe4489d",
-        "349944de44a77da046fea85cddb6724fb2e47ec1b10e572cd6a8d141f8179a9f",
+        "84a2ec1bb978c52948da74251e7472c99da26b3792bbd97cb3f36b1cff5fe532",
+        "ce75db977e399fd4c2424c234ea5989b9626971ccbe33ee5ef31780f3fb81dbc",
+        "8a8a34cf398c870a366a565b362ef24b807295d926d82cf8cd8e1c4b649cdc71",
     ),
 }
 
@@ -1144,8 +1149,8 @@ SAMPLE_DIGESTS = {
 TRACE_DIGESTS = {
     ("deq-picard", "0"): "837cad8ee2d88272c0b3e8cf165221075a2170f99b985e233bfba01dc386a7a6",
     ("deq-picard", "1"): "2fc1c37e3c1107a32f2c3079d61bdcf96578f27c7385ddb1ccff3e349f367c8c",
-    ("deq-anderson", "0"): "407eac6a25e90161b388e76b1d02f573429f7af843057de0b78eb12c1a2f622e",
-    ("deq-anderson", "1"): "e356e5967b85ec6670a9fd04780b987e374d7708c28358ad4a9d61676d440152",
+    ("deq-anderson", "0"): "4ac1a0a44e6fef7e16bdd7e7fcb77a31780977671ba2397a7dad5e193819a0b1",
+    ("deq-anderson", "1"): "49dffc1484e8e69c48c41a1f6e13ece638afdfad177cad77139d4e63c8c71271",
 }
 
 

@@ -512,6 +512,30 @@ def test_counts_and_seeds_must_be_integers(n):
                 pytest.fail(f"{site} accepted {value!r}")
 
 
+@pytest.mark.parametrize("site, value, bound", [
+    ("ZeroPredictor dim", -1, 0),
+    ("draw_x_T dim", -1, 0),
+    ("draw_noise_stack S", -1, 0),
+    ("draw_noise_stack dim", -1, 0),
+    ("random_mlp t_max", 0, 1),
+    ("random_mlp t_max", -5, 1),
+    ("load_mlp t_max", 0, 1),
+    ("load_mlp t_max", -5, 1),
+], ids=lambda v: str(v).replace(" ", "-"))
+def test_sizes_below_their_bound_are_config_errors(site, value, bound):
+    # An integer below its bound is refused by name, not left to numpy's
+    # bare ValueError, a ZeroDivisionError or a time input of flipped sign.
+    name = site.split()[-1]
+    with pytest.raises(ConfigError, match=rf"^{name} must be >= {bound}, got {value}$"):
+        INTEGER_ENTRY_POINTS[site](value)
+
+
+def test_empty_draws_are_allowed():
+    assert draw_x_T(0, 0).shape == (0,)
+    assert draw_noise_stack(0, 0, 2).shape == (0, 2)
+    assert draw_noise_stack(0, 2, 0).shape == (2, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     S=st.integers(1, 12),

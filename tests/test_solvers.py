@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,9 +264,9 @@ class TestAnderson:
         ref = solve(fn, np.ones(3), cfg)
         calls = []
 
-        def blow_up_on_the_last(gram, lam):
+        def blow_up_on_the_last(gram, lam, newest):
             calls.append(len(gram))
-            gamma = _anderson_gamma(gram, lam)
+            gamma = _anderson_gamma(gram, lam, newest)
             return gamma if len(calls) < cfg.max_iters else np.full(len(gram), 1e308)
 
         monkeypatch.setattr(solvers, "_anderson_gamma", blow_up_on_the_last)
@@ -278,7 +279,8 @@ class TestAnderson:
     def test_non_finite_extrapolation_is_divergence(self, monkeypatch):
         # Finite weights that mix finite map outputs past the float range:
         # the overflowing iterate is refused before the map ever sees it.
-        monkeypatch.setattr(solvers, "_anderson_gamma", lambda gram, lam: np.full(len(gram), 1e308))
+        monkeypatch.setattr(solvers, "_anderson_gamma",
+                            lambda gram, lam, newest: np.full(len(gram), 1e308))
         with np.errstate(over="ignore"), pytest.raises(
                 DivergenceError, match=r"^non-finite extrapolation at solver iteration 0$"):
             solve(lambda x: 0.5 * x + 10.0, np.ones(3), SolverConfig(max_iters=4, tol=1e-12))
@@ -331,7 +333,7 @@ def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
     for k in range(1, 18):
         for scale in (1e-6, 1.0, 1e6):
             F = scale * rng.standard_normal((k, 40))
-            got = _anderson_gamma(F @ F.T, lam)
+            got = _anderson_gamma(F @ F.T, lam, k - 1)
             if k == 1:
                 assert got.tolist() == [1.0]
                 continue
@@ -339,57 +341,38 @@ def test_anderson_gamma_matches_the_direct_ridge_solve(lam):
             np.testing.assert_allclose(got, _kkt_gamma(F, lam), rtol=1e-7, atol=1e-9)
 
 
-def _reference_anderson_gamma(gram, lam):
-    """The weight solve as written before it was built in place with
-    Python-float scalars, kept as the bitwise reference for it."""
-    k = gram.shape[0]
-    if k == 1:
-        return np.ones(1)
-    c = gram[:-1, -1]
-    d = gram[-1, -1]
-    s = lam * d
-    A = gram[:-1, :-1] - c - c[:, None] + (d + s)
-    A.flat[::k] += s
-    try:
-        delta = np.linalg.solve(A, (d + s) - c)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(delta).all():
-        return None
-    gamma = np.empty(k)
-    gamma[:-1] = delta
-    gamma[-1] = 1.0 - delta.sum()
-    return gamma
-
-
+@given(
+    k=st.integers(min_value=1, max_value=HISTORY_M),
+    data=st.data(),
+    log_scale=st.floats(min_value=-8.0, max_value=8.0),
+    lam=st.sampled_from([0.0, 1e-8, RIDGE_LAMBDA, 1.0, 2.5]),
+    e=st.integers(min_value=-20, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
 @_overflow_warnings
-def test_anderson_gamma_keeps_the_reference_bits():
-    # Random windows of every size the solver uses, over sixteen decades of
-    # residual scale, plus windows whose solve fails (a singular system, a
-    # NaN or overflowing Gram): the same bytes and the same Nones.
-    rng = np.random.default_rng(10)
-    windows = []
-    for k in range(1, 6):
-        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
-            for _ in range(4):
-                F = scale * rng.standard_normal((k, 30))
-                windows += [(F @ F.T, lam) for lam in (0.0, RIDGE_LAMBDA, 1.0)]
-        repeated = np.ones((k, 30))
-        windows.append((repeated @ repeated.T, 0.0))  # singular when k > 1
-        nan = np.eye(k)
-        nan[0, 0] = np.nan
-        windows.append((nan, RIDGE_LAMBDA))
-        windows.append((np.full((k, k), 1e308) + 1e307 * np.eye(k), RIDGE_LAMBDA))
-    nones = 0
-    for gram, lam in windows:
-        ref = _reference_anderson_gamma(gram.copy(), lam)
-        got = _anderson_gamma(gram.copy(), lam)
-        assert (got is None) == (ref is None)
-        if ref is None:
-            nones += 1
-        else:
-            assert got.tobytes() == ref.tobytes()
-    assert nones >= 8
+def test_anderson_weights_over_ring_windows(k, data, log_scale, lam, e, seed):
+    # A window as the solver's ring holds it: k rows in slot order, the
+    # newest at any slot, over sixteen decades of residual scale.
+    row = st.integers(min_value=0, max_value=k - 1)
+    newest = data.draw(row, label="newest")
+    F = 10.0**log_scale * np.random.default_rng(seed).standard_normal((k, 30))
+    gram = F @ F.T
+    got = _anderson_gamma(gram, lam, newest)
+    assert abs(got.sum() - 1.0) <= 1e-12
+    # The direct ridge solve takes the newest row last.
+    order = [*(j for j in range(k) if j != newest), newest]
+    np.testing.assert_allclose(got[order], _kkt_gamma(F[order], lam), rtol=1e-7, atol=1e-9)
+    # Scaling by a power of four scales the ridge alike: the same bits.
+    assert _anderson_gamma(4.0**e * gram, lam, newest).tobytes() == got.tobytes()
+    if k == 1:
+        return  # a one-row window's only weight is 1, whatever its Gram
+    i, j = data.draw(row, label="i"), data.draw(row, label="j")
+    nan = gram.copy()
+    nan[i, j] = nan[j, i] = np.nan
+    assert _anderson_gamma(nan, lam, newest) is None
+    huge = F * (1e200 / np.abs(F).max())  # its squares overflow
+    assert _anderson_gamma(huge @ huge.T, lam, newest) is None
 
 
 @_overflow_warnings
@@ -410,13 +393,15 @@ def test_residual_norm_rescales_only_an_overflowing_norm():
 
 
 def _list_history_anderson(step_map, init, cfg):
-    """The list-and-stack Anderson loop the ring buffers replaced, kept as
-    the bitwise reference for them.  Its window Gram gains one row and
-    column per iteration from the same matvec the solver makes."""
+    """A list-based Anderson loop, kept as the bitwise reference for the
+    solver's rings.  Slot it % HISTORY_M of each list holds that
+    iteration's map output and residual, replacing the ones HISTORY_M
+    iterations older, and the window Gram gains that slot's row and column
+    from the same matvec the solver makes."""
     x = np.array(init, dtype=np.float64, copy=True)
     shape = x.shape
-    G, F = [], []
-    gram = np.empty((0, 0))
+    G, F = [None] * HISTORY_M, [None] * HISTORY_M
+    gram = np.empty((HISTORY_M, HISTORY_M))
     residuals = []
     fallbacks = 0
     converged = False
@@ -434,23 +419,15 @@ def _list_history_anderson(step_map, init, cfg):
         if it == cfg.max_iters - 1:
             x = g  # the budget's last output is returned unmixed
             break
-        G.append(g.ravel().copy())
-        F.append(f.copy())
-        if len(G) > HISTORY_M:
-            G.pop(0)
-            F.pop(0)
-            gram = gram[1:, 1:]
-        k = len(F)
-        grown = np.empty((k, k))
-        grown[:-1, :-1] = gram
-        grown[-1] = grown[:, -1] = np.stack(F) @ f
-        gram = grown
-        gamma = _anderson_gamma(gram, RIDGE_LAMBDA)
+        slot, k = it % HISTORY_M, min(it + 1, HISTORY_M)
+        G[slot], F[slot] = g.ravel().copy(), f.copy()
+        gram[slot, :k] = gram[:k, slot] = np.stack(F[:k]) @ f
+        gamma = _anderson_gamma(gram[:k, :k], RIDGE_LAMBDA, slot)
         if gamma is None:
             fallbacks += 1
-            nxt = G[-1].copy()
+            nxt = G[slot].copy()
         else:
-            nxt = gamma @ np.stack(G)
+            nxt = gamma @ np.stack(G[:k])
         x = nxt.reshape(shape)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
@@ -477,6 +454,29 @@ def _mlp_chain(cfg):
     pred = random_mlp(8, [32], np.random.default_rng(22), t_max=200)
     x_T = np.random.default_rng(23).standard_normal(8)
     return (lambda s: h_tilde(s, x_T, sched, sub, pred)), init_stack(x_T, 25), cfg
+
+
+def test_anderson_solve_holds_one_ring_of_each():
+    # The tracemalloc peak of one Anderson solve over an (S = 100, D = 64)
+    # stack, in stack sizes: the two rings of HISTORY_M rows, then the
+    # iterate, the last map output and residual and the new map output.
+    # Rings of 2 HISTORY_M rows, each row written twice, would peak at 25.
+    rng = np.random.default_rng(30)
+    rate, shift = rng.uniform(0.1, 0.9, (100, 64)), rng.standard_normal((100, 64))
+
+    def contraction(x):
+        g = rate * x
+        g += shift
+        return g
+
+    tracemalloc.start()
+    try:
+        res = solve(contraction, np.zeros((100, 64)), SolverConfig(max_iters=3 * HISTORY_M, tol=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iters == 3 * HISTORY_M and res.picard_fallbacks == 0  # the rings wrapped
+    assert peak / shift.nbytes < 3 * HISTORY_M + 2
 
 
 class TestAndersonHistory:
