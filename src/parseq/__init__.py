@@ -10,7 +10,6 @@ fixed point.
 
 from .chain import (
     Chain,
-    ChainCoefficients,
     chain_coefficients,
     ddim_step,
     h_tilde,

@@ -23,9 +23,10 @@ converges in at most S steps and the transpose system of the gradient code
 is solved by one back-substitution.
 
 A ``Chain`` holds everything these maps read: the schedule, the
-subsequence, the noise model, the pinned noise and the ``ChainCoefficients``,
-checked and built once, and the labels ``NoisePredictor.prepare`` gives
-its timesteps, which every predictor call of the chain passes by position.
+subsequence, the noise model, the pinned noise and the per-position
+constants ``chain_coefficients`` builds from them, checked and built once,
+and the labels ``NoisePredictor.prepare`` gives its timesteps, which every
+predictor call of the chain passes by position.
 The private kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a
 chain, and so do ``solve_stack``, which hands ``_sweep`` to
 ``solvers.solve``, and the gradient routes; ``_x_T_step`` is the one-row
@@ -60,36 +61,12 @@ from .solvers import FixedPointResult, SolverConfig, solve
 INIT_KINDS = ("x_T", "zero")
 
 
-@dataclass(frozen=True)
-class ChainCoefficients:
-    """Per-position constants of the effective chain.
-
-    Arrays have length S + 1 and are indexed by position; slot 0 is the
-    boundary below the last transition (alpha = 1, tau = 0) and slots i >= 1
-    describe transition i, i.e. the step from tau_i down to tau_{i-1}.
-    ``scaled_c1[i]`` is c1[i] / sqrt_alpha[i - 1], the weight of transition
-    i's prediction in the scaled coordinates y = x / sqrt(A) (slot 0 is
-    unused and zero); every chain pass, forward or backward, runs in those
-    coordinates.  The arrays are read-only, because one instance serves
-    every sweep of a solve.
-    """
-
-    alpha: np.ndarray
-    sqrt_alpha: np.ndarray
-    c1: np.ndarray
-    sigma: np.ndarray
-    taus: np.ndarray
-    scaled_c1: np.ndarray
-
-    @property
-    def S(self) -> int:
-        return int(self.alpha.size - 1)
-
-
 def chain_coefficients(
     schedule: DiffusionSchedule, subsequence: TimestepSubsequence
-) -> ChainCoefficients:
-    """Alpha products and transition coefficients along a subsequence, as whole arrays."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only arrays a ``Chain`` keeps, built whole: ``timesteps``,
+    ``sqrt_alpha`` and ``scaled_c1``, then the sigma its noise is scaled by;
+    all but ``timesteps`` in the position slots ``Chain`` describes."""
     if subsequence.indices[-1] > schedule.T:
         raise ShapeError(
             f"subsequence reaches t={subsequence.indices[-1]} beyond T={schedule.T}"
@@ -97,47 +74,58 @@ def chain_coefficients(
     taus = np.array((0, *subsequence.indices), dtype=np.int64)
     alpha = schedule.alpha_by_t[taus]
     sigma = np.concatenate([[0.0], sigma_for_pair(alpha[:-1], alpha[1:], schedule.eta)])
-    c1 = np.concatenate([[0.0], c1_for_pair(alpha[:-1], alpha[1:], schedule.eta)])
+    c1 = c1_for_pair(alpha[:-1], alpha[1:], schedule.eta)
     sqrt_alpha = np.sqrt(alpha)
-    scaled_c1 = np.concatenate([[0.0], c1[1:] / sqrt_alpha[:-1]])
-    arrays = (alpha, sqrt_alpha, c1, sigma, taus, scaled_c1)
+    scaled_c1 = np.concatenate([[0.0], c1 / sqrt_alpha[:-1]])
+    arrays = (taus[1:], sqrt_alpha, scaled_c1, sigma)
     for arr in arrays:
         arr.setflags(write=False)
-    return ChainCoefficients(*arrays)
+    return arrays
 
 
 @dataclass(frozen=True, eq=False)
 class Chain:
     """One sampling chain, checked once: schedule, subsequence, noise model,
-    pinned noise and the coefficients built from them.
+    pinned noise and the constants built from them.
 
     ``subsequence=None`` selects the full chain 1..T and is stored resolved.
     ``noise=None`` injects no noise; otherwise ``noise`` is the (S, D) stack
     of per-transition draws, D being the predictor's dimension, held as a
-    read-only view like the coefficient arrays.  ``scaled_noise`` holds row
-    i - 1 times sigma_i / sqrt(A_{i-1}), or None when every sigma is zero.
-    ``timesteps`` is the read-only (S,) array tau_1..tau_S, and ``labels``
-    the (batch, rows) labels ``predictor.prepare`` gives them.
+    read-only view.  ``timesteps`` is the (S,) array tau_1..tau_S, and
+    ``labels`` the (batch, rows) labels ``predictor.prepare`` gives them.
+
+    ``sqrt_alpha`` and ``scaled_c1`` have length S + 1 and are indexed by
+    position: slot 0 is the boundary below the last transition (A_0 = 1)
+    and slot i >= 1 describes transition i, the step from tau_i down to
+    tau_{i-1}.  ``scaled_c1[i]`` is c1_i / sqrt(A_{i-1}), the weight of
+    transition i's prediction in the scaled coordinates y = x / sqrt(A)
+    (slot 0 is unused and zero); every chain pass, forward or backward,
+    runs in those coordinates.  ``scaled_noise`` holds noise row i - 1
+    times sigma_i / sqrt(A_{i-1}), or is None when every sigma is zero.
+    Every array is read-only, because one chain serves every sweep of a
+    solve.
     """
 
     schedule: DiffusionSchedule
     subsequence: TimestepSubsequence | None
     predictor: NoisePredictor
     noise: np.ndarray | None = None
-    coeffs: ChainCoefficients = field(init=False, repr=False)
-    scaled_noise: np.ndarray | None = field(init=False, repr=False)
     timesteps: np.ndarray = field(init=False, repr=False)
+    sqrt_alpha: np.ndarray = field(init=False, repr=False)
+    scaled_c1: np.ndarray = field(init=False, repr=False)
+    scaled_noise: np.ndarray | None = field(init=False, repr=False)
     labels: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         subsequence = self.subsequence
         if subsequence is None:
             subsequence = identity_subsequence(self.schedule.T)
-        coeffs = chain_coefficients(self.schedule, subsequence)
+        timesteps, sqrt_alpha, scaled_c1, sigma = chain_coefficients(
+            self.schedule, subsequence)
         noise = self.noise
         if noise is not None:
             noise = np.asarray(noise, dtype=np.float64)
-            shape = (coeffs.S, self.predictor.dim)
+            shape = (timesteps.size, self.predictor.dim)
             if noise.shape != shape:
                 raise ShapeError(
                     f"noise shape {noise.shape} does not match (S={shape[0]}, D={shape[1]})"
@@ -145,19 +133,20 @@ class Chain:
             noise = noise.view()
             noise.setflags(write=False)
         scaled_noise = None
-        if noise is not None and coeffs.sigma.any():
-            scaled_noise = (coeffs.sigma[1:] / coeffs.sqrt_alpha[:-1])[:, None] * noise
+        if noise is not None and sigma.any():
+            scaled_noise = (sigma[1:] / sqrt_alpha[:-1])[:, None] * noise
             scaled_noise.setflags(write=False)
         object.__setattr__(self, "subsequence", subsequence)
         object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "timesteps", timesteps)
+        object.__setattr__(self, "sqrt_alpha", sqrt_alpha)
+        object.__setattr__(self, "scaled_c1", scaled_c1)
         object.__setattr__(self, "scaled_noise", scaled_noise)
-        object.__setattr__(self, "timesteps", coeffs.taus[1:])
-        object.__setattr__(self, "labels", self.predictor.prepare(self.timesteps))
+        object.__setattr__(self, "labels", self.predictor.prepare(timesteps))
 
     @property
     def S(self) -> int:
-        return self.coeffs.S
+        return self.timesteps.size
 
 
 def init_stack(x_T: np.ndarray, S: int, kind: str = "x_T") -> np.ndarray:
@@ -240,10 +229,9 @@ def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
     huge but finite state also makes; so the predictor never sees a
     non-finite state, and the first one names its step.  The bits are
     those of the plain loop y = y + (c1 eps + noise), x = sqrt(A) y."""
-    coeffs, predictor, noise = chain.coeffs, chain.predictor, chain.scaled_noise
-    S = coeffs.S
+    S, predictor, noise = chain.S, chain.predictor, chain.scaled_noise
     # Python floats multiply an array faster than numpy scalars do.
-    sqrt_alpha, scaled_c1 = coeffs.sqrt_alpha.tolist(), coeffs.scaled_c1.tolist()
+    sqrt_alpha, scaled_c1 = chain.sqrt_alpha.tolist(), chain.scaled_c1.tolist()
     x = np.asarray(x_T, dtype=np.float64)
     y = x / sqrt_alpha[S]
     u = np.empty_like(y)
@@ -260,7 +248,8 @@ def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
         y += u
         x = np.multiply(sqrt_alpha[p - 1], y, out=states[S - p])
         if not math.isfinite(x @ x) and not np.isfinite(x).all():
-            raise DivergenceError(f"non-finite state after the step from t={coeffs.taus[p]}")
+            raise DivergenceError(
+                f"non-finite state after the step from t={chain.timesteps[p - 1]}")
     return states if kept is None else (states, kept)
 
 
@@ -297,16 +286,15 @@ def _sweep(chain: Chain, states: np.ndarray, x_T: np.ndarray) -> np.ndarray:
     rows x_T / sqrt(A_S), u_S, .., u_1 are added strictly in order, as in
     _rollout, by one in-place ``np.add.accumulate``: the ufunc behind
     ``np.cumsum``, with its bits and without its wrapper."""
-    coeffs = chain.coeffs
-    S = coeffs.S
+    S = chain.S
     eps_pred = chain.predictor.predict(_stack_inputs(states, x_T, S), chain.labels[0])
     scan = np.empty((S + 1, x_T.size))
-    np.divide(x_T, coeffs.sqrt_alpha[S], out=scan[0])
-    np.multiply(coeffs.scaled_c1[:0:-1, None], eps_pred[::-1], out=scan[1:])
+    np.divide(x_T, chain.sqrt_alpha[S], out=scan[0])
+    np.multiply(chain.scaled_c1[:0:-1, None], eps_pred[::-1], out=scan[1:])
     if chain.scaled_noise is not None:
         scan[1:] += chain.scaled_noise[::-1]
     np.add.accumulate(scan, axis=0, out=scan)
-    return coeffs.sqrt_alpha[-2::-1, None] * scan[1:]
+    return chain.sqrt_alpha[-2::-1, None] * scan[1:]
 
 
 def solve_stack(
@@ -350,16 +338,16 @@ def h_tilde_vjp(
     callers and ignored.
     """
     chain = Chain(schedule, subsequence, predictor)
-    coeffs, S = chain.coeffs, chain.S
+    S = chain.S
     states, x_T = _check_stack(states, x_T, S)
-    weighted = coeffs.sqrt_alpha[:-1, None] * _check_cotangent(cotangent, states)[::-1]
+    weighted = chain.sqrt_alpha[:-1, None] * _check_cotangent(cotangent, states)[::-1]
     # A running sum from zero turns a leading -0.0 into +0.0; an accumulate
     # starts from the first term itself, so add that zero explicitly.
     weighted[0] += 0.0
     prefixes = np.add.accumulate(weighted, axis=0, out=weighted)
     pulled = predictor.vjp(_stack_inputs(states, x_T, S), chain.labels[0], prefixes)
     cot_states = np.zeros_like(states)
-    cot_states[: S - 1] = (coeffs.scaled_c1[1:S, None] * pulled[: S - 1])[::-1]
+    cot_states[: S - 1] = (chain.scaled_c1[1:S, None] * pulled[: S - 1])[::-1]
     return cot_states, _x_T_step(chain, x_T, prefixes[S - 1])
 
 
@@ -379,7 +367,7 @@ def _x_T_step(
     x_T's direct weight 1 / sqrt(A_S) plus transition S's term, from one
     one-row vjp, which reads ``state``, the vjp state at x_T, when given.
     Every gradient route ends here."""
-    coeffs, predictor, t = chain.coeffs, chain.predictor, chain.labels[1][-1]
+    predictor, t = chain.predictor, chain.labels[1][-1]
     pulled = (predictor.vjp(x_T, t, prefix) if state is None
               else predictor.vjp_from(state, x_T, t, prefix))
-    return prefix / coeffs.sqrt_alpha[-1] + coeffs.scaled_c1[-1] * pulled
+    return prefix / chain.sqrt_alpha[-1] + chain.scaled_c1[-1] * pulled

@@ -67,7 +67,8 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver-max-iters", type=int, default=None,
                    help="iteration budget (default: S + 1 for Picard, at which the "
-                        "triangular solve is exact; 15 for Anderson, or 50 when eta > 0)")
+                        f"triangular solve is exact; {SolverConfig.max_iters} for Anderson, "
+                        f"or {default_solver_config(1.0).max_iters} when eta > 0)")
     p.add_argument("--solver-tol", type=float, default=SolverConfig.tol)
     p.add_argument("--init", choices=INIT_KINDS, default="x_T",
                    help="stack initialization for the fixed-point solve")
@@ -159,7 +160,8 @@ def _resolved_args(ns: argparse.Namespace) -> dict:
     if "solver_tol" in args:
         # Check the solver flags even where no solve runs (sequential
         # sampling), so that every command rejects them alike.
-        _solver_config(args, "anderson", 1)
+        m = args["solver_max_iters"]
+        SolverConfig("anderson", SolverConfig.max_iters if m is None else m, args["solver_tol"])
     return args
 
 
@@ -200,16 +202,6 @@ def _build_chain(args: dict) -> Chain:
                  _load_noise(args, subsequence.S, predictor.dim))
 
 
-def _solver_config(args: dict, method: str, S: int) -> SolverConfig:
-    """The solve the flags ask for on an S-position chain.  Without
-    --solver-max-iters each method gets its default budget from ``solvers``."""
-    max_iters = args["solver_max_iters"]
-    if max_iters is None:
-        max_iters = (picard_budget(S) if method == "picard"
-                     else default_solver_config(args["eta"]).max_iters)
-    return SolverConfig(method, max_iters, args["solver_tol"])
-
-
 def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
     if args.get("noise_file"):
         return read_stack(args["noise_file"])[0]
@@ -217,9 +209,15 @@ def _load_noise(args: dict, S: int, D: int) -> np.ndarray | None:
 
 
 def _recorded_solver(args: dict, method: str, S: int) -> SolverConfig:
-    """``_solver_config``, its budget recorded in ``args``: the one place a
-    run's ``solver_max_iters`` is written."""
-    cfg = _solver_config(args, method, S)
+    """The solve the flags ask for on an S-position chain, its budget
+    recorded in ``args``: the one place a run's ``solver_max_iters`` is
+    written.  Without --solver-max-iters each method gets its default
+    budget from ``solvers``."""
+    max_iters = args["solver_max_iters"]
+    if max_iters is None:
+        max_iters = (picard_budget(S) if method == "picard"
+                     else default_solver_config(args["eta"]).max_iters)
+    cfg = SolverConfig(method, max_iters, args["solver_tol"])
     args["solver_max_iters"] = cfg.max_iters
     return cfg
 

@@ -159,12 +159,12 @@ def _back_substitute(
     started from +0.0, unchanged; so both seed forms give the same P_S.
     Returns v and the full prefix P_S, which ``_x_T_step`` pulls onto x_T.
     """
-    coeffs, S, predictor = chain.coeffs, chain.S, chain.predictor
+    S, predictor = chain.S, chain.predictor
     if states is None and S > 1:
         batch = predictor.vjp_state(stack_star[S - 2::-1], chain.labels[0][: S - 1])
         states = [None if batch is None else [s[i] for s in batch] for i in range(S - 1)]
     # Python floats multiply an array faster than numpy scalars do.
-    sqrt_alpha, scaled_c1 = coeffs.sqrt_alpha.tolist(), coeffs.scaled_c1.tolist()
+    sqrt_alpha, scaled_c1 = chain.sqrt_alpha.tolist(), chain.scaled_c1.tolist()
     v = np.empty_like(seed) if seed.ndim == 2 else None
     v_p = (seed[S - 1] if v is not None else seed) + 0.0  # the sweep's +0.0 pullback
     if v is not None:

@@ -49,12 +49,10 @@ class NoisePredictor(ABC):
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         """Predicted noise at state(s) x and timestep(s) t; shape of x."""
 
-    @abstractmethod
-    def vjp(
-        self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray
-    ) -> np.ndarray:
+    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
         """cotangent^T @ (d predict / d x) evaluated row by row at (x, t);
         cotangent and result have the shape of x."""
+        return self.vjp_from(self.vjp_state(x, t), x, t, cotangent)
 
     def vjp_state(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray] | None:
         """What ``vjp_from`` reads of the forward pass at (x, t): None, the
@@ -68,11 +66,10 @@ class NoisePredictor(ABC):
         where the predictor can share it."""
         return self.predict(x, t), self.vjp_state(x, t)
 
+    @abstractmethod
     def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
         """``vjp(x, t, cotangent)`` given ``state``, the ``vjp_state`` at
-        (x, t) or a row of a batch's; only the backward pass runs.  The
-        default is ``vjp`` itself."""
-        return self.vjp(x, t, cotangent)
+        (x, t) or a row of a batch's; only the backward pass runs."""
 
     def prepare(self, timesteps: np.ndarray) -> tuple:
         """The labels ``Chain`` passes as ``t`` for its (S,) timesteps: a batch
@@ -117,7 +114,7 @@ class ConstantPredictor(NoisePredictor):
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.value, self._check_state(x, t).shape).copy()
 
-    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
         return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
 
 
@@ -209,7 +206,7 @@ class GaussianOptimalPredictor(NoisePredictor):
         gain, shift = self._lookup(t)
         return gain * (x - shift)
 
-    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
+    def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
         _, cotangent = self._check_vjp(x, t, cotangent)
         return self._lookup(t)[0] * cotangent
 
@@ -317,9 +314,6 @@ class MlpPredictor(NoisePredictor):
         for w, factor in zip(self.weights[-2::-1], state[::-1]):
             g = (g * factor) @ w
         return g[..., :-1]
-
-    def vjp(self, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-        return self.vjp_from(self.vjp_state(x, t), x, t, cotangent)
 
 
 def random_mlp(

@@ -170,7 +170,7 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
     last = cfg.max_iters - 1
     for it in range(cfg.max_iters):
         g = step_map(x)
-        f = (g - x).ravel()
+        f = np.subtract(g.ravel(), x.ravel(), out=F[it % m]) if anderson else (g - x).ravel()
         r = _residual_norm(f)
         # A non-finite g makes a non-finite residual; only then is g scanned.
         if not math.isfinite(r) and not np.isfinite(g).all():
@@ -184,7 +184,7 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
             # The budget's last output is returned as it is; nothing mixes it.
             continue
         slot, k = it % m, min(it + 1, m)
-        G[slot], F[slot] = g.ravel(), f
+        G[slot] = g.ravel()
         gram[slot, :k] = gram[:k, slot] = F[:k] @ f
         gamma = _anderson_gamma(gram[:k, :k], RIDGE_LAMBDA, slot)
         if gamma is None:

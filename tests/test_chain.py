@@ -32,6 +32,19 @@ from parseq import chain, gradients
 from parseq.schedule import c1_for_pair, sigma_for_pair
 
 
+def pair_coefficients(schedule, subsequence):
+    """(taus, alpha, sqrt_alpha, c1, sigma) by position, slot 0 being the
+    boundary (tau = 0, alpha = 1), built from the schedule's alpha table
+    and the pair functions alone: the references below read none of the
+    arrays a ``Chain`` builds."""
+    taus = np.array((0, *subsequence.indices))
+    alpha = schedule.alpha_by_t[taus]
+    pairs = (alpha[:-1], alpha[1:], schedule.eta)
+    c1 = np.concatenate([[0.0], c1_for_pair(*pairs)])
+    sigma = np.concatenate([[0.0], sigma_for_pair(*pairs)])
+    return taus, alpha, np.sqrt(alpha), c1, sigma
+
+
 def h_tilde_reference(states, x_T, schedule, subsequence, predictor, noise=None):
     """Literal double-sum evaluation of the simultaneous update.
 
@@ -39,18 +52,18 @@ def h_tilde_reference(states, x_T, schedule, subsequence, predictor, noise=None)
     chains.  Position j sums every transition above it with an explicit
     sqrt(A_j / A_t) ratio instead of the shared suffix accumulation.
     """
-    coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
+    taus, alpha, _, c1, sigma = pair_coefficients(schedule, subsequence)
+    S = subsequence.S
     if noise is None:
         noise = np.zeros_like(states)
     out = np.empty_like(states)
     for j in range(S):
-        acc = math.sqrt(coeffs.alpha[j] / coeffs.alpha[S]) * x_T
+        acc = math.sqrt(alpha[j] / alpha[S]) * x_T
         for t in range(j, S):
             x_in = states[S - 2 - t] if t + 1 < S else x_T
-            eps = predictor.predict(x_in, int(coeffs.taus[t + 1]))
-            acc = acc + math.sqrt(coeffs.alpha[j] / coeffs.alpha[t]) * (
-                coeffs.c1[t + 1] * eps + coeffs.sigma[t + 1] * noise[t]
+            eps = predictor.predict(x_in, int(taus[t + 1]))
+            acc = acc + math.sqrt(alpha[j] / alpha[t]) * (
+                c1[t + 1] * eps + sigma[t + 1] * noise[t]
             )
         out[S - 1 - j] = acc
     return out
@@ -63,20 +76,20 @@ def h_tilde_serial(states, x_T, schedule, subsequence, predictor, noise=None):
     This is the plain form the production sweep must match bit for bit.
     Noise whose every sigma is zero is left out, as ``Chain`` leaves it out.
     The predictions come from the same one batched call."""
-    coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
-    if not coeffs.sigma.any():
+    taus, _, sqrt_alpha, c1, sigma = pair_coefficients(schedule, subsequence)
+    S = subsequence.S
+    if not sigma.any():
         noise = None
     inputs = np.concatenate([states[: S - 1][::-1], x_T[None]])
-    eps = predictor.predict(inputs, coeffs.taus[1:])
+    eps = predictor.predict(inputs, taus[1:])
     out = np.empty_like(states)
-    y = x_T / coeffs.sqrt_alpha[S]
+    y = x_T / sqrt_alpha[S]
     for p in range(S, 0, -1):
-        u = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * eps[p - 1]
+        u = (c1[p] / sqrt_alpha[p - 1]) * eps[p - 1]
         if noise is not None:
-            u = u + (coeffs.sigma[p] / coeffs.sqrt_alpha[p - 1]) * noise[p - 1]
+            u = u + (sigma[p] / sqrt_alpha[p - 1]) * noise[p - 1]
         y = y + u
-        out[S - p] = coeffs.sqrt_alpha[p - 1] * y
+        out[S - p] = sqrt_alpha[p - 1] * y
     return out
 
 
@@ -84,18 +97,18 @@ def h_tilde_horner(states, x_T, schedule, subsequence, predictor, noise=None):
     """The earlier unscaled form of the carry, x <- (sqrt(A_{p-1}) / sqrt(A_p)) x
     + c1_p eps_p + sigma_p e_p, row by row.  It rounds differently from
     the scaled prefix sum, so the sweep must agree with it only closely."""
-    coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
+    taus, _, sqrt_alpha, c1, sigma = pair_coefficients(schedule, subsequence)
+    S = subsequence.S
     noise = np.zeros_like(states) if noise is None else noise
     inputs = np.concatenate([states[: S - 1][::-1], x_T[None]])
-    eps = predictor.predict(inputs, coeffs.taus[1:])
+    eps = predictor.predict(inputs, taus[1:])
     out = np.empty_like(states)
     carry = x_T
     for p in range(S, 0, -1):
         carry = (
-            (coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]) * carry
-            + coeffs.c1[p] * eps[p - 1]
-            + coeffs.sigma[p] * noise[p - 1]
+            (sqrt_alpha[p - 1] / sqrt_alpha[p]) * carry
+            + c1[p] * eps[p - 1]
+            + sigma[p] * noise[p - 1]
         )
         out[S - p] = carry
     return out
@@ -105,21 +118,21 @@ def h_tilde_vjp_serial(states, x_T, schedule, subsequence, predictor, u):
     """Running prefix sums and per-row scaling, one row at a time, around
     the same one batched predictor vjp for the stack and a one-row vjp at
     x_T."""
-    coeffs = chain_coefficients(schedule, subsequence)
-    S = coeffs.S
+    taus, _, sqrt_alpha, c1, _ = pair_coefficients(schedule, subsequence)
+    S = subsequence.S
     prefixes = np.empty_like(states)
     acc = np.zeros(x_T.size)
     for p in range(1, S + 1):
-        acc = acc + coeffs.sqrt_alpha[p - 1] * u[S - p]
+        acc = acc + sqrt_alpha[p - 1] * u[S - p]
         prefixes[p - 1] = acc
     inputs = np.concatenate([states[: S - 1][::-1], x_T[None]])
-    pulled = predictor.vjp(inputs, coeffs.taus[1:], prefixes)
+    pulled = predictor.vjp(inputs, taus[1:], prefixes)
     cot_states = np.zeros_like(states)
     for p in range(1, S):
-        cot_states[S - 1 - p] = (coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]) * pulled[p - 1]
-    cot_x_T = prefixes[S - 1] / coeffs.sqrt_alpha[S] + (
-        coeffs.c1[S] / coeffs.sqrt_alpha[S - 1]
-    ) * predictor.vjp(x_T, int(coeffs.taus[S]), prefixes[S - 1])
+        cot_states[S - 1 - p] = (c1[p] / sqrt_alpha[p - 1]) * pulled[p - 1]
+    cot_x_T = prefixes[S - 1] / sqrt_alpha[S] + (
+        c1[S] / sqrt_alpha[S - 1]
+    ) * predictor.vjp(x_T, int(taus[S]), prefixes[S - 1])
     return cot_states, cot_x_T
 
 
@@ -392,7 +405,7 @@ class TestHTildeVjp:
     def test_zero_predictor_closed_form(self, sched):
         # Only the direct x_T column survives: sum_k sqrt(A_{pos k} / A_S) u_k.
         sub = select_subsequence(100, 5, "linear")
-        coeffs = chain_coefficients(sched, sub)
+        _, alpha, _, _, _ = pair_coefficients(sched, sub)
         rng = np.random.default_rng(12)
         u = rng.standard_normal((5, 2))
         states = rng.standard_normal((5, 2))
@@ -402,7 +415,7 @@ class TestHTildeVjp:
         )
         np.testing.assert_array_equal(cot_states, np.zeros((5, 2)))
         expected = sum(
-            math.sqrt(coeffs.alpha[5 - 1 - k] / coeffs.alpha[5]) * u[k]
+            math.sqrt(alpha[5 - 1 - k] / alpha[5]) * u[k]
             for k in range(5)
         )
         np.testing.assert_allclose(cot_x_T, expected, rtol=1e-12)
@@ -521,14 +534,16 @@ class TestHTildeVjp:
 
 
 class TestChainCoefficients:
+    """The constants a ``Chain`` keeps, against the pair functions."""
+
     def test_boundary_and_labels(self, sched):
         sub = select_subsequence(100, 4, "linear")
-        coeffs = chain_coefficients(sched, sub)
-        assert coeffs.alpha[0] == 1.0
-        assert coeffs.taus.tolist() == [0, 25, 50, 75, 100]
-        assert coeffs.sigma[1] == 0.0
+        chain_ = Chain(sched, sub, ZeroPredictor(2), np.ones((4, 2)))
+        assert chain_.sqrt_alpha[0] == 1.0 and chain_.scaled_c1[0] == 0.0
+        assert chain_.timesteps.tolist() == [25, 50, 75, 100]
+        assert chain_.scaled_noise is None  # eta = 0: every sigma is zero
         for i, tau in enumerate(sub.indices, start=1):
-            assert coeffs.alpha[i] == sched.alpha_bar(tau)
+            assert chain_.sqrt_alpha[i] == math.sqrt(sched.alpha_bar(tau))
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic", "full"])
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
@@ -537,20 +552,48 @@ class TestChainCoefficients:
         # signed zeros included.
         sched = make_linear_beta_schedule(50, 1e-3, 0.04, eta=eta)
         sub = identity_subsequence(50) if kind == "full" else select_subsequence(50, 5, kind)
-        coeffs = chain_coefficients(sched, sub)
+        noise = np.random.default_rng(5).standard_normal((sub.S, 2))
+        chain_ = Chain(sched, sub, ZeroPredictor(2), noise)
         pairs = [(sched.alpha_bar(t_prev), sched.alpha_bar(t), eta)
                  for t_prev, t in zip((0, *sub.indices), sub.indices)]
-        for name, pair_fn in (("sigma", sigma_for_pair), ("c1", c1_for_pair)):
-            expected = np.array([0.0] + [float(pair_fn(*pair)) for pair in pairs])
-            assert getattr(coeffs, name).tobytes() == expected.tobytes()
+        sqrt_alpha = np.sqrt([1.0] + [pair[1] for pair in pairs])
+        assert chain_.sqrt_alpha.tobytes() == sqrt_alpha.tobytes()
+        scaled_c1 = [0.0] + [c1_for_pair(*pair) / np.sqrt(pair[0]) for pair in pairs]
+        assert chain_.scaled_c1.tobytes() == np.array(scaled_c1).tobytes()
+        if eta == 0.0:
+            assert chain_.scaled_noise is None
+        else:
+            scaled_noise = [sigma_for_pair(*pair) / np.sqrt(pair[0]) * row
+                            for pair, row in zip(pairs, noise)]
+            assert chain_.scaled_noise.tobytes() == np.array(scaled_noise).tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
     def test_no_negative_zero_at_eta_zero(self, kind):
         sched = make_linear_beta_schedule(1000, eta=0.0)
-        coeffs = chain_coefficients(sched, select_subsequence(1000, 100, kind))
-        for arr in (coeffs.sigma, coeffs.c1, coeffs.scaled_c1):
+        sub = select_subsequence(1000, 100, kind)
+        chain_ = Chain(sched, sub, ZeroPredictor(2), np.ones((sub.S, 2)))
+        for arr in (chain_.sqrt_alpha, chain_.scaled_c1):
             assert not np.any((arr == 0.0) & np.signbit(arr))
-        assert not np.any(coeffs.sigma)
+        assert chain_.scaled_noise is None
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_the_benchmark_build_gives_the_chain_arrays(self, eta):
+        # The whole-array build a caller times on its own returns the
+        # arrays a chain keeps, and the sigma its noise is scaled by.
+        sched = make_linear_beta_schedule(1000, eta=eta)
+        sub = select_subsequence(1000, 100, "linear")
+        noise = np.random.default_rng(6).standard_normal((100, 3))
+        chain_ = Chain(sched, sub, ZeroPredictor(3), noise)
+        timesteps, sqrt_alpha, scaled_c1, sigma = chain_coefficients(sched, sub)
+        assert timesteps.tobytes() == chain_.timesteps.tobytes()
+        assert sqrt_alpha.tobytes() == chain_.sqrt_alpha.tobytes()
+        assert scaled_c1.tobytes() == chain_.scaled_c1.tobytes()
+        assert sigma[0] == 0.0 and sigma.size == 101
+        if eta == 0.0:
+            assert not sigma.any() and chain_.scaled_noise is None
+        else:
+            scaled_noise = (sigma[1:] / sqrt_alpha[:-1])[:, None] * noise
+            assert scaled_noise.tobytes() == chain_.scaled_noise.tobytes()
 
     def test_built_without_scalar_lookups(self, monkeypatch):
         # Every position's product comes from the schedule's table in one
@@ -564,17 +607,21 @@ class TestChainCoefficients:
         assert calls == []
 
     def test_scaled_c1_is_c1_over_the_lower_sqrt_alpha(self, sched):
-        coeffs = chain_coefficients(sched, select_subsequence(100, 9, "quadratic"))
-        assert coeffs.scaled_c1[0] == 0.0
-        for p in range(1, coeffs.S + 1):
-            assert coeffs.scaled_c1[p] == coeffs.c1[p] / coeffs.sqrt_alpha[p - 1]
+        sub = select_subsequence(100, 9, "quadratic")
+        _, _, sqrt_alpha, c1, _ = pair_coefficients(sched, sub)
+        chain_ = Chain(sched, sub, ZeroPredictor(2))
+        assert chain_.scaled_c1[0] == 0.0
+        for p in range(1, chain_.S + 1):
+            assert chain_.scaled_c1[p] == c1[p] / sqrt_alpha[p - 1]
 
     def test_arrays_are_read_only(self, sched):
-        # One instance serves every sweep of a solve, so no sweep may edit it.
-        coeffs = chain_coefficients(sched, select_subsequence(100, 4, "linear"))
-        for name in ("alpha", "sqrt_alpha", "c1", "sigma", "taus", "scaled_c1"):
+        # One chain serves every sweep of a solve, so no sweep may edit it.
+        sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=1.0)
+        chain_ = Chain(sched, select_subsequence(100, 4, "linear"), ZeroPredictor(2),
+                       np.ones((4, 2)))
+        for name in ("timesteps", "sqrt_alpha", "scaled_c1", "noise", "scaled_noise"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(coeffs, name)[1] = 0
+                getattr(chain_, name)[1] = 0
 
     @pytest.mark.parametrize("method", ["picard", "anderson"])
     @pytest.mark.parametrize("max_iters", [1, 3, 6])
@@ -613,16 +660,16 @@ class TestChainCoefficients:
         assert len(calls) == 3
 
     def test_identity_subsequence_spans_chain(self, sched):
-        coeffs = chain_coefficients(sched, identity_subsequence(100))
-        assert coeffs.S == 100
-        assert coeffs.taus[-1] == 100
+        chain_ = Chain(sched, identity_subsequence(100), ZeroPredictor(2))
+        assert chain_.S == 100 and chain_.sqrt_alpha.size == 101
+        assert chain_.timesteps[-1] == 100
 
 
 class TestChain:
     def test_none_subsequence_is_the_full_chain(self, sched, gaussian):
         full = Chain(sched, None, gaussian)
         assert full.subsequence == identity_subsequence(100)
-        assert full.S == 100 and full.coeffs.taus[-1] == 100
+        assert full.S == 100 and full.timesteps[-1] == 100
         assert full.noise is None
 
     def test_noise_checked_against_S_and_predictor_dimension(self, sched, gaussian):
@@ -696,7 +743,7 @@ class TestPreparedPredictor:
         chain_ = Chain(sched, gauss.subsequence, proxy, gauss.noise)
         assert len(prepared) == 1 and prepared[0][0] is chain_.timesteps
         assert chain_.labels is prepared[0][1]
-        assert chain_.timesteps.tolist() == chain_.coeffs.taus[1:].tolist()
+        assert chain_.timesteps.tolist() == list(gauss.subsequence.indices)
         assert not chain_.timesteps.flags.writeable
         assert len(builds) == 1
         res = solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
@@ -848,26 +895,29 @@ class TestStackChecks:
 
 def _rollout_reference(chain_, x_T, keep=False):
     """The per-step rollout loop as it stood before its steps were made
-    lean, kept verbatim as the bitwise reference for ``chain._rollout``:
-    numpy scalar coefficients read per step, a fresh y and state per step,
-    and a full finiteness scan of every state."""
-    coeffs, predictor, noise = chain_.coeffs, chain_.predictor, chain_.scaled_noise
-    S = coeffs.S
+    lean, the bitwise reference for ``chain._rollout``: numpy scalar
+    coefficients read per step, a fresh y and state per step, and a full
+    finiteness scan of every state.  The coefficients come from
+    ``pair_coefficients``, and the noise, left out where every sigma is
+    zero as ``Chain`` leaves it out, from the chain's input stack."""
+    taus, _, sqrt_alpha, c1, sigma = pair_coefficients(chain_.schedule, chain_.subsequence)
+    predictor, noise = chain_.predictor, chain_.noise if sigma.any() else None
+    S = chain_.subsequence.S
     x = np.asarray(x_T, dtype=np.float64)
-    y = x / coeffs.sqrt_alpha[S]
+    y = x / sqrt_alpha[S]
     states = np.empty((S, x.size))
     kept = [None] * S if keep else None
     for p in range(S, 0, -1):
-        t = int(coeffs.taus[p])
+        t = int(taus[p])
         if kept is None:
             eps = predictor.predict(x, t)
         else:
             eps, kept[p - 1] = predictor.predict_and_state(x, t)
-        u = coeffs.scaled_c1[p] * eps
+        u = (c1[p] / sqrt_alpha[p - 1]) * eps
         if noise is not None:
-            u += noise[p - 1]
+            u += (sigma[p] / sqrt_alpha[p - 1]) * noise[p - 1]
         y = y + u
-        x = states[S - p] = coeffs.sqrt_alpha[p - 1] * y
+        x = states[S - p] = sqrt_alpha[p - 1] * y
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite state after the step from t={t}")
     return states if kept is None else (states, kept)

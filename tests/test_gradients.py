@@ -202,7 +202,7 @@ class CountingPredictor(NoisePredictor):
         self.predict_rows.append(np.shape(x)[0] if np.ndim(x) == 2 else 1)
         return self.inner.predict(x, t)
 
-    def vjp(self, x, t, cotangent):
+    def vjp_from(self, state, x, t, cotangent):
         self.vjp_rows.append(np.shape(x)[0] if np.ndim(x) == 2 else 1)
         return self.inner.vjp(x, t, cotangent)
 
@@ -250,7 +250,7 @@ class TestAdjointSolve:
 
     def test_non_finite_vjp_is_divergence(self):
         class BrokenVjp(ZeroPredictor):
-            def vjp(self, x, t, cotangent):
+            def vjp_from(self, state, x, t, cotangent):
                 return np.full(np.shape(x), np.inf)
 
         sched, sub, _, x_T, _, stack, target = solved_case(5, 2, 6)
@@ -427,8 +427,8 @@ class TestRolloutBackpropIsTheBackSubstitution:
 
 
 class _Counting:
-    """Records the rows of every predict and vjp call: 0 for one state, N
-    for an (N, D) batch."""
+    """Records the rows of every predict and backward (``vjp_from``) call:
+    0 for one state, N for an (N, D) batch."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -438,9 +438,9 @@ class _Counting:
         self.calls["predict"].append(0 if np.ndim(x) == 1 else len(x))
         return super().predict(x, t)
 
-    def vjp(self, x, t, cotangent):
+    def vjp_from(self, state, x, t, cotangent):
         self.calls["vjp"].append(0 if np.ndim(x) == 1 else len(x))
-        return super().vjp(x, t, cotangent)
+        return super().vjp_from(state, x, t, cotangent)
 
 
 class _CountingGaussian(_Counting, GaussianOptimalPredictor):
@@ -495,8 +495,9 @@ def test_rollout_backprop_makes_S_one_row_forward_and_vjp_calls(kind, S, monkeyp
 
 class _Stateless(NoisePredictor):
     """An MLP whose every call runs on a fresh copy through ``predict`` and
-    ``vjp`` alone, so no call reads the forward state of another: the
-    reference for the naive route's handed-on rollout states."""
+    ``vjp`` alone, ignoring any state handed on, so no call reads the
+    forward state of another: the reference for the naive route's
+    handed-on rollout states."""
 
     def __init__(self, mlp):
         self.mlp, self.dim = mlp, mlp.dim
@@ -508,7 +509,7 @@ class _Stateless(NoisePredictor):
     def predict(self, x, t):
         return self._fresh().predict(x, t)
 
-    def vjp(self, x, t, cotangent):
+    def vjp_from(self, state, x, t, cotangent):
         return self._fresh().vjp(x, t, cotangent)
 
 

@@ -312,9 +312,9 @@ class PoisonedGaussian(GaussianOptimalPredictor):
             return np.full(np.shape(x), np.inf)
         return super().predict(x, t)
 
-    def vjp(self, x, t, cotangent):
+    def vjp_from(self, state, x, t, cotangent):
         self.vjps += 1
-        return super().vjp(x, t, cotangent)
+        return super().vjp_from(state, x, t, cotangent)
 
 
 class TestInvertErrorPaths:

@@ -9,7 +9,6 @@ from parseq import (
     InsufficientDataError,
     NumericDomainError,
     ShapeError,
-    chain_coefficients,
     gaussian_w2,
     make_linear_beta_schedule,
     sample_moments,
@@ -17,6 +16,7 @@ from parseq import (
     sequential_rollout,
     stream,
 )
+from parseq.schedule import c1_for_pair
 
 params = hnp.arrays(
     np.float64,
@@ -111,18 +111,17 @@ class TestGeneratedEnsemble:
         mu = np.array([0.5, -0.3, 1.0, 0.0])
         var = np.array([1.2, 0.6, 1.0, 2.0])
         pred = GaussianOptimalPredictor(mu, var, sched)
-        coeffs = chain_coefficients(sched, sub)
+        alpha = sched.alpha_by_t[[0, *sub.indices]]
 
         # closed-form batched rollout (the predictor is affine per
         # coordinate); verified row-by-row against the library below
         X = stream(0, "x_T").standard_normal((n, D))
         ensemble = X.copy()
         for p in range(S, 0, -1):
-            a = sched.alpha_bar(int(coeffs.taus[p]))
+            a_prev, a = alpha[p - 1], alpha[p]
             eps = np.sqrt(1.0 - a) * (ensemble - np.sqrt(a) * mu) / (a * var + (1.0 - a))
-            ensemble = (
-                coeffs.sqrt_alpha[p - 1] / coeffs.sqrt_alpha[p]
-            ) * ensemble + coeffs.c1[p] * eps
+            ensemble = (np.sqrt(a_prev) / np.sqrt(a)) * ensemble + c1_for_pair(
+                a_prev, a, sched.eta) * eps
         for i in (0, 700, 1999):
             lib = sequential_rollout(X[i], sched, sub, pred)[-1]
             np.testing.assert_allclose(ensemble[i], lib, rtol=0, atol=1e-14)
