@@ -32,7 +32,8 @@ chain, and so do ``solve_stack``, which hands ``_sweep`` to
 ``solvers.solve``, and the gradient routes; ``_x_T_step`` is the one-row
 pullback onto x_T that every gradient route ends in.
 ``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the older
-per-call form: each builds a fresh chain from its arguments.
+per-call form: each builds a fresh chain from its arguments.  Every
+chain names its subsequence; the full chain is ``identity_subsequence(T)``.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
@@ -52,7 +53,6 @@ from .schedule import (
     DiffusionSchedule,
     TimestepSubsequence,
     c1_for_pair,
-    identity_subsequence,
     sigma_for_pair,
 )
 from .solvers import FixedPointResult, SolverConfig, solve
@@ -88,7 +88,6 @@ class Chain:
     """One sampling chain, checked once: schedule, subsequence, noise model,
     pinned noise and the constants built from them.
 
-    ``subsequence=None`` selects the full chain 1..T and is stored resolved.
     ``noise=None`` injects no noise; otherwise ``noise`` is the (S, D) stack
     of per-transition draws, D being the predictor's dimension, held as a
     read-only view.  ``timesteps`` is the (S,) array tau_1..tau_S, and
@@ -107,7 +106,7 @@ class Chain:
     """
 
     schedule: DiffusionSchedule
-    subsequence: TimestepSubsequence | None
+    subsequence: TimestepSubsequence
     predictor: NoisePredictor
     noise: np.ndarray | None = None
     timesteps: np.ndarray = field(init=False, repr=False)
@@ -117,11 +116,8 @@ class Chain:
     labels: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        subsequence = self.subsequence
-        if subsequence is None:
-            subsequence = identity_subsequence(self.schedule.T)
         timesteps, sqrt_alpha, scaled_c1, sigma = chain_coefficients(
-            self.schedule, subsequence)
+            self.schedule, self.subsequence)
         noise = self.noise
         if noise is not None:
             noise = np.asarray(noise, dtype=np.float64)
@@ -136,7 +132,6 @@ class Chain:
         if noise is not None and sigma.any():
             scaled_noise = (sigma[1:] / sqrt_alpha[:-1])[:, None] * noise
             scaled_noise.setflags(write=False)
-        object.__setattr__(self, "subsequence", subsequence)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "timesteps", timesteps)
         object.__setattr__(self, "sqrt_alpha", sqrt_alpha)
@@ -206,7 +201,7 @@ def ddim_step(
 def sequential_rollout(
     x_T: np.ndarray,
     schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
+    subsequence: TimestepSubsequence,
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -257,7 +252,7 @@ def h_tilde(
     states: np.ndarray,
     x_T: np.ndarray,
     schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
+    subsequence: TimestepSubsequence,
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
     pool: object | None = None,
@@ -320,7 +315,7 @@ def h_tilde_vjp(
     states: np.ndarray,
     x_T: np.ndarray,
     schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
+    subsequence: TimestepSubsequence,
     predictor: NoisePredictor,
     cotangent: np.ndarray,
     pool: object | None = None,

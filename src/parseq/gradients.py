@@ -29,8 +29,9 @@ onto x_T (``chain._x_T_step``):
 
 Phantom and exact first solve the joint system for the stack with
 ``chain.solve_stack``, which runs ``solvers.solve``, the one fixed-point
-loop.  With ``warm_start`` each epoch's solve starts from the last
-epoch's stack.  Without ``InversionConfig.solver`` it is Picard with
+loop.  Each epoch's solve starts from the last epoch's stack, and from
+``InversionConfig.init`` only at epoch 0 or when that warm start
+diverges.  Without ``InversionConfig.solver`` it is Picard with
 ``solvers.picard_budget`` sweeps, which cannot stop short of its
 tolerance.  A noisy chain (eta > 0) is inverted with its per-transition
 noise stack pinned in the ``Chain``, which keeps the joint map
@@ -40,7 +41,7 @@ moments, independent of the epoch count.
 
 The routes take a ``Chain``; ``rollout_backprop_grad`` and
 ``adjoint_solve`` keep the older per-call form and build a fresh chain
-from their arguments.
+from their arguments; the full chain is ``identity_subsequence(T)``.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def adjoint_solve(
     x_T: np.ndarray,
     seed_stack: np.ndarray,
     schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
+    subsequence: TimestepSubsequence,
     predictor: NoisePredictor,
     tol: float = 1e-6,
     pool: object | None = None,
@@ -245,7 +246,7 @@ def rollout_backprop_grad(
     x_T: np.ndarray,
     target_x0: np.ndarray,
     schedule: DiffusionSchedule,
-    subsequence: TimestepSubsequence | None,
+    subsequence: TimestepSubsequence,
     predictor: NoisePredictor,
     noise: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
@@ -269,7 +270,6 @@ class InversionConfig:
     solver: SolverConfig | None = None
     stop_loss: float = 0.0
     seed: int = 0
-    warm_start: bool = True
     init: str = "x_T"
 
     def __post_init__(self) -> None:
@@ -317,7 +317,8 @@ def run_report(run: InversionRun, config: dict, x_T_hat_file: str) -> dict:
 def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> InversionRun:
     """Adam on x_T against the squared distance of the chain's x_0 to the
     target, with the gradient of ``cfg.gradient_mode`` each epoch.  The
-    target is one state of the predictor's dimension, or a ``ShapeError``."""
+    target is one state of the predictor's dimension, or a ``ShapeError``.
+    The run's ``x_T_hat`` is the iterate whose loss is ``best_loss``."""
     target = np.asarray(x0_target, dtype=np.float64)
     if target.ndim != 1:
         raise ConfigError(f"target must be a single state vector, got {target.shape}")
@@ -347,8 +348,7 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
                 # A stale warm start can blow up after a large parameter
                 # move; retry once from the stock initialization.
                 result = solve_stack(chain, x_T, solver_cfg, cfg.init)
-            if cfg.warm_start:
-                warm = result.states
+            warm = result.states
             if cfg.gradient_mode == "phantom":
                 loss, grad = phantom_grad(chain, result.states, x_T, target, tau=cfg.tau)
             else:
@@ -356,12 +356,12 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
             run.solver_iters.append(result.iters)
             run.solver_converged.append(result.converged)
         run.loss_trace.append(loss)
-        run.best_loss = min(run.best_loss, loss)
+        if loss < run.best_loss:
+            run.best_loss, run.x_T_hat = loss, x_T
         run.epochs_run += 1
         if loss <= cfg.stop_loss:
             break
         x_T = adam.step(x_T, grad)
-        run.x_T_hat = x_T
     return run
 
 

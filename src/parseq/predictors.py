@@ -211,67 +211,46 @@ class GaussianOptimalPredictor(NoisePredictor):
         return self._lookup(t)[0] * cotangent
 
 
-def _checked_widths(widths) -> list[int]:
-    """Layer widths as positive ints: every layer, the state's included,
-    holds at least one unit.  Each width must be an integer, Python's or
-    numpy's; a float, a string or a bool is refused, not converted."""
-    rule = "mlp widths must be a list of integers"
-    try:
-        widths = list(widths)
-    except TypeError:
-        raise SchemaError(rule) from None
-    if not all(map(is_integer, widths)):
-        raise SchemaError(rule)
-    widths = [int(w) for w in widths]
-    if any(w < 1 for w in widths):
-        raise SchemaError(f"mlp widths must be positive, got {widths}")
-    return widths
-
-
 class MlpPredictor(NoisePredictor):
     """Small dense network with tanh hidden layers and a linear head.
 
-    The input is the state with the scalar t / t_max appended, so
-    ``widths[0] == dim + 1`` and ``widths[-1] == dim``.  ``t_max`` is a
-    runtime parameter, an integer >= 1 (normally the chain length T), not
-    part of the serialized weights.
+    Layer l maps ``widths[l]`` units to ``widths[l + 1]`` by the
+    (widths[l + 1], widths[l]) matrix ``weights[l]``, so the weight shapes
+    give ``widths``, every one >= 1.  The input is the state with the
+    scalar t / t_max appended, so ``widths[0] == dim + 1`` and
+    ``widths[-1] == dim``.  ``t_max`` is a runtime parameter, an integer
+    >= 1 (normally the chain length T), not part of the serialized weights.
 
     The backward pass reads only the tanh' factors 1 - h**2 of the hidden
     layers, so they are the forward state: built elementwise, once per
     forward pass, batched or one-row.
     """
 
-    def __init__(
-        self,
-        widths: list[int],
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-        t_max: int = 1000,
-    ):
-        widths = _checked_widths(widths)
-        if len(widths) < 2:
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], t_max: int = 1000):
+        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if not self.weights:
             raise SchemaError("widths must list at least input and output layers")
+        if len(self.biases) != len(self.weights):
+            raise SchemaError("need one weight matrix and bias per layer transition")
+        if any(w.ndim != 2 for w in self.weights):
+            raise SchemaError("every layer's weights must be a matrix")
+        widths = [self.weights[0].shape[1], *(w.shape[0] for w in self.weights)]
+        if min(widths) < 1:
+            raise SchemaError(f"mlp widths must be positive, got {widths}")
         if widths[0] != widths[-1] + 1:
             raise SchemaError(
                 f"input width {widths[0]} must be output width {widths[-1]} + 1 "
                 "(state plus one time slot)"
             )
-        if len(weights) != len(widths) - 1 or len(biases) != len(widths) - 1:
-            raise SchemaError("need one weight matrix and bias per layer transition")
-        self.weights = []
-        self.biases = []
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.shape != (widths[layer + 1], widths[layer]):
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.shape[1] != widths[layer]:
                 raise SchemaError(
                     f"layer {layer} weight shape {w.shape} does not match widths "
                     f"({widths[layer + 1]}, {widths[layer]})"
                 )
             if b.shape != (widths[layer + 1],):
                 raise SchemaError(f"layer {layer} bias shape {b.shape} is wrong")
-            self.weights.append(w)
-            self.biases.append(b)
         require_integer("t_max", t_max)
         if t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {t_max}")
@@ -330,7 +309,7 @@ def random_mlp(
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         weights.append(rng.standard_normal((fan_out, fan_in)) * scale / np.sqrt(fan_in))
         biases.append(rng.standard_normal(fan_out) * 0.1 * scale)
-    return MlpPredictor(widths, weights, biases, t_max=t_max)
+    return MlpPredictor(weights, biases, t_max=t_max)
 
 
 def save_mlp(path: str, predictor: MlpPredictor) -> None:
@@ -415,7 +394,11 @@ def _parse_mlp(payload: dict) -> tuple:
     for field in ("widths", "weights", "biases"):
         if not isinstance(payload[field], list):
             raise SchemaError(f"field '{field}' must be a list")
-    widths = _checked_widths(payload["widths"])
+    widths = payload["widths"]
+    if not all(map(is_integer, widths)):
+        raise SchemaError("mlp widths must be a list of integers")
+    if any(w < 1 for w in widths):
+        raise SchemaError(f"mlp widths must be positive, got {widths}")
     if len(payload["weights"]) != len(widths) - 1:
         raise SchemaError("number of weight matrices does not match widths")
     weights = []
@@ -428,8 +411,8 @@ def _parse_mlp(payload: dict) -> tuple:
             )
         weights.append(flat.reshape(rows, cols))
     biases = [_float_array(b, f"layer {layer} bias") for layer, b in enumerate(payload["biases"])]
-    checked = MlpPredictor(widths, weights, biases)
-    return tuple(checked.widths), _read_only(checked.weights), _read_only(checked.biases)
+    checked = MlpPredictor(weights, biases)
+    return _read_only(checked.weights), _read_only(checked.biases)
 
 
 def load_mlp(path: str, t_max: int = 1000) -> MlpPredictor:
@@ -437,8 +420,8 @@ def load_mlp(path: str, t_max: int = 1000) -> MlpPredictor:
 
     Every call returns a new predictor; its weight arrays are read-only and
     shared with every other load of the same file content."""
-    widths, weights, biases = _memoised(path, "mlp weight file", _parse_mlp)
-    return MlpPredictor(widths, weights, biases, t_max=t_max)
+    weights, biases = _memoised(path, "mlp weight file", _parse_mlp)
+    return MlpPredictor(weights, biases, t_max=t_max)
 
 
 def save_gaussian(path: str, mu: np.ndarray, var: np.ndarray) -> None:

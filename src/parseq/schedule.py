@@ -7,7 +7,7 @@ Conventions used throughout the package:
   signal product 1, so the final step lands on a fully denoised state.
 * ``alpha_by_t[t]``, derived once per schedule and read-only, is the one
   table of running products of (1 - beta_s) for s <= t, t = 0 included;
-  ``alpha_bars`` is its view from t = 1, so ``alpha_bars[t-1]`` is entry t.
+  ``alpha_bar(t)`` reads one entry, range-checked.
 * A transition from t to its predecessor t_prev mixes the current state,
   the predicted noise, and an optional fresh draw:
 
@@ -78,14 +78,13 @@ def c1_for_pair(alpha_bar_prev: float | np.ndarray, alpha_bar_t: float | np.ndar
 class DiffusionSchedule:
     """Immutable variance schedule plus the run's noise scale eta.
 
-    Only ``betas`` and ``eta`` are inputs.  ``alpha_by_t`` and its view
-    ``alpha_bars`` (see above) are derived from the betas once, read-only.
+    Only ``betas`` and ``eta`` are inputs.  ``alpha_by_t`` (see above) is
+    derived from the betas once, read-only.
     Schedules compare and hash by identity: the generated field-wise
     ``==`` would compare arrays and raise."""
 
     betas: np.ndarray
     eta: float = 0.0
-    alpha_bars: np.ndarray = field(init=False, repr=False)
     alpha_by_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -95,24 +94,24 @@ class DiffusionSchedule:
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ConfigError("every beta must lie in (0, 1)")
         alpha_by_t = np.concatenate([[ALPHA_BAR_ZERO], np.cumprod(1.0 - betas)])
-        alpha_bars = alpha_by_t[1:]
-        if np.any(alpha_bars <= 0.0) or np.any(alpha_bars >= 1.0):
+        products = alpha_by_t[1:]
+        if np.any(products <= 0.0) or np.any(products >= 1.0):
             raise ConfigError("every alpha_bar must lie in (0, 1)")
-        stalls = np.flatnonzero(np.diff(alpha_bars) >= 0.0)
+        stalls = np.flatnonzero(np.diff(products) >= 0.0)
         if stalls.size:
             # A product stalls wherever rounding swallows its step: a beta
             # near or below 1e-16 (so 1 - beta rounds to 1), or a product
             # that has underflowed to the subnormals.
             t = int(stalls[0]) + 2
-            underflow = alpha_bars[t - 2] < np.finfo(np.float64).tiny
+            underflow = products[t - 2] < np.finfo(np.float64).tiny
             raise ConfigError(
-                f"alpha_bars must be strictly decreasing, but alpha_bar({t}) does not "
+                f"alpha_bar(t) must be strictly decreasing, but alpha_bar({t}) does not "
                 f"fall below alpha_bar({t - 1})"
                 + ("; the signal product underflows float64" if underflow else "")
             )
         if not (np.isfinite(self.eta) and self.eta >= 0.0):
             raise ConfigError(f"eta must be finite and >= 0, got {self.eta}")
-        for name, arr in dict(betas=betas, alpha_by_t=alpha_by_t, alpha_bars=alpha_bars).items():
+        for name, arr in dict(betas=betas, alpha_by_t=alpha_by_t).items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -154,7 +154,7 @@ class TestDdimStep:
         # prev 0.9, cur 0.8, eta 0, eps = 1, x = 1:
         # sqrt(0.9/0.8)*1 + (sqrt(0.1) - sqrt(0.225))*1.
         sched = make_linear_beta_schedule(2, 0.1, 1.0 - 0.8 / 0.9)
-        np.testing.assert_allclose(sched.alpha_bars, [0.9, 0.8], rtol=1e-12)
+        np.testing.assert_allclose(sched.alpha_by_t[1:], [0.9, 0.8], rtol=1e-12)
         out = ddim_step(np.array([1.0]), 2, sched, ConstantPredictor(np.array([1.0])))
         expected = math.sqrt(1.125) + math.sqrt(0.1) - math.sqrt(0.225)
         assert expected == pytest.approx(0.9025462887714022, rel=1e-13)
@@ -195,7 +195,7 @@ class TestSequentialRollout:
         # With no noise and no predicted noise every step rescales, so
         # x_0 = x_T / sqrt(alpha_bar_T).
         x_T = np.array([1.0, -0.5])
-        stack = sequential_rollout(x_T, sched, None, ZeroPredictor(2))
+        stack = sequential_rollout(x_T, sched, identity_subsequence(100), ZeroPredictor(2))
         np.testing.assert_allclose(
             stack[-1], x_T / math.sqrt(sched.alpha_bar(100)), rtol=1e-12
         )
@@ -208,7 +208,7 @@ class TestSequentialRollout:
         pred = GaussianOptimalPredictor(
             np.array([1.0, -1.0]), np.array([0.5, 2.0]), sched
         )
-        stack = sequential_rollout(np.array([0.8, -1.3]), sched, None, pred)
+        stack = sequential_rollout(np.array([0.8, -1.3]), sched, identity_subsequence(5), pred)
         golden = np.array(
             [
                 [0.894233971702669, -1.42747069205604],
@@ -230,7 +230,7 @@ class TestSequentialRollout:
 
     def test_matches_full_chain_stepper(self, sched, gaussian):
         x_T = np.array([0.3, 1.1, -0.4])
-        stack = sequential_rollout(x_T, sched, None, gaussian)
+        stack = sequential_rollout(x_T, sched, identity_subsequence(100), gaussian)
         x = x_T
         for t in range(100, 0, -1):
             x = ddim_step(x, t, sched, gaussian)
@@ -243,7 +243,8 @@ class TestHTilde:
         # the update returns 1/sqrt(0.98) and the residual equals it.
         sched = make_linear_beta_schedule(1, 0.02, 0.02)
         states = np.zeros((1, 1))
-        g = h_tilde(states, np.array([1.0]), sched, None, ZeroPredictor(1)) - states
+        g = h_tilde(states, np.array([1.0]), sched, identity_subsequence(1), ZeroPredictor(1))
+        g -= states
         norm = float(np.linalg.norm(g))
         assert g[0, 0] == pytest.approx(1.0 / math.sqrt(0.98), rel=1e-14)
         assert g[0, 0] == pytest.approx(1.0101525445522107, rel=1e-14)
@@ -666,10 +667,11 @@ class TestChainCoefficients:
 
 
 class TestChain:
-    def test_none_subsequence_is_the_full_chain(self, sched, gaussian):
-        full = Chain(sched, None, gaussian)
-        assert full.subsequence == identity_subsequence(100)
-        assert full.S == 100 and full.timesteps[-1] == 100
+    def test_the_full_chain_is_the_identity_subsequence(self, sched, gaussian):
+        sub = identity_subsequence(100)
+        full = Chain(sched, sub, gaussian)
+        assert full.subsequence is sub
+        assert full.S == 100 and full.timesteps.tolist() == list(range(1, 101))
         assert full.noise is None
 
     def test_noise_checked_against_S_and_predictor_dimension(self, sched, gaussian):

@@ -20,6 +20,7 @@ from parseq import (
     exact_ift_grad,
     h_tilde,
     h_tilde_vjp,
+    identity_subsequence,
     invert,
     loss_and_seed,
     make_linear_beta_schedule,
@@ -124,11 +125,11 @@ class TestPhantomGrad:
     def test_zero_predictor_single_step_closed_form(self):
         sched = make_linear_beta_schedule(1, 0.02, 0.02)
         x_T = np.array([0.7, -0.4])
-        stack = sequential_rollout(x_T, sched, None, ZeroPredictor(2))
+        stack = sequential_rollout(x_T, sched, identity_subsequence(1), ZeroPredictor(2))
         target = np.array([0.1, 0.2])
         tau = 0.3
         loss, grad = phantom_grad(
-            Chain(sched, None, ZeroPredictor(2)), stack, x_T, target, tau=tau
+            Chain(sched, identity_subsequence(1), ZeroPredictor(2)), stack, x_T, target, tau=tau
         )
         expected = tau * 2.0 * (stack[0] - target) / np.sqrt(0.98)
         np.testing.assert_allclose(grad, expected, rtol=1e-14)
@@ -386,7 +387,7 @@ class TestRolloutBackpropIsTheBackSubstitution:
     @pytest.mark.parametrize("name", ["zero", "constant", "gaussian"])
     def test_elementwise_predictors_agree_bit_for_bit(self, name, S, kind, eta):
         sched = make_linear_beta_schedule(1000, eta=eta)
-        sub = None if S is None else select_subsequence(1000, S, kind)
+        sub = identity_subsequence(1000) if S is None else select_subsequence(1000, S, kind)
         rng = np.random.default_rng(31)
         pred = {
             "zero": ZeroPredictor(3),
@@ -394,7 +395,7 @@ class TestRolloutBackpropIsTheBackSubstitution:
             "gaussian": GaussianOptimalPredictor(
                 rng.standard_normal(3), rng.uniform(0.3, 2.0, 3), sched),
         }[name]
-        noise = rng.standard_normal((sub.S if sub else 1000, 3)) if eta > 0 else None
+        noise = rng.standard_normal((sub.S, 3)) if eta > 0 else None
         (loss_n, grad_n), (loss_e, grad_e) = _rollout_and_exact(
             Chain(sched, sub, pred, noise), rng.standard_normal(3), rng.standard_normal(3))
         assert np.float64(loss_n).tobytes() == np.float64(loss_e).tobytes()
@@ -414,10 +415,10 @@ class TestRolloutBackpropIsTheBackSubstitution:
                                          (None, "full")])
     def test_mlp_agrees_up_to_the_batched_forward_rounding(self, S, kind, eta):
         sched = make_linear_beta_schedule(1000, eta=eta)
-        sub = None if S is None else select_subsequence(1000, S, kind)
+        sub = identity_subsequence(1000) if S is None else select_subsequence(1000, S, kind)
         rng = np.random.default_rng(32)
         pred = random_mlp(4, [16, 16], rng, t_max=1000)
-        noise = rng.standard_normal((sub.S if sub else 1000, 4)) if eta > 0 else None
+        noise = rng.standard_normal((sub.S, 4)) if eta > 0 else None
         (loss_n, grad_n), (loss_e, grad_e) = _rollout_and_exact(
             Chain(sched, sub, pred, noise), rng.standard_normal(4), rng.standard_normal(4))
         assert np.float64(loss_n).tobytes() == np.float64(loss_e).tobytes()
@@ -503,8 +504,7 @@ class _Stateless(NoisePredictor):
         self.mlp, self.dim = mlp, mlp.dim
 
     def _fresh(self):
-        return MlpPredictor(self.mlp.widths, self.mlp.weights, self.mlp.biases,
-                            t_max=self.mlp.t_max)
+        return MlpPredictor(self.mlp.weights, self.mlp.biases, t_max=self.mlp.t_max)
 
     def predict(self, x, t):
         return self._fresh().predict(x, t)

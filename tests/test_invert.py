@@ -190,18 +190,6 @@ class TestInvertDeq:
         assert a.loss_trace == b.loss_trace
         np.testing.assert_array_equal(a.x_T_hat, b.x_T_hat)
 
-    def test_warm_start_does_not_change_result(self):
-        # Picard to machine tolerance makes the fixed point independent of
-        # the init, so warm and cold runs differ only in solver work.
-        sched, sub = small_chain()
-        pred = GaussianOptimalPredictor(np.array([0.1, 0.4]), np.ones(2), sched)
-        base = dict(epochs=40, lr=0.01, seed=3, solver=PICARD)
-        chain = Chain(sched, sub, pred)
-        warm = invert(np.array([0.2, 0.7]), InversionConfig(warm_start=True, **base), chain)
-        cold = invert(np.array([0.2, 0.7]), InversionConfig(warm_start=False, **base), chain)
-        np.testing.assert_allclose(warm.x_T_hat, cold.x_T_hat, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(warm.loss_trace, cold.loss_trace, rtol=1e-9, atol=1e-12)
-
     def test_solver_iters_recorded(self):
         sched, sub = small_chain()
         run = invert(
@@ -212,22 +200,25 @@ class TestInvertDeq:
         assert len(run.solver_iters) == run.epochs_run == 5
         assert all(i >= 1 for i in run.solver_iters)
 
-    def test_default_picard_budget_converges_every_cold_solve(self):
-        # A cold solve of this S = 100 chain needs 18 Picard sweeps, more
-        # than the old default budget of 15; the default of S + 1 sweeps is
-        # exact on the triangular chain.
+    def test_default_picard_budget_converges_every_solve(self):
+        # A cold solve of this S = 100 chain needs 18 Picard sweeps and each
+        # warm one 20, all more than the old default budget of 15; the
+        # default of S + 1 sweeps is exact on the triangular chain.
         sched = make_linear_beta_schedule(1000)
         sub = select_subsequence(1000, 100, "linear")
         rng = np.random.default_rng(4)
         pred = GaussianOptimalPredictor(rng.standard_normal(4), rng.uniform(0.5, 2.0, 4), sched)
         chain = Chain(sched, sub, pred)
         x_T = stream(0, "x_T").standard_normal(4)  # the run's first x_T
-        assert not solve_stack(chain, x_T, SolverConfig(method="picard", max_iters=15)).converged
-        cfg = InversionConfig(epochs=5, lr=0.1, seed=0, warm_start=False)
-        run = invert(np.array([0.3, -0.2, 1.1, 0.4]), cfg, chain)
+        old_budget = SolverConfig(method="picard", max_iters=15)
+        assert not solve_stack(chain, x_T, old_budget).converged
+        target = np.array([0.3, -0.2, 1.1, 0.4])
+        run = invert(target, InversionConfig(epochs=5, lr=0.1, seed=0), chain)
         assert run.epochs_run == 5
         assert run.solver_converged == [True] * 5
-        assert 15 < run.solver_iters[0] <= 101
+        assert all(15 < iters <= 101 for iters in run.solver_iters)
+        short = invert(target, InversionConfig(epochs=5, lr=0.1, seed=0, solver=old_budget), chain)
+        assert short.epochs_run == 5 and short.solver_converged == [False] * 5
 
     @pytest.mark.parametrize("mode", ["phantom", "exact"])
     def test_benchmark_shaped_gaussian_inversion_converges_every_solve(self, mode):
@@ -423,19 +414,41 @@ class TestRunReport:
     @pytest.mark.parametrize("max_iters, converged", [(2, False), (40, True)])
     def test_records_whether_each_solve_converged(self, max_iters, converged):
         # A budget too small for the tolerance still yields a gradient and
-        # the run goes on; the report says which epochs stopped short.
+        # the run goes on, warm-starting from the unconverged stack; the
+        # report says which epochs stopped short.
         sched, sub = small_chain()
         pred = GaussianOptimalPredictor(np.array([0.5, -0.5]), np.array([1.5, 0.8]), sched)
         solver = SolverConfig(max_iters=max_iters, tol=1e-9)
         run = invert(
             np.array([0.2, -0.1]),
-            InversionConfig(epochs=4, lr=0.01, seed=0, solver=solver, warm_start=False),
+            InversionConfig(epochs=4, lr=0.01, seed=0, solver=solver),
             Chain(sched, sub, pred),
         )
         report = run_report(run, {"method": "deq"}, "x_T_hat.stack")
         assert report["solver_converged"] == [converged] * 4
         assert all(type(c) is bool for c in report["solver_converged"])
         assert (max(report["solver_iters"]) == max_iters) is not converged
+
+    @pytest.mark.parametrize("mode", ["naive", "phantom", "exact"])
+    def test_x_T_hat_rolls_out_to_the_best_loss(self, mode):
+        # The loss trace turns up after epoch 2, so the best x_T is not the
+        # last one measured, and Adam's step after the last epoch is never
+        # measured at all.  Naive measures the rollout itself; the DEQ
+        # routes read a stack solved to the default tolerance.
+        sched = make_linear_beta_schedule(100)
+        sub = select_subsequence(100, 10, "linear")
+        pred = GaussianOptimalPredictor(np.array([0.3, -0.6]), np.array([0.8, 1.5]), sched)
+        target = np.array([0.4, -0.2])
+        cfg = InversionConfig(epochs=5, lr=0.1, gradient_mode=mode, seed=0)
+        run = invert(target, cfg, Chain(sched, sub, pred))
+        assert run.epochs_run == 5
+        assert run.best_loss == min(run.loss_trace) < run.loss_trace[-1]
+        x0 = sequential_rollout(run.x_T_hat, sched, sub, pred)[-1]
+        loss = loss_and_seed(x0, target)[0]
+        if mode == "naive":
+            assert np.float64(loss).tobytes() == np.float64(run.best_loss).tobytes()
+        else:
+            assert loss == pytest.approx(run.best_loss, rel=SolverConfig().tol)
 
     def test_retained_state_is_constant_size(self):
         # The run object keeps one estimate and scalar traces only; no
@@ -483,7 +496,7 @@ INTEGER_ENTRY_POINTS = {
     "draw_noise_stack S": lambda n: draw_noise_stack(0, n, 2),
     "draw_noise_stack dim": lambda n: draw_noise_stack(0, 2, n),
     "ZeroPredictor dim": lambda n: ZeroPredictor(n),
-    "MlpPredictor t_max": lambda n: MlpPredictor([3, 2], [np.zeros((2, 3))], [np.zeros(2)], n),
+    "MlpPredictor t_max": lambda n: MlpPredictor([np.zeros((2, 3))], [np.zeros(2)], n),
     "random_mlp t_max": lambda n: random_mlp(2, [3], np.random.default_rng(0), t_max=n),
     "load_mlp t_max": _load_mlp_with_t_max,
     "InversionConfig.epochs": lambda n: InversionConfig(epochs=n),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -405,25 +406,37 @@ class TestMlpPredictor:
         with pytest.raises(SchemaError, match=r"^mlp widths must be positive, got \[1, 3, 0\]$"):
             random_mlp(0, [3], np.random.default_rng(0))
 
-    @pytest.mark.parametrize("widths", [np.array([3, 2]), [np.int32(3), np.uint8(2)]])
-    def test_numpy_integer_widths_load_as_ints(self, widths):
-        p = MlpPredictor(widths, [np.zeros((2, 3))], [np.zeros(2)])
-        assert p.widths == [3, 2] and all(type(w) is int for w in p.widths)
+    def test_widths_are_read_off_the_weight_shapes(self):
+        p = MlpPredictor([np.zeros((4, 3), np.float32), np.zeros((2, 4))],
+                         [np.zeros(4), np.zeros(2)])
+        assert p.widths == [3, 4, 2] and all(type(w) is int for w in p.widths)
+        assert p.dim == 2 and [w.dtype for w in p.weights] == [np.float64] * 2
 
-    @pytest.mark.parametrize("widths", [[3, np.float64(2.0)], [np.bool_(True), 2], 5])
-    def test_numpy_float_and_bool_widths_are_a_schema_error(self, widths):
-        with pytest.raises(SchemaError, match=r"^mlp widths must be a list of integers$"):
-            MlpPredictor(widths, [np.zeros((2, 3))], [np.zeros(2)])
+    @pytest.mark.parametrize("widths, message", [
+        ([3, 2.0], "mlp widths must be a list of integers"),
+        ([True, 2], "mlp widths must be a list of integers"),
+        ("32", "field 'widths' must be a list"),
+    ], ids=["float", "bool", "text"])
+    def test_non_integer_file_widths_are_a_schema_error(self, widths, message, tmp_path):
+        # An integral float or a bool is refused, not converted.
+        path = tmp_path / "mlp.json"
+        path.write_text(json.dumps({"widths": widths, "weights": [[0.0] * 6],
+                                    "biases": [[0.0, 0.0]], "time_embed": "scalar_append"}))
+        with pytest.raises(SchemaError, match=f"{message}$"):
+            load_mlp(str(path))
 
-    def test_misshapen_weight_is_a_schema_error(self):
-        with pytest.raises(SchemaError, match=r"^layer 0 weight shape \(3, 2\) does not match "
-                                              r"widths \(2, 3\)$"):
-            MlpPredictor([3, 2], [np.zeros((3, 2))], [np.zeros(2)])
+    @pytest.mark.parametrize("weights, message", [
+        ([np.zeros((4, 3)), np.zeros((2, 5))],
+         r"^layer 1 weight shape \(2, 5\) does not match widths \(2, 4\)$"),
+        ([np.zeros((4, 3)), np.zeros(2)], r"^every layer's weights must be a matrix$"),
+    ], ids=["unchained", "vector"])
+    def test_misshapen_weight_is_a_schema_error(self, weights, message):
+        with pytest.raises(SchemaError, match=message):
+            MlpPredictor(weights, [np.zeros(4), np.zeros(2)])
 
     def test_widths_must_account_for_time_slot(self):
-        with pytest.raises(SchemaError):
-            MlpPredictor([3, 8, 3], [np.zeros((8, 3)), np.zeros((3, 8))],
-                         [np.zeros(8), np.zeros(3)])
+        with pytest.raises(SchemaError, match=r"^input width 3 must be output width 3 \+ 1"):
+            MlpPredictor([np.zeros((8, 3)), np.zeros((3, 8))], [np.zeros(8), np.zeros(3)])
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)

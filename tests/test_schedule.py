@@ -19,21 +19,21 @@ class TestLinearBetaSchedule:
     def test_single_step(self):
         sched = make_linear_beta_schedule(1, 0.02, 0.02)
         assert sched.betas.tolist() == [0.02]
-        assert sched.alpha_bars.tolist() == [pytest.approx(0.98, abs=1e-15)]
+        assert sched.alpha_by_t[1:].tolist() == [pytest.approx(0.98, abs=1e-15)]
 
     def test_two_step_products_by_hand(self):
         # (1 - 0.1) = 0.9 and 0.9 * (1 - 0.3) = 0.63.
         sched = make_linear_beta_schedule(2, 0.1, 0.3)
-        np.testing.assert_allclose(sched.alpha_bars, [0.9, 0.63], rtol=1e-15)
+        np.testing.assert_allclose(sched.alpha_by_t[1:], [0.9, 0.63], rtol=1e-15)
 
     def test_long_schedule_against_running_product(self):
         sched = make_linear_beta_schedule(1000, 1e-4, 0.02)
         prod = 1.0
         for b in sched.betas:
             prod *= 1.0 - b
-        assert sched.alpha_bars[-1] == pytest.approx(prod, rel=1e-12)
-        assert sched.alpha_bars[-1] < 0.01
-        assert np.all(np.diff(sched.alpha_bars) < 0)
+        assert sched.alpha_by_t[-1] == pytest.approx(prod, rel=1e-12)
+        assert sched.alpha_by_t[-1] < 0.01
+        assert np.all(np.diff(sched.alpha_by_t[1:]) < 0)
 
     def test_alpha_bar_boundary_and_range(self):
         sched = make_linear_beta_schedule(10, 0.01, 0.05)
@@ -83,7 +83,7 @@ class TestLinearBetaSchedule:
     def test_schedules_below_the_bound_are_built_and_checked(self):
         # The bound is sound, not tight: 73_252 steps are the longest
         # default schedule that holds, and 74_073 is left to the stall check.
-        assert make_linear_beta_schedule(73_252).alpha_bars[-1] > 0.0
+        assert make_linear_beta_schedule(73_252).alpha_by_t[-1] > 0.0
         with pytest.raises(ConfigError, match="does not fall below"):
             make_linear_beta_schedule(74_073)
 
@@ -97,16 +97,17 @@ class TestLinearBetaSchedule:
         betas = np.linspace(1e-4, 0.02, 50)
         sched = DiffusionSchedule(betas, 0.5)
         assert sched.eta == 0.5
-        assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - betas).tobytes()
-        assert sched.alpha_by_t[1:].tobytes() == sched.alpha_bars.tobytes()
+        assert sched.alpha_by_t[0] == 1.0
+        assert sched.alpha_by_t[1:].tobytes() == np.cumprod(1.0 - betas).tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            sched.alpha_bars[0] = 0.5
+            sched.alpha_by_t[1] = 0.5
         with pytest.raises(TypeError):
-            DiffusionSchedule(betas, alpha_bars=np.cumprod(1.0 - betas))
+            DiffusionSchedule(betas, alpha_by_t=np.cumprod(1.0 - betas))
 
-    def test_alpha_bars_is_a_view_of_the_one_table(self):
+    def test_alpha_by_t_is_the_one_table(self):
         sched = make_linear_beta_schedule(50)
-        assert sched.alpha_bars.base is sched.alpha_by_t
+        assert not hasattr(sched, "alpha_bars")
+        assert [sched.alpha_bar(t) for t in range(51)] == sched.alpha_by_t.tolist()
 
     @pytest.mark.parametrize("T", [2**62, 10**30])
     def test_length_beyond_any_float64_array_is_refused(self, T):

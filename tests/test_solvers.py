@@ -16,6 +16,7 @@ from parseq import (
     ZeroPredictor,
     default_solver_config,
     h_tilde,
+    identity_subsequence,
     init_stack,
     make_linear_beta_schedule,
     random_mlp,
@@ -104,7 +105,7 @@ class TestPicard:
     def test_zero_predictor_chain_single_row(self):
         sched = make_linear_beta_schedule(1, 0.02, 0.02)
         res = solve_stack(
-            Chain(sched, None, ZeroPredictor(1)),
+            Chain(sched, identity_subsequence(1), ZeroPredictor(1)),
             np.array([1.0]),
             cfg=SolverConfig(method="picard", max_iters=5, tol=1e-12),
         )
@@ -576,7 +577,8 @@ class TestDispatch:
 
     def test_solve_stack_needs_a_config(self):
         # The caller picks the solve; the default budgets live in solvers.
-        chain = Chain(make_linear_beta_schedule(20, 1e-3, 0.05), None, ZeroPredictor(2))
+        chain = Chain(make_linear_beta_schedule(20, 1e-3, 0.05), identity_subsequence(20),
+                      ZeroPredictor(2))
         with pytest.raises(TypeError, match="cfg"):
             solve_stack(chain, np.ones(2))
 
