@@ -32,18 +32,15 @@ from .gradients import (
     InversionConfig,
     InversionRun,
     adjoint_solve,
-    central_difference_grad,
     exact_ift_grad,
     invert,
     loss_and_seed,
     phantom_grad,
     rollout_backprop_grad,
     run_report,
-    write_gradcheck_report,
 )
-from .metrics import MomentSummary, gaussian_w2, sample_moments
+from .metrics import gaussian_w2, sample_moments
 from .predictors import (
-    ConstantPredictor,
     GaussianOptimalPredictor,
     MlpPredictor,
     NoisePredictor,

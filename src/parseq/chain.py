@@ -31,9 +31,11 @@ The private kernels ``_sweep``, ``_rollout`` and ``_x_T_step`` take a
 chain, and so do ``solve_stack``, which hands ``_sweep`` to
 ``solvers.solve``, and the gradient routes; ``_x_T_step`` is the one-row
 pullback onto x_T that every gradient route ends in.
-``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` keep the older
-per-call form: each builds a fresh chain from its arguments.  Every
-chain names its subsequence; the full chain is ``identity_subsequence(T)``.
+``sequential_rollout``, ``h_tilde`` and ``h_tilde_vjp`` build a fresh chain
+from their arguments, and the two maps ignore ``pool``, because
+``perfbench/tracing.py`` calls them so, ``pool`` positionally, and its
+self-test requires every traced layer to be measured (ROADMAP item 1).
+Every chain names its subsequence; the full chain is ``identity_subsequence(T)``.
 
 Stack layout: ``states[k]`` holds position S - 1 - k, i.e. ``states[0]``
 sits just below x_T and ``states[S - 1]`` is the fully denoised x_0 row.
@@ -265,8 +267,7 @@ def h_tilde(
     update one predictor call and O(S D) arithmetic instead of the O(S^2)
     literal double sum.  Each call builds a fresh ``Chain``;
     ``solve_stack`` and the gradient routes take one and call the
-    ``_sweep`` kernel instead.  ``pool`` is accepted for compatibility with
-    older callers and ignored.
+    ``_sweep`` kernel instead.  ``pool`` is ignored (see the module docstring).
     """
     chain = Chain(schedule, subsequence, predictor, noise)
     out = _sweep(chain, *_check_stack(states, x_T, chain.S))
@@ -329,8 +330,7 @@ def h_tilde_vjp(
     cotangent, and ``_x_T_step`` the x_T cotangent from P_S, as every
     gradient route takes it.  The noise enters h_tilde additively and so
     never appears in the Jacobian.  Like ``h_tilde``, each call builds a
-    fresh ``Chain``.  ``pool`` is accepted for compatibility with older
-    callers and ignored.
+    fresh ``Chain``.  ``pool`` is ignored (see the module docstring).
     """
     chain = Chain(schedule, subsequence, predictor)
     S = chain.S

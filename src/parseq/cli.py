@@ -390,11 +390,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ConfigError("--target must be gaussian:params.json")
     samples, _, _ = read_stack(args["samples"])
     mu, var = load_gaussian_params(path)
-    moments = sample_moments(samples)
+    mean, var_diag = sample_moments(samples)
     payload = _json_text({
-        "moments": moments.to_dict(),
+        "moments": {"mean": mean.tolist(), "var_diag": var_diag.tolist(), "n": len(samples)},
         "target": {"mu": mu.tolist(), "var": var.tolist()},
-        "w2": gaussian_w2(moments.mean, moments.var_diag, mu, var),
+        "w2": gaussian_w2(mean, var_diag, mu, var),
     })
     sys.stdout.write(payload)
     if args["out"]:

@@ -39,9 +39,12 @@ deterministic within the run; at eta = 0 every sigma vanishes and the
 chain needs no noise.  Peak retained state is one stack plus the Adam
 moments, independent of the epoch count.
 
-The routes take a ``Chain``; ``rollout_backprop_grad`` and
-``adjoint_solve`` keep the older per-call form and build a fresh chain
-from their arguments; the full chain is ``identity_subsequence(T)``.
+The routes take a ``Chain``.  ``rollout_backprop_grad`` and
+``adjoint_solve`` build one from their arguments, and ``adjoint_solve``
+ignores ``tol`` and ``pool`` and returns ``(v, [])``, because
+``perfbench/tracing.py`` calls them so, counting the list as sweeps, and
+its self-test requires every traced layer to be measured (ROADMAP item 1).
+The full chain is ``identity_subsequence(T)``.
 """
 
 from __future__ import annotations
@@ -54,12 +57,11 @@ import numpy as np
 from .chain import (
     INIT_KINDS, Chain, _check_cotangent, _check_stack, _rollout, _sweep, _x_T_step, solve_stack,
 )
-from .errors import ConfigError, DivergenceError, ShapeError, require_integer
+from .errors import ConfigError, DivergenceError, NumericDomainError, ShapeError, require_integer
 from .predictors import NoisePredictor
 from .rng import draw_x_T
 from .schedule import DiffusionSchedule, TimestepSubsequence
 from .solvers import SolverConfig, picard_budget
-from .stackio import write_csv
 
 
 #: Adam's moment decay rates and the guard added to the update's denominator.
@@ -105,13 +107,17 @@ class Adam:
 
 def loss_and_seed(x0_hat: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Squared Frobenius reconstruction loss on the denoised row and its
-    derivative there."""
+    derivative there.  A loss that overflows is a ``NumericDomainError``;
+    a finite one keeps the seed 2r finite too."""
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if x0_hat.shape != target.shape:
         raise ShapeError(f"shapes {x0_hat.shape} and {target.shape} differ")
     r = x0_hat - target
-    return float(r @ r), 2.0 * r
+    loss = float(r @ r)
+    if not math.isfinite(loss):
+        raise NumericDomainError("the loss ||x_0 - target||^2 is not finite")
+    return loss, 2.0 * r
 
 
 def phantom_grad(
@@ -192,9 +198,8 @@ def adjoint_solve(
 ) -> tuple[np.ndarray, list[float]]:
     """The adjoint v of ``_back_substitute`` on a fresh chain.
 
-    Returns (v, []); the empty list stands where per-sweep deltas used to
-    be, and there is nothing to iterate.  ``tol`` and ``pool`` are
-    accepted for compatibility with older callers and ignored.
+    Returns (v, []), as a back-substitution makes no sweeps; ``tol`` and
+    ``pool`` are ignored (see the module docstring).
     """
     chain = Chain(schedule, subsequence, predictor)
     stack_star, x_T = _check_stack(stack_star, x_T, chain.S)
@@ -364,28 +369,3 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
         x_T = adam.step(x_T, grad)
     return run
 
-
-def central_difference_grad(
-    fn, x: np.ndarray, step: float = 1e-5
-) -> np.ndarray:
-    """Central finite differences of a scalar function, one coordinate at a
-    time; the reference the analytic routes are checked against."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (fn(hi) - fn(lo)) / (2.0 * step)
-    return out
-
-
-def write_gradcheck_report(path: str, rows: list[dict]) -> None:
-    """CSV report of finite-difference agreement, one row per check.
-
-    Each row needs mode, S, D, rtol_measured, and a boolean verdict.
-    """
-    write_csv(path, ["mode", "S", "D", "rtol_measured", "pass"],
-              ([row["mode"], row["S"], row["D"], float(row["rtol_measured"]),
-                "true" if row["pass"] else "false"] for row in rows))

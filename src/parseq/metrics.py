@@ -9,28 +9,12 @@ Gaussians:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientDataError, NumericDomainError, ShapeError
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    mean: np.ndarray
-    var_diag: np.ndarray
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "var_diag": self.var_diag.tolist(),
-            "n": self.n,
-        }
-
-
-def sample_moments(samples: np.ndarray) -> MomentSummary:
+def sample_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate mean and unbiased variance of an (n, D) sample array."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -38,11 +22,7 @@ def sample_moments(samples: np.ndarray) -> MomentSummary:
     n = samples.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples for a variance, got {n}")
-    return MomentSummary(
-        mean=samples.mean(axis=0),
-        var_diag=samples.var(axis=0, ddof=1),
-        n=n,
-    )
+    return samples.mean(axis=0), samples.var(axis=0, ddof=1)
 
 
 def gaussian_w2(

@@ -102,30 +102,22 @@ class NoisePredictor(ABC):
         return x, cotangent
 
 
-class ConstantPredictor(NoisePredictor):
-    """Predicts a fixed vector regardless of input; zero Jacobian."""
-
-    def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
-        if self.value.ndim != 1 or self.value.size == 0:
-            raise ShapeError("constant value must be a non-empty 1-d array")
-        self.dim = int(self.value.size)
-
-    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.value, self._check_state(x, t).shape).copy()
-
-    def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
-        return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
-
-
-class ZeroPredictor(ConstantPredictor):
-    """The constant predictor at zero: +0.0 noise everywhere, zero Jacobian."""
+class ZeroPredictor(NoisePredictor):
+    """+0.0 noise everywhere and a zero Jacobian, for a row or a batch."""
 
     def __init__(self, dim: int):
         require_integer("dim", dim)
         if dim < 0:
             raise ConfigError(f"dim must be >= 0, got {dim}")
-        super().__init__(np.zeros(dim))
+        if dim == 0:
+            raise ShapeError("a zero predictor's state must be non-empty, got dim 0")
+        self.dim = int(dim)
+
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        return np.zeros(self._check_state(x, t).shape)
+
+    def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
+        return np.zeros(self._check_vjp(x, t, cotangent)[0].shape)
 
 
 class _TermLabels(np.ndarray):

@@ -15,12 +15,10 @@ import pytest
 from parseq.chain import Chain, h_tilde, sequential_rollout, solve_stack
 from parseq.gradients import (
     InversionConfig,
-    central_difference_grad,
     exact_ift_grad,
     invert,
     phantom_grad,
     rollout_backprop_grad,
-    write_gradcheck_report,
 )
 from parseq.predictors import GaussianOptimalPredictor, random_mlp, save_mlp
 from parseq.schedule import make_linear_beta_schedule, select_subsequence
@@ -28,6 +26,7 @@ from parseq.solvers import HISTORY_M, RIDGE_LAMBDA, SolverConfig
 from parseq.rng import draw_noise_stack, draw_x_T, stream
 
 from cli_runner import run_cli
+from gradcheck import central_difference_grad, write_gradcheck_report
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:

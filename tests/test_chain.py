@@ -6,7 +6,6 @@ import pytest
 from parseq import (
     Chain,
     ConfigError,
-    ConstantPredictor,
     DiffusionSchedule,
     DivergenceError,
     GaussianOptimalPredictor,
@@ -14,7 +13,6 @@ from parseq import (
     ShapeError,
     SolverConfig,
     ZeroPredictor,
-    central_difference_grad,
     chain_coefficients,
     ddim_step,
     h_tilde,
@@ -30,6 +28,8 @@ from parseq import (
 )
 from parseq import chain, gradients
 from parseq.schedule import c1_for_pair, sigma_for_pair
+
+from gradcheck import ConstantPredictor, central_difference_grad
 
 
 def pair_coefficients(schedule, subsequence):

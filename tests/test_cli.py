@@ -766,7 +766,27 @@ class TestBench:
         assert not (tmp_path / "c").exists()
 
 
+#: SHA-256 of eval-w2's stdout and of its eval.json, on 40 rows of
+#: ``stream(4, "scratch")`` against an 8-d Gaussian file.
+EVAL_DIGESTS = (
+    "4847ce7c33c96f5b26818a7fb80cf0c0bddfbd812fb4c6f486b1ca9012ce13ee",
+    "4847ce7c33c96f5b26818a7fb80cf0c0bddfbd812fb4c6f486b1ca9012ce13ee",
+)
+
+
 class TestEvalW2:
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_gaussian("g.json", np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8))
+        write_stack("samples.stack", stream(4, "scratch").standard_normal((40, 8)), 0, 0.0)
+        argv = ["eval-w2", "--samples", "samples.stack", "--target", "gaussian:g.json",
+                "--out", "ev"]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        got = tuple(hashlib.sha256(data).hexdigest()
+                    for data in (stdout, (tmp_path / "ev" / "eval.json").read_bytes()))
+        assert got == EVAL_DIGESTS
+
     def test_self_sample_scores_near_zero(self, fixtures, tmp_path):
         root, mu, var = fixtures["root"], fixtures["mu"], fixtures["var"]
         draws = mu + np.sqrt(var) * stream(0, "scratch").standard_normal((10_000, 3))
@@ -780,6 +800,16 @@ class TestEvalW2:
         assert report["moments"]["n"] == 10_000
         on_disk = json.loads((tmp_path / "ev" / "eval.json").read_text())
         assert on_disk == report
+
+    def test_moments_record_mean_variance_and_count(self, tmp_path, capsys):
+        save_gaussian(tmp_path / "g2.json", np.zeros(2), np.ones(2))
+        write_stack(tmp_path / "two.stack", np.array([[0.0, 1.0], [2.0, 3.0]]), 0, 0.0)
+        code = cli.main(["eval-w2", "--samples", str(tmp_path / "two.stack"),
+                         "--target", f"gaussian:{tmp_path / 'g2.json'}"])
+        assert code == 0
+        moments = json.loads(capsys.readouterr().out)["moments"]
+        assert moments == {"mean": [1.0, 2.0], "var_diag": [2.0, 2.0], "n": 2}
+        assert type(moments["n"]) is int
 
     def test_single_sample_is_an_error(self, fixtures, tmp_path):
         root = fixtures["root"]
@@ -899,6 +929,26 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert "numeric failure" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", [["naive"], ["deq", "--grad", "phantom"],
+                                        ["deq", "--grad", "exact"]],
+                             ids=["naive", "phantom", "exact"])
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_inversion_whose_loss_overflows_is_a_numeric_failure(self, scale, method,
+                                                                 tmp_path, capsys):
+        # At 1e200 every state stays finite and only the loss overflows; at
+        # 1e308 the first gradient would overflow too.  Either way the first
+        # epoch's loss ends the run, before run.json could hold an Infinity.
+        gauss, target = str(tmp_path / "g.json"), str(tmp_path / "t.stack")
+        save_gaussian(gauss, np.zeros(2), np.ones(2))
+        write_stack(target, np.array([[scale, -scale]]), 100, 0.0)
+        code = cli.main(["invert", "--predictor", f"gaussian:{gauss}", "--T", "100",
+                         "--S", "10", "--target", target, "--epochs", "5",
+                         "--method", *method, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "parseq: numeric failure: the loss ||x_0 - target||^2 is not finite\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["deq-anderson", "deq-picard"])

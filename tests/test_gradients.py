@@ -6,7 +6,6 @@ import pytest
 from parseq import (
     Chain,
     Adam,
-    ConstantPredictor,
     DivergenceError,
     GaussianOptimalPredictor,
     InversionConfig,
@@ -16,7 +15,6 @@ from parseq import (
     SolverConfig,
     ZeroPredictor,
     adjoint_solve,
-    central_difference_grad,
     exact_ift_grad,
     h_tilde,
     h_tilde_vjp,
@@ -30,10 +28,11 @@ from parseq import (
     select_subsequence,
     sequential_rollout,
     solve_stack,
-    write_gradcheck_report,
 )
 from parseq.chain import _rollout
 from parseq.gradients import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+from gradcheck import ConstantPredictor, central_difference_grad, write_gradcheck_report
 
 
 def solved_case(S, D, seed, eta=0.0, hidden=12, T=60):

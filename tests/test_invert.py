@@ -14,11 +14,11 @@ import parseq
 from parseq import (
     Chain,
     ConfigError,
-    ConstantPredictor,
     DivergenceError,
     GaussianOptimalPredictor,
     InversionConfig,
     MlpPredictor,
+    NumericDomainError,
     ShapeError,
     SolverConfig,
     TimestepSubsequence,
@@ -38,6 +38,8 @@ from parseq import (
     solve_stack,
     stream,
 )
+
+from gradcheck import ConstantPredictor
 
 PICARD = SolverConfig(method="picard", max_iters=6, tol=1e-12)
 
@@ -331,6 +333,17 @@ class TestInvertErrorPaths:
         with pytest.raises(DivergenceError, match=r"^stack solve diverged at inversion epoch 0$"):
             self._run(0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("mode", ["naive", "phantom", "exact"])
+    def test_overflowing_loss_ends_the_run(self, mode):
+        # Recording the first epoch's inf loss would leave best_loss at inf
+        # and x_T_hat at the unmoved initial draw.
+        sched, sub = small_chain()
+        chain = Chain(sched, sub, GaussianOptimalPredictor(np.zeros(2), np.ones(2), sched))
+        cfg = InversionConfig(epochs=5, gradient_mode=mode)
+        with pytest.raises(NumericDomainError, match="loss"):
+            invert(np.array([1e200, -1e200]), cfg, chain)
+
     def test_target_must_be_one_state(self):
         sched, sub = small_chain()
         chain = Chain(sched, sub, ZeroPredictor(2))
@@ -478,6 +491,37 @@ def test_no_package_attribute_shadows_a_submodule():
         module = importlib.import_module(f"parseq.{info.name}")
         assert inspect.ismodule(module), info.name
         assert getattr(parseq, info.name, module) is module, info.name
+
+
+#: Every public name of ``parseq``, by the reason it is public: a caller
+#: outside ``tests/``, or a type or error the API returns or raises.
+PUBLIC_NAMES = {
+    # called by the CLI
+    "Chain", "GaussianOptimalPredictor", "InversionConfig", "SolverConfig", "ZeroPredictor",
+    "default_solver_config", "draw_noise_stack", "draw_x_T", "gaussian_w2",
+    "identity_subsequence", "invert", "load_gaussian_params", "load_mlp",
+    "make_linear_beta_schedule", "read_stack", "run_report", "sample_moments",
+    "select_subsequence", "solve_stack", "write_residual_csv", "write_stack", "write_trace_csv",
+    # called by README's Library block
+    "exact_ift_grad", "phantom_grad", "rollout_backprop_grad", "sequential_rollout",
+    # called by perfbench/tracing.py
+    "Adam", "adjoint_solve", "chain_coefficients", "h_tilde", "h_tilde_vjp", "init_stack",
+    "loss_and_seed", "solve",
+    # types the API returns, and the errors it raises
+    "DiffusionSchedule", "FixedPointResult", "InversionRun", "MlpPredictor", "NoisePredictor",
+    "TimestepSubsequence", "ConfigError", "DivergenceError", "InsufficientDataError",
+    "NumericDomainError", "ParseError", "SchemaError", "ShapeError",
+    # the tests' reference stepper, the writers of the files the CLI reads,
+    # and the seeded streams every draw comes from
+    "ddim_step", "random_mlp", "save_gaussian", "save_mlp", "stream",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    # A name only tests call cannot come back without this set changing.
+    exported = {name for name, value in vars(parseq).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == PUBLIC_NAMES
 
 
 #: Every library entry point that takes a count, a size or a seed, each fed

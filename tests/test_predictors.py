@@ -13,14 +13,12 @@ import pytest
 from parseq import predictors
 from parseq import (
     Chain,
-    ConstantPredictor,
     GaussianOptimalPredictor,
     MlpPredictor,
     ParseError,
     SchemaError,
     ShapeError,
     ZeroPredictor,
-    central_difference_grad,
     load_gaussian_params,
     load_mlp,
     make_linear_beta_schedule,
@@ -30,6 +28,8 @@ from parseq import (
     select_subsequence,
 )
 from parseq.chain import _rollout
+
+from gradcheck import ConstantPredictor, central_difference_grad
 
 
 @pytest.fixture
@@ -50,19 +50,18 @@ class TestTrivialPredictors:
         assert p.predict(np.array([9.0, 9.0]), 7).tolist() == [1.5, -0.5]
         assert p.vjp(np.zeros(2), 1, np.ones(2)).tolist() == [0.0, 0.0]
 
-    def test_zero_is_the_constant_predictor_at_zero(self):
-        # One implementation: both calls give +0.0, never -0.0, for a row or a batch.
+    def test_zero_gives_positive_zeros_for_a_row_or_a_batch(self):
+        # Both calls give +0.0, never -0.0, and no state reaches them.
         p = ZeroPredictor(3)
-        assert isinstance(p, ConstantPredictor) and p.dim == 3
-        assert "predict" not in vars(ZeroPredictor) and "vjp" not in vars(ZeroPredictor)
+        assert p.dim == 3 and p.vjp_state(np.ones(3), 1) is None
         x, t = -np.ones((2, 3)), np.array([1, 2])
-        for out in (p.predict(x, t), p.vjp(x, t, x), p.predict(x[0], 1), p.vjp(x[0], 1, x[0])):
+        for out in (p.predict(x, t), p.vjp(x, t, x), p.predict(x[0], 1), p.vjp(x[0], 1, x[0]),
+                    p.predict_and_state(x, t)[0]):
             assert out.tobytes() == np.zeros(out.shape).tobytes()
 
     def test_empty_state_is_a_shape_error(self):
-        for build in (lambda: ConstantPredictor(np.zeros(0)), lambda: ZeroPredictor(0)):
-            with pytest.raises(ShapeError, match="non-empty"):
-                build()
+        with pytest.raises(ShapeError, match="non-empty"):
+            ZeroPredictor(0)
 
     def test_shape_mismatch(self):
         p = ZeroPredictor(3)

@@ -68,7 +68,8 @@ class TestCsvOutputs:
     def test_residual_csv_zero_indexed(self, tmp_path):
         path = tmp_path / "res.csv"
         write_residual_csv(str(path), [0.5, 0.125, 1e-9])
-        rows = list(csv.reader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "residual_l2"]
         assert rows[1] == ["0", "0.5"]
         assert [float(r[1]) for r in rows[1:]] == [0.5, 0.125, 1e-9]
@@ -76,7 +77,8 @@ class TestCsvOutputs:
     def test_trace_csv_envelope_and_ragged_runs(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace_csv(str(path), [[1.0, 0.5, 0.25], [2.0, 0.1]])
-        rows = list(csv.reader(open(path, newline="")))
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "run0", "run1", "res_min", "res_max"]
         assert rows[1] == ["0", "1.0", "2.0", "1.0", "2.0"]
         assert rows[2] == ["1", "0.5", "0.1", "0.1", "0.5"]
