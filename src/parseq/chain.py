@@ -215,10 +215,8 @@ def sequential_rollout(
     return _rollout(Chain(schedule, subsequence, predictor, noise), x_T)
 
 
-def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
-    """The rollout's (S, D) stack; with ``keep``, also the predictor's vjp
-    state at each position p, in slot p - 1, from the forward pass of its
-    prediction, which the rollout's gradient reads.
+def _rollout(chain: Chain, x_T: np.ndarray) -> np.ndarray:
+    """The rollout's (S, D) stack.
 
     Each step carries y in place and writes its state straight into the
     stack row the next prediction reads.  A state is tested for finiteness
@@ -233,21 +231,17 @@ def _rollout(chain: Chain, x_T: np.ndarray, keep: bool = False):
     y = x / sqrt_alpha[S]
     u = np.empty_like(y)
     states = np.empty((S, x.size))
-    kept = [None] * S if keep else None
     for p, t in zip(range(S, 0, -1), chain.labels[1][::-1]):
-        if kept is None:
-            eps = predictor.predict(x, t)
-        else:
-            eps, kept[p - 1] = predictor.predict_and_state(x, t)
-        np.multiply(scaled_c1[p], eps, out=u)
+        np.multiply(scaled_c1[p], predictor.predict(x, t), out=u)
         if noise is not None:
             u += noise[p - 1]
         y += u
         x = np.multiply(sqrt_alpha[p - 1], y, out=states[S - p])
-        if not math.isfinite(x @ x) and not np.isfinite(x).all():
+        # np.vdot has the bits of x @ x but, unlike @, warns of no overflow.
+        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise DivergenceError(
                 f"non-finite state after the step from t={chain.timesteps[p - 1]}")
-    return states if kept is None else (states, kept)
+    return states
 
 
 def h_tilde(
@@ -355,14 +349,9 @@ def _check_cotangent(cotangent: np.ndarray, states: np.ndarray) -> np.ndarray:
     return cotangent
 
 
-def _x_T_step(
-    chain: Chain, x_T: np.ndarray, prefix: np.ndarray, state: list | None = None
-) -> np.ndarray:
+def _x_T_step(chain: Chain, x_T: np.ndarray, prefix: np.ndarray) -> np.ndarray:
     """The x_T cotangent of the prefix P_S = sum_{j < S} sqrt(A_j) v_j:
     x_T's direct weight 1 / sqrt(A_S) plus transition S's term, from one
-    one-row vjp, which reads ``state``, the vjp state at x_T, when given.
-    Every gradient route ends here."""
-    predictor, t = chain.predictor, chain.labels[1][-1]
-    pulled = (predictor.vjp(x_T, t, prefix) if state is None
-              else predictor.vjp_from(state, x_T, t, prefix))
+    one-row vjp.  Every gradient route ends here."""
+    pulled = chain.predictor.vjp(x_T, chain.labels[1][-1], prefix)
     return prefix / chain.sqrt_alpha[-1] + chain.scaled_c1[-1] * pulled

@@ -11,9 +11,8 @@ onto x_T (``chain._x_T_step``):
 
 * ``"naive"``, ``rollout_backprop_grad``, backpropagates through the
   sequential sampler with its O(S D) forward stack kept.  The rollout is
-  the fixed point, so this is the back-substitution of ``exact_ift_grad``
-  on the rollout's stack, reading the vjp states of the rollout's own
-  one-row forward passes: S forward passes in all.
+  the fixed point, so this is ``exact_ift_grad`` on the rollout's stack:
+  the routes differ only in where the stack comes from.
 * ``"phantom"``, ``phantom_grad``, backpropagates through a single damped
   application of the joint update on top of the (detached) solver output:
   y = tau * h_tilde(stack*) + (1 - tau) * stack*.  The loss row reads x_T
@@ -114,7 +113,8 @@ def loss_and_seed(x0_hat: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
     if x0_hat.shape != target.shape:
         raise ShapeError(f"shapes {x0_hat.shape} and {target.shape} differ")
     r = x0_hat - target
-    loss = float(r @ r)
+    # np.vdot has the bits of r @ r but, unlike @, warns of no overflow.
+    loss = float(np.vdot(r, r))
     if not math.isfinite(loss):
         raise NumericDomainError("the loss ||x_0 - target||^2 is not finite")
     return loss, 2.0 * r
@@ -146,7 +146,7 @@ def phantom_grad(
 
 
 def _back_substitute(
-    chain: Chain, stack_star: np.ndarray, seed: np.ndarray, states: list | None = None
+    chain: Chain, stack_star: np.ndarray, seed: np.ndarray
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Solve v = v @ dh/dstack + seed_stack at the fixed point, exactly.
 
@@ -156,20 +156,18 @@ def _back_substitute(
     back-substitution from the x_0 row up.  Nothing reads x_0, so v_0 is
     its seed; v_p = seed_p + c1_p / sqrt(A_{p-1}) vjp(x_p, tau_p, P_p)
     needs only the prefix P_p = sum_{j < p} sqrt(A_j) v_j, one one-row
-    backward pass per position.  ``states[p - 1]`` is the predictor's vjp
-    state at position p; without them, one batched ``vjp_state`` over the
-    S - 1 stack rows read builds them, so ``exact_ift_grad`` and
-    ``adjoint_solve`` see the same bits.  Sums and products run in the order of
-    ``h_tilde_vjp``, so v is the fixed point of its stack cotangent up to
-    the rounding of the predictor's batched forward pass.  A zero seed row
-    would only turn a -0.0 in v_p into +0.0, which leaves every prefix,
-    started from +0.0, unchanged; so both seed forms give the same P_S.
-    Returns v and the full prefix P_S, which ``_x_T_step`` pulls onto x_T.
+    backward pass per position on the predictor's vjp state at position
+    p, which one batched ``vjp_state`` over the S - 1 stack rows read
+    builds.  Sums and products run in the order of ``h_tilde_vjp``, so v
+    is the fixed point of its stack cotangent up to the rounding of the
+    predictor's batched forward pass.  A zero seed row would only turn a
+    -0.0 in v_p into +0.0, which leaves every prefix, started from +0.0,
+    unchanged; so both seed forms give the same P_S.  Returns v and the
+    full prefix P_S, which ``_x_T_step`` pulls onto x_T.
     """
     S, predictor = chain.S, chain.predictor
-    if states is None and S > 1:
-        batch = predictor.vjp_state(stack_star[S - 2::-1], chain.labels[0][: S - 1])
-        states = [None if batch is None else [s[i] for s in batch] for i in range(S - 1)]
+    batch = (predictor.vjp_state(stack_star[S - 2::-1], chain.labels[0][: S - 1])
+             if S > 1 else None)
     # Python floats multiply an array faster than numpy scalars do.
     sqrt_alpha, scaled_c1 = chain.sqrt_alpha.tolist(), chain.scaled_c1.tolist()
     v = np.empty_like(seed) if seed.ndim == 2 else None
@@ -180,7 +178,8 @@ def _back_substitute(
     for p, t in zip(range(1, S), chain.labels[1]):
         row = S - 1 - p
         prefix = prefix + sqrt_alpha[p - 1] * v_p
-        v_p = scaled_c1[p] * predictor.vjp_from(states[p - 1], stack_star[row], t, prefix)
+        state = None if batch is None else [s[p - 1] for s in batch]
+        v_p = scaled_c1[p] * predictor.vjp_from(state, stack_star[row], t, prefix)
         if v is not None:
             v_p = np.add(seed[row], v_p, out=v[row])
     return v, prefix + sqrt_alpha[S - 1] * v_p
@@ -214,7 +213,6 @@ def exact_ift_grad(
     stack_star: np.ndarray,
     x_T: np.ndarray,
     target_x0: np.ndarray,
-    states: list | None = None,
 ) -> tuple[float, np.ndarray]:
     """Implicit-function gradient through the fixed point.
 
@@ -224,27 +222,15 @@ def exact_ift_grad(
     ``_back_substitute`` on that one-row seed, then ``_x_T_step`` of its
     prefix P_S: one batched forward pass of S - 1 rows, S - 1 one-row
     backward passes and one one-row vjp, and no ``predict`` call.
-    ``states``, the predictor's vjp states at positions 1..S as
-    ``_rollout`` keeps them, replace both forward passes.
     """
     S = chain.S
     stack_star, x_T = _check_stack(stack_star, x_T, S)
     loss, seed = loss_and_seed(stack_star[S - 1], target_x0)
-    _, prefix = _back_substitute(chain, stack_star, seed, states)
-    grad = _x_T_step(chain, x_T, prefix, None if states is None else states[S - 1])
+    _, prefix = _back_substitute(chain, stack_star, seed)
+    grad = _x_T_step(chain, x_T, prefix)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite adjoint; the predictor vjp broke down")
     return loss, grad
-
-
-def _rollout_grad(
-    chain: Chain, x_T: np.ndarray, target_x0: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Backprop through the sequential sampler: the rollout is the fixed
-    point, so this is the implicit gradient on the rollout's stack, with
-    the vjp states of the rollout's own forward passes."""
-    stack, states = _rollout(chain, x_T, keep=True)
-    return exact_ift_grad(chain, stack, x_T, target_x0, states)
 
 
 def rollout_backprop_grad(
@@ -257,13 +243,13 @@ def rollout_backprop_grad(
 ) -> tuple[float, np.ndarray]:
     """Differentiate the sequential sampler by reverse sweep over its steps.
 
-    Keeps the rollout's O(S D) stack and the predictor's vjp state at each
-    of its S one-row forward calls, then runs the back-substitution of
-    ``exact_ift_grad`` on them: the rollout is the fixed point, so backprop
-    through the chain and the implicit gradient are one computation.  S
-    one-row forward passes and S one-row backward passes.
+    Keeps the rollout's O(S D) stack and runs ``exact_ift_grad`` on it: the
+    rollout is the fixed point, so backprop through the chain and the
+    implicit gradient are one computation.  S one-row ``predict`` calls,
+    then the calls of ``exact_ift_grad``.
     """
-    return _rollout_grad(Chain(schedule, subsequence, predictor, noise), x_T, target_x0)
+    chain = Chain(schedule, subsequence, predictor, noise)
+    return exact_ift_grad(chain, _rollout(chain, x_T), x_T, target_x0)
 
 
 @dataclass
@@ -341,7 +327,7 @@ def invert(x0_target: np.ndarray, cfg: InversionConfig, chain: Chain) -> Inversi
     warm: np.ndarray | None = None
     for epoch in range(cfg.epochs):
         if cfg.gradient_mode == "naive":
-            loss, grad = _rollout_grad(chain, x_T, target)
+            loss, grad = exact_ift_grad(chain, _rollout(chain, x_T), x_T, target)
         else:
             try:
                 result = solve_stack(chain, x_T, solver_cfg, cfg.init if warm is None else warm)

@@ -10,11 +10,11 @@ single-row result at (x[i], t[i]), bit for bit for the elementwise
 predictors and up to matrix-product rounding for the MLP.
 
 The forward state a vjp reads is held by the caller, in the style of
-``jax.vjp``: ``vjp_state`` and ``predict_and_state`` return it and
-``vjp_from`` runs only the backward pass on it, so one forward pass, batched
-or one-row, can serve many backward passes.  A predictor keeps nothing
-after it is built: the labels ``prepare`` makes for a chain's timesteps
-carry whatever terms it builds ahead of the calls.
+``jax.vjp``: ``vjp_state`` returns it and ``vjp_from`` runs only the
+backward pass on it, so one batched forward pass can serve many one-row
+backward passes.  A predictor keeps nothing after it is built: the labels
+``prepare`` makes for a chain's timesteps carry whatever terms it builds
+ahead of the calls.
 
 Predictor files are parsed once per content: a load whose file holds the
 bytes its path held last time reuses the parsed, read-only arrays.
@@ -61,11 +61,6 @@ class NoisePredictor(ABC):
         being ``[s[i] for s in state]``."""
         return None
 
-    def predict_and_state(self, x: np.ndarray, t: int | np.ndarray):
-        """``predict(x, t)`` and ``vjp_state(x, t)``, from one forward pass
-        where the predictor can share it."""
-        return self.predict(x, t), self.vjp_state(x, t)
-
     @abstractmethod
     def vjp_from(self, state, x: np.ndarray, t: int | np.ndarray, cotangent: np.ndarray):
         """``vjp(x, t, cotangent)`` given ``state``, the ``vjp_state`` at
@@ -107,10 +102,8 @@ class ZeroPredictor(NoisePredictor):
 
     def __init__(self, dim: int):
         require_integer("dim", dim)
-        if dim < 0:
-            raise ConfigError(f"dim must be >= 0, got {dim}")
-        if dim == 0:
-            raise ShapeError("a zero predictor's state must be non-empty, got dim 0")
+        if dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
 
     def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
@@ -214,7 +207,7 @@ class MlpPredictor(NoisePredictor):
     >= 1 (normally the chain length T), not part of the serialized weights.
 
     The backward pass reads only the tanh' factors 1 - h**2 of the hidden
-    layers, so they are the forward state: built elementwise, once per
+    layers, so they are the forward state: built elementwise from one
     forward pass, batched or one-row.
     """
 
@@ -265,17 +258,10 @@ class MlpPredictor(NoisePredictor):
             layers.append(np.tanh(h, out=h))
         return layers
 
-    def _head(self, h: np.ndarray) -> np.ndarray:
-        out = h @ self.weights[-1].T
+    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
+        out = self._layers(x, t)[-1] @ self.weights[-1].T
         out += self.biases[-1]
         return out
-
-    def predict(self, x: np.ndarray, t: int | np.ndarray) -> np.ndarray:
-        return self._head(self._layers(x, t)[-1])
-
-    def predict_and_state(self, x: np.ndarray, t: int | np.ndarray):
-        layers = self._layers(x, t)
-        return self._head(layers[-1]), [1.0 - h**2 for h in layers[1:]]
 
     def vjp_state(self, x: np.ndarray, t: int | np.ndarray) -> list[np.ndarray]:
         return [1.0 - h**2 for h in self._layers(x, t)[1:]]  # tanh' = 1 - tanh^2

@@ -82,7 +82,8 @@ def _residual_norm(f: np.ndarray) -> float:
     dispatch.  Where the sum of squares overflows, the norm is taken again
     of f scaled by its largest entry, so a finite f has a finite residual
     unless the norm itself exceeds the float range."""
-    r = math.sqrt(f @ f)
+    # np.vdot has the bits of f @ f but, unlike @, warns of no overflow.
+    r = math.sqrt(np.vdot(f, f))
     if r == math.inf:
         scale = float(np.abs(f).max())
         if scale < math.inf:
@@ -191,7 +192,8 @@ def solve(step_map: StepMap, init: np.ndarray, cfg: SolverConfig) -> FixedPointR
             fallbacks += 1
         else:
             mixed = gamma @ G[:k]
-            if not math.isfinite(mixed @ mixed) and not np.isfinite(mixed).all():
+            # np.vdot has the bits of mixed @ mixed but warns of no overflow.
+            if not math.isfinite(np.vdot(mixed, mixed)) and not np.isfinite(mixed).all():
                 raise DivergenceError(f"non-finite extrapolation at solver iteration {it}")
             x = mixed.reshape(g.shape)
     return FixedPointResult(

@@ -794,7 +794,6 @@ class TestPreparedPredictor:
         gradients.exact_ift_grad(gauss, res.states, x_T, target)
         gradients.phantom_grad(gauss, res.states, x_T, target)
         gradients.exact_ift_grad(gauss, chain._rollout(gauss, x_T), x_T, target)
-        gradients._rollout_grad(gauss, x_T, target)
         for mode in ("naive", "phantom", "exact"):
             run = invert(target, InversionConfig(epochs=3, gradient_mode=mode), gauss)
             assert run.epochs_run == 3
@@ -824,8 +823,7 @@ class TestPreparedPredictor:
         res = solve_stack(chain_, x_T, SolverConfig(method="anderson", max_iters=50))
         gradients.exact_ift_grad(chain_, res.states, x_T, target)
         gradients.phantom_grad(chain_, res.states, x_T, target)
-        gradients._rollout_grad(chain_, x_T, target)
-        chain._rollout(chain_, x_T)
+        gradients.exact_ift_grad(chain_, chain._rollout(chain_, x_T), x_T, target)
         after = vars(pred)
         assert after.keys() == before.keys()
         assert all(after[k] is before[k] for k in before)
@@ -895,7 +893,7 @@ class TestStackChecks:
             gradients.adjoint_solve(states, x_T, wrong, sched, sub, gaussian)
 
 
-def _rollout_reference(chain_, x_T, keep=False):
+def _rollout_reference(chain_, x_T):
     """The per-step rollout loop as it stood before its steps were made
     lean, the bitwise reference for ``chain._rollout``: numpy scalar
     coefficients read per step, a fresh y and state per step, and a full
@@ -908,36 +906,26 @@ def _rollout_reference(chain_, x_T, keep=False):
     x = np.asarray(x_T, dtype=np.float64)
     y = x / sqrt_alpha[S]
     states = np.empty((S, x.size))
-    kept = [None] * S if keep else None
     for p in range(S, 0, -1):
         t = int(taus[p])
-        if kept is None:
-            eps = predictor.predict(x, t)
-        else:
-            eps, kept[p - 1] = predictor.predict_and_state(x, t)
-        u = (c1[p] / sqrt_alpha[p - 1]) * eps
+        u = (c1[p] / sqrt_alpha[p - 1]) * predictor.predict(x, t)
         if noise is not None:
             u += (sigma[p] / sqrt_alpha[p - 1]) * noise[p - 1]
         y = y + u
         x = states[S - p] = sqrt_alpha[p - 1] * y
         if not np.isfinite(x).all():
             raise DivergenceError(f"non-finite state after the step from t={t}")
-    return states if kept is None else (states, kept)
-
-
-def _state_bytes(kept):
-    return [None if s is None else [a.tobytes() for a in s] for s in kept]
+    return states
 
 
 class TestRolloutBits:
-    """``_rollout`` keeps the bits of the reference loop, states and kept
-    vjp states alike, and names the first step that leaves the floats."""
+    """``_rollout`` keeps the bits of the reference loop and names the
+    first step that leaves the floats."""
 
-    @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("S", [1, 2, 10])
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["zero", "gaussian", "mlp"])
-    def test_matches_the_reference_loop_bytewise(self, kind, eta, S, keep):
+    def test_matches_the_reference_loop_bytewise(self, kind, eta, S):
         sched = make_linear_beta_schedule(100, 1e-4, 0.03, eta=eta)
         rng = np.random.default_rng(17)
         D = 4
@@ -950,25 +938,17 @@ class TestRolloutBits:
         chain_ = Chain(sched, select_subsequence(100, S, "linear"), predictor,
                        rng.standard_normal((S, D)))
         x_T = rng.standard_normal(D)
-        got, want = chain._rollout(chain_, x_T, keep), _rollout_reference(chain_, x_T, keep)
-        if keep:
-            (got, got_kept), (want, want_kept) = got, want
-            assert len(got_kept) == S
-            assert _state_bytes(got_kept) == _state_bytes(want_kept)
+        got, want = chain._rollout(chain_, x_T), _rollout_reference(chain_, x_T)
         assert got.shape == (S, D) and got.tobytes() == want.tobytes()
         assert sequential_rollout(x_T, sched, chain_.subsequence, predictor,
                                   chain_.noise).tobytes() == want.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("keep", [False, True])
-    def test_huge_finite_states_do_not_raise(self, sched, keep):
+    def test_huge_finite_states_do_not_raise(self, sched):
         # Every state's squared norm overflows, yet every state is finite.
         chain_ = Chain(sched, select_subsequence(100, 10, "linear"),
                        ConstantPredictor(np.array([1e200, -3e200, 2e200])))
         x_T = np.array([1e180, 0.0, -1e180])
-        got, want = chain._rollout(chain_, x_T, keep), _rollout_reference(chain_, x_T, keep)
-        if keep:
-            got, want = got[0], want[0]
+        got, want = chain._rollout(chain_, x_T), _rollout_reference(chain_, x_T)
         assert np.abs(got).min(axis=1).min() > 1e154 and np.isfinite(got).all()
         assert got.tobytes() == want.tobytes()
 
@@ -987,6 +967,5 @@ class TestRolloutBits:
         message = r"^non-finite state after the step from t=50$"
         with pytest.raises(DivergenceError, match=message):
             sequential_rollout(np.ones(3), sched, sub, BreaksAtFifty(3))
-        for keep in (False, True):
-            with pytest.raises(DivergenceError, match=message):
-                chain._rollout(Chain(sched, sub, BreaksAtFifty(3)), np.ones(3), keep=keep)
+        with pytest.raises(DivergenceError, match=message):
+            chain._rollout(Chain(sched, sub, BreaksAtFifty(3)), np.ones(3))

@@ -8,8 +8,6 @@ from parseq import (
     Adam,
     DivergenceError,
     GaussianOptimalPredictor,
-    InversionConfig,
-    MlpPredictor,
     NoisePredictor,
     ShapeError,
     SolverConfig,
@@ -376,9 +374,7 @@ _SUBSEQUENCES = [(S, kind) for kind in ("linear", "quadratic") for S in (1, 2, 1
 
 class TestRolloutBackpropIsTheBackSubstitution:
     """Naive backprop is the exact implicit gradient on the rollout's stack,
-    so the two agree bit for bit for every elementwise predictor.  The MLP's
-    exact route reads one batched forward pass where naive reads the
-    rollout's one-row passes, so there they agree up to its rounding."""
+    so the two agree bit for bit for every predictor."""
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     @pytest.mark.parametrize("S, kind", [*_SUBSEQUENCES, (None, "full")],
@@ -412,7 +408,7 @@ class TestRolloutBackpropIsTheBackSubstitution:
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     @pytest.mark.parametrize("S, kind", [(1, "linear"), (10, "linear"), (100, "quadratic"),
                                          (None, "full")])
-    def test_mlp_agrees_up_to_the_batched_forward_rounding(self, S, kind, eta):
+    def test_mlp_agrees_bit_for_bit(self, S, kind, eta):
         sched = make_linear_beta_schedule(1000, eta=eta)
         sub = identity_subsequence(1000) if S is None else select_subsequence(1000, S, kind)
         rng = np.random.default_rng(32)
@@ -421,9 +417,33 @@ class TestRolloutBackpropIsTheBackSubstitution:
         (loss_n, grad_n), (loss_e, grad_e) = _rollout_and_exact(
             Chain(sched, sub, pred, noise), rng.standard_normal(4), rng.standard_normal(4))
         assert np.float64(loss_n).tobytes() == np.float64(loss_e).tobytes()
-        assert rel_err(grad_e, grad_n) <= 1e-14
-        if S == 1:  # no stack row, so no batched forward pass
-            assert grad_n.tobytes() == grad_e.tobytes()
+        assert grad_n.tobytes() == grad_e.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("S", [1, 2, 10])
+    @pytest.mark.parametrize("name", ["zero", "gaussian", "mlp"])
+    def test_naive_is_exact_on_the_sequential_stack(self, name, S, eta):
+        # The public calls: rollout_backprop_grad against exact_ift_grad on
+        # sequential_rollout's stack, five draws of x_T, target and pinned
+        # noise per case, loss and gradient compared byte for byte.
+        sched = make_linear_beta_schedule(1000, eta=eta)
+        sub = select_subsequence(1000, S, "linear")
+        rng = np.random.default_rng(33)
+        pred = {
+            "zero": lambda: ZeroPredictor(4),
+            "gaussian": lambda: GaussianOptimalPredictor(
+                rng.standard_normal(4), rng.uniform(0.3, 2.0, 4), sched),
+            "mlp": lambda: random_mlp(4, [16, 16], rng, t_max=1000),
+        }[name]()
+        for _ in range(5):
+            noise = rng.standard_normal((S, 4)) if eta > 0 else None
+            x_T, target = rng.standard_normal(4), rng.standard_normal(4)
+            loss, grad = rollout_backprop_grad(x_T, target, sched, sub, pred, noise)
+            stack = sequential_rollout(x_T, sched, sub, pred, noise)
+            want_loss, want_grad = exact_ift_grad(
+                Chain(sched, sub, pred, noise), stack, x_T, target)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 class _Counting:
@@ -447,10 +467,6 @@ class _CountingGaussian(_Counting, GaussianOptimalPredictor):
     pass
 
 
-class _CountingMlp(_Counting, MlpPredictor):
-    pass
-
-
 def _forward_passes(monkeypatch, mlp):
     """The rows of every forward pass the MLP runs from now on: 0 for one
     state, N for an (N, D) batch."""
@@ -462,80 +478,47 @@ def _forward_passes(monkeypatch, mlp):
     return passes
 
 
+def _call_log(monkeypatch, pred):
+    """Every predictor call from now on as (method, rows): 0 rows for one
+    state, N for an (N, D) batch.  A ``vjp`` is logged before the
+    ``vjp_state`` and ``vjp_from`` calls it makes."""
+    log = []
+    for name in ("predict", "vjp", "vjp_state", "vjp_from"):
+        def logged(*args, name=name, method=getattr(pred, name)):
+            x = args[1] if name == "vjp_from" else args[0]
+            log.append((name, 0 if np.ndim(x) == 1 else len(x)))
+            return method(*args)
+        monkeypatch.setattr(pred, name, logged)
+    return log
+
+
 @pytest.mark.parametrize("S", [1, 2, 10])
 @pytest.mark.parametrize("kind", ["gaussian", "mlp"])
-def test_rollout_backprop_makes_S_one_row_forward_and_vjp_calls(kind, S, monkeypatch):
+def test_rollout_backprop_makes_the_rollout_calls_then_the_exact_calls(kind, S, monkeypatch):
     # The cost contract of the naive route, on every call from the first:
-    # S one-row forward calls and S one-row vjps, no batched call.  The MLP's
-    # vjps read the states of the rollout's own forward passes, so a call
-    # runs S forward passes and S backward passes.
+    # the rollout's S one-row predict calls, then exact_ift_grad's one
+    # (S - 1)-row vjp_state call, its S - 1 one-row vjp_from calls and the
+    # one-row vjp at x_T.  The MLP so runs S + 2 forward passes when S > 1.
     sched = make_linear_beta_schedule(100)
     if kind == "gaussian":
-        pred = _CountingGaussian(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
+        pred = GaussianOptimalPredictor(np.array([0.3, -0.2]), np.array([0.8, 1.5]), sched)
     else:
         pred = random_mlp(2, [8, 8], np.random.default_rng(S), t_max=100)
         passes = _forward_passes(monkeypatch, pred)
-        backward = []
-        vjp_from = pred.vjp_from
-        monkeypatch.setattr(pred, "vjp_from", lambda state, x, t, u: backward.append(
-            0 if np.ndim(x) == 1 else len(x)) or vjp_from(state, x, t, u))
+    log = _call_log(monkeypatch, pred)
     sub = select_subsequence(100, S, "linear")
+    stack_rows = [("vjp_state", S - 1)] if S > 1 else []
+    want = ([("predict", 0)] * S + stack_rows + [("vjp_from", 0)] * (S - 1)
+            + [("vjp", 0), ("vjp_state", 0), ("vjp_from", 0)])
     for call in range(3):
-        if kind == "gaussian":
-            pred.calls = {"predict": [], "vjp": []}
-        else:
-            passes.clear(), backward.clear()
+        log.clear()
+        if kind == "mlp":
+            passes.clear()
         rollout_backprop_grad(np.array([0.4, -1.1]) + call, np.array([0.1, 0.2]), sched, sub,
                               pred)
-        if kind == "gaussian":
-            assert pred.calls == {"predict": [0] * S, "vjp": [0] * S}
-        else:
-            assert passes == [0] * S and backward == [0] * S
-
-
-class _Stateless(NoisePredictor):
-    """An MLP whose every call runs on a fresh copy through ``predict`` and
-    ``vjp`` alone, ignoring any state handed on, so no call reads the
-    forward state of another: the reference for the naive route's
-    handed-on rollout states."""
-
-    def __init__(self, mlp):
-        self.mlp, self.dim = mlp, mlp.dim
-
-    def _fresh(self):
-        return MlpPredictor(self.mlp.weights, self.mlp.biases, t_max=self.mlp.t_max)
-
-    def predict(self, x, t):
-        return self._fresh().predict(x, t)
-
-    def vjp_from(self, state, x, t, cotangent):
-        return self._fresh().vjp(x, t, cotangent)
-
-
-@pytest.mark.parametrize("eta", [0.0, 1.0])
-@pytest.mark.parametrize("S", [1, 2, 10])
-def test_rollout_states_keep_the_naive_bits(S, eta, monkeypatch):
-    # Naive gradients and a naive inversion, whose vjps read the rollout's
-    # forward states, against the same calls made with no state handed on.
-    sched = make_linear_beta_schedule(1000, eta=eta)
-    sub = select_subsequence(1000, S, "linear")
-    rng = np.random.default_rng(60 + S)
-    mlp = random_mlp(5, [16, 16], rng, t_max=1000, scale=0.5)
-    noise = rng.standard_normal((S, 5)) if eta > 0 else None
-    for _ in range(3):
-        x_T, target = rng.standard_normal(5), rng.standard_normal(5)
-        loss, grad = rollout_backprop_grad(x_T, target, sched, sub, mlp, noise)
-        want_loss, want_grad = rollout_backprop_grad(x_T, target, sched, sub, _Stateless(mlp),
-                                                     noise)
-        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
-        assert grad.tobytes() == want_grad.tobytes()
-    passes = _forward_passes(monkeypatch, mlp)
-    cfg = InversionConfig(epochs=25, lr=0.1, gradient_mode="naive")
-    run = invert(target, cfg, Chain(sched, sub, mlp, noise))
-    want = invert(target, cfg, Chain(sched, sub, _Stateless(mlp), noise))
-    assert run.x_T_hat.tobytes() == want.x_T_hat.tobytes()
-    assert np.array(run.loss_trace).tobytes() == np.array(want.loss_trace).tobytes()
-    assert passes == [0] * (run.epochs_run * S)
+        assert log == want
+        if kind == "mlp":
+            assert passes == [0] * S + [rows for _, rows in stack_rows] + [0]
 
 
 @pytest.mark.parametrize("S", [1, 2, 10])

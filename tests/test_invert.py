@@ -333,7 +333,6 @@ class TestInvertErrorPaths:
         with pytest.raises(DivergenceError, match=r"^stack solve diverged at inversion epoch 0$"):
             self._run(0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("mode", ["naive", "phantom", "exact"])
     def test_overflowing_loss_ends_the_run(self, mode):
         # Recording the first epoch's inf loss would leave best_loss at inf
@@ -570,7 +569,8 @@ def test_counts_and_seeds_must_be_integers(n):
 
 
 @pytest.mark.parametrize("site, value, bound", [
-    ("ZeroPredictor dim", -1, 0),
+    ("ZeroPredictor dim", -1, 1),
+    ("ZeroPredictor dim", 0, 1),
     ("draw_x_T dim", -1, 0),
     ("draw_noise_stack S", -1, 0),
     ("draw_noise_stack dim", -1, 0),

@@ -56,12 +56,8 @@ class TestTrivialPredictors:
         assert p.dim == 3 and p.vjp_state(np.ones(3), 1) is None
         x, t = -np.ones((2, 3)), np.array([1, 2])
         for out in (p.predict(x, t), p.vjp(x, t, x), p.predict(x[0], 1), p.vjp(x[0], 1, x[0]),
-                    p.predict_and_state(x, t)[0]):
+                    p.vjp_from(None, x, t, x)):
             assert out.tobytes() == np.zeros(out.shape).tobytes()
-
-    def test_empty_state_is_a_shape_error(self):
-        with pytest.raises(ShapeError, match="non-empty"):
-            ZeroPredictor(0)
 
     def test_shape_mismatch(self):
         p = ZeroPredictor(3)
@@ -80,8 +76,11 @@ def test_one_state_with_an_array_of_labels_is_a_shape_error(sched, kind):
     p = make_predictor(kind, sched, np.random.default_rng(57))
     x = np.ones(4)
     for labels in (np.array([1, 2, 3]), np.array([5])):
-        for call in (lambda: p.predict(x, labels), lambda: p.vjp(x, labels, x),
-                     lambda: p.predict_and_state(x, labels)):
+        calls = [lambda: p.predict(x, labels), lambda: p.vjp(x, labels, x),
+                 lambda: p.vjp_from(None, x, labels, x)]
+        if kind == "mlp":  # the one predictor whose vjp reads a forward state
+            calls.append(lambda: p.vjp_state(x, labels))
+        for call in calls:
             with pytest.raises(ShapeError, match="a state \\(4,\\) with one timestep"):
                 call()
 
@@ -490,24 +489,24 @@ class TestMlpPredictor:
 
 
 class TestForwardState:
-    """The caller holds the forward state a vjp reads: ``vjp_state`` and
-    ``predict_and_state`` return it, ``vjp_from`` reads it, and the
-    predictor itself keeps nothing from one call to the next."""
+    """The caller holds the forward state a vjp reads: ``vjp_state``
+    returns it, ``vjp_from`` reads it, and the predictor itself keeps
+    nothing from one call to the next."""
 
     @pytest.mark.parametrize("kind", ["zero", "constant", "gaussian", "mlp", "mlp-linear"])
-    def test_state_calls_give_the_bits_of_predict_and_vjp(self, sched, kind):
+    def test_state_calls_give_the_bits_of_vjp(self, sched, kind):
         rng = np.random.default_rng(54)
         p = (random_mlp(4, [], rng, t_max=100) if kind == "mlp-linear"
              else make_predictor(kind, sched, rng))
         x, u, t = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), np.array(
             [1, 7, 7, 60, 100])
         for xs, ts, us in [(x, t, u), (x[2], 7, u[2])]:
-            eps, state = p.predict_and_state(xs, ts)
-            assert eps.tobytes() == p.predict(xs, ts).tobytes()
+            state = p.vjp_state(xs, ts)
             if kind.startswith("mlp"):
+                assert [s.shape for s in state] == [xs.shape[:-1] + (w,) for w in p.widths[1:-1]]
                 assert [s.tobytes() for s in state] == [s.tobytes() for s in p.vjp_state(xs, ts)]
             else:
-                assert state is None and p.vjp_state(xs, ts) is None
+                assert state is None
             assert p.vjp_from(state, xs, ts, us).tobytes() == p.vjp(xs, ts, us).tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "mlp-linear"])
@@ -541,10 +540,8 @@ class TestForwardState:
                            (x[0], 3, u[0]), (x[1], int(t[1]), u[1]), (x[1], rows[1], u[1])]:
             p.predict(xs, ts)
             p.vjp(xs, ts, us)
-            _, state = p.predict_and_state(xs, ts)
             p.vjp_from(p.vjp_state(xs, ts), xs, ts, us)
-            p.vjp_from(state, xs, ts, us)
-        _rollout(chain, x[0], keep=True)
+        _rollout(chain, x[0])
         assert pickle.dumps(vars(p)) == before
 
 

@@ -632,7 +632,6 @@ class TestDivergenceContract:
         assert res.residuals == [np.inf] * 3
         assert not res.converged and np.isfinite(res.states).all()
 
-    @_overflow_warnings
     def test_finite_mix_beyond_the_squared_norm_range_does_not_raise(self):
         # A contraction onto a point near 1e160: residuals stay small enough
         # for the weight solve, so Anderson mixes, and every mixed iterate's
