@@ -8,11 +8,14 @@ from parseq import (
     Adam,
     DivergenceError,
     GaussianOptimalPredictor,
+    InversionConfig,
     NoisePredictor,
+    NumericDomainError,
     ShapeError,
     SolverConfig,
     ZeroPredictor,
     adjoint_solve,
+    draw_x_T,
     exact_ift_grad,
     h_tilde,
     h_tilde_vjp,
@@ -103,6 +106,22 @@ class TestLossAndSeed:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             loss_and_seed(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("D", [1, 16, 4096])
+    def test_loss_has_the_bits_of_the_dot_product(self, D):
+        rng = np.random.default_rng(D)
+        for _ in range(20):
+            x0, target = rng.standard_normal(D), rng.standard_normal(D)
+            r = x0 - target
+            loss, seed = loss_and_seed(x0, target)
+            assert np.float64(loss).tobytes() == np.float64(r @ r).tobytes()
+            assert seed.tobytes() == (2.0 * r).tobytes()
+
+    def test_overflowing_loss_is_a_domain_error_and_no_warning(self):
+        # Every entry is finite and only the sum of squares overflows; the
+        # guard raises, and no overflow warning comes first.
+        with pytest.raises(NumericDomainError, match="not finite"):
+            loss_and_seed(np.array([1e200, -1e200]), np.zeros(2))
 
 
 class TestCentralDifference:
@@ -519,6 +538,35 @@ def test_rollout_backprop_makes_the_rollout_calls_then_the_exact_calls(kind, S, 
         assert log == want
         if kind == "mlp":
             assert passes == [0] * S + [rows for _, rows in stack_rows] + [0]
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("S", [1, 2, 10])
+def test_naive_inversion_is_adam_on_the_rollouts_exact_gradient(S, eta, monkeypatch):
+    # A naive inversion against its reference loop: Adam from the seeded
+    # draw, stepped each epoch by exact_ift_grad on sequential_rollout's
+    # stack, keeping the best iterate.  Each epoch runs the rollout's S
+    # one-row forward passes, one (S - 1)-row pass when S > 1 and one at x_T.
+    sched = make_linear_beta_schedule(1000, eta=eta)
+    sub = select_subsequence(1000, S, "linear")
+    rng = np.random.default_rng(60 + S)
+    mlp = random_mlp(5, [16, 16], rng, t_max=1000, scale=0.5)
+    noise = rng.standard_normal((S, 5)) if eta > 0 else None
+    target = rng.standard_normal(5)
+    cfg = InversionConfig(epochs=25, lr=0.1, gradient_mode="naive")
+    x_T, adam, losses, best = draw_x_T(cfg.seed, 5), Adam(lr=cfg.lr), [], None
+    for _ in range(cfg.epochs):
+        loss, grad = exact_ift_grad(Chain(sched, sub, mlp, noise),
+                                    sequential_rollout(x_T, sched, sub, mlp, noise), x_T, target)
+        if best is None or loss < min(losses):
+            best = x_T
+        losses.append(loss)
+        x_T = adam.step(x_T, grad)
+    passes = _forward_passes(monkeypatch, mlp)
+    run = invert(target, cfg, Chain(sched, sub, mlp, noise))
+    assert np.array(run.loss_trace).tobytes() == np.array(losses).tobytes()
+    assert run.x_T_hat.tobytes() == best.tobytes()
+    assert passes == ([0] * S + [S - 1] * (S > 1) + [0]) * cfg.epochs
 
 
 @pytest.mark.parametrize("S", [1, 2, 10])
